@@ -813,8 +813,8 @@ let time_mean ~trials f =
    parses them uniformly.  The commit id is the actual checkout at
    generation time (git rev-parse); MINCONN_COMMIT overrides it for
    drivers that bench an uncommitted tree, and "unknown" is the last
-   resort outside any repository.  [domains] records how many domains
-   the section used (1 for the serial sections). *)
+   resort outside any repository.  [domains] is always 1: every section
+   runs on one domain. *)
 
 let bench_schema = "minconn-bench/2"
 
@@ -843,13 +843,13 @@ let render_scalar = function
   | Observe.Json.Jbool b -> string_of_bool b
   | _ -> invalid_arg "render_scalar: scalar extras only"
 
-let bench_json ?(domains = 1) ~section ~trials ~max_n entries =
+let bench_json ~section ~trials ~max_n entries =
   let b = Buffer.create 1024 in
   Printf.bprintf b "{\n  \"schema\": \"%s\",\n" bench_schema;
   Printf.bprintf b "  \"section\": \"%s\",\n" (Observe.Json.escape section);
   Printf.bprintf b "  \"commit\": \"%s\",\n"
     (Observe.Json.escape (commit_id ()));
-  Printf.bprintf b "  \"domains\": %d,\n" domains;
+  Printf.bprintf b "  \"domains\": 1,\n";
   Printf.bprintf b "  \"trials\": %d,\n  \"max_n\": %d,\n  \"entries\": [\n"
     trials max_n;
   let last = List.length entries - 1 in
@@ -922,9 +922,9 @@ let validate_bench_json path =
       | _ -> Error "missing or invalid domains field")
     | _ -> Error "missing schema/section/commit or nonempty entries")
 
-let write_bench_json ?domains ~section ~trials ~max_n ~path entries =
+let write_bench_json ~section ~trials ~max_n ~path entries =
   let oc = open_out path in
-  output_string oc (bench_json ?domains ~section ~trials ~max_n entries);
+  output_string oc (bench_json ~section ~trials ~max_n entries);
   close_out oc;
   match validate_bench_json path with
   | Ok k ->
@@ -1304,107 +1304,6 @@ let engine_section ~trials ~max_n ~json_path () =
         (if t_session < t_oneshot then "" else "  NOT AMORTIZED"))
     (List.rev !ratios);
   write_bench_json ~section:"engine" ~trials ~max_n ~path:json_path !rows
-
-(* ------------------------------------------------------------------ *)
-(* Section: parallel                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Domain-pool speedup curves: schema compilation and 16-query batches
-   timed sequentially (the no-pool baseline) and on 1/2/4-domain
-   pools, on the same workloads as the engine section.  The d1 rows
-   double as the pool-overhead check (inline execution: must sit
-   within a few percent of seq), the d2/d4 rows are the scaling
-   signal.  Speedups are relative to the 1-domain pool and are only
-   expected to exceed 1 when the host actually has spare cores —
-   [recommended_domain_count] is printed so a single-core container's
-   flat curve reads as what it is. *)
-let parallel_section ~trials ~max_n ~json_path () =
-  header "parallel: domain-pool scaling (compile and 16-query batches)";
-  let host_domains = Domain.recommended_domain_count () in
-  Printf.printf "host: recommended_domain_count = %d\n" host_domains;
-  Printf.printf "%-22s %-6s %6s %8s %12s %9s\n" "workload" "impl" "|V|" "|E|"
-    "mean ms" "speedup";
-  let domain_counts = [ 1; 2; 4 ] in
-  let rows = ref [] in
-  let curves = ref [] in
-  let record ~section ~impl ~n ~m ~ms ~domains ~base_ms =
-    let speedup = if ms > 0.0 then base_ms /. ms else 1.0 in
-    Printf.printf "%-22s %-6s %6d %8d %12.4f %9s\n%!" section impl n m ms
-      (if impl = "seq" then "-" else Printf.sprintf "%.2fx" speedup);
-    let name, ns, extras = timed_entry ~section ~impl ~n ~m ~ms in
-    rows :=
-      !rows
-      @ [
-          ( name,
-            ns,
-            extras
-            @ [
-                ("domains", Observe.Json.Jnum (float_of_int domains));
-                ("speedup_vs_d1", Observe.Json.Jnum speedup);
-              ] );
-        ]
-  in
-  let bench_workload ~section g =
-    let u = Bigraph.ugraph g in
-    let n = Bigraph.n g and m = Bigraph.m g in
-    let queries =
-      List.init 16 (fun k ->
-          Workloads.Gen_bipartite.random_terminals
-            (trial ~section:(section ^ "-terminals") k)
-            g ~k:4)
-      |> List.filter (fun p -> Iset.cardinal p >= 2 && Traverse.connects u p)
-    in
-    let compile_with pool =
-      time_mean ~trials (fun () -> Minconn.Compiled.compile ?pool g)
-    in
-    let compiled = Minconn.Compiled.compile g in
-    let batch_with pool =
-      let session = Minconn.Session.create compiled in
-      time_mean ~trials (fun () ->
-          ignore (Minconn.Session.solve_many ?pool session queries))
-    in
-    let run_curve ~kind ~time_with =
-      let section = Printf.sprintf "%s.%s" section kind in
-      let seq_ms = time_with None in
-      record ~section ~impl:"seq" ~n ~m ~ms:seq_ms ~domains:1 ~base_ms:seq_ms;
-      let d1_ms = ref seq_ms in
-      List.iter
-        (fun d ->
-          Minconn.Pool.with_pool ~domains:d (fun pool ->
-              let ms = time_with (Some pool) in
-              if d = 1 then d1_ms := ms;
-              record ~section ~impl:(Printf.sprintf "d%d" d) ~n ~m ~ms
-                ~domains:d ~base_ms:!d1_ms))
-        domain_counts;
-      curves := (section, n, seq_ms, !d1_ms) :: !curves
-    in
-    run_curve ~kind:"compile" ~time_with:compile_with;
-    if queries <> [] then run_curve ~kind:"batch16" ~time_with:batch_with
-  in
-  let sizes l = List.filter (fun x -> x <= max_n) l in
-  List.iter
-    (fun n_right ->
-      let rng = trial ~section:"parallel-62" n_right in
-      bench_workload ~section:"chordal62"
-        (Workloads.Gen_bipartite.chordal_62 rng ~n_right ~max_size:5))
-    (sizes [ 20; 40; 80 ]);
-  List.iter
-    (fun nsz ->
-      let rng = trial ~section:"parallel-gnp" nsz in
-      bench_workload ~section:"gnp"
-        (Workloads.Gen_bipartite.gnp rng ~nl:nsz ~nr:nsz ~p:0.3))
-    (sizes [ 16; 32; 64 ]);
-  List.iter
-    (fun (what, n, seq_ms, d1_ms) ->
-      Printf.printf "-- %-22s n=%-4d d1/seq overhead = %.4f (1-domain pool %s)\n"
-        what n
-        (if seq_ms > 0.0 then d1_ms /. seq_ms else 1.0)
-        (if d1_ms <= seq_ms *. 1.05 then "within 5% of sequential"
-         else "SLOWER THAN SEQUENTIAL")
-    )
-    (List.rev !curves);
-  write_bench_json ~domains:(List.fold_left max 1 domain_counts)
-    ~section:"parallel" ~trials ~max_n ~path:json_path !rows
 
 (* ------------------------------------------------------------------ *)
 (* Section: plancache                                                  *)
@@ -2115,7 +2014,6 @@ let () =
   let runtime_json_path = ref "BENCH_runtime.json" in
   let observe_json_path = ref "BENCH_observe.json" in
   let engine_json_path = ref "BENCH_engine.json" in
-  let parallel_json_path = ref "BENCH_parallel.json" in
   let plancache_json_path = ref "BENCH_plancache.json" in
   let relalg_json_path = ref "BENCH_relalg.json" in
   let serve_json_path = ref "BENCH_serve.json" in
@@ -2141,9 +2039,6 @@ let () =
       parse_args acc rest
     | "--engine-json" :: v :: rest ->
       engine_json_path := v;
-      parse_args acc rest
-    | "--parallel-json" :: v :: rest ->
-      parallel_json_path := v;
       parse_args acc rest
     | "--plancache-json" :: v :: rest ->
       plancache_json_path := v;
@@ -2208,10 +2103,6 @@ let () =
         fun () ->
           engine_section ~trials:!trials ~max_n:!max_n
             ~json_path:!engine_json_path () );
-      ( "parallel",
-        fun () ->
-          parallel_section ~trials:!trials ~max_n:!max_n
-            ~json_path:!parallel_json_path () );
       ( "plancache",
         fun () ->
           plancache_section ~trials:!trials ~max_n:!max_n

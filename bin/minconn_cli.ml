@@ -54,24 +54,14 @@ let open_plan_cache_opt = function
       None)
 
 let compile_cmd =
-  let run path cache_dir force jobs =
-    if jobs < 1 then begin
-      prerr_endline "minconn: error=invalid-jobs (need --jobs >= 1)";
-      exit exit_input_error
-    end;
+  let run path cache_dir force =
     let nb = or_die (load_bigraph path) in
     let graph = nb.Mc_io.Parse.graph in
     let hash = Minconn.Compiled.schema_hash graph in
-    let compile_with_jobs () =
-      if jobs > 1 then
-        Minconn.Pool.with_pool ~domains:jobs (fun pool ->
-            Minconn.Compiled.compile ~pool graph)
-      else Minconn.Compiled.compile graph
-    in
     let status =
       match cache_dir with
       | None ->
-        ignore (compile_with_jobs () : Minconn.Compiled.t);
+        ignore (Minconn.Compiled.compile graph : Minconn.Compiled.t);
         "uncached"
       | Some dir -> (
         match Minconn.Plan_cache.create ~dir () with
@@ -86,7 +76,7 @@ let compile_cmd =
           with
           | Ok _ -> "hit"
           | Error miss -> (
-            let compiled = compile_with_jobs () in
+            let compiled = Minconn.Compiled.compile graph in
             match Minconn.Plan_cache.store cache compiled with
             | Ok () ->
               Printf.sprintf "stored reason=%s"
@@ -117,20 +107,13 @@ let compile_cmd =
           ~doc:"Recompile and overwrite the entry even when the cache \
                 already holds a valid plan for this schema")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Compile on $(docv) domains (default 1); the stored plan \
-                is identical for every $(docv)")
-  in
   Cmd.v
     (Cmd.info "compile"
        ~doc:
          "Compile a schema into the persistent plan cache. Exit codes: \
           0 compiled (or already cached), 4 input error (bad file or \
           unusable --plan-cache directory).")
-    Term.(const run $ path $ cache_dir $ force $ jobs)
+    Term.(const run $ path $ cache_dir $ force)
 
 (* ------------------------------------------------------------ classify *)
 
@@ -183,42 +166,32 @@ let parse_queries_file path =
 (* Batch mode: compile the schema once, answer every terminal set from
    the session, report one status line per query, and exit with the
    most severe per-query code (the codes are ordered 0 < 2 < 3 < 4 < 5
-   by severity, so a numeric max is the contract). With --jobs N > 1 a
-   domain pool fans both the compile tasks and the queries out; the
-   answers (and their printed order) are identical to --jobs 1. *)
-let run_batch ?compiled nb ~queries ~cache ~jobs ~timeout_ms ~fuel ~no_degrade
+   by severity, so a numeric max is the contract). *)
+let run_batch ?compiled nb ~queries ~cache ~timeout_ms ~fuel ~no_degrade
     ~trace ~metrics ~flush_observability =
-  let solve_batch pool =
-    let compiled =
-      match compiled with
-      | Some c -> c
-      | None ->
-        fst
-          (Minconn.Plan_cache.find_or_compile ?pool ~trace ~metrics ?cache
-             nb.Mc_io.Parse.graph)
-    in
-    let session =
-      Minconn.Session.create ~degrade:(not no_degrade) ~trace ~metrics compiled
-    in
-    let resolved =
-      List.map (fun names -> (names, Mc_io.Parse.name_set nb names)) queries
-    in
-    let ps = List.filter_map (fun (_, r) -> Result.to_option r) resolved in
-    (* A fresh budget per query: one slow query degrades itself, not
-       the rest of the batch (and per-query budgets keep pooled runs
-       deterministic). *)
-    let make_budget _ =
-      match (timeout_ms, fuel) with
-      | None, None -> Minconn.Budget.unlimited
-      | _ -> Minconn.Budget.make ?timeout_ms ?fuel ()
-    in
-    (resolved, Minconn.Session.solve_many ?pool ~make_budget session ps)
+  let compiled =
+    match compiled with
+    | Some c -> c
+    | None ->
+      fst
+        (Minconn.Plan_cache.find_or_compile ~trace ~metrics ?cache
+           nb.Mc_io.Parse.graph)
   in
-  let resolved, answers =
-    if jobs > 1 then
-      Minconn.Pool.with_pool ~domains:jobs (fun pool -> solve_batch (Some pool))
-    else solve_batch None
+  let session =
+    Minconn.Session.create ~degrade:(not no_degrade) ~trace ~metrics compiled
   in
+  let resolved =
+    List.map (fun names -> (names, Mc_io.Parse.name_set nb names)) queries
+  in
+  let ps = List.filter_map (fun (_, r) -> Result.to_option r) resolved in
+  (* A fresh budget per query: one slow query degrades itself, not
+     the rest of the batch. *)
+  let make_budget _ =
+    match (timeout_ms, fuel) with
+    | None, None -> Minconn.Budget.unlimited
+    | _ -> Minconn.Budget.make ?timeout_ms ?fuel ()
+  in
+  let answers = Minconn.Session.solve_many ~make_budget session ps in
   let worst = ref 0 in
   let remaining = ref answers in
   List.iteri
@@ -259,12 +232,8 @@ let run_batch ?compiled nb ~queries ~cache ~jobs ~timeout_ms ~fuel ~no_degrade
   exit !worst
 
 let solve_cmd =
-  let run path terminals queries_file cache_dir jobs timeout_ms fuel
+  let run path terminals queries_file cache_dir timeout_ms fuel
       no_degrade trace_file metrics_file =
-    if jobs < 1 then begin
-      prerr_endline "minconn: error=invalid-jobs (need --jobs >= 1)";
-      exit exit_input_error
-    end;
     let trace =
       match trace_file with
       | None -> Observe.Trace.disabled
@@ -301,7 +270,7 @@ let solve_cmd =
     | [], Some qpath ->
       run_batch nb
         ~queries:(parse_queries_file qpath)
-        ~cache ~jobs ~timeout_ms ~fuel ~no_degrade ~trace ~metrics
+        ~cache ~timeout_ms ~fuel ~no_degrade ~trace ~metrics
         ~flush_observability
     | _ :: _, None -> (
       let p =
@@ -378,15 +347,6 @@ let solve_cmd =
                 structured stderr warning and does not affect the exit \
                 code.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Batch mode only: answer the --queries batch on $(docv) \
-                domains (default 1). Results, per-query codes and the \
-                exit code are identical for every $(docv); trace and \
-                metrics artifacts stay valid.")
-  in
   let timeout_ms =
     Arg.(
       value & opt (some int) None
@@ -429,7 +389,7 @@ let solve_cmd =
           5 budget exhausted with --no-degrade. With --queries, the \
           exit code is the most severe per-query code.")
     Term.(
-      const run $ path $ terminals $ queries_file $ cache_dir $ jobs
+      const run $ path $ terminals $ queries_file $ cache_dir
       $ timeout_ms $ fuel $ no_degrade $ trace_file $ metrics_file)
 
 (* -------------------------------------------------------------- evolve *)
@@ -447,55 +407,44 @@ let load_deltas nb path =
    stdout stays clean (the evolve-smoke rule diffs it against solve
    on the pre-evolved file). *)
 let evolve_cmd =
-  let run path dfile emit queries_file cache_dir jobs =
-    if jobs < 1 then begin
-      prerr_endline "minconn: error=invalid-jobs (need --jobs >= 1)";
-      exit exit_input_error
-    end;
+  let run path dfile emit queries_file cache_dir =
     let nb = or_die (load_bigraph path) in
     let ops, evolved = load_deltas nb dfile in
     let cache = open_plan_cache_opt cache_dir in
-    let with_jobs f =
-      if jobs > 1 then
-        Minconn.Pool.with_pool ~domains:jobs (fun pool -> f (Some pool))
-      else f None
-    in
     let compiled, status =
       match cache with
       | Some _ ->
         (* The cache ladder: exact evolved entry, else patch the
            cached base plan, else cold compile — all stored for the
            next run. *)
-        with_jobs (fun pool ->
-            let compiled, outcome =
-              Minconn.Plan_cache.find_or_compile ?pool ?cache ~deltas:ops
-                nb.Mc_io.Parse.graph
-            in
-            ( compiled,
-              match outcome with
-              | `Hit -> "hit"
-              | `Patched -> "patched"
-              | `Miss -> "miss" ))
-      | None ->
-        with_jobs (fun pool ->
-            let base = Minconn.Compiled.compile ?pool nb.Mc_io.Parse.graph in
-            match Minconn.Compiled.apply_deltas ?pool base ops with
-            | Error msg ->
-              (* Unreachable: the parser already applied every op. *)
-              Printf.eprintf "minconn: error=bad-delta msg=%s\n" msg;
-              exit exit_input_error
-            | Ok (compiled, stats) ->
-              List.iter
-                (fun (s : Minconn.Compiled.delta_stats) ->
-                  Printf.eprintf
-                    "minconn: delta='%s' noop=%b fallback=%b recompiled=%d \
-                     reused=%d\n"
-                    (Minconn.Delta.to_string s.Minconn.Compiled.op)
-                    s.Minconn.Compiled.noop s.Minconn.Compiled.fallback
-                    (List.length s.Minconn.Compiled.recompiled)
-                    s.Minconn.Compiled.reused)
-                stats;
-              (compiled, "applied"))
+        let compiled, outcome =
+          Minconn.Plan_cache.find_or_compile ?cache ~deltas:ops
+            nb.Mc_io.Parse.graph
+        in
+        ( compiled,
+          match outcome with
+          | `Hit -> "hit"
+          | `Patched -> "patched"
+          | `Miss -> "miss" )
+      | None -> (
+        let base = Minconn.Compiled.compile nb.Mc_io.Parse.graph in
+        match Minconn.Compiled.apply_deltas base ops with
+        | Error msg ->
+          (* Unreachable: the parser already applied every op. *)
+          Printf.eprintf "minconn: error=bad-delta msg=%s\n" msg;
+          exit exit_input_error
+        | Ok (compiled, stats) ->
+          List.iter
+            (fun (s : Minconn.Compiled.delta_stats) ->
+              Printf.eprintf
+                "minconn: delta='%s' noop=%b fallback=%b recompiled=%d \
+                 reused=%d\n"
+                (Minconn.Delta.to_string s.Minconn.Compiled.op)
+                s.Minconn.Compiled.noop s.Minconn.Compiled.fallback
+                (List.length s.Minconn.Compiled.recompiled)
+                s.Minconn.Compiled.reused)
+            stats;
+          (compiled, "applied"))
     in
     Printf.eprintf "minconn: deltas=%d components=%d cache=%s\n%!"
       (List.length ops)
@@ -505,7 +454,7 @@ let evolve_cmd =
     | Some qpath ->
       run_batch ~compiled evolved
         ~queries:(parse_queries_file qpath)
-        ~cache:None ~jobs:1 ~timeout_ms:None ~fuel:None ~no_degrade:false
+        ~cache:None ~timeout_ms:None ~fuel:None ~no_degrade:false
         ~trace:Observe.Trace.disabled ~metrics:Observe.Metrics.disabled
         ~flush_observability:(fun () -> ())
     | None ->
@@ -548,13 +497,6 @@ let evolve_cmd =
                 The evolved plan is stored keyed by base schema hash \
                 plus delta-journal hash.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Compile/patch on $(docv) domains (default 1); the plan \
-                is identical for every $(docv)")
-  in
   Cmd.v
     (Cmd.info "evolve"
        ~doc:
@@ -565,7 +507,7 @@ let evolve_cmd =
           or delta), and with --queries the most severe per-query \
           code.")
     Term.(
-      const run $ path $ dfile $ emit $ queries_file $ cache_dir $ jobs)
+      const run $ path $ dfile $ emit $ queries_file $ cache_dir)
 
 let relations_cmd =
   let run path terminals =

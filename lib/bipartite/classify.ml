@@ -21,14 +21,14 @@ type recommendation =
   | Pseudo_steiner_both
   | Exact_search_only
 
-(* The recognizer families all consume the witness hypergraphs H¹/H²
-   (or their two-sections), so those are materialised exactly once and
-   shared by every check; the old path rebuilt H¹ five times per
-   profile and re-ran the γ/β recognizers inside [Acyclicity.degree].
-   The checks themselves are independent boolean facts over immutable
-   structures, which is what lets a pool fan them out; the degrees are
-   then derived from the per-level verdicts by the same first-match
-   rule as [Acyclicity.degree]. *)
+(* The degrees follow from the chordality verdicts by the same
+   first-match rule as [Acyclicity.degree]. [Correspond.h1]/[h2] keep
+   one hyperedge per non-isolated node, so the incidence graph of
+   either witness hypergraph is G itself, and Theorem 1 with
+   Corollary 1 equate Berge-acyclicity of H¹ and H² with (4,1), γ with
+   (6,2) and β with (6,1) on both sides. Only α differs between the
+   sides. test/test_bipartite.ml pins the derived degrees against the
+   independent recognizers. *)
 let derive_degree ~berge ~gamma ~beta ~alpha =
   if berge then Acyclicity.Berge_acyclic
   else if gamma then Acyclicity.Gamma_acyclic
@@ -36,94 +36,62 @@ let derive_degree ~berge ~gamma ~beta ~alpha =
   else if alpha then Acyclicity.Alpha_acyclic
   else Acyclicity.Cyclic
 
-let profile ?pool ?(trace = Observe.Trace.disabled) g =
-  Observe.Trace.span trace "classify"
-    ~attrs:
-      [
-        ("nl", Observe.Trace.Int (Bigraph.nl g));
-        ("nr", Observe.Trace.Int (Bigraph.nr g));
-      ]
-    (fun () ->
-      let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
-      let h2 = Side_properties.hypergraph_of_witness_side g Bigraph.V1 in
-      let ts1 = Hypergraph.two_section h1 in
-      let ts2 = Hypergraph.two_section h2 in
-      let tasks =
-        [|
-          ("classify.chordal_41", fun () -> Mn_chordality.is_41_chordal g);
-          ("classify.chordal_62", fun () -> Gamma.acyclic h1);
-          ("classify.chordal_61", fun () -> Beta.acyclic h1);
-          ("classify.h1.chordal", fun () -> Graphs.Chordal.is_chordal ts1);
-          ("classify.h1.conformal", fun () -> Conformal.is_conformal h1);
-          ("classify.h1.alpha", fun () -> Gyo.alpha_acyclic h1);
-          ("classify.h1.berge", fun () -> Berge.acyclic h1);
-          ("classify.h2.chordal", fun () -> Graphs.Chordal.is_chordal ts2);
-          ("classify.h2.conformal", fun () -> Conformal.is_conformal h2);
-          ("classify.h2.alpha", fun () -> Gyo.alpha_acyclic h2);
-          ("classify.h2.berge", fun () -> Berge.acyclic h2);
-          ("classify.h2.gamma", fun () -> Gamma.acyclic h2);
-          ("classify.h2.beta", fun () -> Beta.acyclic h2);
-        |]
-      in
-      let verdicts =
-        match pool with
-        | Some p when Parallel.Pool.domains p > 1 ->
-          let forks = Array.map (fun _ -> Observe.Trace.fork trace) tasks in
-          let out =
-            Parallel.Pool.mapi_worker p
-              (fun ~worker:_ ~index (name, f) ->
-                Observe.Trace.span forks.(index) name f)
-              tasks
-          in
-          Array.iter (Observe.Trace.merge trace) forks;
-          out
-        | _ ->
-          Array.map (fun (name, f) -> Observe.Trace.span trace name f) tasks
-      in
-      let chordal_41 = verdicts.(0) in
-      let chordal_62 = verdicts.(1) in
-      let chordal_61 = verdicts.(2) in
-      let v2_chordal = verdicts.(3) in
-      let v2_conformal = verdicts.(4) in
-      let alpha_h1 = verdicts.(5) in
-      let v1_chordal = verdicts.(7) in
-      let v1_conformal = verdicts.(8) in
-      let alpha_h2 = verdicts.(9) in
-      let degree_h1 =
-        derive_degree ~berge:verdicts.(6) ~gamma:chordal_62 ~beta:chordal_61
-          ~alpha:alpha_h1
-      in
-      let degree_h2 =
-        derive_degree ~berge:verdicts.(10) ~gamma:verdicts.(11)
-          ~beta:verdicts.(12) ~alpha:alpha_h2
-      in
-      Observe.Trace.add_attr trace "chordal_41" (Observe.Trace.Bool chordal_41);
-      Observe.Trace.add_attr trace "chordal_62" (Observe.Trace.Bool chordal_62);
-      Observe.Trace.add_attr trace "chordal_61" (Observe.Trace.Bool chordal_61);
-      {
-        chordal_41;
-        chordal_62;
-        chordal_61;
-        v2_chordal;
-        v2_conformal;
-        v1_chordal;
-        v1_conformal;
-        alpha_h1;
-        alpha_h2;
-        degree_h1;
-        degree_h2;
-      })
+(* The nine independent checks, each under its own child span. The
+   witness hypergraphs H¹/H² and their two-sections are built once and
+   shared by every check. *)
+let checks trace g =
+  let span name f = Observe.Trace.span trace name f in
+  let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
+  let h2 = Side_properties.hypergraph_of_witness_side g Bigraph.V1 in
+  let ts1 = Hypergraph.two_section h1 in
+  let ts2 = Hypergraph.two_section h2 in
+  let chordal_41 =
+    span "classify.chordal_41" (fun () -> Mn_chordality.is_41_chordal g)
+  in
+  let chordal_62 = span "classify.chordal_62" (fun () -> Gamma.acyclic h1) in
+  let chordal_61 = span "classify.chordal_61" (fun () -> Beta.acyclic h1) in
+  let v2_chordal =
+    span "classify.h1.chordal" (fun () -> Graphs.Chordal.is_chordal ts1)
+  in
+  let v2_conformal =
+    span "classify.h1.conformal" (fun () -> Conformal.is_conformal h1)
+  in
+  let alpha_h1 = span "classify.h1.alpha" (fun () -> Gyo.alpha_acyclic h1) in
+  let v1_chordal =
+    span "classify.h2.chordal" (fun () -> Graphs.Chordal.is_chordal ts2)
+  in
+  let v1_conformal =
+    span "classify.h2.conformal" (fun () -> Conformal.is_conformal h2)
+  in
+  let alpha_h2 = span "classify.h2.alpha" (fun () -> Gyo.alpha_acyclic h2) in
+  let degree alpha =
+    derive_degree ~berge:chordal_41 ~gamma:chordal_62 ~beta:chordal_61 ~alpha
+  in
+  {
+    chordal_41;
+    chordal_62;
+    chordal_61;
+    v2_chordal;
+    v2_conformal;
+    v1_chordal;
+    v1_conformal;
+    alpha_h1;
+    alpha_h2;
+    degree_h1 = degree alpha_h1;
+    degree_h2 = degree alpha_h2;
+  }
 
 (* Every recognizer in the profile is component-local: cycles, cliques,
    hyperedges and GYO reductions never cross a connected component, and
    the witness hypergraphs drop the empty hyperedges an isolated
    relation would contribute on either side of the decomposition. So
    the whole-graph profile is the conjunction of the per-component
-   profiles, with acyclicity degrees combining by worst level. The
-   delta engine leans on this: after an edit only the touched
-   components are re-profiled and the global verdict is re-derived
-   here. test/test_evolve.ml pins [combine] against the whole-graph
-   classifier on random schemas. *)
+   profiles, with acyclicity degrees combining by worst level. [profile]
+   below is defined that way, and the delta engine leans on it too:
+   after an edit only the touched components are re-profiled and the
+   global verdict is re-derived here. test/test_bipartite.ml pins
+   [profile] against the whole-graph thirteen-check reference in
+   test/reference_classify.ml. *)
 let severity = function
   | Acyclicity.Berge_acyclic -> 0
   | Acyclicity.Gamma_acyclic -> 1
@@ -165,6 +133,40 @@ let combine profiles =
         degree_h2 = worst_degree acc.degree_h2 p.degree_h2;
       })
     neutral profiles
+
+(* One ["classify"] span per call, carrying the sizes and the headline
+   chordality verdicts. *)
+let classify_span trace g f =
+  Observe.Trace.span trace "classify"
+    ~attrs:
+      [
+        ("nl", Observe.Trace.Int (Bigraph.nl g));
+        ("nr", Observe.Trace.Int (Bigraph.nr g));
+      ]
+    (fun () ->
+      let p = f () in
+      Observe.Trace.add_attr trace "chordal_41" (Observe.Trace.Bool p.chordal_41);
+      Observe.Trace.add_attr trace "chordal_62" (Observe.Trace.Bool p.chordal_62);
+      Observe.Trace.add_attr trace "chordal_61" (Observe.Trace.Bool p.chordal_61);
+      p)
+
+let profile_connected ?(trace = Observe.Trace.disabled) g =
+  classify_span trace g (fun () -> checks trace g)
+
+(* A connected graph is its own only component and is checked in
+   place; otherwise each component is checked on its induced slice.
+   The per-component checks record their spans under this call's one
+   ["classify"] span, so span totals never count a component twice. *)
+let profile ?(trace = Observe.Trace.disabled) g =
+  classify_span trace g (fun () ->
+      let _, comps = Graphs.Csr.component_ids (Bigraph.csr g) in
+      let n = Bigraph.n g in
+      let slice nodes =
+        if Graphs.Iset.cardinal nodes = n then g
+        else fst (Bigraph.induced g nodes)
+      in
+      combine
+        (Array.of_list (List.map (fun nodes -> checks trace (slice nodes)) comps)))
 
 let recommend p =
   if p.chordal_62 then Steiner_polynomial

@@ -34,17 +34,22 @@ type recommendation =
       (** no structure: fall back to exponential exact search or the
           MST approximation. *)
 
-val profile :
-  ?pool:Parallel.Pool.t -> ?trace:Observe.Trace.t -> Bigraph.t -> profile
-(** The witness hypergraphs H¹/H² and their two-sections are built
-    once and shared by every recognizer. [pool] (default: run inline)
-    fans the independent per-side checks out as parallel tasks; the
-    resulting profile is identical for any pool size. [trace] (default
-    disabled) records a ["classify"] span with one child span per
-    recognizer and the headline chordality verdicts as attributes;
-    under a pool the child spans are recorded in per-task forks and
-    merged back in task order, so the trace shape is deterministic
-    too. *)
+val profile : ?trace:Observe.Trace.t -> Bigraph.t -> profile
+(** Classify a graph of any shape: {!profile_connected} on each
+    connected component (the graph itself, uncopied, when it is
+    connected), merged by {!combine}. [trace] (default disabled)
+    records one ["classify"] span with the headline chordality
+    verdicts as attributes and the per-component recognizer spans as
+    children; no nested ["classify"] span is recorded. *)
+
+val profile_connected : ?trace:Observe.Trace.t -> Bigraph.t -> profile
+(** The per-component kernel: nine independent checks on a connected
+    graph, sharing one build of the witness hypergraphs H¹/H² and their
+    two-sections. The Berge, γ and β levels of both degrees are derived
+    from [chordal_41], [chordal_62] and [chordal_61] (Theorem 1 and
+    Corollary 1), so only α is checked per side. [trace] records a
+    ["classify"] span with one child span per check (nine) and the
+    headline verdicts as attributes. *)
 
 val neutral : profile
 (** The profile of the empty graph — identity of {!combine}: every
@@ -55,9 +60,9 @@ val combine : profile array -> profile
     degrees by worst level. Because every recognizer the profile runs
     is component-local, [combine] over the profiles of the induced
     connected components equals the whole-graph profile — the
-    decomposition {!Engine.Compiled.apply_delta} exploits to re-profile
-    only the components a schema delta touches (pinned by the
-    differential suite in test/test_evolve.ml). *)
+    decomposition {!profile} is built on, and that
+    {!Engine.Compiled.apply_delta} exploits to re-profile only the
+    components a schema delta touches. *)
 
 val recommend : profile -> recommendation
 

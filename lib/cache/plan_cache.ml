@@ -341,19 +341,19 @@ let store ?(trace = Observe.Trace.disabled)
     Observe.Trace.add_attr trace "error" (Observe.Trace.Str msg));
   result
 
-let find_or_compile ?pool ?(trace = Observe.Trace.disabled)
+let find_or_compile ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) ?cache ?(deltas = []) g =
   match (cache, deltas) with
-  | None, [] -> (Compiled.compile ?pool ~trace ~metrics g, `Miss)
+  | None, [] -> (Compiled.compile ~trace ~metrics g, `Miss)
   | None, _ -> (
     match Delta.apply_all g deltas with
     | Error msg -> invalid_arg ("Plan_cache.find_or_compile: " ^ msg)
-    | Ok target -> (Compiled.compile ?pool ~trace ~metrics target, `Miss))
+    | Ok target -> (Compiled.compile ~trace ~metrics target, `Miss))
   | Some t, [] -> (
     match find ~trace ~metrics t g with
     | Ok compiled -> (compiled, `Hit)
     | Error _ ->
-      let compiled = Compiled.compile ?pool ~trace ~metrics g in
+      let compiled = Compiled.compile ~trace ~metrics g in
       (* Best-effort: a full disk or lost race must not fail the
          query path. *)
       ignore (store ~trace ~metrics t compiled : (unit, string) result);
@@ -377,7 +377,7 @@ let find_or_compile ?pool ?(trace = Observe.Trace.disabled)
           | Error _ -> None
           | Ok base_compiled -> (
             match
-              Compiled.apply_deltas ?pool ~trace ~metrics base_compiled
+              Compiled.apply_deltas ~trace ~metrics base_compiled
                 deltas
             with
             | Ok (compiled, _) -> Some compiled
@@ -392,7 +392,7 @@ let find_or_compile ?pool ?(trace = Observe.Trace.disabled)
               : (unit, string) result);
           (compiled, `Patched)
         | None ->
-          let compiled = Compiled.compile ?pool ~trace ~metrics target in
+          let compiled = Compiled.compile ~trace ~metrics target in
           ignore
             (store ~trace ~metrics ~lineage t compiled
               : (unit, string) result);

@@ -150,7 +150,6 @@ val store :
     temp file, by design (see {!Runtime.Fault.check_write}). *)
 
 val find_or_compile :
-  ?pool:Parallel.Pool.t ->
   ?trace:Observe.Trace.t ->
   ?metrics:Observe.Metrics.t ->
   ?cache:t ->
@@ -159,7 +158,7 @@ val find_or_compile :
   Engine.Compiled.t * [ `Hit | `Miss | `Patched ]
 (** The serving entry point. Without [deltas] (default [[]]): warm
     cache → the stored plan ([`Hit], classification skipped
-    entirely); cold, damaged or no cache → [Compiled.compile ?pool]
+    entirely); cold, damaged or no cache → [Compiled.compile]
     and, when a cache is present, a best-effort [store] ([`Miss]).
 
     With [deltas], the schema of record is [g] evolved by the

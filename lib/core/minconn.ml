@@ -35,7 +35,6 @@ module Figures = Datamodel.Figures
 module Budget = Runtime.Budget
 module Degrade = Runtime.Degrade
 module Errors = Runtime.Errors
-module Pool = Parallel.Pool
 module Compiled = Engine.Compiled
 module Session = Engine.Session
 module Plan_cache = Cache.Plan_cache

@@ -46,12 +46,6 @@ module Budget = Runtime.Budget
 module Degrade = Runtime.Degrade
 module Errors = Runtime.Errors
 
-module Pool = Parallel.Pool
-(** Fixed-size domain pool with deterministic result ordering; pass it
-    to {!Compiled.compile} and {!Session.solve_many} to spread compile
-    tasks and batch queries across cores without changing any
-    answer. *)
-
 module Compiled = Engine.Compiled
 (** One-time schema compilation: CSR arena, classification profile,
     components and elimination orderings, computed once and shared by
@@ -146,6 +140,8 @@ val solve_min_relations :
     expose the amortized equivalent as {!Session.query_relations}. *)
 
 val report : Bigraph.t -> string
-(** Human-readable classification + recommendation, used by the CLI. *)
+(** Human-readable classification + recommendation, used by the CLI.
+    The profile is {!Classify.profile}: per connected component, as in
+    {!Compiled.compile}. *)
 
 val version : string

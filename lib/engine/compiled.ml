@@ -92,7 +92,7 @@ let of_bytes s =
    whole graph. The component profile is computed on the materialised
    induced sub-bigraph (identical to the graph itself when the graph
    is connected, so the single-component fast path pays no copy). *)
-let prep_component ?pool tr graph nodes =
+let prep_component tr graph nodes =
   let sub =
     if Iset.cardinal nodes = Bigraph.n graph then graph
     else fst (Bigraph.induced graph nodes)
@@ -103,33 +103,14 @@ let prep_component ?pool tr graph nodes =
        when no order is supplied, so session answers match the
        one-shot path node for node. *)
     order = Iset.elements nodes;
-    cprofile = Classify.profile ?pool ~trace:tr sub;
+    cprofile = Classify.profile_connected ~trace:tr sub;
     alg1_prep = Steiner.Algorithm1.prepare ~trace:tr graph ~comp:nodes;
   }
 
-(* Per-component prep with the same fan-out contract as before: one
-   task per component when there are several, otherwise the pool goes
-   to the classifier's independent checks. Per-task trace forks are
-   merged in component order to keep ids stable. *)
-let build_components ?pool ~trace graph comps =
-  match pool with
-  | Some p when Parallel.Pool.domains p > 1 && Array.length comps > 1 ->
-    let forks = Array.map (fun _ -> Observe.Trace.fork trace) comps in
-    let out =
-      Parallel.Pool.mapi_worker p
-        (fun ~worker:_ ~index nodes -> prep_component forks.(index) graph nodes)
-        comps
-    in
-    Array.iter (Observe.Trace.merge trace) forks;
-    out
-  | _ -> Array.map (prep_component ?pool trace graph) comps
-
-let compile ?pool ?(trace = Observe.Trace.disabled)
+let compile ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) graph =
-  (* Force the flat adjacency before any domain fan-out: a stream-built
-     graph compiles straight off its CSR (the set view is never
-     touched), and the cache is filled before worker domains start
-     reading it. *)
+  (* A stream-built graph compiles straight off its CSR: the set view
+     is never touched. *)
   let c = Bigraph.csr graph in
   Observe.Trace.span trace "compile"
     ~attrs:
@@ -144,7 +125,7 @@ let compile ?pool ?(trace = Observe.Trace.disabled)
   in
   let components =
     Observe.Trace.span trace "compile.orderings" @@ fun () ->
-    build_components ?pool ~trace graph (Array.of_list comps)
+    Array.map (prep_component trace graph) (Array.of_list comps)
   in
   let profile =
     Classify.combine (Array.map (fun c -> c.cprofile) components)
@@ -161,8 +142,8 @@ let compile ?pool ?(trace = Observe.Trace.disabled)
    would produce — [Traverse.component_ids] lists components by
    ascending minimum element — so a patched plan and a from-scratch
    plan agree component index for component index. *)
-let replan ?pool ~trace ~metrics graph ~kept ~rebuilt_sets =
-  let rebuilt = build_components ?pool ~trace graph rebuilt_sets in
+let replan ~trace ~metrics graph ~kept ~rebuilt_sets =
+  let rebuilt = Array.map (prep_component trace graph) rebuilt_sets in
   let components =
     Array.append (Array.of_list kept) rebuilt
   in
@@ -188,7 +169,7 @@ let replan ?pool ~trace ~metrics graph ~kept ~rebuilt_sets =
     (Observe.Metrics.counter metrics "engine.delta.recompiled_components");
   ({ graph; profile; comp_id; components }, List.rev !recompiled)
 
-let apply_delta ?pool ?(trace = Observe.Trace.disabled)
+let apply_delta ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) t op =
   match Delta.apply t.graph op with
   | Error msg -> Error msg
@@ -228,7 +209,7 @@ let apply_delta ?pool ?(trace = Observe.Trace.disabled)
       Observe.Metrics.incr
         (Observe.Metrics.counter metrics "engine.delta.fallbacks");
       Observe.Trace.add_attr trace "fallback" (Observe.Trace.Bool true);
-      let c = compile ?pool ~trace ~metrics g' in
+      let c = compile ~trace ~metrics g' in
       Ok
         ( c,
           {
@@ -280,7 +261,7 @@ let apply_delta ?pool ?(trace = Observe.Trace.disabled)
         (fun k c -> if not (List.mem k dirty) then kept := c :: !kept)
         t.components;
       let t', recompiled =
-        replan ?pool ~trace ~metrics g' ~kept:!kept
+        replan ~trace ~metrics g' ~kept:!kept
           ~rebuilt_sets:(Array.of_list rebuilt_sets)
       in
       Observe.Trace.add_attr trace "recompiled"
@@ -298,11 +279,11 @@ let apply_delta ?pool ?(trace = Observe.Trace.disabled)
           } )
     end
 
-let apply_deltas ?pool ?trace ?metrics t ops =
+let apply_deltas ?trace ?metrics t ops =
   let rec go t acc k = function
     | [] -> Ok (t, List.rev acc)
     | op :: rest -> (
-      match apply_delta ?pool ?trace ?metrics t op with
+      match apply_delta ?trace ?metrics t op with
       | Ok (t', stats) -> go t' (stats :: acc) (k + 1) rest
       | Error msg ->
         Error

@@ -40,18 +40,18 @@ type t = {
     downstream layers read it, nobody mutates it. *)
 
 val compile :
-  ?pool:Parallel.Pool.t ->
   ?trace:Observe.Trace.t ->
   ?metrics:Observe.Metrics.t ->
   Bigraph.t ->
   t
-(** One-time schema compilation. [pool] (default: inline) fans the
-    classifier's independent checks and the per-component
-    ordering/join-tree prep out across domains; the compiled plan is
-    identical for any pool size. [trace] records a ["compile"] span
-    with the classifier's spans, ["compile.components"] and
-    ["compile.orderings"] children, and a [components] count attribute;
-    [metrics] bumps the [engine.compiles] counter. Compilation performs
+(** One-time schema compilation: each connected component is
+    classified by {!Bipartite.Classify.profile_connected} on its
+    induced slice and prepped for both algorithms, and the global
+    profile is their {!Bipartite.Classify.combine}. [trace] records a
+    ["compile"] span with ["compile.components"] and
+    ["compile.orderings"] children (the latter holding one
+    ["classify"] span per component) and a [components] count
+    attribute; [metrics] bumps the [engine.compiles] counter. Compilation performs
     no budgeted work — budgets meter queries only. *)
 
 val graph : t -> Bigraph.t
@@ -97,7 +97,6 @@ type delta_stats = {
 }
 
 val apply_delta :
-  ?pool:Parallel.Pool.t ->
   ?trace:Observe.Trace.t ->
   ?metrics:Observe.Metrics.t ->
   t ->
@@ -107,11 +106,9 @@ val apply_delta :
     validation failure (the plan is unchanged). Records an
     ["apply_delta"] span (op, recompiled, reused, fallback attrs) and
     bumps [engine.delta.applied] / [engine.delta.noops] /
-    [engine.delta.fallbacks] / [engine.delta.recompiled_components].
-    [pool] fans rebuilt-component prep exactly as {!compile} does. *)
+    [engine.delta.fallbacks] / [engine.delta.recompiled_components]. *)
 
 val apply_deltas :
-  ?pool:Parallel.Pool.t ->
   ?trace:Observe.Trace.t ->
   ?metrics:Observe.Metrics.t ->
   t ->

@@ -98,11 +98,8 @@ type rung_spec = {
   run : unit -> Tree.t option;
 }
 
-(* The full per-query ladder, parameterized over the trace sink and
-   the MST scratch so a parallel batch can hand each task its own fork
-   and per-worker arena; [query] instantiates it with the session's
-   own. *)
-let query_in ?budget ?degrade ~trace ~mst_scratch t ~p =
+let query ?budget ?degrade t ~p =
+  let trace = t.trace in
   let budget = match budget with Some b -> b | None -> t.budget in
   let degrade = match degrade with Some d -> d | None -> t.degrade in
   let metrics = t.metrics in
@@ -129,7 +126,7 @@ let query_in ?budget ?degrade ~trace ~mst_scratch t ~p =
         guarantee = Degrade.Ratio 2.0;
         run =
           (fun () ->
-            Mst_approx.solve_connected ~trace ~scratch:mst_scratch u
+            Mst_approx.solve_connected ~trace ~scratch:t.mst_scratch u
               ~terminals:p);
       }
     in
@@ -307,57 +304,19 @@ let query_in ?budget ?degrade ~trace ~mst_scratch t ~p =
     List.iter (Degrade.trace_abandon trace) pre_attempts;
     descend (List.rev pre_attempts) ladder
 
-let query ?budget ?degrade t ~p =
-  query_in ?budget ?degrade ~trace:t.trace ~mst_scratch:t.mst_scratch t ~p
-
-let solve_many ?pool ?budget ?make_budget ?degrade t ps =
-  (* Queries must behave identically however they are spread over
-     domains, so the batch path — sequential included — snapshots the
-     caller's fault plan once and re-derives an independent plan per
-     query index. *)
+(* The batch path snapshots the caller's fault plan once and
+   re-derives an independent plan per query index, so a query's
+   injected faults do not depend on its neighbours in the batch. *)
+let solve_many ?budget ?make_budget ?degrade t ps =
   let fault = Fault.capture () in
   let budget_for i =
     match make_budget with Some f -> Some (f i) | None -> budget
   in
-  let run ~trace ~mst_scratch i p =
-    Fault.with_derived fault ~index:i (fun () ->
-        query_in ?budget:(budget_for i) ?degrade ~trace ~mst_scratch t ~p)
-  in
-  match pool with
-  | Some pool when Parallel.Pool.domains pool > 1 && List.length ps > 1 ->
-    let effective =
-      match budget with Some b -> b | None -> t.budget
-    in
-    if make_budget = None && not (Budget.is_unlimited effective) then
-      invalid_arg
-        "Session.solve_many: a pooled batch needs per-query budgets \
-         (?make_budget, e.g. fun _ -> Budget.Shared.view handle); one \
-         mutable budget cannot be shared across domains";
-    let ps = Array.of_list ps in
-    let c = t.compiled in
-    (* Force the set view on the coordinator before fan-out so worker
-       domains only read the plan's caches, never fill them. *)
-    ignore (Compiled.ugraph c);
-    (* Scratch is the only mutable solver state a query touches, so a
-       per-worker arena (indexed by the pool's stable worker id) makes
-       concurrent queries race-free without locking. *)
-    let scratches =
-      Array.init (Parallel.Pool.domains pool) (fun _ ->
-          Mst_approx.make_scratch_csr (Compiled.csr c))
-    in
-    let forks = Array.map (fun _ -> Observe.Trace.fork t.trace) ps in
-    let out =
-      Parallel.Pool.mapi_worker pool
-        (fun ~worker ~index p ->
-          run ~trace:forks.(index) ~mst_scratch:scratches.(worker) index p)
-        ps
-    in
-    Array.iter (Observe.Trace.merge t.trace) forks;
-    Array.to_list out
-  | _ ->
-    List.mapi
-      (fun i p -> run ~trace:t.trace ~mst_scratch:t.mst_scratch i p)
-      ps
+  List.mapi
+    (fun i p ->
+      Fault.with_derived fault ~index:i (fun () ->
+          query ?budget:(budget_for i) ?degrade t ~p))
+    ps
 
 (* Algorithm 1 against the compiled join-tree ordering: the GYO work
    was paid at compile time, each query only replays the elimination

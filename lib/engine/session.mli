@@ -75,7 +75,6 @@ val query :
     fresh fuel budget per query is the typical batch pattern. *)
 
 val solve_many :
-  ?pool:Parallel.Pool.t ->
   ?budget:Budget.t ->
   ?make_budget:(int -> Budget.t) ->
   ?degrade:bool ->
@@ -83,24 +82,15 @@ val solve_many :
   Iset.t list ->
   (solution, Errors.t) result list
 (** [query] over a batch, in order; one result per terminal set,
-    errors kept in position.
-
-    [pool] (default: inline) fans the queries across domains with a
-    solver scratch per worker; results, provenance and any injected
-    fault behaviour are byte-identical to the sequential path for
-    every pool size. Per-query trace spans are recorded into forks
-    merged back in batch order.
+    errors kept in position. Query [i] runs under a fault plan derived
+    from the caller's by index ({!Runtime.Fault.with_derived}), so its
+    injected faults do not depend on the rest of the batch.
 
     [make_budget] (overrides [budget]) builds the budget for query
     [i] — [fun _ -> Budget.make ~fuel:f ()] for a fresh deterministic
     allowance per query, or [fun _ -> Budget.Shared.view handle] to
-    drain one batch-wide tank whose exhaustion cancels in-flight
-    siblings at their next checkpoint (see {!Budget.Shared}; which
-    query hits the empty tank first is scheduling-dependent). On the
-    sequential path a plain shared [budget] drains across the batch as
-    before; a pooled batch with a limited [budget] and no
-    [make_budget] raises [Invalid_argument], since one mutable budget
-    cannot be shared across domains. *)
+    drain one batch-wide tank (see {!Budget.Shared}). A plain shared
+    [budget] drains across the batch. *)
 
 val query_relations :
   t -> p:Iset.t -> (Algorithm1.result, Errors.t) result

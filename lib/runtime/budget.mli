@@ -47,9 +47,10 @@ val protect : t -> (unit -> 'a) -> ('a, Errors.stop_reason) result
 (** Run a thunk at the runtime boundary, converting {!Exhausted} into
     [Error reason]. *)
 
-(** Batch-level budgets shared across domains.
+(** Batch-level budgets shared across concurrent tasks (the server's
+    request threads, or the queries of one batch).
 
-    A {!Shared.handle} pools a deadline and a fuel tank; each parallel
+    A {!Shared.handle} pools a deadline and a fuel tank; each
     task checks against its own {!Shared.view} (an ordinary {!t}, so
     solvers are oblivious), but fuel is drawn from the shared atomic
     tank and a batch-wide cancel flag is consulted on every check.
@@ -58,7 +59,7 @@ val protect : t -> (unit -> 'a) -> ('a, Errors.stop_reason) result
     cooperative checkpoint — cancellation stays cooperative, nothing
     is interrupted asynchronously.
 
-    Because domains interleave nondeterministically, *which* task
+    Because threads interleave nondeterministically, *which* task
     first drains a shared tank is not reproducible run to run; use
     per-query [make] budgets when determinism matters and a shared
     handle when the contract is "this whole batch gets at most X". *)

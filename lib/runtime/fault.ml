@@ -63,10 +63,9 @@ let with_plan ~arm:do_arm f =
 (* Per-query derivation: the batch path snapshots the submitting
    domain's plan once ([capture]), then rebuilds an equivalent but
    independent plan for each query from the snapshot and the query's
-   index ([with_derived]).  Every query therefore sees the same
-   injection trace whether the batch runs sequentially or on any
-   number of domains — the property the parallel determinism tests
-   pin. *)
+   index ([with_derived]).  Every query's injection trace is therefore
+   a function of the plan and its index alone, not of the queries
+   before it in the batch. *)
 type captured =
   | No_plan
   | Countdown of { checks : int; reason : Errors.stop_reason }

@@ -12,10 +12,10 @@
     seeds from [Workloads.Rng.for_trial] to stay per-trial
     deterministic. The harness is domain-local, test-only state:
     production paths never arm it, {!Budget.check} only consults it on
-    budgeted (limited) paths, and worker domains see no plan unless one
+    budgeted (limited) paths, and other domains see no plan unless one
     is handed to them explicitly through {!capture}/{!with_derived} —
-    which is how batch execution keeps injection traces identical
-    across any domain count. *)
+    which is also how batch execution gives every query an injection
+    trace of its own. *)
 
 val arm_after : checks:int -> reason:Errors.stop_reason -> unit
 (** Let the next [checks] checkpoints pass, then fail every subsequent
@@ -50,8 +50,8 @@ val with_derived : captured -> index:int -> (unit -> 'a) -> 'a
     [index], restoring the previous plan afterwards.  A countdown plan
     restarts its countdown for every query; a probabilistic plan draws
     from a stream mixed with [index].  Both are pure functions of
-    [(c, index)], so a batch's injection behaviour is identical no
-    matter how queries are spread over domains. *)
+    [(c, index)], so one query's injection behaviour does not depend
+    on the rest of its batch. *)
 
 (** {2 Named operation hooks}
 

@@ -141,6 +141,93 @@ let test_profile_gnp_cyclic () =
 
 (* ------------------------------------------------------- properties *)
 
+(* [Classify.profile] runs nine checks per component; the reference
+   runs all thirteen on the whole graph. Equal profiles pin both the
+   component decomposition and the Theorem 1 / Corollary 1 derivation
+   of the Berge, γ and β levels. The degrees are also pinned against
+   the umbrella recognizer on each witness hypergraph. *)
+let matches_reference g =
+  let p = Classify.profile g in
+  let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
+  let h2 = Side_properties.hypergraph_of_witness_side g Bigraph.V1 in
+  p = Reference_classify.reference_profile g
+  && p.Classify.degree_h1 = Acyclicity.degree h1
+  && p.Classify.degree_h2 = Acyclicity.degree h2
+
+let test_profile_figures () =
+  List.iter
+    (fun (id, l) ->
+      check ("fig " ^ id ^ " matches the reference") true
+        (matches_reference l.Datamodel.Figures.graph))
+    Datamodel.Figures.all_labeled;
+  let empty = Bigraph.create ~nl:0 ~nr:0 in
+  check "empty graph is neutral" true
+    (Classify.profile empty = Classify.neutral && matches_reference empty)
+
+(* One ["classify"] span per call on the whole-graph path, one per
+   component under compile, nine recognizer children per component,
+   and none of the four checks the derivation replaced. *)
+let test_classify_spans () =
+  let rng = Workloads.Rng.make ~seed:5 in
+  let g = Workloads.Gen_bipartite.gnp rng ~nl:8 ~nr:8 ~p:0.15 in
+  let comps = List.length (Traverse.components (Bigraph.ugraph g)) in
+  check "several components" true (comps > 1);
+  let names trace =
+    List.map (fun s -> s.Observe.Trace.name) (Observe.Trace.spans trace)
+  in
+  let count name l = List.length (List.filter (String.equal name) l) in
+  let checks l =
+    List.length
+      (List.filter (String.starts_with ~prefix:"classify.") l)
+  in
+  let removed l =
+    List.exists
+      (fun n -> List.mem n l)
+      [
+        "classify.h1.berge";
+        "classify.h2.berge";
+        "classify.h2.gamma";
+        "classify.h2.beta";
+      ]
+  in
+  let whole = Observe.Trace.make () in
+  ignore (Classify.profile ~trace:whole g : Classify.profile);
+  let l = names whole in
+  check_int "whole graph: one classify span" 1 (count "classify" l);
+  check_int "whole graph: nine checks per component" (9 * comps) (checks l);
+  check "whole graph: no redundant checks" false (removed l);
+  let compiled = Observe.Trace.make () in
+  ignore (Minconn.Compiled.compile ~trace:compiled g : Minconn.Compiled.t);
+  let l = names compiled in
+  check_int "compile: one classify span per component" comps
+    (count "classify" l);
+  check_int "compile: nine checks per component" (9 * comps) (checks l);
+  check "compile: no redundant checks" false (removed l)
+
+(* Sparse gnp leaves several components and isolated nodes on both
+   sides. *)
+let multi_component_gen =
+  QCheck2.Gen.(
+    tup4 (int_range 0 7) (int_range 0 7) (int_range 1 4) (int_range 0 100000)
+    |> map (fun (nl, nr, tenths, seed) ->
+           let rng = Workloads.Rng.make ~seed in
+           Workloads.Gen_bipartite.gnp rng ~nl ~nr
+             ~p:(float_of_int tenths /. 10.)))
+
+let family_gen =
+  QCheck2.Gen.(
+    pair (int_range 0 3) (int_range 0 100000)
+    |> map (fun (family, seed) ->
+           let rng = Workloads.Rng.make ~seed in
+           let size = 2 + Workloads.Rng.int rng 6 in
+           match family with
+           | 0 -> Workloads.Gen_bipartite.forest rng ~n:(2 * size)
+           | 1 -> Workloads.Gen_bipartite.chordal_62 rng ~n_right:size ~max_size:4
+           | 2 ->
+             Workloads.Gen_bipartite.alpha_bipartite rng ~n_right:size
+               ~max_size:4
+           | _ -> Workloads.Gen_bipartite.chordal_61_flower rng ~petals:size))
+
 let qcheck_cases =
   [
     QCheck2.Test.make ~count:250
@@ -241,6 +328,12 @@ let qcheck_cases =
         QCheck2.assume (Mn_chordality.is_61_chordal g);
         Side_properties.alpha_side g Bigraph.V1
         && Side_properties.alpha_side g Bigraph.V2);
+    QCheck2.Test.make ~count:400
+      ~name:"multi-component profile = whole-graph reference"
+      multi_component_gen matches_reference;
+    QCheck2.Test.make ~count:300
+      ~name:"class-family profile = whole-graph reference"
+      family_gen matches_reference;
     QCheck2.Test.make ~count:150 ~name:"full profile is Theorem-1 consistent"
       small_bipartite_gen (fun g ->
         Classify.theorem1_consistent (Classify.profile g));
@@ -275,6 +368,10 @@ let () =
           Alcotest.test_case "fig2 profile" `Quick test_profile_fig2;
           Alcotest.test_case "unstructured fallback" `Quick
             test_profile_gnp_cyclic;
+          Alcotest.test_case "figures match the reference" `Quick
+            test_profile_figures;
+          Alcotest.test_case "one classify span per call" `Quick
+            test_classify_spans;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]

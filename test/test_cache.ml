@@ -1,7 +1,7 @@
 (* Persistent plan cache battery. Three fronts: (a) round-trip
    fidelity — a plan stored to disk and loaded back answers every
-   query (plain, fuel-metered, degrade-off, and pooled --jobs 2
-   batches) exactly as the fresh compile, and re-marshals to the same
+   query (plain, fuel-metered and degrade-off batches) exactly as the
+   fresh compile, and re-marshals to the same
    bytes; (b) the corruption battery — every damaged or stale envelope
    (empty, truncated, bit-flipped, wrong version/commit/schema,
    garbage payload) reads as the typed cold miss that names it, never
@@ -109,9 +109,8 @@ let query_batch rng g =
 
 (* The core invariant behind the warm path: a plan that went through
    envelope -> disk -> envelope answers exactly like the compile it
-   replaced. Checked on plain sessions, per-query fuel budgets with
-   degrade on and off, and a 2-domain pooled batch against the loaded
-   plan. *)
+   replaced. Checked on plain sessions and per-query fuel budgets with
+   degrade on and off. *)
 let loaded_matches_fresh rng g =
   let u = Bigraph.ugraph g in
   let queries = query_batch rng g in
@@ -131,9 +130,9 @@ let loaded_matches_fresh rng g =
   in
   let fuel = 1 + Workloads.Rng.int rng 40 in
   let mb _ = Minconn.Budget.make ~fuel () in
-  let rf_fuel = Minconn.Session.solve_many ~make_budget:mb sf queries in
   let fueled =
-    batches_equal u queries rf_fuel
+    batches_equal u queries
+      (Minconn.Session.solve_many ~make_budget:mb sf queries)
       (Minconn.Session.solve_many ~make_budget:mb sl queries)
   in
   let no_degrade =
@@ -141,12 +140,7 @@ let loaded_matches_fresh rng g =
       (Minconn.Session.solve_many ~make_budget:mb ~degrade:false sf queries)
       (Minconn.Session.solve_many ~make_budget:mb ~degrade:false sl queries)
   in
-  let pooled =
-    Minconn.Pool.with_pool ~domains:2 (fun pool ->
-        batches_equal u queries rf_fuel
-          (Minconn.Session.solve_many ~pool ~make_budget:mb sl queries))
-  in
-  bytes_stable && plain && fueled && no_degrade && pooled
+  bytes_stable && plain && fueled && no_degrade
 
 let prop_family ~name gen =
   QCheck2.Test.make ~count:40 ~name seed_gen (fun seed ->

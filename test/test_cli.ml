@@ -178,14 +178,12 @@ let test_compile_exit_codes () =
   check_int "--force recompiles, exit 0" 0
     (run ("compile " ^ f ^ " --plan-cache " ^ dir ^ " --force"));
   check_int "compile without a cache dir" 0 (run ("compile " ^ f));
-  check_int "pooled compile" 0 (run ("compile " ^ f ^ " --jobs 2"));
   write_file "cli_pc_garbage.bigraph" "bipartite\nleft A\nedge A mystery\n";
   check_int "malformed instance" 4
     (run ("compile cli_pc_garbage.bigraph --plan-cache " ^ dir));
   (* A missing FILE is rejected by cmdliner's own argument check
      (124), exactly as it is for solve. *)
   check_int "nonexistent file" 124 (run "compile cli_pc_missing.bigraph");
-  check_int "invalid --jobs" 4 (run ("compile " ^ f ^ " --jobs 0"));
   write_file "cli_pc_blocker" "";
   check_int "unusable cache dir is compile's input error" 4
     (run ("compile " ^ f ^ " --plan-cache cli_pc_blocker/sub"))
@@ -308,6 +306,26 @@ let test_query_artifacts () =
   | Ok n -> check "query metrics instruments" true (n > 0)
   | Error e -> Alcotest.fail ("invalid query metrics: " ^ e)
 
+(* ------------------------------------------------------- classify *)
+
+(* The CLI's own scale-class output, read back and classified: the
+   report comes from the per-component path and must equal the
+   library's [Minconn.report] on the parsed file. A whole-graph γ scan
+   does not finish on this input. *)
+let test_classify_scale_output () =
+  let file = "cli_scale62.bigraph" and out = "cli_scale62.report" in
+  check_int "generate" 0
+    (Sys.command
+       (Printf.sprintf "%s generate --class scale-chordal62 --size 3000 > %s"
+          cli file));
+  check_int "classify exits 0" 0
+    (Sys.command (Printf.sprintf "%s classify %s > %s" cli file out));
+  match Mc_io.Parse.bigraph_of_string (read_file file) with
+  | Error _ -> Alcotest.fail "generated file does not parse"
+  | Ok nb ->
+    check "report = Minconn.report" true
+      (read_file out = Minconn.report nb.Mc_io.Parse.graph)
+
 let () =
   Alcotest.run "cli"
     [
@@ -339,6 +357,11 @@ let () =
           Alcotest.test_case "5 exhausted" `Quick test_query_budget;
           Alcotest.test_case "observability artifacts" `Quick
             test_query_artifacts;
+        ] );
+      ( "classify",
+        [
+          Alcotest.test_case "scale-chordal62 output reads back" `Quick
+            test_classify_scale_output;
         ] );
       ( "plan-cache",
         [

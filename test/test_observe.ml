@@ -259,6 +259,46 @@ let test_solver_disabled_records_nothing () =
       (Trace.span_count Trace.disabled)
   | _ -> Alcotest.fail "fig2 is solvable"
 
+(* ------------------------------------------------ fork and atomics *)
+
+(* [fork]/[merge] as the server uses them per request: a fork's spans
+   are renumbered after the parent's and re-parented under its open
+   span. *)
+let test_trace_fork_merge () =
+  let now = ref 0.0 in
+  let clock () =
+    now := !now +. 1.0;
+    !now
+  in
+  let t = Trace.make ~clock () in
+  Trace.span t "root" (fun () ->
+      let f1 = Trace.fork t in
+      let f2 = Trace.fork t in
+      Trace.span f1 "task0" (fun () -> Trace.event f1 "task0.event");
+      Trace.span f2 "task1" (fun () -> ());
+      Trace.merge t f1;
+      Trace.merge t f2);
+  let shape =
+    List.map (fun s -> (s.Trace.id, s.Trace.parent, s.Trace.name)) (Trace.spans t)
+  in
+  check "merged shape: ids renumbered, roots re-parented" true
+    (shape
+    = [ (1, 0, "root"); (2, 1, "task0"); (3, 2, "task0.event"); (4, 1, "task1") ]);
+  check "fork of disabled is disabled" true
+    (not (Trace.active (Trace.fork Trace.disabled)))
+
+let test_metrics_atomic () =
+  let m = Metrics.make () in
+  let c = Metrics.counter m "hits" in
+  let bump () =
+    for _ = 1 to 1000 do
+      Metrics.incr c
+    done
+  in
+  List.iter Domain.join (List.init 4 (fun _ -> Domain.spawn bump));
+  bump ();
+  check_int "no increments lost across domains" 5000 (Metrics.count c)
+
 let () =
   Alcotest.run "observe"
     [
@@ -286,5 +326,10 @@ let () =
           Alcotest.test_case "ladder abandon" `Quick test_ladder_abandon_spans;
           Alcotest.test_case "disabled path" `Quick
             test_solver_disabled_records_nothing;
+        ] );
+      ( "observe",
+        [
+          Alcotest.test_case "trace fork/merge" `Quick test_trace_fork_merge;
+          Alcotest.test_case "atomic counters" `Quick test_metrics_atomic;
         ] );
     ]

@@ -360,6 +360,39 @@ let test_shared_concurrent_drain () =
   | Error Errors.Fuel -> ()
   | _ -> Alcotest.fail "a view created after the drain must stop immediately"
 
+(* The same tank drained from one thread: the first view stops on
+   [Fuel], the handle parks the exhaustion, and a fresh view stops on
+   its first check. *)
+let test_shared_fuel_cancels_batch () =
+  let h = Budget.Shared.make ~fuel:100 () in
+  let drain view =
+    match
+      Budget.protect view (fun () ->
+          while true do
+            Budget.check view
+          done)
+    with
+    | Error reason -> reason
+    | Ok _ -> assert false
+  in
+  check "first view drains the tank to Fuel" true
+    (drain (Budget.Shared.view h) = Errors.Fuel);
+  check "exhaustion is parked for siblings" true
+    (Budget.Shared.cancelled h = Some Errors.Fuel);
+  check "fresh view stops immediately" true
+    (drain (Budget.Shared.view h) = Errors.Fuel)
+
+let test_shared_cancel () =
+  let h = Budget.Shared.make ~fuel:1_000_000 () in
+  Budget.Shared.cancel h Errors.Timeout;
+  let view = Budget.Shared.view h in
+  check "cancelled handle stops views" true
+    (Budget.protect view (fun () -> Budget.check view)
+    = Error Errors.Timeout);
+  Budget.Shared.cancel h Errors.Fuel;
+  check "first cancel wins" true
+    (Budget.Shared.cancelled h = Some Errors.Timeout)
+
 (* A per-request wall-clock cap tightens a shared view's deadline even
    when the handle itself has no deadline and plenty of fuel. *)
 let test_shared_view_timeout () =
@@ -416,6 +449,9 @@ let () =
             `Quick test_shared_concurrent_drain;
           Alcotest.test_case "per-request timeout tightens a shared view"
             `Quick test_shared_view_timeout;
+          Alcotest.test_case "shared fuel tank cancels the batch" `Quick
+            test_shared_fuel_cancels_batch;
+          Alcotest.test_case "explicit shared cancel" `Quick test_shared_cancel;
         ] );
       ( "errors",
         [
