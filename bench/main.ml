@@ -898,7 +898,8 @@ let validate_bench_json path =
         in
         (* The scale section carries mandatory memory/throughput extras:
            every entry reports its peak heap, and construction entries
-           additionally report edge throughput. *)
+           additionally report edge throughput; every frontend entry
+           reports edge throughput. *)
         let has_sub ~sub s =
           let n = String.length s and k = String.length sub in
           let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
@@ -914,9 +915,14 @@ let validate_bench_json path =
                | _ -> false)
           | _ -> false
         in
+        let frontend_ok = function
+          | J.Jobj fields -> num_ok fields "edges_per_sec"
+          | _ -> false
+        in
         if
           List.for_all entry_ok entries
           && (sec <> "scale" || List.for_all scale_ok entries)
+          && (sec <> "frontend" || List.for_all frontend_ok entries)
         then Ok (List.length entries)
         else Error "malformed entry"
       | _ -> Error "missing or invalid domains field")
@@ -2007,6 +2013,72 @@ let scale_section ~trials ~scale_max_n ~json_path () =
     !rows
 
 (* ------------------------------------------------------------------ *)
+(* Section: frontend                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The CLI's file front end on its own: [Parse.bigraph_of_string] on
+   scale-chordal62 text exactly as [minconn generate] writes it
+   (a0.../r0... names, name lines cut under the line cap), from the
+   string to the named CSR graph. One row per rung of the 10^3, 10^4,
+   10^5 ladder, capped by [--scale-max-n] like the scale section's;
+   every row carries the input size and an edges_per_sec throughput
+   extra. *)
+let frontend_section ~trials ~scale_max_n ~json_path () =
+  header "frontend: schema text -> named CSR graph (Parse.bigraph_of_string)";
+  let ladder =
+    match
+      List.filter (fun x -> x <= scale_max_n) [ 1_000; 10_000; 100_000 ]
+    with
+    | [] -> [ 1_000 ]
+    | l -> l
+  in
+  let rows =
+    List.map
+      (fun target ->
+        let inst =
+          Workloads.Gen_scale.make Workloads.Gen_scale.Chordal62
+            ~target_n:target ~seed:2026
+        in
+        let graph = Workloads.Gen_scale.to_bigraph inst in
+        let text =
+          Mc_io.Parse.bigraph_to_string
+            {
+              Mc_io.Parse.graph;
+              left_names =
+                Array.init (Bigraph.nl graph) (fun i -> Printf.sprintf "a%d" i);
+              right_names =
+                Array.init (Bigraph.nr graph) (fun j -> Printf.sprintf "r%d" j);
+            }
+        in
+        let n = Bigraph.n graph and m = Bigraph.m graph in
+        let ms =
+          time_mean ~trials (fun () ->
+              match Mc_io.Parse.bigraph_of_string text with
+              | Ok nb -> nb
+              | Error e ->
+                Format.kasprintf failwith "frontend bench: %a"
+                  Mc_io.Parse.pp_error e)
+        in
+        let eps = if ms > 0.0 then float_of_int m /. (ms /. 1000.0) else 0.0 in
+        Printf.printf
+          "chordal62 n=%-7d m=%-7d bytes=%-8d parse=%.2fms (%.0f edges/s)\n%!" n
+          m (String.length text) ms eps;
+        let name, ns, base =
+          timed_entry ~section:"frontend" ~impl:"chordal62/parse" ~n ~m ~ms
+        in
+        ( name,
+          ns,
+          base
+          @ [
+              ("bytes", Observe.Json.Jnum (float_of_int (String.length text)));
+              ("edges_per_sec", Observe.Json.Jnum eps);
+            ] ))
+      ladder
+  in
+  write_bench_json ~section:"frontend" ~trials ~max_n:scale_max_n
+    ~path:json_path rows
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let trials = ref 5 and max_n = ref 384 in
@@ -2020,6 +2092,7 @@ let () =
   let evolve_json_path = ref "BENCH_evolve.json" in
   let scale_json_path = ref "BENCH_scale.json" in
   let scale_max_n = ref 1_000_000 in
+  let frontend_json_path = ref "BENCH_frontend.json" in
   let rec parse_args acc = function
     | [] -> List.rev acc
     | "--trials" :: v :: rest ->
@@ -2057,6 +2130,9 @@ let () =
       parse_args acc rest
     | "--scale-max-n" :: v :: rest ->
       scale_max_n := int_of_string v;
+      parse_args acc rest
+    | "--frontend-json" :: v :: rest ->
+      frontend_json_path := v;
       parse_args acc rest
     | a :: rest -> parse_args (a :: acc) rest
   in
@@ -2123,6 +2199,10 @@ let () =
         fun () ->
           scale_section ~trials:!trials ~scale_max_n:!scale_max_n
             ~json_path:!scale_json_path () );
+      ( "frontend",
+        fun () ->
+          frontend_section ~trials:!trials ~scale_max_n:!scale_max_n
+            ~json_path:!frontend_json_path () );
     ]
   in
   let wanted = parse_args [] (List.tl (Array.to_list Sys.argv)) in

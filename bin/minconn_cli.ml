@@ -18,10 +18,19 @@ let read_file path =
   close_in ic;
   s
 
-let load_bigraph path =
-  match Mc_io.Parse.bigraph_of_string (read_file path) with
-  | Ok nb -> Ok nb
-  | Error e -> Error (Format.asprintf "%s: %a" path Mc_io.Parse.pp_error e)
+(* Every command reads its schema here, inside one [parse] span, so a
+   traced run accounts for the file front end as well as the engine. *)
+let load_bigraph ?(trace = Observe.Trace.disabled) path =
+  let module T = Observe.Trace in
+  T.span trace "parse" (fun () ->
+      let text = read_file path in
+      T.add_attr trace "bytes" (T.Int (String.length text));
+      match Mc_io.Parse.bigraph_of_string text with
+      | Ok nb ->
+        T.add_attr trace "nodes" (T.Int (Bigraph.n nb.Mc_io.Parse.graph));
+        T.add_attr trace "edges" (T.Int (Bigraph.m nb.Mc_io.Parse.graph));
+        Ok nb
+      | Error e -> Error (Format.asprintf "%s: %a" path Mc_io.Parse.pp_error e))
 
 (* Exit-code contract (documented in README "Budgets and graceful
    degradation"): 0 solved-exact, 2 solved-degraded, 3 no cover,
@@ -194,40 +203,44 @@ let run_batch ?compiled nb ~queries ~cache ~timeout_ms ~fuel ~no_degrade
   let answers = Minconn.Session.solve_many ~make_budget session ps in
   let worst = ref 0 in
   let remaining = ref answers in
-  List.iteri
-    (fun i (names, r) ->
-      let idx = i + 1 in
-      Printf.printf "-- query %d: %s --\n" idx (String.concat ", " names);
-      let code =
-        match r with
-        | Error n ->
-          Printf.printf "error: unknown terminal %s\n" n;
-          exit_input_error
-        | Ok _ -> (
-          let answer =
-            match !remaining with
-            | a :: rest ->
-              remaining := rest;
-              a
-            | [] -> assert false (* one answer per resolved query *)
+  Observe.Trace.span trace "render" (fun () ->
+      List.iteri
+        (fun i (names, r) ->
+          let idx = i + 1 in
+          Printf.printf "-- query %d: %s --\n" idx
+            (String.concat ", " names);
+          let code =
+            match r with
+            | Error n ->
+              Printf.printf "error: unknown terminal %s\n" n;
+              exit_input_error
+            | Ok _ -> (
+              let answer =
+                match !remaining with
+                | a :: rest ->
+                  remaining := rest;
+                  a
+                | [] -> assert false (* one answer per resolved query *)
+              in
+              match answer with
+              | Error e ->
+                Printf.printf "error: %s\n" (Minconn.Errors.to_string e);
+                Minconn.Errors.exit_code e
+              | Ok s ->
+                Printf.printf "method: %s\n"
+                  (method_name s.Minconn.method_used);
+                print_tree nb s.Minconn.tree;
+                if Minconn.Degrade.degraded s.Minconn.provenance then begin
+                  report_provenance s.Minconn.provenance;
+                  2
+                end
+                else 0)
           in
-          match answer with
-          | Error e ->
-            Printf.printf "error: %s\n" (Minconn.Errors.to_string e);
-            Minconn.Errors.exit_code e
-          | Ok s ->
-            Printf.printf "method: %s\n" (method_name s.Minconn.method_used);
-            print_tree nb s.Minconn.tree;
-            if Minconn.Degrade.degraded s.Minconn.provenance then begin
-              report_provenance s.Minconn.provenance;
-              2
-            end
-            else 0)
-      in
-      Printf.printf "minconn: query=%d code=%d\n" idx code;
-      if code > !worst then worst := code)
-    resolved;
-  Printf.printf "minconn: queries=%d exit=%d\n" (List.length queries) !worst;
+          Printf.printf "minconn: query=%d code=%d\n" idx code;
+          if code > !worst then worst := code)
+        resolved;
+      Printf.printf "minconn: queries=%d exit=%d\n" (List.length queries)
+        !worst);
   flush_observability ();
   exit !worst
 
@@ -258,7 +271,7 @@ let solve_cmd =
       flush_observability ();
       exit code
     in
-    let nb = or_die (load_bigraph path) in
+    let nb = or_die (load_bigraph ~trace path) in
     let cache = open_plan_cache_opt cache_dir in
     match (terminals, queries_file) with
     | [], None ->

@@ -61,31 +61,44 @@ let guarded parse text =
 
 (* Every token carries its 1-based starting column so parse errors can
    point at the offending token, not just its line. A line is
-   [(lineno, cols, tokens)] with [cols] parallel to [tokens]. *)
+   [(lineno, cols, tokens)] with [cols] parallel to [tokens]. One pass
+   over the text; tokens are cut straight out of it. *)
 let tokenize text =
-  String.split_on_char '\n' text
-  |> List.mapi (fun i line -> (i + 1, line))
-  |> List.filter_map (fun (i, line) ->
-         let line =
-           match String.index_opt line '#' with
-           | Some k -> String.sub line 0 k
-           | None -> line
-         in
-         let n = String.length line in
-         let rec scan j acc =
-           if j >= n then List.rev acc
-           else if line.[j] = ' ' || line.[j] = '\t' then scan (j + 1) acc
-           else begin
-             let k = ref j in
-             while !k < n && line.[!k] <> ' ' && line.[!k] <> '\t' do
-               incr k
-             done;
-             scan !k ((j + 1, String.sub line j (!k - j)) :: acc)
-           end
-         in
-         match scan 0 [] with
-         | [] -> None
-         | toks -> Some (i, List.map fst toks, List.map snd toks))
+  let n = String.length text in
+  let blank c = c = ' ' || c = '\t' in
+  let rec lines acc lineno start =
+    if start > n then List.rev acc
+    else begin
+      let eol =
+        match String.index_from_opt text start '\n' with
+        | Some k -> k
+        | None -> n
+      in
+      (* A '#' comments out the rest of its line. *)
+      let rec content_end j =
+        if j >= eol || text.[j] = '#' then j else content_end (j + 1)
+      in
+      let stop = content_end start in
+      let rec scan j cols toks =
+        if j >= stop then (List.rev cols, List.rev toks)
+        else if blank text.[j] then scan (j + 1) cols toks
+        else begin
+          let k = ref j in
+          while !k < stop && not (blank text.[!k]) do
+            incr k
+          done;
+          scan !k ((j - start + 1) :: cols) (String.sub text j (!k - j) :: toks)
+        end
+      in
+      let acc =
+        match scan start [] [] with
+        | [], _ -> acc
+        | cols, toks -> (lineno, cols, toks) :: acc
+      in
+      lines acc (lineno + 1) (eol + 1)
+    end
+  in
+  lines [] 1 0
 
 (* Column of the [k]-th token on a line; 0 (column unknown) past the end. *)
 let col_at cols k =
@@ -105,14 +118,31 @@ let expect_header want = function
     err i (col_at cs 0) "expected a single '%s' header line" want
   | [] -> err 0 0 "empty input (expected '%s' header)" want
 
-let index_of arr name =
+(* A linear scan, for callers that look up a few names per call. *)
+let index_of (arr : string array) name =
   let rec go i =
     if i >= Array.length arr then None
-    else if arr.(i) = name then Some i
+    else if String.equal arr.(i) name then Some i
     else go (i + 1)
   in
   go 0
 
+(* String -> index table over a name array. On a repeated name the
+   first occurrence wins (as a left-to-right scan would find it), and
+   the table is then smaller than the array, which is how the bipartite
+   parser detects duplicates within a side. *)
+let name_table names =
+  let t = Hashtbl.create (Array.length names) in
+  Array.iteri
+    (fun i s -> if not (Hashtbl.mem t s) then Hashtbl.add t s i)
+    names;
+  t
+
+(* Linear in the input: each side's names are indexed once in a hash
+   table, every edge is resolved to flat [src]/[dst] arrays in file
+   order (so the first unknown name reports the same position a
+   line-by-line scan would), and the graph is built in one
+   direct-to-CSR pass. *)
 let bigraph_of_string_unguarded text =
   match expect_header "bipartite" (tokenize text) with
   | Error e -> Error e
@@ -121,11 +151,11 @@ let bigraph_of_string_unguarded text =
     let rec consume = function
       | [] -> Ok ()
       | (i, cs, "left" :: names) :: rest ->
-        left := !left @ names;
+        left := List.rev_append names !left;
         if names = [] then err i (col_at cs 0) "'left' line with no names"
         else consume rest
       | (i, cs, "right" :: names) :: rest ->
-        right := !right @ names;
+        right := List.rev_append names !right;
         if names = [] then err i (col_at cs 0) "'right' line with no names"
         else consume rest
       | (i, cs, [ "edge"; a; b ]) :: rest ->
@@ -138,30 +168,41 @@ let bigraph_of_string_unguarded text =
     (match consume lines with
     | Error e -> Error e
     | Ok () ->
-      let dup l = List.length (List.sort_uniq compare l) <> List.length l in
-      if dup !left || dup !right || dup (!left @ !right) then
-        err 0 0 "duplicate node name"
+      let left_names = Array.of_list (List.rev !left) in
+      let right_names = Array.of_list (List.rev !right) in
+      let lidx = name_table left_names and ridx = name_table right_names in
+      if
+        Hashtbl.length lidx <> Array.length left_names
+        || Hashtbl.length ridx <> Array.length right_names
+        || Array.exists (Hashtbl.mem lidx) right_names
+      then err 0 0 "duplicate node name"
       else begin
-        let left_names = Array.of_list !left in
-        let right_names = Array.of_list !right in
-        let rec build g = function
-          | [] -> Ok g
-          | (i, cs, a, b) :: rest -> (
-            match (index_of left_names a, index_of right_names b) with
+        let edges = Array.of_list (List.rev !edges) in
+        let m = Array.length edges in
+        let src = Array.make m 0 and dst = Array.make m 0 in
+        let rec resolve k =
+          if k = m then Ok ()
+          else
+            let i, cs, a, b = edges.(k) in
+            match (Hashtbl.find_opt lidx a, Hashtbl.find_opt ridx b) with
             | Some la, Some rb ->
-              build (Bipartite.Bigraph.add_edge g la rb) rest
+              src.(k) <- la;
+              dst.(k) <- rb;
+              resolve (k + 1)
             | None, _ -> err i (col_at cs 1) "unknown left node '%s'" a
-            | _, None -> err i (col_at cs 2) "unknown right node '%s'" b)
+            | _, None -> err i (col_at cs 2) "unknown right node '%s'" b
         in
-        match
-          build
-            (Bipartite.Bigraph.create
-               ~nl:(Array.length left_names)
-               ~nr:(Array.length right_names))
-            (List.rev !edges)
-        with
+        match resolve 0 with
         | Error e -> Error e
-        | Ok graph -> Ok { graph; left_names; right_names }
+        | Ok () ->
+          let graph =
+            Bipartite.Bigraph.of_edge_iter ~nl:(Array.length left_names)
+              ~nr:(Array.length right_names) (fun f ->
+                for k = 0 to m - 1 do
+                  f src.(k) dst.(k)
+                done)
+          in
+          Ok { graph; left_names; right_names }
       end)
 
 let schema_of_string_unguarded text =
@@ -192,7 +233,7 @@ let hypergraph_of_string_unguarded text =
     let rec consume = function
       | [] -> Ok ()
       | (i, cs, "nodes" :: names) :: rest ->
-        nodes := !nodes @ names;
+        nodes := List.rev_append names !nodes;
         if names = [] then err i (col_at cs 0) "'nodes' line with no names"
         else consume rest
       | (i, cs, "edge" :: name :: members) :: rest ->
@@ -209,14 +250,15 @@ let hypergraph_of_string_unguarded text =
     (match consume lines with
     | Error e -> Error e
     | Ok () ->
-      let node_names = Array.of_list !nodes in
+      let node_names = Array.of_list (List.rev !nodes) in
+      let index = name_table node_names in
       let rec build acc = function
         | [] -> Ok (List.rev acc)
         | (i, _, members) :: rest ->
           let rec resolve set = function
             | [] -> Ok set
             | (c, m) :: ms -> (
-              match index_of node_names m with
+              match Hashtbl.find_opt index m with
               | Some v -> resolve (Iset.add v set) ms
               | None -> err i c "unknown node '%s'" m)
           in
@@ -419,18 +461,40 @@ let name_set nb names =
   in
   go Iset.empty names
 
+(* A side's names go on as few [keyword] lines as the line cap allows
+   (the parser accumulates repeated lines), so a side that fits on one
+   line prints exactly as one line and a 10^5-node side still reads
+   back. An empty side prints no line at all. *)
+let add_name_lines buf keyword names =
+  let len = ref 0 in
+  Array.iter
+    (fun name ->
+      let tok = 1 + String.length name in
+      if !len > 0 && !len + tok > max_line_bytes then begin
+        Buffer.add_char buf '\n';
+        len := 0
+      end;
+      if !len = 0 then begin
+        Buffer.add_string buf keyword;
+        len := String.length keyword
+      end;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf name;
+      len := !len + tok)
+    names;
+  if !len > 0 then Buffer.add_char buf '\n'
+
 let bigraph_to_string nb =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "bipartite\n";
-  Buffer.add_string buf
-    ("left " ^ String.concat " " (Array.to_list nb.left_names) ^ "\n");
-  Buffer.add_string buf
-    ("right " ^ String.concat " " (Array.to_list nb.right_names) ^ "\n");
-  List.iter
-    (fun (i, j) ->
-      Buffer.add_string buf
-        (Printf.sprintf "edge %s %s\n" nb.left_names.(i) nb.right_names.(j)))
-    (Bipartite.Bigraph.edges nb.graph);
+  add_name_lines buf "left" nb.left_names;
+  add_name_lines buf "right" nb.right_names;
+  Bipartite.Bigraph.iter_edges nb.graph (fun i j ->
+      Buffer.add_string buf "edge ";
+      Buffer.add_string buf nb.left_names.(i);
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf nb.right_names.(j);
+      Buffer.add_char buf '\n');
   Buffer.contents buf
 
 let schema_to_string schema =

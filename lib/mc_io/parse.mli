@@ -65,6 +65,10 @@ val max_line_bytes : int
     offending line. *)
 
 val bigraph_of_string : string -> (named_bigraph, error) result
+(** Linear in the input: names resolve through hash tables and the
+    graph is built in one pass into CSR form
+    ({!Bipartite.Bigraph.of_edge_iter}). Duplicate edges collapse. An
+    unknown name reports the position of its first use in file order. *)
 
 val schema_of_string : string -> (Datamodel.Schema.t, error) result
 
@@ -112,6 +116,10 @@ val name_set : named_bigraph -> string list -> (Iset.t, string) result
     first unknown one. *)
 
 val bigraph_to_string : named_bigraph -> string
+(** The inverse of {!bigraph_of_string}. A side's names go on as few
+    [left]/[right] lines as {!max_line_bytes} allows, so a side that fits
+    prints as one line and a 10^5-node schema still reads back. An empty
+    side prints no line. *)
 
 val schema_to_string : Datamodel.Schema.t -> string
 

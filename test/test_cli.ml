@@ -159,6 +159,38 @@ let test_trace_on_failure () =
   check "abandoned rung recorded" true
     (contains (read_file "cli_fail.trace.ndjson") "rung:exact-dp")
 
+(* A batch run's trace accounts for the front end and the answer text:
+   one root [parse] span carrying the file's bytes, nodes and edges,
+   and one root [render] span after the queries. *)
+let test_trace_front_end () =
+  let f = fixture "tr_batch" Datamodel.Figures.fig3b in
+  write_file "cli_tr_batch.queries" "A,B\nA C\n";
+  check_int "batch exits 0" 0
+    (run
+       ("solve " ^ f
+      ^ " --queries cli_tr_batch.queries --trace cli_tr_batch.trace.ndjson"));
+  let text = read_file "cli_tr_batch.trace.ndjson" in
+  (match Observe.Export.validate_ndjson_string text with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("invalid batch trace: " ^ e));
+  let roots name =
+    String.split_on_char '\n' text
+    |> List.filter (fun l ->
+           contains l (Printf.sprintf "\"parent\":0,\"name\":\"%s\"" name))
+  in
+  (match roots "parse" with
+  | [ line ] ->
+    List.iter
+      (fun attr ->
+        check ("parse span records " ^ attr) true
+          (contains line (Printf.sprintf "\"%s\":" attr)))
+      [ "bytes"; "nodes"; "edges" ];
+    check "parse span counts the file's bytes" true
+      (contains line
+         (Printf.sprintf "\"bytes\":%d" (String.length (read_file f))))
+  | l -> Alcotest.failf "expected one root parse span, got %d" (List.length l));
+  check_int "one root render span" 1 (List.length (roots "render"))
+
 (* ---------------------------------------------------- plan cache *)
 
 (* The compile subcommand owns the cache, so an unusable directory is
@@ -326,6 +358,56 @@ let test_classify_scale_output () =
     check "report = Minconn.report" true
       (read_file out = Minconn.report nb.Mc_io.Parse.graph)
 
+(* The CLI reads back its own output at a size whose name lines exceed
+   the parser's 64 KiB line cap unless the emitter splits them: a
+   10^5-node scale-chordal62 file, solved on terminals inside one block,
+   must exit 0 with the answer the library gives on the generator's
+   graph. *)
+let test_solve_scale_output () =
+  let file = "cli_scale62_1e5.bigraph" and out = "cli_scale62_1e5.out" in
+  check_int "generate" 0
+    (Sys.command
+       (Printf.sprintf
+          "%s generate --class scale-chordal62 --size 100000 --seed 4 > %s" cli
+          file));
+  let inst =
+    Workloads.Gen_scale.make Workloads.Gen_scale.Chordal62 ~target_n:100_000
+      ~seed:4
+  in
+  let graph = Workloads.Gen_scale.to_bigraph inst in
+  let nb =
+    {
+      Mc_io.Parse.graph;
+      left_names =
+        Array.init (Bipartite.Bigraph.nl graph) (fun i -> Printf.sprintf "a%d" i);
+      right_names =
+        Array.init (Bipartite.Bigraph.nr graph) (fun j -> Printf.sprintf "r%d" j);
+    }
+  in
+  let p =
+    Workloads.Gen_scale.block_terminals inst
+      ~block:(Workloads.Gen_scale.n_blocks inst / 2)
+      ~k:3
+  in
+  let terminals =
+    Graphs.Iset.elements p
+    |> List.map (fun v -> nb.Mc_io.Parse.left_names.(v))
+    |> String.concat ","
+  in
+  check_int "solve exits 0" 0
+    (Sys.command
+       (Printf.sprintf "%s solve %s -t %s > %s" cli file terminals out));
+  match Minconn.solve graph ~p with
+  | Error e -> Alcotest.failf "library solve: %s" (Minconn.Errors.to_string e)
+  | Ok s ->
+    Alcotest.(check string)
+      "answer = Minconn.solve"
+      ("method: "
+      ^ Serve.Render.method_name s.Minconn.method_used
+      ^ "\n"
+      ^ Serve.Render.tree_block nb s.Minconn.tree)
+      (read_file out)
+
 let () =
   Alcotest.run "cli"
     [
@@ -348,6 +430,8 @@ let () =
           Alcotest.test_case "per-rung artifacts" `Quick test_trace_artifacts;
           Alcotest.test_case "artifacts on failure" `Quick
             test_trace_on_failure;
+          Alcotest.test_case "parse and render spans" `Quick
+            test_trace_front_end;
         ] );
       ( "query",
         [
@@ -362,6 +446,8 @@ let () =
         [
           Alcotest.test_case "scale-chordal62 output reads back" `Quick
             test_classify_scale_output;
+          Alcotest.test_case "10^5 scale-chordal62 output solves" `Quick
+            test_solve_scale_output;
         ] );
       ( "plan-cache",
         [

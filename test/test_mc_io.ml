@@ -180,6 +180,166 @@ let test_printer_round_trips () =
          (Relalg.Database.relation db2 "r"))
   | Error e -> Alcotest.failf "database reparse: %a" Mc_io.Parse.pp_error e
 
+(* ------------------------------------------- exact error positions *)
+
+(* The positions a line-by-line scan reports: the first unknown name in
+   file order, with the column of the offending token; duplicate names
+   are a whole-file property (line 0, col 0). *)
+let test_error_positions () =
+  let expect text ~line ~col ~msg =
+    match Mc_io.Parse.bigraph_of_string text with
+    | Error (Runtime.Errors.Parse_error e) ->
+      check_int (msg ^ ": line") line e.line;
+      check_int (msg ^ ": col") col e.col;
+      Alcotest.(check string) (msg ^ ": message") msg e.msg
+    | Error e -> Alcotest.failf "untyped error: %a" Mc_io.Parse.pp_error e
+    | Ok _ -> Alcotest.failf "expected an error (%s)" msg
+  in
+  expect "bipartite\nleft A\nright r\nedge B r" ~line:4 ~col:6
+    ~msg:"unknown left node 'B'";
+  expect "bipartite\nleft A\nright r\nedge A z" ~line:4 ~col:8
+    ~msg:"unknown right node 'z'";
+  expect "bipartite\nleft A\nright r\nedge X Y" ~line:4 ~col:6
+    ~msg:"unknown left node 'X'";
+  expect "bipartite\nleft A\nright r\nedge A r\n  edge   A  q\nedge B r\n"
+    ~line:5 ~col:13 ~msg:"unknown right node 'q'";
+  expect "bipartite\nleft A B\nright r\nleft C A\nedge A r" ~line:0 ~col:0
+    ~msg:"duplicate node name";
+  expect "bipartite\nleft A B\nright r s r" ~line:0 ~col:0
+    ~msg:"duplicate node name";
+  expect "bipartite\nleft A B\nright r B\nedge A r" ~line:0 ~col:0
+    ~msg:"duplicate node name"
+
+(* ------------------------------------------------ emitter line cap *)
+
+let named graph =
+  {
+    Mc_io.Parse.graph;
+    left_names =
+      Array.init (Bipartite.Bigraph.nl graph) (fun i -> Printf.sprintf "a%d" i);
+    right_names =
+      Array.init (Bipartite.Bigraph.nr graph) (fun j -> Printf.sprintf "r%d" j);
+  }
+
+let lines_of text =
+  String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
+
+(* A side that fits on one line prints as exactly one line (the format
+   every earlier emitter wrote); an empty side prints no line, so the
+   output reads back. *)
+let test_emitter_small () =
+  let g = Bipartite.Bigraph.of_edges ~nl:3 ~nr:2 [ (0, 0); (1, 0); (2, 1) ] in
+  Alcotest.(check string)
+    "single-line sides" "bipartite\nleft a0 a1 a2\nright r0 r1\nedge a0 r0\nedge a1 r0\nedge a2 r1\n"
+    (Mc_io.Parse.bigraph_to_string (named g));
+  let lonely = named (Bipartite.Bigraph.create ~nl:0 ~nr:2) in
+  let text = Mc_io.Parse.bigraph_to_string lonely in
+  Alcotest.(check string) "empty side prints no line" "bipartite\nright r0 r1\n"
+    text;
+  match Mc_io.Parse.bigraph_of_string text with
+  | Ok nb -> check_int "empty left side reads back" 0 (Array.length nb.left_names)
+  | Error e -> Alcotest.failf "reparse: %a" Mc_io.Parse.pp_error e
+
+(* A 10^5-node scale instance: every emitted line is under the parser's
+   line cap (the left side alone needs several lines), and the text
+   parses back in-process to the same CSR and names. *)
+let test_scale_emit_reads_back () =
+  let inst =
+    Workloads.Gen_scale.make Workloads.Gen_scale.Chordal62 ~target_n:100_000
+      ~seed:13
+  in
+  let nb = named (Workloads.Gen_scale.to_bigraph inst) in
+  let text = Mc_io.Parse.bigraph_to_string nb in
+  let lines = lines_of text in
+  check "every line under the cap" true
+    (List.for_all
+       (fun l -> String.length l <= Mc_io.Parse.max_line_bytes)
+       lines);
+  check "left side split across lines" true
+    (List.length (List.filter (String.starts_with ~prefix:"left ") lines) > 1);
+  match Mc_io.Parse.bigraph_of_string text with
+  | Error e -> Alcotest.failf "10^5 emit rejected: %a" Mc_io.Parse.pp_error e
+  | Ok nb2 ->
+    check "same CSR" true
+      (Csr.equal
+         (Bipartite.Bigraph.csr nb.graph)
+         (Bipartite.Bigraph.csr nb2.graph));
+    check "same names" true
+      (nb.left_names = nb2.left_names && nb.right_names = nb2.right_names)
+
+(* ------------------------------------------------ round-trip property *)
+
+(* The same schema as a hand-edited file might hold it: each side's
+   names cut into several [left]/[right] lines at random points, some
+   edges listed twice, and the edge lines shuffled. *)
+let scrambled_text rng (nb : Mc_io.Parse.named_bigraph) =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "bipartite\n";
+  let names keyword arr =
+    Array.iteri
+      (fun i s ->
+        if i = 0 || Workloads.Rng.bool rng 0.3 then begin
+          if i > 0 then Buffer.add_char b '\n';
+          Buffer.add_string b keyword
+        end;
+        Buffer.add_char b ' ';
+        Buffer.add_string b s)
+      arr;
+    if Array.length arr > 0 then Buffer.add_char b '\n'
+  in
+  names "right" nb.right_names;
+  names "left" nb.left_names;
+  Bipartite.Bigraph.edges nb.graph
+  |> List.concat_map (fun e ->
+         if Workloads.Rng.bool rng 0.3 then [ e; e ] else [ e ])
+  |> Workloads.Rng.shuffle rng
+  |> List.iter (fun (i, j) ->
+         Printf.bprintf b "edge %s %s\n" nb.left_names.(i) nb.right_names.(j));
+  Buffer.contents b
+
+let family_gen =
+  QCheck2.Gen.(
+    pair (int_range 0 4) (int_range 0 100000)
+    |> map (fun (family, seed) ->
+           let rng = Workloads.Rng.make ~seed in
+           let size = 2 + Workloads.Rng.int rng 7 in
+           let g =
+             match family with
+             | 0 -> Workloads.Gen_bipartite.forest rng ~n:(2 * size)
+             | 1 ->
+               Workloads.Gen_bipartite.chordal_62 rng ~n_right:size ~max_size:4
+             | 2 ->
+               Workloads.Gen_bipartite.alpha_bipartite rng ~n_right:size
+                 ~max_size:4
+             | 3 -> Workloads.Gen_bipartite.chordal_61_flower rng ~petals:size
+             | _ ->
+               (* Either side may be empty. *)
+               Workloads.Gen_bipartite.gnp rng
+                 ~nl:(Workloads.Rng.int rng 6)
+                 ~nr:(Workloads.Rng.int rng 6)
+                 ~p:0.4
+           in
+           (named g, seed)))
+
+let reads_back_as (nb : Mc_io.Parse.named_bigraph) text =
+  match Mc_io.Parse.bigraph_of_string text with
+  | Error _ -> false
+  | Ok nb2 ->
+    Csr.equal (Bipartite.Bigraph.csr nb.graph) (Bipartite.Bigraph.csr nb2.graph)
+    && nb.left_names = nb2.left_names
+    && nb.right_names = nb2.right_names
+
+let qcheck_cases =
+  [
+    QCheck2.Test.make ~count:300 ~name:"emit then parse is the identity"
+      family_gen (fun (nb, _) ->
+        reads_back_as nb (Mc_io.Parse.bigraph_to_string nb));
+    QCheck2.Test.make ~count:300
+      ~name:"repeated name lines, duplicate and shuffled edges" family_gen
+      (fun (nb, seed) ->
+        reads_back_as nb (scrambled_text (Workloads.Rng.make ~seed) nb));
+  ]
+
 let () =
   Alcotest.run "mc_io"
     [
@@ -194,5 +354,11 @@ let () =
           Alcotest.test_case "database" `Quick test_parse_database;
           Alcotest.test_case "query language" `Quick test_parse_query;
           Alcotest.test_case "printer round trips" `Quick test_printer_round_trips;
+          Alcotest.test_case "error positions" `Quick test_error_positions;
+          Alcotest.test_case "emitter keeps small files" `Quick
+            test_emitter_small;
+          Alcotest.test_case "10^5 scale emit reads back" `Quick
+            test_scale_emit_reads_back;
         ] );
+      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]

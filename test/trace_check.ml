@@ -36,13 +36,15 @@ let () =
   | Error e -> fail "invalid trace stream: %s" e
   | Ok 0 -> fail "trace stream is empty"
   | Ok _ -> ());
-  (* Shape: a root solve span, a classification span, at least one
-     ladder rung, and a ladder outcome event. *)
+  (* Shape: a parse span for the schema file, a root solve span, a
+     classification span, at least one ladder rung, and a ladder
+     outcome event. *)
   List.iter
     (fun needle ->
       if not (contains trace needle) then
         fail "trace stream lacks %s" needle)
     [
+      "\"name\":\"parse\"";
       "\"name\":\"solve\"";
       "\"name\":\"classify\"";
       "\"name\":\"rung:";
