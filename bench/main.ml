@@ -1882,8 +1882,9 @@ let evolve_section ~trials ~max_n ~json_path () =
      compile          — [Compiled.compile] off the cached CSR;
      query-first      — [Session.create] plus a query burst against a
        plan whose set-view cache is cold ([Bigraph.compact] resets the
-       cache without copying the CSR arrays), i.e. the one-off lazy
-       AVL-derivation cost the stream path defers to first use;
+       cache without copying the CSR arrays). Queries run on their
+       component's slice, so on these many-component families no
+       whole-graph set view is ever derived and first ≈ warm;
      query-warm       — the same burst on a warm session.
 
    Every row carries a [peak_heap_words] extra from [Gc.quick_stat] —

@@ -227,28 +227,22 @@ let induced g w =
      index precedes every right index, so the result is again in
      bipartite layout with members below [nl] as the new lefts. The
      extraction runs over the CSR rows, so slicing one component out of
-     a million-node schema costs the component, not the graph. *)
-  let c = csr g in
-  let ids = Array.of_list (Iset.elements w) in
-  let k = Array.length ids in
-  let back = Hashtbl.create (max k 1) in
-  Array.iteri (fun i v -> Hashtbl.replace back v i) ids;
-  let nl' =
-    let acc = ref 0 in
-    Array.iter (fun v -> if v < g.nl then incr acc) ids;
-    !acc
-  in
-  let sub =
-    Csr.of_edge_iter ~n:k (fun f ->
-        Array.iteri
-          (fun i v ->
-            Csr.iter_neighbors c v (fun u ->
-                match Hashtbl.find_opt back u with
-                | Some j when i < j -> f i j
-                | Some _ | None -> ()))
-          ids)
-  in
-  ({ nl = nl'; nr = k - nl'; gset = None; gcsr = Some sub }, ids)
+     a million-node schema costs the component, not the graph; a set
+     spanning the whole graph renumbers by the identity and is the
+     graph itself, so a connected schema pays no copy. *)
+  let k = Iset.cardinal w in
+  let ids = Array.make k 0 in
+  ignore (Iset.fold (fun v i -> ids.(i) <- v; i + 1) w 0);
+  if k = n g then (g, ids)
+  else begin
+    let nl' =
+      let acc = ref 0 in
+      Array.iter (fun v -> if v < g.nl then incr acc) ids;
+      !acc
+    in
+    let sub = Csr.induced (csr g) ids in
+    ({ nl = nl'; nr = k - nl'; gset = None; gcsr = Some sub }, ids)
+  end
 
 let flip g =
   let b = Ugraph.Builder.create (g.nl + g.nr) in

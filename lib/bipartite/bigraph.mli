@@ -74,7 +74,9 @@ val induced : t -> Iset.t -> t * int array
     underlying indices, renumbering ascending as {!Graphs.Ugraph.induced}
     does — members below [nl g] become the new lefts, the rest the new
     rights. Returns the mapping from new underlying indices back to the
-    originals. *)
+    originals; {!Graphs.Csr.local_index} inverts it. When [w] holds
+    every node of [g], the result is [g] itself (the renumbering is the
+    identity). *)
 
 val nl : t -> int
 val nr : t -> int

@@ -160,13 +160,11 @@ let profile_connected ?(trace = Observe.Trace.disabled) g =
 let profile ?(trace = Observe.Trace.disabled) g =
   classify_span trace g (fun () ->
       let _, comps = Graphs.Csr.component_ids (Bigraph.csr g) in
-      let n = Bigraph.n g in
-      let slice nodes =
-        if Graphs.Iset.cardinal nodes = n then g
-        else fst (Bigraph.induced g nodes)
-      in
       combine
-        (Array.of_list (List.map (fun nodes -> checks trace (slice nodes)) comps)))
+        (Array.of_list
+           (List.map
+              (fun nodes -> checks trace (fst (Bigraph.induced g nodes)))
+              comps)))
 
 let recommend p =
   if p.chordal_62 then Steiner_polynomial

@@ -54,42 +54,36 @@ type solution = Engine.Session.solution = {
   provenance : Degrade.provenance;
 }
 
-(* The cheap validation runs before the classifier; the compile+query
-   split is Engine's, this is the one-shot convenience wrapper. *)
+(* The one-shot convenience wrapper over Engine's compile+query split.
+   The session's locate validates the terminals (empty, out of range,
+   disconnected) in O(|p|) from the plan's component ids. *)
 let solve ?(budget = Budget.unlimited) ?(degrade = true)
     ?(trace = Observe.Trace.disabled) ?(metrics = Observe.Metrics.disabled) g
     ~p =
-  let u = Bigraph.ugraph g in
-  if Iset.is_empty p then Error (Errors.Invalid_instance "empty terminal set")
-  else if not (Iset.subset p (Ugraph.nodes u)) then
-    Error (Errors.Invalid_instance "terminal index out of range")
-  else if not (Traverse.connects u p) then Error Errors.Disconnected_terminals
-  else begin
-    Observe.Trace.span trace "solve"
-      ~attrs:
-        [
-          ("terminals", Observe.Trace.Int (Iset.cardinal p));
-          ("nodes", Observe.Trace.Int (Ugraph.n u));
-        ]
-    @@ fun () ->
-    let compiled = Compiled.compile ~trace ~metrics g in
-    let session = Session.create ~budget ~degrade ~trace ~metrics compiled in
-    Session.query session ~p
-  end
+  Observe.Trace.span trace "solve"
+    ~attrs:
+      [
+        ("terminals", Observe.Trace.Int (Iset.cardinal p));
+        ("nodes", Observe.Trace.Int (Bigraph.n g));
+      ]
+  @@ fun () ->
+  let compiled = Compiled.compile ~trace ~metrics g in
+  let session = Session.create ~budget ~degrade ~trace ~metrics compiled in
+  Session.query session ~p
 
 let solve_steiner ?budget g ~p =
   match solve ?budget g ~p with Ok s -> Some s | Error _ -> None
 
-(* Same typed front door as [solve]: reject empty / out-of-range /
-   disconnected terminal sets before Algorithm 1 runs, and surface its
-   structural rejection as a typed error instead of a private variant. *)
+(* Same typed front door as [solve]: reject empty and out-of-range
+   terminal sets in O(|p|) before Algorithm 1 runs, and surface its
+   rejections (disconnected terminals, a cyclic scheme) as typed
+   errors instead of private variants. *)
 let solve_min_relations g ~p =
-  let u = Bigraph.ugraph g in
-  if Iset.is_empty p then Error (Errors.Invalid_instance "empty terminal set")
-  else if not (Iset.subset p (Ugraph.nodes u)) then
+  match (Iset.min_elt_opt p, Iset.max_elt_opt p) with
+  | None, _ | _, None -> Error (Errors.Invalid_instance "empty terminal set")
+  | Some lo, Some hi when lo < 0 || hi >= Bigraph.n g ->
     Error (Errors.Invalid_instance "terminal index out of range")
-  else if not (Traverse.connects u p) then Error Errors.Disconnected_terminals
-  else
+  | Some _, Some _ -> (
     match Algorithm1.solve g ~p with
     | Ok r -> Ok r
     | Error Algorithm1.Disconnected_terminals ->
@@ -97,7 +91,7 @@ let solve_min_relations g ~p =
     | Error Algorithm1.Not_alpha_acyclic ->
       Error
         (Errors.Invalid_instance
-           "scheme is not alpha-acyclic (V2-chordal V2-conformal)")
+           "scheme is not alpha-acyclic (V2-chordal V2-conformal)"))
 
 let report g =
   let profile = Classify.profile g in

@@ -54,8 +54,8 @@ module Compiled = Engine.Compiled
 module Session = Engine.Session
 (** Compile-once / query-many serving: [Session.query] and
     [Session.solve_many] answer terminal-set queries against a
-    {!Compiled.t}, reusing per-session scratch buffers. {!solve} below
-    is the one-shot compile-then-query wrapper. *)
+    {!Compiled.t}, each on the terminals' component alone. {!solve}
+    below is the one-shot compile-then-query wrapper. *)
 
 module Plan_cache = Cache.Plan_cache
 (** Persistent on-disk store for compiled plans: integrity-enveloped
@@ -100,8 +100,9 @@ val solve :
     {v exact (structured or DP)  ->  fixpoint elimination  ->  MST 2-approx v}
 
     recording every abandoned rung in the returned provenance. The
-    cheap connectivity rejection runs {e before} the classifier, and
-    the profile is computed exactly once. With [~degrade:false] the
+    terminals are validated (empty, out of range, disconnected) by the
+    session in O(|p|) against the compiled component ids, and the
+    profile is computed exactly once. With [~degrade:false] the
     first exhausted rung is reported as [Error (Budget_exhausted _)]
     instead of falling through. The internal [Budget.Exhausted] signal
     never escapes this function. Answering many terminal sets over one

@@ -50,8 +50,8 @@ let schema_hash g =
    and an [(Algorithm1.prep, error) result] whose prep is
    {comp; w_order} — no closures, lazies or custom blocks anywhere.
    The lazy compiled handles live in Datamodel.Schema/Layered (outside
-   [t]) and the mutable solver scratch lives in Session, rebuilt by
-   [Session.create]; neither is ever marshaled.
+   [t]) and are never marshaled; a Session holds nothing but the plan
+   and its query defaults.
 
    The graph is compacted to its canonical CSR-only form first: the
    set-based cache's AVL shape depends on construction history, and
@@ -90,18 +90,14 @@ let of_bytes s =
    schema edit can replace one component's slice and re-derive the
    global profile by [Classify.combine] instead of reclassifying the
    whole graph. The component profile is computed on the materialised
-   induced sub-bigraph (identical to the graph itself when the graph
-   is connected, so the single-component fast path pays no copy). *)
+   induced sub-bigraph (the graph itself when the graph is connected,
+   so the single-component fast path pays no copy). *)
 let prep_component tr graph nodes =
-  let sub =
-    if Iset.cardinal nodes = Bigraph.n graph then graph
-    else fst (Bigraph.induced graph nodes)
-  in
+  let sub, _ = Bigraph.induced graph nodes in
   {
     nodes;
-    (* Increasing node ids: the completion Algorithm 2 applies
-       when no order is supplied, so session answers match the
-       one-shot path node for node. *)
+    (* Unread by queries; kept so the persisted plan format does
+       not change. *)
     order = Iset.elements nodes;
     cprofile = Classify.profile_connected ~trace:tr sub;
     alg1_prep = Steiner.Algorithm1.prepare ~trace:tr graph ~comp:nodes;

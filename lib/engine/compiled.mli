@@ -2,11 +2,11 @@
 
     The paper's serving setting (Section 3) fixes the bipartite scheme
     and streams terminal-set queries over it. Everything that depends
-    only on the scheme — the flat CSR adjacency arena, the
+    only on the scheme — the flat CSR adjacency, the
     chordality/acyclicity {!Bipartite.Classify.profile}, the connected
-    components, Algorithm 2's elimination order and Algorithm 1's GYO
-    join-tree ordering per component — is computed here exactly once;
-    {!Session} then answers each query against the cached plan. *)
+    components and Algorithm 1's GYO join-tree ordering per component
+    — is computed here exactly once; {!Session} then answers each query
+    on the terminals' component of the cached plan. *)
 
 open Graphs
 open Bipartite
@@ -14,8 +14,9 @@ open Bipartite
 type component = {
   nodes : Iset.t;
   order : int list;
-      (** Algorithm 2 elimination order: increasing node ids, matching
-          the one-shot default so session answers are identical *)
+      (** increasing node ids. No query reads it (Algorithm 2 runs on
+          the component's slice with its default order); it stays so
+          the persisted plan format does not change *)
   cprofile : Classify.profile;
       (** classification of the induced sub-bigraph; the plan's global
           profile is [Classify.combine] over these, which is what lets
@@ -28,10 +29,10 @@ type component = {
 
 type t = {
   graph : Bigraph.t;
-      (** carries both adjacency views: the flat CSR (always present
-          after compilation — the solver-scratch arena, via {!csr}) and
-          the set view, derived lazily on first set-consuming query
-          (via {!ugraph}) *)
+      (** the schema; its flat CSR (via {!csr}) is always present after
+          compilation, and queries slice their component out of it.
+          The whole-graph set view (via {!ugraph}) is derived only when
+          a caller asks for it *)
   profile : Classify.profile;
   comp_id : int array;  (** component index per node *)
   components : component array;
@@ -121,9 +122,8 @@ val apply_deltas :
 
     The compiled plan is deliberately first-order data — no closures,
     lazies or custom blocks (the lazy compiled handles of
-    [Datamodel.Schema]/[Layered] wrap a plan, they are not inside it,
-    and the mutable solver scratch lives in {!Session}, rebuilt from
-    the plan by [Session.create]) — so [Marshal] round-trips it
+    [Datamodel.Schema]/[Layered] wrap a plan, they are not inside it)
+    — so [Marshal] round-trips it
     exactly. {!Cache.Plan_cache} wraps these bytes in an integrity
     envelope (format version, library commit, schema hash, payload
     checksum) for the on-disk store; raw bytes carry no such

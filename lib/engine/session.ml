@@ -31,48 +31,24 @@ type t = {
   degrade : bool;
   trace : Observe.Trace.t;
   metrics : Observe.Metrics.t;
-  alg1_scratch : Algorithm1.scratch;
-  mst_scratch : Mst_approx.scratch;
 }
 
 let create ?(budget = Budget.unlimited) ?(degrade = true)
     ?(trace = Observe.Trace.disabled) ?(metrics = Observe.Metrics.disabled)
     compiled =
-  {
-    compiled;
-    budget;
-    degrade;
-    trace;
-    metrics;
-    (* Scratches size off the plan's CSR arena alone: creating a
-       session over a stream-built million-node plan never forces the
-       set view (that happens lazily on the first query that needs
-       it). *)
-    alg1_scratch = Algorithm1.make_scratch_csr (Compiled.csr compiled);
-    mst_scratch = Mst_approx.make_scratch_csr (Compiled.csr compiled);
-  }
+  { compiled; budget; degrade; trace; metrics }
 
 let compiled t = t.compiled
 
-(* Plan swap for live schema evolution: scratch buffers are sized to
-   the plan's CSR arena, so a session observing a new plan must
-   reallocate them — reusing the old scratch against a grown graph
-   would read out of bounds. Budget, degradation policy and
-   observability sinks carry over; the physical-equality fast path
-   makes the per-request resync in lib/serve free when the schema has
-   not changed. *)
+(* Plan swap for live schema evolution: a session holds nothing sized
+   to the plan, so retargeting is a field update. The physical-equality
+   fast path keeps the per-request resync in lib/serve allocation-free
+   when the schema has not changed. *)
 let with_plan t compiled =
-  if compiled == t.compiled then t
-  else
-    {
-      t with
-      compiled;
-      alg1_scratch = Algorithm1.make_scratch_csr (Compiled.csr compiled);
-      mst_scratch = Mst_approx.make_scratch_csr (Compiled.csr compiled);
-    }
+  if compiled == t.compiled then t else { t with compiled }
 
-(* O(|p| + log n) location against the cached component ids — the
-   one-shot path pays a BFS here on every call. *)
+(* O(|p| + log n) location against the cached component ids, with no
+   traversal; [Minconn.solve] validates its terminals here too. *)
 let locate t ~p =
   let c = t.compiled in
   match (Iset.min_elt_opt p, Iset.max_elt_opt p) with
@@ -104,9 +80,6 @@ let query ?budget ?degrade t ~p =
   let degrade = match degrade with Some d -> d | None -> t.degrade in
   let metrics = t.metrics in
   let c = t.compiled in
-  (* Cached after the first query; a stream-built plan derives the set
-     view here, on demand, rather than at construction time. *)
-  let u = Compiled.ugraph c in
   match locate t ~p with
   | Error e -> Error e
   | Ok comp ->
@@ -119,26 +92,31 @@ let query ?budget ?degrade t ~p =
     @@ fun () ->
     Observe.Metrics.incr (Observe.Metrics.counter metrics "engine.queries");
     let profile = c.Compiled.profile in
+    (* Every rung runs on the terminals' component as a graph of its
+       own: a minimal connection never leaves it, so a query costs the
+       component, not the schema. [Bigraph.induced] renumbers
+       ascending — a monotone relabeling — so each rung takes the
+       decisions it takes on the whole graph, and the tree mapped back
+       through [ids] is the one a whole-graph run returns. A connected
+       schema is its own slice. *)
+    let g, ids = Bigraph.induced c.Compiled.graph comp.Compiled.nodes in
+    let u = Bigraph.ugraph g in
+    let p = Iset.map (Csr.local_index ids) p in
     let mst_rung =
       {
         rung = Errors.Mst;
         meth = Used_mst_approx;
         guarantee = Degrade.Ratio 2.0;
-        run =
-          (fun () ->
-            Mst_approx.solve_connected ~trace ~scratch:t.mst_scratch u
-              ~terminals:p);
+        run = (fun () -> Mst_approx.solve ~trace u ~terminals:p);
       }
     in
+    let algorithm2 () = Algorithm2.solve ~budget ~trace ~metrics u ~p in
     let fixpoint_rung =
       {
         rung = Errors.Fixpoint;
         meth = Used_elimination;
         guarantee = Degrade.Heuristic;
-        run =
-          (fun () ->
-            Algorithm2.solve_in ~budget ~trace ~metrics u
-              ~comp:comp.Compiled.nodes ~order:comp.Compiled.order ~p);
+        run = algorithm2;
       }
     in
     let pre_attempts, ladder =
@@ -163,10 +141,7 @@ let query ?budget ?degrade t ~p =
               rung = Errors.Exact_structured;
               meth = Used_algorithm2;
               guarantee = Degrade.Exact;
-              run =
-                (fun () ->
-                  Algorithm2.solve_in ~budget ~trace ~metrics u
-                    ~comp:comp.Compiled.nodes ~order:comp.Compiled.order ~p);
+              run = algorithm2;
             };
             mst_rung;
           ] )
@@ -179,40 +154,7 @@ let query ?budget ?degrade t ~p =
               guarantee = Degrade.Exact;
               run =
                 (fun () ->
-                  (* The DP's tables scale with the graph it sees
-                     (O(n) BFS rows, a 2^t x n table), not with the
-                     component, so hand it the terminals' component as
-                     a materialised subgraph: on a many-component
-                     schema at n = 10^6 the component is tiny while
-                     the graph is not. [Ugraph.induced] renumbers
-                     ascending — a monotone relabeling — so the DP
-                     takes identical decisions and the mapped-back
-                     tree is the one the whole-graph run returns. *)
-                  let nodes = comp.Compiled.nodes in
-                  if Iset.cardinal nodes = Ugraph.n u then
-                    Dreyfus_wagner.solve ~budget ~trace ~metrics u
-                      ~terminals:p
-                  else begin
-                    let sub, ids = Ugraph.induced u nodes in
-                    let back = Hashtbl.create (Array.length ids) in
-                    Array.iteri (fun i v -> Hashtbl.replace back v i) ids;
-                    let p' = Iset.map (Hashtbl.find back) p in
-                    match
-                      Dreyfus_wagner.solve ~budget ~trace ~metrics sub
-                        ~terminals:p'
-                    with
-                    | None -> None
-                    | Some t ->
-                      Some
-                        {
-                          Tree.nodes =
-                            Iset.map (fun v -> ids.(v)) t.Tree.nodes;
-                          edges =
-                            List.map
-                              (fun (a, b) -> (ids.(a), ids.(b)))
-                              t.Tree.edges;
-                        }
-                  end);
+                  Dreyfus_wagner.solve ~budget ~trace ~metrics u ~terminals:p);
             };
             fixpoint_rung;
             mst_rung;
@@ -285,7 +227,7 @@ let query ?budget ?degrade t ~p =
                   (Observe.Trace.Bool (Tree.verify u ~terminals:p tree)));
           Ok
             {
-              tree;
+              tree = Tree.relabel ids tree;
               method_used = spec.meth;
               optimal = spec.guarantee = Degrade.Exact;
               profile;
@@ -320,7 +262,7 @@ let solve_many ?budget ?make_budget ?degrade t ps =
 
 (* Algorithm 1 against the compiled join-tree ordering: the GYO work
    was paid at compile time, each query only replays the elimination
-   on the session scratch. *)
+   on the terminals' component. *)
 let query_relations t ~p =
   match locate t ~p with
   | Error e -> Error e
@@ -335,8 +277,8 @@ let query_relations t ~p =
       Error Errors.Disconnected_terminals
     | Ok prep -> (
       match
-        Algorithm1.solve_prepared ~trace:t.trace ~scratch:t.alg1_scratch
-          t.compiled.Compiled.graph prep ~p
+        Algorithm1.solve_prepared ~trace:t.trace t.compiled.Compiled.graph
+          prep ~p
       with
       | Ok r -> Ok r
       | Error Algorithm1.Disconnected_terminals ->

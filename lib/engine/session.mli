@@ -1,13 +1,16 @@
 (** Query sessions over a compiled schema.
 
-    A session owns the per-query mutable state — solver scratch buffers
-    (CSR-backed bitsets, BFS queues) plus default budget and
-    observability sinks — and answers any number of terminal-set
-    queries against one {!Compiled.t}. Classification, component
-    decomposition and elimination orderings are read from the compiled
-    plan; a query performs only terminal location, the degradation
-    ladder, and the chosen solver. Sessions are not safe for concurrent
-    use (the scratch buffers are shared across queries by design). *)
+    A session is a compiled plan plus the defaults its queries inherit
+    — budget, degradation policy and observability sinks — and answers
+    any number of terminal-set queries against one {!Compiled.t}.
+    Classification, component decomposition and the Algorithm 1
+    join-tree orderings are read from the compiled plan; a query
+    performs only terminal location, the degradation ladder, and the
+    chosen solver, all on the terminals' component: the rungs run on
+    its induced slice, so a query costs the component, not the schema,
+    and allocates nothing sized to the schema. Sessions are not safe
+    for concurrent use: the default budget and trace they share across
+    queries are mutable. *)
 
 open Graphs
 open Bipartite
@@ -44,8 +47,7 @@ val create :
   ?metrics:Observe.Metrics.t ->
   Compiled.t ->
   t
-(** Allocates the session scratch (sharing the compiled CSR arena) and
-    fixes the defaults every {!query} inherits: [budget] (default
+(** Fixes the defaults every {!query} inherits: [budget] (default
     unlimited) meters queries — never compilation — [degrade] (default
     [true]) selects ladder fall-through vs fail-fast, and
     [trace]/[metrics] default to the shared inert instances. *)
@@ -53,9 +55,9 @@ val create :
 val compiled : t -> Compiled.t
 
 val with_plan : t -> Compiled.t -> t
-(** [with_plan t c] is the session retargeted at plan [c]: fresh
-    solver scratch sized to [c]'s arena, same budget, degradation
-    policy, trace and metrics. Physical no-op (returns [t] itself)
+(** [with_plan t c] is the session retargeted at plan [c], with the
+    same budget, degradation policy, trace and metrics. Physical no-op
+    (returns [t] itself)
     when [c == compiled t] — the cheap per-request resync the serving
     layer performs so schema deltas swap in without dropping inflight
     requests (a request keeps the immutable plan it started with). *)
@@ -67,8 +69,12 @@ val query :
   p:Iset.t ->
   (solution, Errors.t) result
 (** One minimal-connection query. Validation (empty, out-of-range,
-    disconnected terminals) is O(|p|) against the cached component ids;
-    the degradation ladder, rung spans, [ladder.*] events and
+    disconnected terminals) is O(|p|) against the cached component ids.
+    Every rung runs on the induced slice of the terminals' component
+    ({!Bipartite.Bigraph.induced}, which renumbers ascending) and its
+    tree is mapped back, so the answer is the one the rung returns on
+    the whole graph. The degradation ladder, rung spans, [ladder.*]
+    events and
     [budget.checks]/[rung.abandonments] counters are exactly those of
     the one-shot solver, recorded under a ["query"] span. [?budget] and
     [?degrade] override the session defaults for this query only — a
@@ -95,5 +101,6 @@ val solve_many :
 val query_relations :
   t -> p:Iset.t -> (Algorithm1.result, Errors.t) result
 (** Algorithm 1 (minimum relation count, Theorem 3/4) against the
-    join-tree ordering cached at compile time. [Invalid_instance] when
-    the terminal component is not α-acyclic. *)
+    join-tree ordering cached at compile time, run on the terminals'
+    component ({!Steiner.Algorithm1.solve_prepared}). [Invalid_instance]
+    when the terminal component is not α-acyclic. *)

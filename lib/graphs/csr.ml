@@ -87,6 +87,43 @@ let of_edge_iter ~n iter =
 let of_edges ~n edges =
   of_edge_iter ~n (fun f -> List.iter (fun (u, v) -> f u v) edges)
 
+let local_index ids v =
+  let rec search lo hi =
+    if lo >= hi then raise Not_found
+    else
+      let mid = (lo + hi) / 2 in
+      if ids.(mid) = v then mid
+      else if ids.(mid) < v then search (mid + 1) hi
+      else search lo mid
+  in
+  search 0 (Array.length ids)
+
+(* The renumbering is monotone, so each member's row, renumbered, is
+   still sorted: one pass over the members' rows, with no sort and no
+   second replay. Rows are sized by the members' degrees up front;
+   only a slice that drops edges (members with neighbors outside it)
+   pays a final trim. *)
+let induced t ids =
+  let k = Array.length ids in
+  let bound =
+    Array.fold_left (fun acc v -> acc + t.row.(v + 1) - t.row.(v)) 0 ids
+  in
+  let row = Array.make (k + 1) 0 and col = Array.make bound 0 in
+  let w = ref 0 in
+  Array.iteri
+    (fun i v ->
+      for x = t.row.(v) to t.row.(v + 1) - 1 do
+        match local_index ids t.col.(x) with
+        | j ->
+          col.(!w) <- j;
+          incr w
+        | exception Not_found -> ()
+      done;
+      row.(i + 1) <- !w)
+    ids;
+  let col = if !w = bound then col else Array.sub col 0 !w in
+  { n = k; m = !w / 2; row; col }
+
 (* Growable flat edge buffer feeding the two-pass build: the only
    allocation per edge is the occasional doubling, so streaming a
    million edges through it stays a few flat arrays end to end. *)

@@ -26,6 +26,16 @@ val of_edges : n:int -> (int * int) list -> t
 (** [of_edge_iter] over a concrete list. Same tolerance for duplicates
     and ordering as {!of_edge_iter}. *)
 
+val induced : t -> int array -> t
+(** [induced t ids] is the subgraph induced by the nodes of the
+    ascending array [ids], with node [ids.(i)] renumbered [i]. One pass
+    over the members' rows, O(size of the slice · log |ids|). *)
+
+val local_index : int array -> int -> int
+(** [local_index ids v] is the [i] with [ids.(i) = v] — the inverse of
+    an {!induced} renumbering, by binary search over the ascending
+    array. Raises [Not_found] when [v] is not in [ids]. *)
+
 val equal : t -> t -> bool
 (** Structural equality — and canonical: any two constructions of the
     same graph (whatever edge order or duplication built them) yield

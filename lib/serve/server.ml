@@ -389,7 +389,7 @@ let handle_conn t id fd =
         Metrics.incr t.c_requests;
         let t0 = Unix.gettimeofday () in
         (* Resync to the published plan: a physical no-op between
-           deltas, a scratch rebuild right after one. The snapshot
+           deltas, a field update right after one. The snapshot
            [st] pins one coherent (names, plan) pair for this
            request. *)
         let st = Atomic.get t.state in

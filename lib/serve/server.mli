@@ -2,8 +2,8 @@
 
     One listener thread accepts connections; each admitted connection
     gets its own handler thread and its own {!Engine.Session} over the
-    shared compiled plan, so concurrent requests never share solver
-    scratch. The robustness contract:
+    shared compiled plan, so concurrent requests never share a
+    session's mutable budget or trace. The robustness contract:
 
     - {b Admission control}: the kernel accept queue is bounded by
       [backlog]; beyond [max_inflight] concurrent connections the

@@ -47,52 +47,29 @@ let eliminate_sets u ~comp ~p w_order =
   in
   fixpoint comp
 
-(* The flat-kernel elimination keeps all its working state in a scratch
-   record so a session serving many queries over the same graph builds
-   the CSR adjacency and the bitset/array buffers exactly once. *)
-type scratch = {
-  csr : Csr.t;
-  current : Bitset.t;
-  pb : Bitset.t;
-  doomed : Bitset.t;
-  candidate : Bitset.t;
-  queue : int array;
-  seen : int array;
-  mutable generation : int;
-}
-
-let make_scratch_csr csr =
-  let n = Csr.n csr in
-  {
-    csr;
-    current = Bitset.create n;
-    pb = Bitset.create n;
-    doomed = Bitset.create n;
-    candidate = Bitset.create n;
-    queue = Array.make n 0;
-    seen = Array.make n 0;
-    generation = 0;
-  }
-
-let make_scratch ?csr u =
-  make_scratch_csr (match csr with Some c -> c | None -> Csr.of_ugraph u)
-
 (* The same elimination as [eliminate_sets] on the flat kernels:
    adjacency from a CSR row, node sets as dense bitsets, connectivity
    by an array-based BFS. The decisions taken are exactly those of
-   [eliminate_sets]; only the scratch buffers differ. *)
-let eliminate_kernel_with s ~comp ~p w_order =
-  let { csr; current; pb; doomed; candidate; queue; seen; _ } = s in
-  Bitset.clear current;
+   [eliminate_sets]; only the representation differs. The buffers are
+   sized to the graph given, which on the session path is the
+   component's slice. *)
+let eliminate_kernel csr ~comp ~p w_order =
+  let n = Csr.n csr in
+  let current = Bitset.create n
+  and pb = Bitset.create n
+  and doomed = Bitset.create n
+  and candidate = Bitset.create n
+  and queue = Array.make n 0
+  and seen = Array.make n 0
+  and generation = ref 0 in
   Iset.iter (Bitset.add current) comp;
-  Bitset.clear pb;
   Iset.iter (Bitset.add pb) p;
   let connected within =
     match Bitset.min_elt_opt within with
     | None -> true
     | Some start ->
-      s.generation <- s.generation + 1;
-      let gen = s.generation in
+      incr generation;
+      let gen = !generation in
       seen.(start) <- gen;
       queue.(0) <- start;
       let head = ref 0 and tail = ref 1 in
@@ -143,9 +120,6 @@ let eliminate_kernel_with s ~comp ~p w_order =
     List.iter (fun v -> if step v then changed := true) w_order
   done;
   Bitset.to_iset current
-
-let eliminate_kernel u ~comp ~p w_order =
-  eliminate_kernel_with (make_scratch u) ~comp ~p w_order
 
 (* ------------------------------------------------------------------ *)
 (* Compile-once preprocessing: the Lemma 1 ordering depends only on
@@ -246,29 +220,47 @@ let solve_prepared_with ~eliminate ?(trace = Observe.Trace.disabled) g prep ~p
       Error Disconnected_terminals
   end
 
-let solve_prepared ?trace ?scratch g prep ~p =
-  let eliminate =
-    match scratch with
-    | Some s -> eliminate_kernel_with s
-    | None -> eliminate_kernel_with (make_scratch_csr (Bigraph.csr g))
+(* The session path: the elimination and the tree extraction run on
+   the prep's component as a graph of its own. [Bigraph.induced]
+   renumbers ascending, so W keeps its order, every decision is the
+   one the whole-graph run takes, and the mapped-back tree is the one
+   {!solve} returns. *)
+let solve_prepared ?trace g prep ~p =
+  let sub, ids = Bigraph.induced g prep.comp in
+  let local = Csr.local_index ids in
+  let prep' =
+    {
+      comp = Iset.range (Array.length ids);
+      w_order = List.map local prep.w_order;
+    }
   in
-  solve_prepared_with ~eliminate ?trace g prep ~p
+  match
+    solve_prepared_with
+      ~eliminate:(eliminate_kernel (Bigraph.csr sub))
+      ?trace sub prep' ~p:(Iset.map local p)
+  with
+  | Ok r ->
+    Ok
+      {
+        r with
+        tree = Tree.relabel ids r.tree;
+        elimination_order = prep.w_order;
+      }
+  | Error e -> Error e
 
 let solve_with ~eliminate ?trace g ~p =
-  let u = Bigraph.ugraph g in
-  match Traverse.component_containing u p with
+  match Traverse.component_containing (Bigraph.ugraph g) p with
   | None -> Error Disconnected_terminals
   | Some comp -> (
     match prepare ?trace g ~comp with
     | Error e -> Error e
-    | Ok prep -> solve_prepared_with ~eliminate:(eliminate u) ?trace g prep ~p
-    )
+    | Ok prep -> solve_prepared_with ~eliminate ?trace g prep ~p)
 
 let solve ?trace g ~p =
-  solve_with ~eliminate:(fun u -> eliminate_kernel u) ?trace g ~p
+  solve_with ~eliminate:(eliminate_kernel (Bigraph.csr g)) ?trace g ~p
 
 let solve_sets ?trace g ~p =
-  solve_with ~eliminate:(fun u -> eliminate_sets u) ?trace g ~p
+  solve_with ~eliminate:(eliminate_sets (Bigraph.ugraph g)) ?trace g ~p
 
 let solve_wrt_v1 g ~p =
   let flipped = Bigraph.flip g in

@@ -40,10 +40,9 @@ val solve :
 (** {2 Compile-once / query-many}
 
     Step 1 (the join tree and the Lemma 1 ordering) depends only on the
-    component, not on the terminal set, and the elimination loop's
-    working buffers depend only on the graph size. A session answering
-    many terminal-set queries over one schema computes the [prep] and a
-    [scratch] once and reuses them for every query. *)
+    component, not on the terminal set. A session answering many
+    terminal-set queries over one schema computes the [prep] once per
+    component and reuses it for every query. *)
 
 type prep
 (** A component together with its Lemma 1 ordering W. *)
@@ -64,29 +63,17 @@ val prep_order : prep -> int list
 (** The Lemma 1 ordering W held by the prep (empty for trivial
     components). *)
 
-type scratch
-(** Reusable elimination buffers (CSR adjacency, bitsets, BFS queue)
-    sized for one graph. Not safe for concurrent use. *)
-
-val make_scratch : ?csr:Csr.t -> Ugraph.t -> scratch
-(** [csr], when given, must be [Csr.of_ugraph] of the same graph; it
-    lets a session share one adjacency arena across solver scratches. *)
-
-val make_scratch_csr : Csr.t -> scratch
-(** Same, directly from the flat adjacency — the stream-built session
-    path, which never touches the set view. *)
-
 val solve_prepared :
   ?trace:Observe.Trace.t ->
-  ?scratch:scratch ->
   Bigraph.t ->
   prep ->
   p:Iset.t ->
   (result, error) Stdlib.result
 (** Steps 2–3 on an already-prepared component. [p] must lie inside the
-    prep's component (the caller has established connectivity). When
-    [scratch] is omitted a fresh one is allocated, making this
-    equivalent to the elimination phase of {!solve}. *)
+    prep's component (the caller has established connectivity). The
+    work runs on the component's induced slice
+    ({!Bipartite.Bigraph.induced}), so it costs the component, not the
+    graph; the result equals the elimination phase of {!solve}. *)
 
 val solve_sets :
   ?trace:Observe.Trace.t -> Bigraph.t -> p:Iset.t -> (result, error) Stdlib.result

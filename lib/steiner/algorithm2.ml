@@ -6,42 +6,35 @@ let log_src =
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* [comp] is the component containing [p] and [order] a complete
-   elimination order over it; a session computes both once per
-   component and calls this directly for every query. *)
-let solve_in ?budget ?(trace = Observe.Trace.disabled)
-    ?(metrics = Observe.Metrics.disabled) g ~comp ~order ~p =
-  Observe.Trace.span trace "algorithm2"
-    ~attrs:[ ("component", Observe.Trace.Int (Iset.cardinal comp)) ]
-    (fun () ->
-      let steps = Observe.Metrics.counter metrics "elimination.steps" in
-        let before = Observe.Metrics.count steps in
-      let survivors =
-        Cover.eliminate_redundant ~order ?budget ~steps g ~within:comp ~p
-      in
-      Observe.Metrics.observe
-        (Observe.Metrics.histogram metrics "elimination.steps_per_solve")
-        (float_of_int (Observe.Metrics.count steps - before));
-      Observe.Trace.add_attr trace "survivors"
-        (Observe.Trace.Int (Iset.cardinal survivors));
-      Log.debug (fun m ->
-          m "eliminated %d of %d component nodes; survivors %a"
-            (Iset.cardinal comp - Iset.cardinal survivors)
-            (Iset.cardinal comp) Iset.pp survivors);
-      Tree.of_node_set g survivors)
-
-let complete_order ~comp order =
-  let listed = match order with Some o -> o | None -> [] in
-  let missing = Iset.elements (Iset.diff comp (Iset.of_list listed)) in
-  listed @ missing
-
-let solve ?order ?budget ?trace ?metrics g ~p =
+let solve ?order ?budget ?(trace = Observe.Trace.disabled)
+    ?(metrics = Observe.Metrics.disabled) g ~p =
   match Traverse.component_containing g p with
   | None -> None
   | Some comp ->
-    solve_in ?budget ?trace ?metrics g ~comp
-      ~order:(complete_order ~comp order)
-      ~p
+    (* Nodes of [comp] the caller's order leaves out follow it in
+       increasing id order. *)
+    let order =
+      let listed = match order with Some o -> o | None -> [] in
+      listed @ Iset.elements (Iset.diff comp (Iset.of_list listed))
+    in
+    Observe.Trace.span trace "algorithm2"
+      ~attrs:[ ("component", Observe.Trace.Int (Iset.cardinal comp)) ]
+      (fun () ->
+        let steps = Observe.Metrics.counter metrics "elimination.steps" in
+        let before = Observe.Metrics.count steps in
+        let survivors =
+          Cover.eliminate_redundant ~order ?budget ~steps g ~within:comp ~p
+        in
+        Observe.Metrics.observe
+          (Observe.Metrics.histogram metrics "elimination.steps_per_solve")
+          (float_of_int (Observe.Metrics.count steps - before));
+        Observe.Trace.add_attr trace "survivors"
+          (Observe.Trace.Int (Iset.cardinal survivors));
+        Log.debug (fun m ->
+            m "eliminated %d of %d component nodes; survivors %a"
+              (Iset.cardinal comp - Iset.cardinal survivors)
+              (Iset.cardinal comp) Iset.pp survivors);
+        Tree.of_node_set g survivors)
 
 let solve_bigraph ?order ?budget ?trace ?metrics g ~p =
   solve ?order ?budget ?trace ?metrics (Bigraph.ugraph g) ~p

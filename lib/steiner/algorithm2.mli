@@ -39,23 +39,3 @@ val solve_bigraph :
   Bigraph.t ->
   p:Iset.t ->
   Tree.t option
-
-val solve_in :
-  ?budget:Runtime.Budget.t ->
-  ?trace:Observe.Trace.t ->
-  ?metrics:Observe.Metrics.t ->
-  Ugraph.t ->
-  comp:Iset.t ->
-  order:int list ->
-  p:Iset.t ->
-  Tree.t option
-(** The elimination on an already-located component: [comp] must be the
-    connected component containing [p] and [order] a complete
-    elimination order over it. Sessions answering many queries compute
-    both once per component ({!complete_order} builds the default
-    order) and skip {!solve}'s per-call component search. *)
-
-val complete_order : comp:Iset.t -> int list option -> int list
-(** [complete_order ~comp order] appends the nodes of [comp] missing
-    from [order] in increasing id order — the completion {!solve}
-    applies to its [?order] argument. *)

@@ -1,56 +1,44 @@
 open Graphs
 
-(* Per-session buffers: the CSR adjacency and the BFS queue depend only
-   on the graph, so a session reuses one scratch across queries. The
-   per-terminal dist/parent rows still depend on |terminals| and are
-   allocated per call. *)
-type scratch = { csr : Csr.t; n : int; queue : int array }
-
-let make_scratch_csr csr =
-  let n = Csr.n csr in
-  { csr; n; queue = Array.make n 0 }
-
-let make_scratch ?csr g =
-  make_scratch_csr (match csr with Some c -> c | None -> Csr.of_ugraph g)
-
-(* BFS over the CSR rows, recording distances and parent pointers in
-   one pass. Neighbor iteration is ascending, like [Traverse.bfs], so
-   the distances — and the parent-pointer paths — match the
-   [Traverse.shortest_path] expansion this replaces. *)
-let bfs_into s ~dist ~parent start =
-  Array.fill dist 0 s.n (-1);
+(* BFS recording distances and parent pointers in one pass. Neighbor
+   iteration is ascending, like [Traverse.bfs], so the distances — and
+   the parent-pointer paths — match a [Traverse.shortest_path]
+   expansion. *)
+let bfs_into g ~queue ~dist ~parent start =
   dist.(start) <- 0;
   parent.(start) <- -1;
-  s.queue.(0) <- start;
+  queue.(0) <- start;
   let head = ref 0 and tail = ref 1 in
   while !head < !tail do
-    let u = s.queue.(!head) in
+    let u = queue.(!head) in
     incr head;
-    Csr.iter_neighbors s.csr u (fun v ->
+    Iset.iter
+      (fun v ->
         if dist.(v) < 0 then begin
           dist.(v) <- dist.(u) + 1;
           parent.(v) <- u;
-          s.queue.(!tail) <- v;
+          queue.(!tail) <- v;
           incr tail
         end)
+      (Ugraph.neighbors g u)
   done
 
-(* The caller has already established that the terminals share a
-   component (|terminals| >= 2). *)
-let solve_connected ?(trace = Observe.Trace.disabled) ?scratch g ~terminals =
+let solve ?(trace = Observe.Trace.disabled) g ~terminals =
   if Iset.cardinal terminals <= 1 then
     Some { Tree.nodes = terminals; edges = [] }
+  else if not (Traverse.connects g terminals) then None
   else
-  let s = match scratch with Some s -> s | None -> make_scratch g in
   Observe.Trace.span trace "mst_approx"
     ~attrs:[ ("terminals", Observe.Trace.Int (Iset.cardinal terminals)) ]
   @@ fun () ->
+  let n = Ugraph.n g in
   let terms = Array.of_list (Iset.elements terminals) in
   let t = Array.length terms in
-  let dists = Array.init t (fun _ -> Array.make s.n 0) in
-  let parents = Array.init t (fun _ -> Array.make s.n (-1)) in
+  let queue = Array.make n 0 in
+  let dists = Array.init t (fun _ -> Array.make n (-1)) in
+  let parents = Array.init t (fun _ -> Array.make n (-1)) in
   for j = 0 to t - 1 do
-    bfs_into s ~dist:dists.(j) ~parent:parents.(j) terms.(j)
+    bfs_into g ~queue ~dist:dists.(j) ~parent:parents.(j) terms.(j)
   done;
   (* Prim's algorithm on the terminal metric closure. *)
   let in_tree = Array.make t false in
@@ -105,9 +93,3 @@ let solve_connected ?(trace = Observe.Trace.disabled) ?scratch g ~terminals =
         (Observe.Trace.Int (Tree.node_count t));
       Some t
     | None -> None)
-
-let solve ?trace g ~terminals =
-  if Iset.cardinal terminals <= 1 then
-    Some { Tree.nodes = terminals; edges = [] }
-  else if not (Traverse.connects g terminals) then None
-  else solve_connected ?trace g ~terminals

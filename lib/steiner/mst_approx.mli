@@ -16,26 +16,3 @@ val solve :
     Degenerate inputs (empty or singleton terminal sets, isolated
     terminal nodes) return the trivial tree or [None]; they never
     crash. *)
-
-type scratch
-(** CSR adjacency + BFS queue for one graph, reusable across queries.
-    Not safe for concurrent use. *)
-
-val make_scratch : ?csr:Csr.t -> Ugraph.t -> scratch
-(** [csr], when given, must be [Csr.of_ugraph] of the same graph; it
-    lets a session share one adjacency arena across solver scratches. *)
-
-val make_scratch_csr : Csr.t -> scratch
-(** Same, directly from the flat adjacency — the stream-built session
-    path, which never touches the set view. *)
-
-val solve_connected :
-  ?trace:Observe.Trace.t ->
-  ?scratch:scratch ->
-  Ugraph.t ->
-  terminals:Iset.t ->
-  Tree.t option
-(** Same approximation when the caller has already established that the
-    (two or more) terminals share a component — sessions use their
-    cached component ids instead of {!solve}'s per-call BFS. When
-    [scratch] is omitted a fresh one is allocated. *)

@@ -11,6 +11,12 @@ let count_in t s = Iset.cardinal (Iset.inter t.nodes s)
 let verify g ~terminals t =
   Iset.subset terminals t.nodes && Spanning.tree_check g ~over:t.nodes t.edges
 
+let relabel ids t =
+  {
+    nodes = Iset.map (fun v -> ids.(v)) t.nodes;
+    edges = List.map (fun (a, b) -> (ids.(a), ids.(b))) t.edges;
+  }
+
 let of_node_set g nodes =
   match Spanning.spanning_tree ~within:nodes g with
   | Some edges -> Some { nodes; edges }

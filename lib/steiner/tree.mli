@@ -19,6 +19,12 @@ val verify : Ugraph.t -> terminals:Iset.t -> t -> bool
 (** The edges form a tree of [g] over exactly [t.nodes], and the tree
     contains every terminal. *)
 
+val relabel : int array -> t -> t
+(** [relabel ids t] renames every node [v] of [t] to [ids.(v)]: it maps
+    a tree found on a slice back to the graph the slice was cut from,
+    given the slice's id array (as {!Bipartite.Bigraph.induced} returns
+    it). Edge order is kept. *)
+
 val of_node_set : Ugraph.t -> Iset.t -> t option
 (** Spanning tree of the induced subgraph, when connected. *)
 

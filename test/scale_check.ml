@@ -3,9 +3,47 @@
    it, and answer a query burst through a session, all under a hard
    wall-clock budget. Catches accidental superlinear regressions in the
    construction or compile path (the full ladder to 10^6 lives in
-   `bench scale`, which is not run on every test invocation). *)
+   `bench scale`, which is not run on every test invocation).
+
+   It also bounds what a warm query allocates, on the chordal62
+   instance and on forest and alpha instances of the same size: a
+   query runs on the terminals' component alone, so its allocation
+   must not grow with the schema. Each query of a second burst over
+   the same session is measured with [Gc.allocated_bytes]. *)
 
 let budget_s = 60.0
+
+(* Far above what a query on one bounded-size block needs, far below
+   one word per schema node at n = 10^5. *)
+let max_query_words = 10_000
+
+let queries inst =
+  let blocks = Workloads.Gen_scale.n_blocks inst in
+  List.init 8 (fun i ->
+      Workloads.Gen_scale.block_terminals inst ~block:(i * (blocks - 1) / 7)
+        ~k:3)
+
+let answer session i p =
+  match Minconn.Session.query session ~p with
+  | Ok _ -> ()
+  | Error e ->
+    Printf.eprintf "scale_check: query %d failed: %s\n" i
+      (Format.asprintf "%a" Minconn.Errors.pp e);
+    exit 1
+
+(* The largest allocation, in words, of one warm query. Each window
+   opens on an empty minor heap: the runtime's counters can misreport
+   a window that a minor collection cuts in two. *)
+let worst_warm_words session ps =
+  let word = float_of_int (Sys.word_size / 8) in
+  List.fold_left
+    (fun worst p ->
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      answer session 0 p;
+      max worst
+        (int_of_float ((Gc.allocated_bytes () -. before) /. word)))
+    0 ps
 
 let () =
   let out = Sys.argv.(1) in
@@ -19,26 +57,38 @@ let () =
   let plan = Minconn.Compiled.compile g in
   let t_compile = Unix.gettimeofday () -. t0 -. t_construct in
   let session = Minconn.Session.create plan in
-  let blocks = Workloads.Gen_scale.n_blocks inst in
-  let solved = ref 0 in
-  for i = 0 to 7 do
-    let p =
-      Workloads.Gen_scale.block_terminals inst ~block:(i * (blocks - 1) / 7)
-        ~k:3
-    in
-    match Minconn.Session.query session ~p with
-    | Ok _ -> incr solved
-    | Error e ->
-      Printf.eprintf "scale_check: query %d failed: %s\n" i
-        (Format.asprintf "%a" Minconn.Errors.pp e);
-      exit 1
-  done;
+  let ps = queries inst in
+  List.iteri (answer session) ps;
   let elapsed = Unix.gettimeofday () -. t0 in
   if elapsed > budget_s then begin
     Printf.eprintf "scale_check: %.1fs exceeds the %.0fs budget\n" elapsed
       budget_s;
     exit 1
   end;
+  let chordal62_words = worst_warm_words session ps in
+  let others =
+    List.map
+      (fun fam ->
+        let inst = Workloads.Gen_scale.make fam ~target_n:100_000 ~seed:1 in
+        let session =
+          Minconn.Session.create
+            (Minconn.Compiled.compile (Workloads.Gen_scale.to_bigraph inst))
+        in
+        let ps = queries inst in
+        List.iteri (answer session) ps;
+        (Workloads.Gen_scale.family_name fam, worst_warm_words session ps))
+      [ Workloads.Gen_scale.Forest; Workloads.Gen_scale.Alpha ]
+  in
+  let words = ("chordal62", chordal62_words) :: others in
+  List.iter
+    (fun (fam, w) ->
+      if w > max_query_words then begin
+        Printf.eprintf
+          "scale_check: a warm %s query allocated %d words (bound %d)\n" fam w
+          max_query_words;
+        exit 1
+      end)
+    words;
   let oc = open_out out in
   Printf.fprintf oc
     "scale-smoke ok: n=%d m=%d components=%d construct=%.3fs compile=%.3fs \
@@ -46,5 +96,10 @@ let () =
     (Workloads.Gen_scale.n inst)
     (Workloads.Gen_scale.m inst)
     (Minconn.Compiled.n_components plan)
-    t_construct t_compile !solved;
+    t_construct t_compile (List.length ps);
+  List.iter
+    (fun (fam, w) ->
+      Printf.fprintf oc "warm query allocation %s: max %d words (bound %d)\n"
+        fam w max_query_words)
+    words;
   close_out oc

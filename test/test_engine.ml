@@ -1,9 +1,12 @@
 (* Compile-once / query-many equivalence: a [Minconn.Session] over a
    compiled schema must answer every terminal-set query — success,
    typed error, budget-exhausted, or degraded — exactly as the
-   one-shot [Minconn.solve] does, while reusing its scratch buffers
-   across the batch. Also covers the lazily-memoized compiled handles
-   on [Datamodel.Schema] / [Datamodel.Layered]. *)
+   one-shot [Minconn.solve] does, across a batch. Because both run
+   the same session code, the sliced ladder is also checked against
+   each rung called directly on the whole graph, over disjoint unions
+   where the terminals' component is a strict slice. Also covers the
+   lazily-memoized compiled handles on [Datamodel.Schema] /
+   [Datamodel.Layered]. *)
 
 open Graphs
 open Bipartite
@@ -103,16 +106,125 @@ let prop_session_equal_under_fuel =
           result_equal u ~p one ses)
         [ true; false ])
 
+(* ------------------------------------------ multi-component inputs *)
+
+(* A disjoint union of two or three draws of one family: lefts of each
+   draw follow the previous draws' lefts, rights likewise. Every class
+   the tests rely on — (4,1)- and (6,2)-chordality, α-acyclicity — is
+   closed under disjoint union, so the union keeps the family's class
+   while the session must slice one component out of several. *)
+let disjoint_union draw rng =
+  let parts = List.init (2 + Workloads.Rng.int rng 2) (fun _ -> draw rng) in
+  let nl = List.fold_left (fun acc g -> acc + Bigraph.nl g) 0 parts
+  and nr = List.fold_left (fun acc g -> acc + Bigraph.nr g) 0 parts in
+  let _, _, edges =
+    List.fold_left
+      (fun (ol, or_, acc) g ->
+        ( ol + Bigraph.nl g,
+          or_ + Bigraph.nr g,
+          List.map (fun (i, j) -> (ol + i, or_ + j)) (Bigraph.edges g) @ acc ))
+      (0, 0, []) parts
+  in
+  Bigraph.of_edges ~nl ~nr edges
+
+(* 1 to 4 terminals from a randomly chosen component — not always the
+   largest, so slices of every size are exercised. *)
+let component_terminals rng g =
+  let comp = Workloads.Rng.pick rng (Traverse.components (Bigraph.ugraph g)) in
+  Iset.of_list
+    (Workloads.Rng.sample rng (1 + Workloads.Rng.int rng 4) (Iset.elements comp))
+
+(* (4,1)-chordal, (6,2)-chordal, and unstructured draws: one family per
+   licensed rung. *)
+let union_families =
+  [
+    (fun rng ->
+      Workloads.Gen_bipartite.forest rng ~n:(2 + Workloads.Rng.int rng 8));
+    (fun rng ->
+      Workloads.Gen_bipartite.chordal_62 rng
+        ~n_right:(1 + Workloads.Rng.int rng 4)
+        ~max_size:4);
+    (fun rng ->
+      Workloads.Gen_bipartite.gnp rng
+        ~nl:(2 + Workloads.Rng.int rng 5)
+        ~nr:(2 + Workloads.Rng.int rng 5)
+        ~p:0.4);
+  ]
+
+(* The rung behind each method, called directly on the whole graph's
+   set view: the references the session's sliced ladder must match. *)
+let whole_graph_rung u ~p = function
+  | Minconn.Used_forest -> Forest_steiner.solve u ~terminals:p
+  | Minconn.Used_algorithm2 | Minconn.Used_elimination -> Algorithm2.solve u ~p
+  | Minconn.Used_exact_dp -> Dreyfus_wagner.solve u ~terminals:p
+  | Minconn.Used_mst_approx -> Mst_approx.solve u ~terminals:p
+
+let same_tree (a : Tree.t) (b : Tree.t) =
+  Iset.equal a.Tree.nodes b.Tree.nodes && a.Tree.edges = b.Tree.edges
+
+(* Unbudgeted, the session picks the rung the profile licenses; under a
+   fuel budget of 0 or 1 the budgeted rungs give way, usually to the
+   MST approximation. Either way the answer must be the tree the rung
+   that ran returns on the whole graph. *)
+let prop_sliced_ladder_equals_whole_graph =
+  QCheck2.Test.make ~count:300
+    ~name:"sliced session ladder = whole-graph rungs (disjoint unions)"
+    seed_gen
+    (fun seed ->
+      let rng = Workloads.Rng.make ~seed in
+      let draw = Workloads.Rng.pick rng union_families in
+      let g = disjoint_union draw rng in
+      let u = Bigraph.ugraph g in
+      let p = component_terminals rng g in
+      let session = Minconn.Session.create (Minconn.Compiled.compile g) in
+      let profile = Minconn.Compiled.profile (Minconn.Session.compiled session) in
+      let licensed =
+        if profile.Classify.chordal_41 then Minconn.Used_forest
+        else if profile.Classify.chordal_62 then Minconn.Used_algorithm2
+        else Minconn.Used_exact_dp
+      in
+      let matches (s : Minconn.solution) =
+        match whole_graph_rung u ~p s.Minconn.method_used with
+        | Some t -> same_tree t s.Minconn.tree
+        | None -> false
+      in
+      (match Minconn.Session.query session ~p with
+      | Ok s -> s.Minconn.method_used = licensed && matches s
+      | Error _ -> false)
+      &&
+      match
+        Minconn.Session.query
+          ~budget:(Minconn.Budget.make ~fuel:(Workloads.Rng.int rng 2) ())
+          session ~p
+      with
+      | Ok s -> matches s
+      | Error _ -> false)
+
 let prop_relations_equal =
   QCheck2.Test.make ~count:150
     ~name:"Session.query_relations = Minconn.solve_min_relations" seed_gen
     (fun seed ->
       let rng = Workloads.Rng.make ~seed in
-      let n_right = 2 + Workloads.Rng.int rng 6 in
-      let g = Workloads.Gen_bipartite.chordal_62 rng ~n_right ~max_size:4 in
+      let draw =
+        if Workloads.Rng.bool rng 0.5 then fun rng ->
+          Workloads.Gen_bipartite.chordal_62 rng
+            ~n_right:(2 + Workloads.Rng.int rng 4)
+            ~max_size:4
+        else fun rng ->
+          Workloads.Gen_bipartite.alpha_bipartite rng
+            ~n_right:(2 + Workloads.Rng.int rng 4)
+            ~max_size:4
+      in
+      let g = disjoint_union draw rng in
       let p =
-        Workloads.Gen_bipartite.random_terminals rng g
-          ~k:(1 + Workloads.Rng.int rng 4)
+        (* Mostly one component; sometimes an unfiltered pick that may
+           straddle two, so the typed errors are compared too. *)
+        if Workloads.Rng.bool rng 0.8 then component_terminals rng g
+        else
+          Iset.of_list
+            (Workloads.Rng.sample rng
+               (1 + Workloads.Rng.int rng 4)
+               (List.init (Bigraph.n g) Fun.id))
       in
       let session = Minconn.Session.create (Minconn.Compiled.compile g) in
       match
@@ -120,8 +232,7 @@ let prop_relations_equal =
           Minconn.Session.query_relations session ~p )
       with
       | Ok a, Ok b ->
-        Iset.equal a.Algorithm1.tree.Tree.nodes b.Algorithm1.tree.Tree.nodes
-        && a.Algorithm1.tree.Tree.edges = b.Algorithm1.tree.Tree.edges
+        same_tree a.Algorithm1.tree b.Algorithm1.tree
         && a.Algorithm1.v2_count = b.Algorithm1.v2_count
         && a.Algorithm1.elimination_order = b.Algorithm1.elimination_order
       | Error ea, Error eb -> ea = eb
@@ -166,7 +277,7 @@ let test_degraded_equivalence () =
     (match ses_nd with Error (Minconn.Errors.Budget_exhausted _) -> true | _ -> false)
 
 (* Errors stay in batch position: a bad query must not derail its
-   neighbours or leak scratch state into them. *)
+   neighbours or leak state into them. *)
 let test_solve_many_positions () =
   let g = Minconn.Figures.fig3b.Minconn.Figures.graph in
   let ok_p = Iset.of_list [ 0; 1 ] in
@@ -226,6 +337,7 @@ let qcheck_cases =
     prop_session_equal_gnp;
     prop_session_equal_chordal62;
     prop_session_equal_under_fuel;
+    prop_sliced_ladder_equals_whole_graph;
     prop_relations_equal;
   ]
 

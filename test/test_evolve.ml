@@ -379,8 +379,8 @@ let test_invalid_deltas () =
   check "journal hash is deterministic" true
     (Minconn.Delta.journal_hash [ a; b ] = Minconn.Delta.journal_hash [ a; b ])
 
-(* Session.with_plan: physical no-op on the same plan, fresh scratch
-   (and correct answers) on a swapped plan. *)
+(* Session.with_plan: physical no-op on the same plan, correct answers
+   on a swapped plan. *)
 let test_session_with_plan () =
   let g = Bigraph.of_edges ~nl:2 ~nr:2 [ (0, 0); (1, 0); (1, 1) ] in
   let base = Compiled.compile g in

@@ -245,6 +245,26 @@ let prop_algorithm1_equal =
         && r.Algorithm1.elimination_order = r'.Algorithm1.elimination_order
       | Ok _, Error _ | Error _, Ok _ -> false)
 
+(* Slicing: the CSR of an induced subgraph, cut straight from the
+   parent's rows, equals the CSR of the set-based induced subgraph, and
+   [local_index] inverts the id array. *)
+let prop_csr_induced =
+  QCheck2.Test.make ~count:500 ~name:"Csr.induced = set-based induced"
+    seed_gen
+    (fun seed ->
+      let g = graph_of_seed ~max_n:20 seed in
+      let w = random_subset (Workloads.Rng.make ~seed:(seed + 1)) (Ugraph.n g) in
+      let sub, ids = Ugraph.induced g w in
+      Csr.equal (Csr.induced (Csr.of_ugraph g) ids) (Csr.of_ugraph sub)
+      && Array.for_all (fun v -> ids.(Csr.local_index ids v) = v) ids
+      && Iset.for_all
+           (fun v ->
+             Iset.mem v w
+             || match Csr.local_index ids v with
+                | _ -> false
+                | exception Not_found -> true)
+           (Ugraph.nodes g))
+
 let qcheck_cases =
   [
     prop_bitset_model;
@@ -257,6 +277,7 @@ let qcheck_cases =
     prop_chord_scan_equal;
     prop_edge_mcs_equal;
     prop_algorithm1_equal;
+    prop_csr_induced;
   ]
 
 let () =
