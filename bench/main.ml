@@ -1879,13 +1879,10 @@ let evolve_section ~trials ~max_n ~json_path () =
        list, one AVL insertion per directed edge, then
        [Csr.of_ugraph]), run on every rung up to 10^6; the sets/direct
        ns_per_op ratio is the headline number;
-     compile          — [Compiled.compile] off the cached CSR;
-     query-first      — [Session.create] plus a query burst against a
-       plan whose set-view cache is cold ([Bigraph.compact] resets the
-       cache without copying the CSR arrays). Queries run on their
-       component's slice, so on these many-component families no
-       whole-graph set view is ever derived and first ≈ warm;
-     query-warm       — the same burst on a warm session.
+     compile          — [Compiled.compile] off the graph's CSR;
+     query-warm       — an 8-query in-block burst on one session.
+       Queries run on their component's slice, so no whole-graph set
+       view is ever derived.
 
    Every row carries a [peak_heap_words] extra from [Gc.quick_stat] —
    the process heap high-water mark, monotone across rows, so within
@@ -1988,26 +1985,12 @@ let scale_section ~trials ~scale_max_n ~json_path () =
                 | Error _ -> failwith "scale bench: query failed")
               queries
           in
-          let ms_first =
-            time_mean ~trials (fun () ->
-                let plan' =
-                  {
-                    plan with
-                    Minconn.Compiled.graph =
-                      Bigraph.compact plan.Minconn.Compiled.graph;
-                  }
-                in
-                run_queries (Minconn.Session.create plan'))
-          in
-          entry ~family:fname ~kind:"query-first" ~n ~m ~ms:ms_first [];
           let s = Minconn.Session.create plan in
           let ms_warm = time_mean ~trials (fun () -> run_queries s) in
           entry ~family:fname ~kind:"query-warm" ~n ~m ~ms:ms_warm [];
           Printf.printf
-            "%-9s n=%-8d m=%-8d direct=%.1fms compile=%.1fms first=%.1fms \
-             warm=%.3fms\n\
-             %!"
-            fname n m ms_direct ms_compile ms_first ms_warm)
+            "%-9s n=%-8d m=%-8d direct=%.1fms compile=%.1fms warm=%.3fms\n%!"
+            fname n m ms_direct ms_compile ms_warm)
         ladder)
     scale_families;
   write_bench_json ~section:"scale" ~trials ~max_n:scale_max_n ~path:json_path

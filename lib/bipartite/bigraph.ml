@@ -1,55 +1,16 @@
 open Graphs
 
-(* Dual representation: the graph lives in whichever adjacency form it
-   was built from — the set-based [Ugraph.t] or the flat [Csr.t] — and
-   the other form is derived lazily on first use and cached. The
-   mutable fields are caches only: both always describe the same
-   graph, so a racy double-derivation writes equal values (benign under
-   the runtime's atomic pointer writes) and every observable function
-   is pure. At least one of the two is always [Some].
-
-   This is what lets [Compiled.compile] take an edge stream to a CSR
-   plan at n = 10^6 without ever materialising a million AVL sets,
-   while the handful of set-based consumers (the solvers' tree
-   extraction, the classifier on small per-component slices) force the
-   set view only if and when they run. *)
-type t = {
-  nl : int;
-  nr : int;
-  mutable gset : Ugraph.t option;
-  mutable gcsr : Csr.t option;
-}
+(* One adjacency form: the graph is its CSR on [nl + nr] underlying
+   nodes, right node [j] at index [nl + j]. The record is immutable, so
+   every constructor and every edit builds a fresh CSR; the set view is
+   derived per call by [ugraph]. *)
+type t = { nl : int; nr : int; csr : Csr.t }
 
 type side = V1 | V2
 type node = L of int | R of int
 
-let ugraph g =
-  match g.gset with
-  | Some u -> u
-  | None -> (
-    match g.gcsr with
-    | Some c ->
-      let u = Csr.to_ugraph c in
-      g.gset <- Some u;
-      u
-    | None -> assert false)
-
-let csr g =
-  match g.gcsr with
-  | Some c -> c
-  | None -> (
-    match g.gset with
-    | Some u ->
-      let c = Csr.of_ugraph u in
-      g.gcsr <- Some c;
-      c
-    | None -> assert false)
-
-let of_set ~nl ~nr u = { nl; nr; gset = Some u; gcsr = None }
-
-let create ~nl ~nr =
-  if nl < 0 || nr < 0 then invalid_arg "Bigraph.create";
-  of_set ~nl ~nr (Ugraph.create (nl + nr))
+let ugraph g = Csr.to_ugraph g.csr
+let csr g = g.csr
 
 let check_left g i =
   if i < 0 || i >= g.nl then invalid_arg "Bigraph: left index out of range"
@@ -57,25 +18,9 @@ let check_left g i =
 let check_right g j =
   if j < 0 || j >= g.nr then invalid_arg "Bigraph: right index out of range"
 
-let add_edge g i j =
-  check_left g i;
-  check_right g j;
-  of_set ~nl:g.nl ~nr:g.nr (Ugraph.add_edge (ugraph g) i (g.nl + j))
-
-let of_edges ~nl ~nr edges =
-  if nl < 0 || nr < 0 then invalid_arg "Bigraph.of_edges";
-  let b = Ugraph.Builder.create (nl + nr) in
-  List.iter
-    (fun (i, j) ->
-      if i < 0 || i >= nl then invalid_arg "Bigraph: left index out of range";
-      if j < 0 || j >= nr then invalid_arg "Bigraph: right index out of range";
-      Ugraph.Builder.add_edge b i (nl + j))
-    edges;
-  of_set ~nl ~nr (Ugraph.Builder.build b)
-
 let of_edge_iter ~nl ~nr iter =
   if nl < 0 || nr < 0 then invalid_arg "Bigraph.of_edge_iter";
-  let c =
+  let csr =
     Csr.of_edge_iter ~n:(nl + nr) (fun f ->
         iter (fun i j ->
             if i < 0 || i >= nl then
@@ -84,7 +29,12 @@ let of_edge_iter ~nl ~nr iter =
               invalid_arg "Bigraph: right index out of range";
             f i (nl + j)))
   in
-  { nl; nr; gset = None; gcsr = Some c }
+  { nl; nr; csr }
+
+let of_edges ~nl ~nr edges =
+  of_edge_iter ~nl ~nr (fun f -> List.iter (fun (i, j) -> f i j) edges)
+
+let create ~nl ~nr = of_edges ~nl ~nr []
 
 let of_csr ~nl ~nr c =
   if nl < 0 || nr < 0 then invalid_arg "Bigraph.of_csr";
@@ -97,35 +47,71 @@ let of_csr ~nl ~nr c =
     Csr.iter_neighbors c v (fun w ->
         if w >= nl then invalid_arg "Bigraph.of_csr: right-right edge")
   done;
-  { nl; nr; gset = None; gcsr = Some c }
+  { nl; nr; csr = c }
 
 let of_bipartite_ugraph ~nl u =
   let n = Ugraph.n u in
   if nl < 0 || nl > n then invalid_arg "Bigraph.of_bipartite_ugraph";
-  Ugraph.fold_edges
-    (fun x y () ->
-      if (x < nl) = (y < nl) then
-        invalid_arg "Bigraph.of_bipartite_ugraph: edge within one side")
-    u ();
-  of_set ~nl ~nr:(n - nl) u
-
-let remove_edge g i j =
-  check_left g i;
-  check_right g j;
-  of_set ~nl:g.nl ~nr:g.nr (Ugraph.remove_edge (ugraph g) i (g.nl + j))
+  of_csr ~nl ~nr:(n - nl) (Csr.of_ugraph u)
 
 let nl g = g.nl
 let nr g = g.nr
 let n g = g.nl + g.nr
+let m g = Csr.m g.csr
 
-let m g =
-  match g.gcsr with Some c -> Csr.m c | None -> Ugraph.m (ugraph g)
+(* One visitor closure for the whole sweep rather than one per row:
+   the edits below stream every edge through here twice, and a
+   per-row closure would allocate in proportion to [nl] each time. *)
+let iter_edges g f =
+  let i = ref 0 in
+  let visit v = f !i (v - g.nl) in
+  for r = 0 to g.nl - 1 do
+    i := r;
+    Csr.iter_neighbors g.csr r visit
+  done
 
-(* Canonical marshal form: keep only the CSR (its arrays are identical
-   for any construction of the same graph, unlike AVL shapes), so
-   serialized plans are byte-reproducible whatever mix of caches the
-   live value accumulated. *)
-let compact g = { nl = g.nl; nr = g.nr; gset = None; gcsr = Some (csr g) }
+(* The four edits share this O(n + m) rebuild straight into a fresh
+   CSR: each edge (i, j) of [g] streams through [right], which returns
+   its right index in the result or -1 to drop it, followed by the
+   [extra] (left, right) pairs. *)
+let rebuild g ~nr ~right ~extra =
+  let nl = g.nl in
+  let csr =
+    Csr.of_edge_iter ~n:(nl + nr) (fun f ->
+        iter_edges g (fun i j ->
+            let j' = right i j in
+            if j' >= 0 then f i (nl + j'));
+        List.iter (fun (i, j) -> f i (nl + j)) extra)
+  in
+  { nl; nr; csr }
+
+let add_edge g i j =
+  check_left g i;
+  check_right g j;
+  rebuild g ~nr:g.nr ~right:(fun _ j' -> j') ~extra:[ (i, j) ]
+
+let remove_edge g i j =
+  check_left g i;
+  check_right g j;
+  rebuild g ~nr:g.nr
+    ~right:(fun i' j' -> if i' = i && j' = j then -1 else j')
+    ~extra:[]
+
+let add_relation g attrs =
+  Iset.iter (fun i -> check_left g i) attrs;
+  (* Rights live at the top of the index space, so a fresh relation
+     appends at underlying index [nl + nr]: no existing index moves. *)
+  rebuild g ~nr:(g.nr + 1)
+    ~right:(fun _ j' -> j')
+    ~extra:(List.map (fun i -> (i, g.nr)) (Iset.elements attrs))
+
+let remove_relation g j =
+  check_right g j;
+  (* Right indices above [j] shift down by one; for the last relation
+     ([j = nr - 1]) the remap is the identity. *)
+  rebuild g ~nr:(g.nr - 1)
+    ~right:(fun _ j' -> if j' = j then -1 else if j' > j then j' - 1 else j')
+    ~extra:[]
 
 let index g = function
   | L i ->
@@ -152,17 +138,12 @@ let nodes_of_side g = function V1 -> left_nodes g | V2 -> right_nodes g
 let mem_edge g i j =
   check_left g i;
   check_right g j;
-  match g.gcsr with
-  | Some c -> Csr.mem_edge c i (g.nl + j)
-  | None -> Ugraph.mem_edge (ugraph g) i (g.nl + j)
+  Csr.mem_edge g.csr i (g.nl + j)
 
-(* Per-node set access goes to whichever view is already cached: when
-   only the CSR exists, one sorted row becomes one small set instead of
-   forcing the whole set view. *)
+(* One sorted row becomes one small set; the whole-graph set view is
+   never built for per-node access. *)
 let neighbors_underlying g v =
-  match g.gset with
-  | Some u -> Ugraph.neighbors u v
-  | None -> Iset.of_list (Array.to_list (Csr.sorted_neighbors (csr g) v))
+  Iset.of_list (Array.to_list (Csr.sorted_neighbors g.csr v))
 
 let right_neighbors g i =
   check_left g i;
@@ -172,55 +153,10 @@ let left_neighbors g j =
   check_right g j;
   neighbors_underlying g (g.nl + j)
 
-let iter_edges g f =
-  match g.gcsr with
-  | Some c ->
-    for i = 0 to g.nl - 1 do
-      Csr.iter_neighbors c i (fun v -> f i (v - g.nl))
-    done
-  | None ->
-    let u = ugraph g in
-    for i = 0 to g.nl - 1 do
-      Iset.iter (fun v -> f i (v - g.nl)) (Ugraph.neighbors u i)
-    done
-
 let edges g =
   let acc = ref [] in
   iter_edges g (fun i j -> acc := (i, j) :: !acc);
   List.rev !acc
-
-let rebuild ~nl ~nr ~old_edges ~extra =
-  (* Builder pass over the remapped edge list: O(n + m), the price of
-     keeping the graph value immutable.  [old_edges] yields surviving
-     edges of the old graph already remapped to the new index space,
-     as underlying-index pairs. *)
-  let b = Ugraph.Builder.create (nl + nr) in
-  List.iter (fun (x, y) -> Ugraph.Builder.add_edge b x y) old_edges;
-  List.iter (fun (x, y) -> Ugraph.Builder.add_edge b x y) extra;
-  of_set ~nl ~nr (Ugraph.Builder.build b)
-
-let add_relation g attrs =
-  Iset.iter (fun i -> check_left g i) attrs;
-  (* Rights live at the top of the index space, so a fresh relation
-     appends at underlying index [nl + nr]: no existing index moves. *)
-  let v = g.nl + g.nr in
-  rebuild ~nl:g.nl ~nr:(g.nr + 1)
-    ~old_edges:(Ugraph.edges (ugraph g))
-    ~extra:(List.map (fun i -> (i, v)) (Iset.elements attrs))
-
-let remove_relation g j =
-  check_right g j;
-  let v = g.nl + j in
-  (* Underlying indices above [v] shift down by one; for the last
-     relation ([j = nr - 1]) the remap is the identity. *)
-  let remap x = if x > v then x - 1 else x in
-  let old_edges =
-    List.filter_map
-      (fun (x, y) ->
-        if x = v || y = v then None else Some (remap x, remap y))
-      (Ugraph.edges (ugraph g))
-  in
-  rebuild ~nl:g.nl ~nr:(g.nr - 1) ~old_edges ~extra:[]
 
 let induced g w =
   (* Renumbering is ascending, exactly as [Ugraph.induced]: every left
@@ -240,14 +176,15 @@ let induced g w =
       Array.iter (fun v -> if v < g.nl then incr acc) ids;
       !acc
     in
-    let sub = Csr.induced (csr g) ids in
-    ({ nl = nl'; nr = k - nl'; gset = None; gcsr = Some sub }, ids)
+    ({ nl = nl'; nr = k - nl'; csr = Csr.induced g.csr ids }, ids)
   end
 
 let flip g =
-  let b = Ugraph.Builder.create (g.nl + g.nr) in
-  iter_edges g (fun i j -> Ugraph.Builder.add_edge b (g.nr + i) j);
-  of_set ~nl:g.nr ~nr:g.nl (Ugraph.Builder.build b)
+  let csr =
+    Csr.of_edge_iter ~n:(n g) (fun f ->
+        iter_edges g (fun i j -> f (g.nr + i) j))
+  in
+  { nl = g.nr; nr = g.nl; csr }
 
 let of_ugraph u =
   let n = Ugraph.n u in
@@ -287,22 +224,20 @@ let of_ugraph u =
         incr next_r
       end
     done;
-    let b = Ugraph.Builder.create (!next_l + !next_r) in
-    List.iter
-      (fun (x, y) ->
-        match (mapping.(x), mapping.(y)) with
-        | L i, R j | R j, L i -> Ugraph.Builder.add_edge b i (!next_l + j)
-        | L _, L _ | R _, R _ -> assert false)
-      (Ugraph.edges u);
-    Some (of_set ~nl:!next_l ~nr:!next_r (Ugraph.Builder.build b), mapping)
+    let nl = !next_l in
+    let underlying = function L i -> i | R j -> nl + j in
+    let csr =
+      Csr.of_edge_iter ~n (fun f ->
+          Ugraph.fold_edges
+            (fun x y () -> f (underlying mapping.(x)) (underlying mapping.(y)))
+            u ())
+    in
+    Some ({ nl; nr = !next_r; csr }, mapping)
   end
 
-let is_connected g = Traverse.is_connected (ugraph g)
+let is_connected g = List.length (snd (Csr.component_ids g.csr)) <= 1
 
-(* CSR arrays are canonical per graph, so comparing them is structural
-   graph equality regardless of which representation either side was
-   built from or what shape its AVL cache has. *)
-let equal a b = a.nl = b.nl && a.nr = b.nr && Csr.equal (csr a) (csr b)
+let equal a b = a.nl = b.nl && a.nr = b.nr && Csr.equal a.csr b.csr
 
 let pp_node ppf = function
   | L i -> Format.fprintf ppf "L%d" i

@@ -4,15 +4,13 @@
     lower conceptual level; right nodes ([V2], indices [0 .. nr-1])
     model relations / higher level. Internally the graph lives on
     [nl + nr] underlying nodes with right node [j] stored at index
-    [nl + j], in {e either} adjacency form: the set-based
-    {!Graphs.Ugraph.t} or the flat {!Graphs.Csr.t}. Whichever form a
-    constructor produced is kept; the other is derived lazily on first
-    use and cached (the caches are invisible: every function is pure on
-    the graph value). Stream construction ([of_edge_iter], [of_csr])
-    therefore never materialises per-node sets — the million-node fast
-    path — while set-based consumers still get [ugraph] on demand.
-    This module maintains the bipartition invariant and provides typed
-    access. *)
+    [nl + j], in one adjacency form: an immutable flat {!Graphs.Csr.t}.
+    Every constructor and every edit builds that CSR directly, so a
+    value is canonical — equal graphs are equal values, whatever built
+    them — and stream construction ([of_edge_iter], [of_csr]) never
+    materialises per-node sets. The set-based {!Graphs.Ugraph.t} view
+    is a derivation on request ({!ugraph}). This module maintains the
+    bipartition invariant and provides typed access. *)
 
 open Graphs
 
@@ -27,8 +25,8 @@ type node = L of int | R of int
 val create : nl:int -> nr:int -> t
 
 val of_edges : nl:int -> nr:int -> (int * int) list -> t
-(** Edges as (left index, right index) pairs. Builder-based (linear in
-    n + m); kept as the convenient API for small callers. *)
+(** Edges as (left index, right index) pairs: {!of_edge_iter} over a
+    list, the convenient API for small callers. *)
 
 val of_edge_iter : nl:int -> nr:int -> ((int -> int -> unit) -> unit) -> t
 (** Direct-to-CSR stream construction: [iter f] calls [f i j] once per
@@ -43,20 +41,16 @@ val of_csr : nl:int -> nr:int -> Csr.t -> t
 val of_bipartite_ugraph : nl:int -> Ugraph.t -> t
 (** Adopt a set-based graph already in bipartite layout (lefts below
     [nl], rights above). Validates that every edge crosses the
-    boundary; [nr] is [Ugraph.n u - nl]. *)
-
-val compact : t -> t
-(** A canonical CSR-only copy: the set-based cache (whose AVL shape
-    depends on construction history) is dropped, so marshaling the
-    result is byte-reproducible for equal graphs. Used by the plan
-    serializer. *)
+    boundary; [nr] is [Ugraph.n u - nl]. The sets are read into a CSR
+    and not kept. *)
 
 val add_edge : t -> int -> int -> t
-(** [add_edge g i j] connects left [i] and right [j]. *)
+(** [add_edge g i j] connects left [i] and right [j]. Like every edit
+    below, it rebuilds the CSR in O(n + m). *)
 
 val remove_edge : t -> int -> int -> t
-(** [remove_edge g i j] disconnects left [i] and right [j]; a no-op
-    when the edge is absent. *)
+(** [remove_edge g i j] disconnects left [i] and right [j]; the result
+    equals [g] when the edge is absent. *)
 
 val add_relation : t -> Iset.t -> t
 (** [add_relation g attrs] appends a fresh right node connected to the
@@ -85,12 +79,12 @@ val m : t -> int
 
 val ugraph : t -> Ugraph.t
 (** The underlying set-based graph; left node [i] is index [i], right
-    node [j] is index [nl + j]. Derived from the CSR (linearly) and
-    cached on first call when the graph was stream-built. *)
+    node [j] is index [nl + j]. Derived from the CSR on every call,
+    O(n + m) and not cached: callers that need it more than once keep
+    the result, and engine paths call it only on a component slice. *)
 
 val csr : t -> Csr.t
-(** The underlying flat adjacency, same index layout. Derived and
-    cached on first call when the graph was set-built. *)
+(** The underlying flat adjacency, same index layout. O(1). *)
 
 val index : t -> node -> int
 val node_of_index : t -> int -> node
@@ -130,6 +124,7 @@ val of_ugraph : Ugraph.t -> (t * node array) option
     Isolated nodes are placed on the left. *)
 
 val is_connected : t -> bool
+(** O(n + m) over the CSR. *)
 
 val equal : t -> t -> bool
 

@@ -5,8 +5,10 @@ module Fault = Runtime.Fault
 
 (* Format 2 adds the [journal] header line: the delta-journal digest
    distinguishing an evolved plan (patched from a base schema by a
-   recorded delta sequence) from the fresh compile of that base. *)
-let format_version = 2
+   recorded delta sequence) from the fresh compile of that base.
+   Format 3 changes the payload layout: the graph is a CSR-only record
+   and components no longer carry an [order] list. *)
+let format_version = 3
 let magic = Printf.sprintf "minconn-plan/%d" format_version
 
 let default_commit =

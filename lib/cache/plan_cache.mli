@@ -6,7 +6,7 @@
     join-tree prep entirely — the next amortization rung after the
     in-process session engine.
 
-    {2 Entry format (minconn-plan/2)}
+    {2 Entry format (minconn-plan/3)}
 
     One file per plan. A fresh compile of schema [S] is named
     [<schema_hash S>.plan]; a plan evolved from base schema [S] by a
@@ -30,7 +30,9 @@
     commit, schema hash, delta journal, length, checksum) and only
     then unmarshals,
     so bytes written by a different build — or damaged in any way —
-    are rejected before [Marshal.from_string] ever sees them. Every
+    are rejected before [Marshal.from_string] ever sees them. The
+    version is bumped whenever the payload's type layout changes, so
+    an entry of an earlier format reads as a [version-mismatch] miss. Every
     rejection is a typed {!miss}: the caller recompiles and
     overwrites, it never panics and never serves a wrong plan.
 

@@ -3,7 +3,6 @@ open Bipartite
 
 type component = {
   nodes : Iset.t;
-  order : int list;
   cprofile : Classify.profile;
   alg1_prep : (Steiner.Algorithm1.prep, Steiner.Algorithm1.error) result;
 }
@@ -43,24 +42,20 @@ let schema_hash g =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Marshal-safety audit (pinned by test/test_cache.ml): every field of
-   [t] is first-order data — Bigraph is a record of ints and optional
-   Ugraph ([Iset.t array]; Set.Make(Int): plain AVL blocks) / Csr (int
-   arrays) views, Classify.profile is bools plus Acyclicity.degree
-   variants, and each component holds an Iset, an int list, a profile
-   and an [(Algorithm1.prep, error) result] whose prep is
-   {comp; w_order} — no closures, lazies or custom blocks anywhere.
-   The lazy compiled handles live in Datamodel.Schema/Layered (outside
-   [t]) and are never marshaled; a Session holds nothing but the plan
-   and its query defaults.
+   [t] is first-order data — Bigraph is a record of two ints and a Csr
+   (int arrays), Classify.profile is bools plus Acyclicity.degree
+   variants, and each component holds an Iset (Set.Make(Int): plain AVL
+   blocks), a profile and an [(Algorithm1.prep, error) result] whose
+   prep is {comp; w_order} — no closures, lazies or custom blocks
+   anywhere. The lazy compiled handles live in Datamodel.Schema/Layered
+   (outside [t]) and are never marshaled; a Session holds nothing but
+   the plan and its query defaults.
 
-   The graph is compacted to its canonical CSR-only form first: the
-   set-based cache's AVL shape depends on construction history, and
-   dropping it keeps to_bytes byte-reproducible across equal plans
-   (pinned by test_cache's save/load round-trip). *)
-let to_bytes t =
-  Marshal.to_string
-    { t with graph = Bigraph.compact t.graph }
-    [ Marshal.No_sharing ]
+   The plan is marshaled as is: a Bigraph holds no cache, only its
+   CSR, whose arrays are canonical for the graph, so a loaded plan
+   re-marshals to the bytes it was read from (pinned by test_cache's
+   save/load round-trip). *)
+let to_bytes t = Marshal.to_string t [ Marshal.No_sharing ]
 
 (* Structural sanity net under the payload checksum: catches an
    envelope that validated but framed bytes marshaled by an
@@ -72,9 +67,7 @@ let coherent t =
   && (let k = Array.length t.components in
       Array.for_all (fun c -> c >= 0 && c < k) t.comp_id)
   && Array.for_all
-       (fun comp ->
-         Iset.for_all (fun v -> v >= 0 && v < n) comp.nodes
-         && List.for_all (fun v -> v >= 0 && v < n) comp.order)
+       (fun comp -> Iset.for_all (fun v -> v >= 0 && v < n) comp.nodes)
        t.components
 
 let of_bytes s =
@@ -96,17 +89,13 @@ let prep_component tr graph nodes =
   let sub, _ = Bigraph.induced graph nodes in
   {
     nodes;
-    (* Unread by queries; kept so the persisted plan format does
-       not change. *)
-    order = Iset.elements nodes;
     cprofile = Classify.profile_connected ~trace:tr sub;
     alg1_prep = Steiner.Algorithm1.prepare ~trace:tr graph ~comp:nodes;
   }
 
 let compile ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) graph =
-  (* A stream-built graph compiles straight off its CSR: the set view
-     is never touched. *)
+  (* Compilation reads the CSR only: the set view is never derived. *)
   let c = Bigraph.csr graph in
   Observe.Trace.span trace "compile"
     ~attrs:
@@ -165,6 +154,15 @@ let replan ~trace ~metrics graph ~kept ~rebuilt_sets =
     (Observe.Metrics.counter metrics "engine.delta.recompiled_components");
   ({ graph; profile; comp_id; components }, List.rev !recompiled)
 
+(* The connected components of [g]'s subgraph induced by [nodes], in
+   [g]'s indices: one CSR labelling of the slice, so a deletion costs
+   the component it hits, not the schema. *)
+let split g nodes =
+  let sub, ids = Bigraph.induced g nodes in
+  List.map
+    (Iset.map (fun v -> ids.(v)))
+    (snd (Csr.component_ids (Bigraph.csr sub)))
+
 let apply_delta ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) t op =
   match Delta.apply t.graph op with
@@ -190,7 +188,6 @@ let apply_delta ?(trace = Observe.Trace.disabled)
     Observe.Metrics.incr (Observe.Metrics.counter metrics "engine.delta.applied");
     let nl = Bigraph.nl t.graph in
     let total = Array.length t.components in
-    let u' = Bigraph.ugraph g' in
     (* Removing an interior relation shifts every higher underlying
        index, invalidating the node sets, orderings and join-tree preps
        of untouched components wholesale — the conservative fallback
@@ -219,8 +216,8 @@ let apply_delta ?(trace = Observe.Trace.disabled)
     else begin
       (* Which old components does the edit touch, and what node sets
          replace them?  Insertion merges the endpoints' components;
-         deletion may split one component into several (recomputed by a
-         traversal restricted to the old component's nodes). *)
+         deletion may split one component into several (recomputed by
+         [split] on the old component's slice). *)
       let dirty, rebuilt_sets =
         match op with
         | Delta.Add_edge (i, j) ->
@@ -231,7 +228,7 @@ let apply_delta ?(trace = Observe.Trace.disabled)
               [ Iset.union t.components.(a).nodes t.components.(b).nodes ] )
         | Delta.Remove_edge (i, _) ->
           let a = t.comp_id.(i) in
-          ([ a ], Traverse.components ~within:t.components.(a).nodes u')
+          ([ a ], split g' t.components.(a).nodes)
         | Delta.Add_relation attrs ->
           let v = Bigraph.n t.graph in
           let cids =
@@ -250,7 +247,7 @@ let apply_delta ?(trace = Observe.Trace.disabled)
           let v = nl + j in
           let a = t.comp_id.(v) in
           let rest = Iset.remove v t.components.(a).nodes in
-          ([ a ], Traverse.components ~within:rest u')
+          ([ a ], split g' rest)
       in
       let kept = ref [] in
       Array.iteri

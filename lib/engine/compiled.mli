@@ -13,10 +13,6 @@ open Bipartite
 
 type component = {
   nodes : Iset.t;
-  order : int list;
-      (** increasing node ids. No query reads it (Algorithm 2 runs on
-          the component's slice with its default order); it stays so
-          the persisted plan format does not change *)
   cprofile : Classify.profile;
       (** classification of the induced sub-bigraph; the plan's global
           profile is [Classify.combine] over these, which is what lets
@@ -29,10 +25,8 @@ type component = {
 
 type t = {
   graph : Bigraph.t;
-      (** the schema; its flat CSR (via {!csr}) is always present after
-          compilation, and queries slice their component out of it.
-          The whole-graph set view (via {!ugraph}) is derived only when
-          a caller asks for it *)
+      (** the schema; queries slice their component out of its CSR
+          (via {!csr}) *)
   profile : Classify.profile;
   comp_id : int array;  (** component index per node *)
   components : component array;
@@ -56,7 +50,11 @@ val compile :
     no budgeted work — budgets meter queries only. *)
 
 val graph : t -> Bigraph.t
+
 val ugraph : t -> Ugraph.t
+(** [Bigraph.ugraph] of the schema: the whole-graph set view, derived
+    in O(n + m) on every call. No engine path calls it. *)
+
 val csr : t -> Csr.t
 val profile : t -> Classify.profile
 val n_components : t -> int
@@ -66,7 +64,7 @@ val n_components : t -> int
     A schema delta dirties the components whose vertex sets it
     touches and nothing else: an edge insertion merges (at most) the
     two endpoint components into one freshly prepped component, an
-    edge deletion re-traverses the one component it hits (which may
+    edge deletion relabels the one component it hits (which may
     split into several), an appended relation merges the components of
     its attributes with the new node, and removing the {e last}
     relation drops its node from its component. Every untouched

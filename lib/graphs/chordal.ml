@@ -1,12 +1,8 @@
-let default_within g = function
-  | Some w -> w
-  | None -> Ugraph.nodes g
-
 (* Set-based reference implementation, kept for differential testing
    and benchmarking; the public [is_perfect_elimination_order] below is
    the CSR port and decides exactly the same predicate. *)
 let is_perfect_elimination_order_sets ?within g order =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let pos = Hashtbl.create 16 in
   List.iteri (fun i v -> Hashtbl.replace pos v i) order;
   Iset.equal w (Iset.of_list order)
@@ -37,7 +33,7 @@ let is_perfect_elimination_order_sets ?within g order =
        order
 
 let is_perfect_elimination_order ?within g order =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   if
     (not (Iset.equal w (Iset.of_list order)))
     || List.length order <> Iset.cardinal w
@@ -69,7 +65,7 @@ let is_perfect_elimination_order ?within g order =
   end
 
 let perfect_elimination_order ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let candidate = List.rev (Lexbfs.lexbfs_order ~within:w g) in
   if is_perfect_elimination_order ~within:w g candidate then Some candidate
   else None
@@ -77,15 +73,15 @@ let perfect_elimination_order ?within g =
 let is_chordal ?within g = perfect_elimination_order ?within g <> None
 
 let is_chordal_sets ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let candidate = List.rev (Lexbfs.lexbfs_order_sets ~within:w g) in
   is_perfect_elimination_order_sets ~within:w g candidate
 
 let is_chordal_brute ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let sub, _ = Ugraph.induced g w in
   not (Cycles.exists_cycle_with_few_chords sub ~min_len:4 ~max_chords:0)
 
 let simplicial_nodes ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   Iset.filter (fun v -> Ugraph.is_clique g (Ugraph.adj_within g ~within:w v)) w

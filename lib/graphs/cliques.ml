@@ -1,9 +1,5 @@
-let default_within g = function
-  | Some w -> w
-  | None -> Ugraph.nodes g
-
 let iter_maximal_cliques ?within g f =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let adj u = Ugraph.adj_within g ~within:w u in
   (* Bron–Kerbosch with a pivot chosen to maximise |P ∩ N(pivot)|. *)
   let rec bk r p x =

@@ -73,8 +73,8 @@ val degree_within : t -> Bitset.t -> int -> int
 val to_ugraph : t -> Ugraph.t
 (** Round-trip back to the set-based representation. Linear: each
     sorted row becomes an adjacency set without per-edge AVL inserts,
-    so lazily deriving the set view of a million-node CSR is cheap
-    enough for the few remaining set-based consumers. *)
+    so deriving the set view of a component slice on request is cheap
+    enough for the remaining set-based consumers. *)
 
 module Builder : sig
   type csr := t

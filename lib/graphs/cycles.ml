@@ -1,9 +1,5 @@
-let default_within g = function
-  | Some w -> w
-  | None -> Ugraph.nodes g
-
 let is_acyclic ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let edge_count =
     Iset.fold
       (fun u acc -> acc + Iset.cardinal (Ugraph.adj_within g ~within:w u))
@@ -14,7 +10,7 @@ let is_acyclic ?within g =
   edge_count = Iset.cardinal w - ncomp
 
 let find_cycle ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let color = Array.make (Ugraph.n g) 0 in
   let parent = Array.make (Ugraph.n g) (-1) in
   let result = ref None in
@@ -41,7 +37,7 @@ let find_cycle ?within g =
   !result
 
 let iter_simple_cycles ?within ?(min_len = 3) ?max_len g f =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let bound = match max_len with Some b -> b | None -> Iset.cardinal w in
   let on_path = Array.make (Ugraph.n g) false in
   (* Paths start at the cycle's smallest node [s] and may only use nodes
@@ -147,7 +143,7 @@ let exists_cycle_with_few_chords g ~min_len ~max_chords =
   with Found -> true
 
 let girth ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   (* For each edge (u, v): shortest cycle through that edge is
      1 + distance from u to v in the graph without that edge. *)
   let best = ref max_int in

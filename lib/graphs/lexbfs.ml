@@ -1,7 +1,3 @@
-let default_within g = function
-  | Some w -> w
-  | None -> Ugraph.nodes g
-
 (* Generic greedy search: repeatedly pick an unvisited node with the
    best label (ties broken by smallest id), then let each unvisited
    neighbor absorb the visit timestamp into its label. LexBFS compares
@@ -11,7 +7,7 @@ let default_within g = function
    benchmarking reference; the public [lexbfs_order] / [mcs_order]
    below are the flat CSR ports and produce identical orders. *)
 let greedy_order ~better ?within ?start g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let labels = Hashtbl.create 16 in
   let label v =
     match Hashtbl.find_opt labels v with Some l -> l | None -> []

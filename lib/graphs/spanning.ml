@@ -1,9 +1,5 @@
-let default_within g = function
-  | Some w -> w
-  | None -> Ugraph.nodes g
-
 let spanning_forest ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let seen = Array.make (Ugraph.n g) false in
   let acc = ref [] in
   let visit s =
@@ -28,12 +24,12 @@ let spanning_forest ?within g =
   List.rev !acc
 
 let spanning_tree ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let es = spanning_forest ~within:w g in
   if List.length es = max 0 (Iset.cardinal w - 1) then Some es else None
 
 let is_tree ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   if Iset.is_empty w then true
   else
     Traverse.is_connected ~within:w g

@@ -1,9 +1,5 @@
-let default_within g = function
-  | Some w -> w
-  | None -> Ugraph.nodes g
-
 let bfs ?within g s =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let dist = Array.make (Ugraph.n g) (-1) in
   if Iset.mem s w then begin
     dist.(s) <- 0;
@@ -29,7 +25,7 @@ let component ?within g s =
   !acc
 
 let components ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   let rec go remaining acc =
     match Iset.min_elt_opt remaining with
     | None -> List.rev acc
@@ -46,13 +42,13 @@ let component_ids ?within g =
   (id, comps)
 
 let is_connected ?within g =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   match Iset.min_elt_opt w with
   | None -> true
   | Some s -> Iset.equal (component ~within:w g s) w
 
 let connects ?within g p =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   Iset.subset p w
   &&
   match Iset.min_elt_opt p with
@@ -60,7 +56,7 @@ let connects ?within g p =
   | Some s -> Iset.subset p (component ~within:w g s)
 
 let component_containing ?within g p =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   if not (Iset.subset p w) then None
   else
     match Iset.min_elt_opt p with
@@ -73,7 +69,7 @@ let component_containing ?within g p =
       if Iset.subset p c then Some c else None
 
 let shortest_path ?within g s t =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   if not (Iset.mem s w && Iset.mem t w) then None
   else begin
     let parent = Array.make (Ugraph.n g) (-1) in
@@ -103,7 +99,7 @@ let shortest_path ?within g s t =
   end
 
 let distance ?within g s t =
-  let w = default_within g within in
+  let w = Ugraph.default_within g within in
   if not (Iset.mem s w) then None
   else
     let d = (bfs ~within:w g s).(t) in

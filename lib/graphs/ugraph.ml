@@ -45,6 +45,8 @@ let neighbors g u =
 let degree g u = Iset.cardinal (neighbors g u)
 let nodes g = Iset.range g.size
 
+let default_within g = function Some w -> w | None -> nodes g
+
 let fold_edges f g acc =
   let acc = ref acc in
   for u = 0 to g.size - 1 do

@@ -44,6 +44,10 @@ val degree : t -> int -> int
 
 val nodes : t -> Iset.t
 
+val default_within : t -> Iset.t option -> Iset.t
+(** The node set an optional [?within] argument stands for: the given
+    set, or every node of the graph when it is absent. *)
+
 val edges : t -> (int * int) list
 (** Each undirected edge reported once, as [(u, v)] with [u < v]. *)
 

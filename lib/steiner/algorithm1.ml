@@ -146,8 +146,8 @@ let prepare ?(trace = Observe.Trace.disabled) g ~comp =
        universe. Right nodes in the component always have at least one
        neighbor (they would otherwise be isolated and the component
        would be a singleton). Adjacency comes straight from the sorted
-       CSR rows — preparing every component of a stream-built schema
-       never forces the set view or an O(nr) right-node set. *)
+       CSR rows — preparing every component of a schema never derives
+       the set view or an O(nr) right-node set. *)
     let family =
       List.map
         (fun v -> Iset.of_list (Array.to_list (Csr.sorted_neighbors c v)))

@@ -9,13 +9,25 @@
    instance and on forest and alpha instances of the same size: a
    query runs on the terminals' component alone, so its allocation
    must not grow with the schema. Each query of a second burst over
-   the same session is measured with [Gc.allocated_bytes]. *)
+   the same session is measured with [Gc.allocated_bytes].
+
+   Last, it bounds what a schema delta allocates: a pendant relation
+   added to the alpha plan and removed again. Each delta rebuilds the
+   schema's CSR once and re-prepares the one small component it
+   touches, so its allocation is linear in n + m with a small constant;
+   a round trip through the whole-graph set view costs several times
+   more. *)
 
 let budget_s = 60.0
 
 (* Far above what a query on one bounded-size block needs, far below
    one word per schema node at n = 10^5. *)
 let max_query_words = 10_000
+
+(* Measured at 3.8 words per (n + m) for each delta of the pair (one
+   CSR rebuild plus the plan's per-node arrays); a round trip through
+   the whole-graph set view allocates about 40. *)
+let max_delta_words_per_size = 8.0
 
 let queries inst =
   let blocks = Workloads.Gen_scale.n_blocks inst in
@@ -45,6 +57,32 @@ let worst_warm_words session ps =
         (int_of_float ((Gc.allocated_bytes () -. before) /. word)))
     0 ps
 
+(* Words allocated per (n + m) by each delta of a pendant
+   [+relation a0] / [-relation] pair on [plan]. *)
+let delta_words_per_size plan =
+  let g = Minconn.Compiled.graph plan in
+  let size = float_of_int (Minconn.Bigraph.n g + Minconn.Bigraph.m g) in
+  let word = float_of_int (Sys.word_size / 8) in
+  let apply plan op =
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    match Minconn.Compiled.apply_delta plan op with
+    | Ok (plan', _) ->
+      (plan', (Gc.allocated_bytes () -. before) /. word /. size)
+    | Error msg ->
+      Printf.eprintf "scale_check: delta %s failed: %s\n"
+        (Minconn.Delta.to_string op) msg;
+      exit 1
+  in
+  let plan', added =
+    apply plan (Minconn.Delta.Add_relation (Minconn.Iset.singleton 0))
+  in
+  let _, removed =
+    apply plan'
+      (Minconn.Delta.Remove_relation (Minconn.Bigraph.nr g))
+  in
+  [ ("+relation", added); ("-relation", removed) ]
+
 let () =
   let out = Sys.argv.(1) in
   let t0 = Unix.gettimeofday () in
@@ -66,19 +104,21 @@ let () =
     exit 1
   end;
   let chordal62_words = worst_warm_words session ps in
-  let others =
+  let plans =
     List.map
       (fun fam ->
         let inst = Workloads.Gen_scale.make fam ~target_n:100_000 ~seed:1 in
-        let session =
-          Minconn.Session.create
-            (Minconn.Compiled.compile (Workloads.Gen_scale.to_bigraph inst))
+        let plan =
+          Minconn.Compiled.compile (Workloads.Gen_scale.to_bigraph inst)
         in
+        let session = Minconn.Session.create plan in
         let ps = queries inst in
         List.iteri (answer session) ps;
-        (Workloads.Gen_scale.family_name fam, worst_warm_words session ps))
+        ( Workloads.Gen_scale.family_name fam,
+          (plan, worst_warm_words session ps) ))
       [ Workloads.Gen_scale.Forest; Workloads.Gen_scale.Alpha ]
   in
+  let others = List.map (fun (fam, (_, w)) -> (fam, w)) plans in
   let words = ("chordal62", chordal62_words) :: others in
   List.iter
     (fun (fam, w) ->
@@ -89,6 +129,17 @@ let () =
         exit 1
       end)
     words;
+  let deltas = delta_words_per_size (fst (List.assoc "alpha" plans)) in
+  List.iter
+    (fun (op, w) ->
+      if w > max_delta_words_per_size then begin
+        Printf.eprintf
+          "scale_check: alpha %s allocated %.1f words per (n + m) (bound \
+           %.0f)\n"
+          op w max_delta_words_per_size;
+        exit 1
+      end)
+    deltas;
   let oc = open_out out in
   Printf.fprintf oc
     "scale-smoke ok: n=%d m=%d components=%d construct=%.3fs compile=%.3fs \
@@ -102,4 +153,10 @@ let () =
       Printf.fprintf oc "warm query allocation %s: max %d words (bound %d)\n"
         fam w max_query_words)
     words;
+  List.iter
+    (fun (op, w) ->
+      Printf.fprintf oc
+        "alpha %s delta allocation: %.1f words per (n + m) (bound %.0f)\n" op
+        w max_delta_words_per_size)
+    deltas;
   close_out oc

@@ -228,6 +228,63 @@ let family_gen =
                ~max_size:4
            | _ -> Workloads.Gen_bipartite.chordal_61_flower rng ~petals:size))
 
+(* ------------------------------------------------- edits vs rebuilds *)
+
+(* Graphs from every Gen_bipartite family, padded with up to two
+   isolated nodes at the top of each side. *)
+let edit_gen =
+  QCheck2.Gen.(
+    triple
+      (oneof [ multi_component_gen; family_gen ])
+      (int_range 0 2) (int_range 0 2)
+    |> map (fun (g, pad_l, pad_r) ->
+           Bigraph.of_edges
+             ~nl:(Bigraph.nl g + pad_l)
+             ~nr:(Bigraph.nr g + pad_r)
+             (Bigraph.edges g)))
+
+let same_graph a b = Bigraph.equal a b && Bigraph.edges a = Bigraph.edges b
+
+(* Each edit equals [Bigraph.of_edges] over the edited edge list: edge
+   edits on every (left, right) pair, present or absent; a relation
+   appended over no, one and every left; every relation removed in
+   turn (first, interior and last); and the flip. *)
+let edits_match_rebuild g =
+  let nl = Bigraph.nl g and nr = Bigraph.nr g in
+  let es = Bigraph.edges g in
+  let lefts = List.init nl Fun.id and rights = List.init nr Fun.id in
+  let pairs =
+    List.concat_map (fun i -> List.map (fun j -> (i, j)) rights) lefts
+  in
+  List.for_all
+    (fun (i, j) ->
+      same_graph (Bigraph.add_edge g i j)
+        (Bigraph.of_edges ~nl ~nr ((i, j) :: es))
+      && same_graph
+           (Bigraph.remove_edge g i j)
+           (Bigraph.of_edges ~nl ~nr (List.filter (( <> ) (i, j)) es)))
+    pairs
+  && List.for_all
+       (fun attrs ->
+         same_graph
+           (Bigraph.add_relation g attrs)
+           (Bigraph.of_edges ~nl ~nr:(nr + 1)
+              (es @ List.map (fun i -> (i, nr)) (Iset.elements attrs))))
+       (Iset.empty :: Bigraph.left_nodes g :: List.map Iset.singleton lefts)
+  && List.for_all
+       (fun j ->
+         same_graph
+           (Bigraph.remove_relation g j)
+           (Bigraph.of_edges ~nl ~nr:(nr - 1)
+              (List.filter_map
+                 (fun (i, j') ->
+                   if j' = j then None
+                   else Some (i, if j' > j then j' - 1 else j'))
+                 es)))
+       rights
+  && same_graph (Bigraph.flip g)
+       (Bigraph.of_edges ~nl:nr ~nr:nl (List.map (fun (i, j) -> (j, i)) es))
+
 let qcheck_cases =
   [
     QCheck2.Test.make ~count:250
@@ -345,6 +402,9 @@ let qcheck_cases =
         let g = Workloads.Gen_bipartite.chordal_62 rng ~n_right:5 ~max_size:3 in
         Mn_chordality.is_62_chordal g
         && Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:2);
+    QCheck2.Test.make ~count:300
+      ~name:"edits and flip equal a rebuild from the edited edge list"
+      edit_gen edits_match_rebuild;
   ]
 
 let () =

@@ -238,8 +238,8 @@ let reenvelope entry payload =
     Filename.chop_suffix (Filename.basename entry) ".plan"
   in
   Printf.sprintf
-    "minconn-plan/2\n%s\nschema %s\njournal -\nlength %d\ndigest %s\n%s"
-    commit_line schema (String.length payload)
+    "minconn-plan/%d\n%s\nschema %s\njournal -\nlength %d\ndigest %s\n%s"
+    PC.format_version commit_line schema (String.length payload)
     (Digest.to_hex (Digest.string payload))
     payload
 
@@ -342,6 +342,13 @@ let corruption_cases =
         let payload = String.sub blob nl4 (String.length blob - nl4) in
         let cut = String.sub payload 0 (String.length payload / 2) in
         write_file entry (reenvelope entry cut) );
+    ( "previous format version",
+      "version-mismatch",
+      fun entry blob ->
+        (* A format-2 payload has another Compiled.t layout: it must be
+           refused before unmarshaling. *)
+        let rest = String.sub blob 14 (String.length blob - 14) in
+        write_file entry ("minconn-plan/2" ^ rest) );
   ]
 
 let test_miss_absent () =

@@ -27,7 +27,6 @@ let prep_equal a b =
 
 let component_equal (a : Compiled.component) (b : Compiled.component) =
   Iset.equal a.Compiled.nodes b.Compiled.nodes
-  && a.Compiled.order = b.Compiled.order
   && a.Compiled.cprofile = b.Compiled.cprofile
   && prep_equal a.Compiled.alg1_prep b.Compiled.alg1_prep
 
