@@ -21,65 +21,72 @@ type recommendation =
   | Pseudo_steiner_both
   | Exact_search_only
 
-(* The degrees follow from the chordality verdicts by the same
-   first-match rule as [Acyclicity.degree]. [Correspond.h1]/[h2] keep
-   one hyperedge per non-isolated node, so the incidence graph of
-   either witness hypergraph is G itself, and Theorem 1 with
-   Corollary 1 equate Berge-acyclicity of H¹ and H² with (4,1), γ with
-   (6,2) and β with (6,1) on both sides. Only α differs between the
-   sides. test/test_bipartite.ml pins the derived degrees against the
-   independent recognizers. *)
-let derive_degree ~berge ~gamma ~beta ~alpha =
-  if berge then Acyclicity.Berge_acyclic
-  else if gamma then Acyclicity.Gamma_acyclic
-  else if beta then Acyclicity.Beta_acyclic
-  else if alpha then Acyclicity.Alpha_acyclic
-  else Acyclicity.Cyclic
-
-(* The nine independent checks, each under its own child span. The
-   witness hypergraphs H¹/H² and their two-sections are built once and
-   shared by every check. *)
-let checks trace g =
-  let span name f = Observe.Trace.span trace name f in
-  let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
-  let h2 = Side_properties.hypergraph_of_witness_side g Bigraph.V1 in
-  let ts1 = Hypergraph.two_section h1 in
-  let ts2 = Hypergraph.two_section h2 in
-  let chordal_41 =
-    span "classify.chordal_41" (fun () -> Mn_chordality.is_41_chordal g)
-  in
-  let chordal_62 = span "classify.chordal_62" (fun () -> Gamma.acyclic h1) in
-  let chordal_61 = span "classify.chordal_61" (fun () -> Beta.acyclic h1) in
-  let v2_chordal =
-    span "classify.h1.chordal" (fun () -> Graphs.Chordal.is_chordal ts1)
-  in
-  let v2_conformal =
-    span "classify.h1.conformal" (fun () -> Conformal.is_conformal h1)
-  in
-  let alpha_h1 = span "classify.h1.alpha" (fun () -> Gyo.alpha_acyclic h1) in
-  let v1_chordal =
-    span "classify.h2.chordal" (fun () -> Graphs.Chordal.is_chordal ts2)
-  in
-  let v1_conformal =
-    span "classify.h2.conformal" (fun () -> Conformal.is_conformal h2)
-  in
-  let alpha_h2 = span "classify.h2.alpha" (fun () -> Gyo.alpha_acyclic h2) in
-  let degree alpha =
-    derive_degree ~berge:chordal_41 ~gamma:chordal_62 ~beta:chordal_61 ~alpha
-  in
+let neutral =
   {
-    chordal_41;
-    chordal_62;
-    chordal_61;
-    v2_chordal;
-    v2_conformal;
-    v1_chordal;
-    v1_conformal;
-    alpha_h1;
-    alpha_h2;
-    degree_h1 = degree alpha_h1;
-    degree_h2 = degree alpha_h2;
+    chordal_41 = true;
+    chordal_62 = true;
+    chordal_61 = true;
+    v2_chordal = true;
+    v2_conformal = true;
+    v1_chordal = true;
+    v1_conformal = true;
+    alpha_h1 = true;
+    alpha_h2 = true;
+    degree_h1 = Acyclicity.Berge_acyclic;
+    degree_h2 = Acyclicity.Berge_acyclic;
   }
+
+(* One side off (6,1), where α is chordal ∧ conformal (Theorem 1 (v)):
+   (chordal, conformal, α), each check under a span named [prefix]
+   followed by the check. *)
+let side trace prefix h =
+  let span check f = Observe.Trace.span trace (prefix ^ check) f in
+  let two_section = Hypergraph.two_section in
+  if span "chordal" (fun () -> Graphs.Chordal.is_chordal (two_section h)) then
+    let a = span "alpha" (fun () -> Gyo.alpha_acyclic h) in
+    (true, a, a)
+  else (false, span "conformal" (fun () -> Conformal.is_conformal h), false)
+
+(* The cascade documented in classify.mli. [Correspond.h1]/[h2] keep
+   one hyperedge per non-isolated node, so either incidence graph is G
+   itself: Berge, γ and β-acyclicity of H¹ and H² are (4,1), (6,2) and
+   (6,1)-chordality of G, and Corollary 2 puts every side field of a
+   (6,1)-chordal graph at true. *)
+let checks trace g =
+  if Bigraph.m g = Bigraph.n g - 1 then neutral
+  else
+    let span name f = Observe.Trace.span trace name f in
+    let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
+    if span "classify.chordal_61" (fun () -> Beta.acyclic h1) then
+      let chordal_62 =
+        span "classify.chordal_62" (fun () -> Gamma.special_3_cycle h1 = None)
+      in
+      let d = if chordal_62 then Acyclicity.Gamma_acyclic else Beta_acyclic in
+      {
+        neutral with
+        chordal_41 = false;
+        chordal_62;
+        degree_h1 = d;
+        degree_h2 = d;
+      }
+    else
+      let h2 = Side_properties.hypergraph_of_witness_side g Bigraph.V1 in
+      let v2_chordal, v2_conformal, alpha_h1 = side trace "classify.h1." h1 in
+      let v1_chordal, v1_conformal, alpha_h2 = side trace "classify.h2." h2 in
+      let degree a = if a then Acyclicity.Alpha_acyclic else Cyclic in
+      {
+        chordal_41 = false;
+        chordal_62 = false;
+        chordal_61 = false;
+        v2_chordal;
+        v2_conformal;
+        v1_chordal;
+        v1_conformal;
+        alpha_h1;
+        alpha_h2;
+        degree_h1 = degree alpha_h1;
+        degree_h2 = degree alpha_h2;
+      }
 
 (* Every recognizer in the profile is component-local: cycles, cliques,
    hyperedges and GYO reductions never cross a connected component, and
@@ -100,21 +107,6 @@ let severity = function
   | Acyclicity.Cyclic -> 4
 
 let worst_degree a b = if severity a >= severity b then a else b
-
-let neutral =
-  {
-    chordal_41 = true;
-    chordal_62 = true;
-    chordal_61 = true;
-    v2_chordal = true;
-    v2_conformal = true;
-    v1_chordal = true;
-    v1_conformal = true;
-    alpha_h1 = true;
-    alpha_h2 = true;
-    degree_h1 = Acyclicity.Berge_acyclic;
-    degree_h2 = Acyclicity.Berge_acyclic;
-  }
 
 let combine profiles =
   Array.fold_left

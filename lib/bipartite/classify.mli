@@ -37,19 +37,31 @@ type recommendation =
 val profile : ?trace:Observe.Trace.t -> Bigraph.t -> profile
 (** Classify a graph of any shape: {!profile_connected} on each
     connected component (the graph itself, uncopied, when it is
-    connected), merged by {!combine}. [trace] (default disabled)
-    records one ["classify"] span with the headline chordality
-    verdicts as attributes and the per-component recognizer spans as
-    children; no nested ["classify"] span is recorded. *)
+    connected), merged by {!combine}; the empty graph has no component
+    and is {!neutral}. [trace] (default disabled) records one
+    ["classify"] span with the headline chordality verdicts as
+    attributes and the per-component recognizer spans as children; no
+    nested ["classify"] span is recorded. *)
 
 val profile_connected : ?trace:Observe.Trace.t -> Bigraph.t -> profile
-(** The per-component kernel: nine independent checks on a connected
-    graph, sharing one build of the witness hypergraphs H¹/H² and their
-    two-sections. The Berge, γ and β levels of both degrees are derived
-    from [chordal_41], [chordal_62] and [chordal_61] (Theorem 1 and
-    Corollary 1), so only α is checked per side. [trace] records a
-    ["classify"] span with one child span per check (nine) and the
-    headline verdicts as attributes. *)
+(** The per-component kernel. The graph must be connected and
+    non-empty: a tree is recognised as m = n − 1. A cascade runs each
+    recognizer only for a fact Theorem 1 and Corollary 2 leave open,
+    each under its own child span:
+
+    - a tree is in every class: {!neutral}, and no span;
+    - else ["classify.chordal_61"]: β-acyclicity of H¹;
+    - if β, ["classify.chordal_62"]: no special 3-cycle in H¹. Every
+      side field is true (Corollary 2), so H² and the two-sections are
+      never built, and both degrees are γ or β;
+    - else, per side K of [h1] (V₂ witnesses) and [h2] (V₁):
+      ["classify.hK.chordal"] on the 2-section, then
+      ["classify.hK.alpha"] (GYO; conformal = α) if chordal, else
+      ["classify.hK.conformal"] (Gilmore; α false). Each degree is α
+      or cyclic.
+
+    So a component records 0, 2 or 5 child spans under its one
+    ["classify"] span, which carries the headline verdicts. *)
 
 val neutral : profile
 (** The profile of the empty graph — identity of {!combine}: every
@@ -70,8 +82,10 @@ val recommendation_name : recommendation -> string
 
 val theorem1_consistent : profile -> bool
 (** Internal consistency demanded by Theorem 1 and Corollary 2:
-    [chordal_61 = beta(H¹)] implies both-side chordality+conformity,
-    [alpha_h1 = v2_chordal && v2_conformal], etc. The test suite and the
-    benchmark harness evaluate this on every generated graph. *)
+    [chordal_61] implies both-side chordality+conformity,
+    [alpha_h1 = v2_chordal && v2_conformal], etc. {!profile_connected}
+    derives these facts, so its output passes by construction: this is
+    a test of independently computed profiles, such as the test
+    suite's whole-graph reference. *)
 
 val pp_profile : Format.formatter -> profile -> unit

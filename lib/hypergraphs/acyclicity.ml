@@ -25,11 +25,14 @@ let beta_acyclic = Beta.acyclic
 let gamma_acyclic = Gamma.acyclic
 let berge_acyclic = Berge.acyclic
 
+(* γ is β plus the absence of a special 3-cycle ([Gamma.acyclic]);
+   both functions decide β once and scan for 3-cycles only under it. *)
 let report h =
+  let beta = beta_acyclic h in
   {
     berge = berge_acyclic h;
-    gamma = gamma_acyclic h;
-    beta = beta_acyclic h;
+    gamma = beta && Gamma.special_3_cycle h = None;
+    beta;
     alpha = alpha_acyclic h;
     conformal = Conformal.is_conformal h;
     chordal_2section = Chordal.is_chordal (Hypergraph.two_section h);
@@ -37,8 +40,8 @@ let report h =
 
 let degree h =
   if berge_acyclic h then Berge_acyclic
-  else if gamma_acyclic h then Gamma_acyclic
-  else if beta_acyclic h then Beta_acyclic
+  else if beta_acyclic h then
+    if Gamma.special_3_cycle h = None then Gamma_acyclic else Beta_acyclic
   else if alpha_acyclic h then Alpha_acyclic
   else Cyclic
 

@@ -1,31 +1,5 @@
 open Graphs
 
-(* Reference implementation on Iset, kept for the differential suite
-   (test_hypergraphs pins the flat kernel below against it). *)
-let gilmore_violation_sets h =
-  let q = Hypergraph.n_edges h in
-  let e = Hypergraph.edge h in
-  let contained_in_some s =
-    let rec go i = i < q && (Iset.subset s (e i) || go (i + 1)) in
-    go 0
-  in
-  let result = ref None in
-  for i = 0 to q - 1 do
-    for j = i + 1 to q - 1 do
-      for k = j + 1 to q - 1 do
-        if !result = None then begin
-          let s =
-            Iset.union
-              (Iset.inter (e i) (e j))
-              (Iset.union (Iset.inter (e j) (e k)) (Iset.inter (e i) (e k)))
-          in
-          if not (contained_in_some s) then result := Some (i, j, k)
-        end
-      done
-    done
-  done;
-  !result
-
 exception Found of int * int * int
 
 (* Gilmore's criterion over packed machine words: the hyperedges are
@@ -33,7 +7,8 @@ exception Found of int * int * int
    O(n / word_size) per set operation and allocates nothing — the same
    CSR/bitset treatment the chordality kernels got in PR 1. The
    lexicographically first violating triple is returned, matching the
-   reference scan above witness for witness. *)
+   Iset reference scan in test/reference_classify.ml witness for
+   witness. *)
 let gilmore_violation h =
   let q = Hypergraph.n_edges h in
   if q < 3 then None

@@ -12,11 +12,6 @@ val gilmore_violation : Hypergraph.t -> (int * int * int) option
     packed once, the triple loop then costs O(n / word_size) words per
     set operation and allocates nothing. *)
 
-val gilmore_violation_sets : Hypergraph.t -> (int * int * int) option
-(** Reference implementation on {!Graphs.Iset}; returns the same
-    witness as {!gilmore_violation} on every input (pinned by the
-    differential suite). *)
-
 val is_conformal : Hypergraph.t -> bool
 (** Gilmore criterion, restricted to nodes covered by some edge
     (a node in no edge forms a singleton clique contained in no edge,

@@ -1,10 +1,8 @@
-(* The whole-graph classifier, kept as a test oracle: thirteen
-   recognizers run on the graph in one pass. Besides the nine checks
-   [Classify.profile] runs per component, it decides Berge-acyclicity
-   of H¹ and H² and γ/β-acyclicity of H² directly, where the library
-   derives them from (4,1)/(6,2)/(6,1)-chordality by Theorem 1 and
-   Corollary 1. [Classify.profile] must reproduce it field for
-   field. *)
+(* Test oracles. [reference_profile] is the whole-graph classifier:
+   thirteen recognizers run on the graph in one pass, each deciding its
+   field independently. [Classify.profile] runs, per component, only
+   the checks Theorem 1 and Corollary 2 leave open and derives the
+   rest; it must reproduce the reference field for field. *)
 
 open Hypergraphs
 open Bipartite
@@ -40,3 +38,32 @@ let reference_profile g =
       degree ~berge:(Berge.acyclic h2) ~gamma:(Gamma.acyclic h2)
         ~beta:(Beta.acyclic h2) ~alpha:alpha_h2;
   }
+
+(* Gilmore's criterion on Iset, the reference for the bitset kernel
+   [Conformal.gilmore_violation]: the lexicographically first triple of
+   edges whose pairwise intersections lie in no single edge. *)
+let gilmore_violation_sets h =
+  let q = Hypergraph.n_edges h in
+  let e = Hypergraph.edge h in
+  let contained_in_some s =
+    let rec go i = i < q && (Graphs.Iset.subset s (e i) || go (i + 1)) in
+    go 0
+  in
+  let result = ref None in
+  for i = 0 to q - 1 do
+    for j = i + 1 to q - 1 do
+      for k = j + 1 to q - 1 do
+        if !result = None then begin
+          let s =
+            Graphs.Iset.union
+              (Graphs.Iset.inter (e i) (e j))
+              (Graphs.Iset.union
+                 (Graphs.Iset.inter (e j) (e k))
+                 (Graphs.Iset.inter (e i) (e k)))
+          in
+          if not (contained_in_some s) then result := Some (i, j, k)
+        end
+      done
+    done
+  done;
+  !result

@@ -11,6 +11,12 @@
    must not grow with the schema. Each query of a second burst over
    the same session is measured with [Gc.allocated_bytes].
 
+   It bounds what compiling the chordal62 instance allocates per
+   (n + m), measured with [Gc.allocated_bytes] from an empty minor
+   heap: the classifier runs on each component only the recognizers
+   Theorem 1 and Corollary 2 leave open, and a compile that runs every
+   recognizer on every block allocates about twice as much.
+
    Last, it bounds what a schema delta allocates: a pendant relation
    added to the alpha plan and removed again. Each delta rebuilds the
    schema's CSR once and re-prepares the one small component it
@@ -28,6 +34,10 @@ let max_query_words = 10_000
    CSR rebuild plus the plan's per-node arrays); a round trip through
    the whole-graph set view allocates about 40. *)
 let max_delta_words_per_size = 8.0
+
+(* Measured at 591 words per (n + m) on the chordal62 instance;
+   running all nine recognizers on every block allocates 1191. *)
+let max_compile_words_per_size = 800.0
 
 let queries inst =
   let blocks = Workloads.Gen_scale.n_blocks inst in
@@ -92,7 +102,14 @@ let () =
   in
   let g = Workloads.Gen_scale.to_bigraph inst in
   let t_construct = Unix.gettimeofday () -. t0 in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
   let plan = Minconn.Compiled.compile g in
+  let compile_words =
+    (Gc.allocated_bytes () -. before)
+    /. float_of_int (Sys.word_size / 8)
+    /. float_of_int (Minconn.Bigraph.n g + Minconn.Bigraph.m g)
+  in
   let t_compile = Unix.gettimeofday () -. t0 -. t_construct in
   let session = Minconn.Session.create plan in
   let ps = queries inst in
@@ -101,6 +118,13 @@ let () =
   if elapsed > budget_s then begin
     Printf.eprintf "scale_check: %.1fs exceeds the %.0fs budget\n" elapsed
       budget_s;
+    exit 1
+  end;
+  if compile_words > max_compile_words_per_size then begin
+    Printf.eprintf
+      "scale_check: chordal62 compile allocated %.0f words per (n + m) \
+       (bound %.0f)\n"
+      compile_words max_compile_words_per_size;
     exit 1
   end;
   let chordal62_words = worst_warm_words session ps in
@@ -148,6 +172,9 @@ let () =
     (Workloads.Gen_scale.m inst)
     (Minconn.Compiled.n_components plan)
     t_construct t_compile (List.length ps);
+  Printf.fprintf oc
+    "chordal62 compile allocation: %.0f words per (n + m) (bound %.0f)\n"
+    compile_words max_compile_words_per_size;
   List.iter
     (fun (fam, w) ->
       Printf.fprintf oc "warm query allocation %s: max %d words (bound %d)\n"

@@ -141,10 +141,10 @@ let test_profile_gnp_cyclic () =
 
 (* ------------------------------------------------------- properties *)
 
-(* [Classify.profile] runs nine checks per component; the reference
-   runs all thirteen on the whole graph. Equal profiles pin both the
-   component decomposition and the Theorem 1 / Corollary 1 derivation
-   of the Berge, γ and β levels. The degrees are also pinned against
+(* [Classify.profile] runs, per component, only the checks Theorem 1
+   and Corollary 2 leave open; the reference runs all thirteen on the
+   whole graph. Equal profiles pin both the component decomposition
+   and every derived field. The degrees are also pinned against
    the umbrella recognizer on each witness hypergraph. *)
 let matches_reference g =
   let p = Classify.profile g in
@@ -164,22 +164,72 @@ let test_profile_figures () =
   check "empty graph is neutral" true
     (Classify.profile empty = Classify.neutral && matches_reference empty)
 
-(* One ["classify"] span per call on the whole-graph path, one per
-   component under compile, nine recognizer children per component,
-   and none of the four checks the derivation replaced. *)
+(* One small connected graph per branch of the classify cascade, with
+   the child spans [Classify.profile_connected] must record on it. *)
+let cascade_cases =
+  let e ~nl ~nr es = Bigraph.of_edges ~nl ~nr es in
+  (* The chordless cycle of length 2k. *)
+  let cycle k =
+    e ~nl:k ~nr:k
+      (List.concat (List.init k (fun i -> [ (i, i); ((i + 1) mod k, i) ])))
+  in
+  let beta = [ "classify.chordal_61"; "classify.chordal_62" ] in
+  let side h alpha =
+    [ "classify." ^ h ^ ".chordal"; "classify." ^ h ^ "." ^ alpha ]
+  in
+  [
+    ("isolated node", Bigraph.create ~nl:1 ~nr:0, []);
+    ("path", e ~nl:3 ~nr:2 [ (0, 0); (1, 0); (1, 1); (2, 1) ], []);
+    ( "(6,2) block",
+      e ~nl:4 ~nr:2 [ (0, 0); (1, 0); (2, 0); (1, 1); (2, 1); (3, 1) ],
+      beta );
+    ( "beta flower",
+      Workloads.Gen_bipartite.chordal_61_flower (Workloads.Rng.make ~seed:1)
+        ~petals:3,
+      beta );
+    (* 2-section a triangle: chordal, not conformal. *)
+    ( "chordless 6-cycle",
+      cycle 3,
+      ("classify.chordal_61" :: side "h1" "alpha") @ side "h2" "alpha" );
+    (* 2-section C4: not chordal, conformal. *)
+    ( "chordless 8-cycle",
+      cycle 4,
+      ("classify.chordal_61" :: side "h1" "conformal") @ side "h2" "conformal"
+    );
+    ( "fig2",
+      Datamodel.Figures.fig2.Datamodel.Figures.graph,
+      ("classify.chordal_61" :: side "h1" "alpha") @ side "h2" "alpha" );
+  ]
+
+let disjoint_union gs =
+  let nl = List.fold_left (fun a g -> a + Bigraph.nl g) 0 gs in
+  let nr = List.fold_left (fun a g -> a + Bigraph.nr g) 0 gs in
+  Bigraph.of_edge_iter ~nl ~nr (fun add ->
+      ignore
+        (List.fold_left
+           (fun (ol, orr) g ->
+             Bigraph.iter_edges g (fun i j -> add (ol + i) (orr + j));
+             (ol + Bigraph.nl g, orr + Bigraph.nr g))
+           (0, 0) gs))
+
+let names spans = List.map (fun s -> s.Observe.Trace.name) spans
+let checks l = List.filter (String.starts_with ~prefix:"classify.") l
+
+(* One ["classify"] span per call on the whole-graph path and one per
+   component under compile, none of the four checks the degree
+   derivation replaced, and per component only the checks the cascade
+   leaves open: none on a forest, [chordal_61] and [chordal_62] on a
+   (6,1)-chordal component, else [chordal_61] plus two per side. *)
 let test_classify_spans () =
   let rng = Workloads.Rng.make ~seed:5 in
-  let g = Workloads.Gen_bipartite.gnp rng ~nl:8 ~nr:8 ~p:0.15 in
+  let g =
+    disjoint_union
+      (Workloads.Gen_bipartite.gnp rng ~nl:8 ~nr:8 ~p:0.15
+      :: List.map (fun (_, g, _) -> g) cascade_cases)
+  in
   let comps = List.length (Traverse.components (Bigraph.ugraph g)) in
-  check "several components" true (comps > 1);
-  let names trace =
-    List.map (fun s -> s.Observe.Trace.name) (Observe.Trace.spans trace)
-  in
+  check "several components" true (comps > List.length cascade_cases);
   let count name l = List.length (List.filter (String.equal name) l) in
-  let checks l =
-    List.length
-      (List.filter (String.starts_with ~prefix:"classify.") l)
-  in
   let removed l =
     List.exists
       (fun n -> List.mem n l)
@@ -192,17 +242,61 @@ let test_classify_spans () =
   in
   let whole = Observe.Trace.make () in
   ignore (Classify.profile ~trace:whole g : Classify.profile);
-  let l = names whole in
+  let l = names (Observe.Trace.spans whole) in
   check_int "whole graph: one classify span" 1 (count "classify" l);
-  check_int "whole graph: nine checks per component" (9 * comps) (checks l);
   check "whole graph: no redundant checks" false (removed l);
   let compiled = Observe.Trace.make () in
   ignore (Minconn.Compiled.compile ~trace:compiled g : Minconn.Compiled.t);
-  let l = names compiled in
+  let spans = Observe.Trace.spans compiled in
+  let l = names spans in
   check_int "compile: one classify span per component" comps
     (count "classify" l);
-  check_int "compile: nine checks per component" (9 * comps) (checks l);
-  check "compile: no redundant checks" false (removed l)
+  check "compile: no redundant checks" false (removed l);
+  check_int "compile and whole graph run the same checks"
+    (List.length (checks (names (Observe.Trace.spans whole))))
+    (List.length (checks l));
+  let verdict s attr =
+    Observe.Trace.find_attr s attr = Some (Observe.Trace.Bool true)
+  in
+  let kinds = ref [] in
+  List.iter
+    (fun s ->
+      if s.Observe.Trace.name = "classify" then begin
+        let children =
+          List.sort compare
+            (checks
+               (names
+                  (List.filter
+                     (fun c -> c.Observe.Trace.parent = s.Observe.Trace.id)
+                     spans)))
+        in
+        let on side =
+          List.length
+            (List.filter
+               (String.starts_with ~prefix:("classify." ^ side ^ "."))
+               children)
+        in
+        if verdict s "chordal_41" then begin
+          kinds := `Forest :: !kinds;
+          check "forest: no checks" true (children = [])
+        end
+        else if verdict s "chordal_61" then begin
+          kinds := `Beta :: !kinds;
+          check "(6,1): chordal_61 and chordal_62 only" true
+            (children = [ "classify.chordal_61"; "classify.chordal_62" ])
+        end
+        else begin
+          kinds := `Other :: !kinds;
+          check_int "other: five checks" 5 (List.length children);
+          check "other: chordal_61" true
+            (List.mem "classify.chordal_61" children);
+          check "other: two on each side" true (on "h1" = 2 && on "h2" = 2)
+        end
+      end)
+    spans;
+  List.iter
+    (fun k -> check "every kind of component present" true (List.mem k !kinds))
+    [ `Forest; `Beta; `Other ]
 
 (* Sparse gnp leaves several components and isolated nodes on both
    sides. *)
@@ -407,6 +501,38 @@ let qcheck_cases =
       edit_gen edits_match_rebuild;
   ]
 
+(* Every branch of the cascade, reached by one small graph each: the
+   profile equals the whole-graph reference and its degrees the
+   umbrella recognizer on H¹/H², and the recorded checks name the
+   branch taken. *)
+let test_cascade_branches () =
+  let profiles =
+    List.map
+      (fun (name, g, expected) ->
+        check (name ^ ": connected") true (Bigraph.is_connected g);
+        let trace = Observe.Trace.make () in
+        let p = Classify.profile_connected ~trace g in
+        let r = Reference_classify.reference_profile g in
+        check (name ^ ": reference") true (p = r && matches_reference g);
+        check (name ^ ": reference is Theorem-1 consistent") true
+          (Classify.theorem1_consistent r);
+        check (name ^ ": branch") true
+          (List.sort compare (checks (names (Observe.Trace.spans trace)))
+          = List.sort compare expected);
+        p)
+      cascade_cases
+  in
+  List.iter
+    (fun d ->
+      check
+        ("some side is " ^ Acyclicity.degree_name d)
+        true
+        (List.exists
+           (fun p -> p.Classify.degree_h1 = d || p.Classify.degree_h2 = d)
+           profiles))
+    Acyclicity.
+      [ Berge_acyclic; Gamma_acyclic; Beta_acyclic; Alpha_acyclic; Cyclic ]
+
 let () =
   Alcotest.run "bipartite"
     [
@@ -432,6 +558,8 @@ let () =
             test_profile_figures;
           Alcotest.test_case "one classify span per call" `Quick
             test_classify_spans;
+          Alcotest.test_case "every cascade branch" `Quick
+            test_cascade_branches;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]

@@ -342,6 +342,11 @@ let qcheck_cases =
           Iset.filter (fun v -> v mod 2 = 0) (Iset.range (Hypergraph.n_nodes h))
         in
         Beta.acyclic (Hypergraph.restrict h keep));
+    QCheck2.Test.make ~count:300
+      ~name:"bitset Gilmore = Iset reference, witness for witness"
+      gen_random_h (fun h ->
+        Conformal.gilmore_violation h
+        = Reference_classify.gilmore_violation_sets h);
   ]
 
 let () =
