@@ -127,15 +127,34 @@ let compile_cmd =
 (* ------------------------------------------------------------ classify *)
 
 let classify_cmd =
-  let run path =
-    let nb = or_die (load_bigraph path) in
-    print_string (Minconn.report nb.Mc_io.Parse.graph)
+  let run path trace_file =
+    let trace =
+      match trace_file with
+      | None -> Observe.Trace.disabled
+      | Some _ -> Observe.Trace.make ()
+    in
+    let report =
+      Result.map
+        (fun nb -> Minconn.report ~trace nb.Mc_io.Parse.graph)
+        (load_bigraph ~trace path)
+    in
+    Option.iter
+      (fun path -> Observe.Export.write_trace ~path trace)
+      trace_file;
+    print_string (or_die report)
   in
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
+  let trace_file =
+    Arg.(
+      value & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:"Write an NDJSON span stream (parse, classify and the \
+                classifier's per-component checks) to $(docv)")
+  in
   Cmd.v
     (Cmd.info "classify"
        ~doc:"Report the chordality/acyclicity profile of a bipartite graph")
-    Term.(const run $ path)
+    Term.(const run $ path $ trace_file)
 
 (* --------------------------------------------------------------- solve *)
 

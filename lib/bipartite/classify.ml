@@ -47,20 +47,17 @@ let side trace prefix h =
     (true, a, a)
   else (false, span "conformal" (fun () -> Conformal.is_conformal h), false)
 
-(* The cascade documented in classify.mli. [Correspond.h1]/[h2] keep
-   one hyperedge per non-isolated node, so either incidence graph is G
-   itself: Berge, γ and β-acyclicity of H¹ and H² are (4,1), (6,2) and
-   (6,1)-chordality of G, and Corollary 2 puts every side field of a
-   (6,1)-chordal graph at true. *)
+(* The cascade documented in classify.mli. G's CSR is the incidence
+   graph of H¹, and of H² read from the other side, so γ and
+   β-elimination on it decide (6,2) and (6,1)-chordality of G, which
+   are γ and β-acyclicity of both H¹ and H² (Theorem 1). Corollary 2
+   puts every side field of a (6,1)-chordal graph at true. *)
 let checks trace g =
   if Bigraph.m g = Bigraph.n g - 1 then neutral
   else
     let span name f = Observe.Trace.span trace name f in
-    let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
-    if span "classify.chordal_61" (fun () -> Beta.acyclic h1) then
-      let chordal_62 =
-        span "classify.chordal_62" (fun () -> Gamma.special_3_cycle h1 = None)
-      in
+    let csr = Bigraph.csr g in
+    let chordal_61_profile chordal_62 =
       let d = if chordal_62 then Acyclicity.Gamma_acyclic else Beta_acyclic in
       {
         neutral with
@@ -69,7 +66,15 @@ let checks trace g =
         degree_h1 = d;
         degree_h2 = d;
       }
+    in
+    if span "classify.chordal_62" (fun () -> Gamma.acyclic_incidence csr) then
+      chordal_61_profile true
+    else if
+      span "classify.chordal_61" (fun () ->
+          Beta.acyclic_incidence csr ~boundary:(Bigraph.nl g))
+    then chordal_61_profile false
     else
+      let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
       let h2 = Side_properties.hypergraph_of_witness_side g Bigraph.V1 in
       let v2_chordal, v2_conformal, alpha_h1 = side trace "classify.h1." h1 in
       let v1_chordal, v1_conformal, alpha_h2 = side trace "classify.h2." h2 in

@@ -50,17 +50,25 @@ val profile_connected : ?trace:Observe.Trace.t -> Bigraph.t -> profile
     each under its own child span:
 
     - a tree is in every class: {!neutral}, and no span;
-    - else ["classify.chordal_61"]: β-acyclicity of H¹;
-    - if β, ["classify.chordal_62"]: no special 3-cycle in H¹. Every
-      side field is true (Corollary 2), so H² and the two-sections are
-      never built, and both degrees are γ or β;
-    - else, per side K of [h1] (V₂ witnesses) and [h2] (V₁):
-      ["classify.hK.chordal"] on the 2-section, then
+    - else ["classify.chordal_62"]: γ-elimination
+      ({!Hypergraphs.Gamma.acyclic_incidence}) on the graph's CSR,
+      which is H¹'s incidence graph. If it succeeds the graph is also
+      (6,1)-chordal, every side field is true (Corollary 2) and both
+      degrees are γ;
+    - else ["classify.chordal_61"]: β-elimination
+      ({!Hypergraphs.Beta.acyclic_incidence}) on the same CSR. If it
+      succeeds every side field is true and both degrees are β;
+    - else H¹ and H² are built and, per side K of [h1] (V₂ witnesses)
+      and [h2] (V₁): ["classify.hK.chordal"] on the 2-section, then
       ["classify.hK.alpha"] (GYO; conformal = α) if chordal, else
       ["classify.hK.conformal"] (Gilmore; α false). Each degree is α
       or cyclic.
 
-    So a component records 0, 2 or 5 child spans under its one
+    γ-elimination is near-linear in the component's size.
+    β-elimination re-tests a node only when a node that blocked its
+    last test is deleted. No hypergraph is built on a (6,1)-chordal
+    component. So a
+    component records 0, 1, 2 or 6 child spans under its one
     ["classify"] span, which carries the headline verdicts. *)
 
 val neutral : profile

@@ -8,11 +8,13 @@ let is_mn_chordal_brute g ~m ~n =
 
 let is_41_chordal g = Cycles.is_acyclic (Bigraph.ugraph g)
 
-let h1_dropping_isolated g = fst (Correspond.h1 g)
+(* The graph's CSR is H¹'s incidence graph: lefts are H¹'s nodes,
+   rights its hyperedges. An isolated right, which H¹ drops, is a
+   degree-0 vertex both kernels ignore. *)
+let is_62_chordal g = Gamma.acyclic_incidence (Bigraph.csr g)
 
-let is_62_chordal g = Gamma.acyclic (h1_dropping_isolated g)
-
-let is_61_chordal g = Beta.acyclic (h1_dropping_isolated g)
+let is_61_chordal g =
+  Beta.acyclic_incidence (Bigraph.csr g) ~boundary:(Bigraph.nl g)
 
 let is_61_chordal_bisimplicial g =
   let u = Bigraph.ugraph g in

@@ -18,8 +18,12 @@ val is_mn_chordal_brute : Bigraph.t -> m:int -> n:int -> bool
 val is_41_chordal : Bigraph.t -> bool
 
 val is_62_chordal : Bigraph.t -> bool
+(** γ-elimination ({!Hypergraphs.Gamma.acyclic_incidence}) on the
+    graph's CSR, which is H¹'s incidence graph. *)
 
 val is_61_chordal : Bigraph.t -> bool
+(** β-elimination ({!Hypergraphs.Beta.acyclic_incidence}) on the
+    graph's CSR, with the lefts as H¹'s nodes. *)
 
 val is_61_chordal_bisimplicial : Bigraph.t -> bool
 (** Independent recogniser: greedily delete bisimplicial edges (edges

@@ -93,8 +93,8 @@ let solve_min_relations g ~p =
         (Errors.Invalid_instance
            "scheme is not alpha-acyclic (V2-chordal V2-conformal)"))
 
-let report g =
-  let profile = Classify.profile g in
+let report ?trace g =
+  let profile = Classify.profile ?trace g in
   Format.asprintf "%a@.recommendation: %s@." Classify.pp_profile profile
     (Classify.recommendation_name (Classify.recommend profile))
 

@@ -140,9 +140,9 @@ val solve_min_relations :
     [Invalid_instance] rather than a solver-private variant. Sessions
     expose the amortized equivalent as {!Session.query_relations}. *)
 
-val report : Bigraph.t -> string
+val report : ?trace:Observe.Trace.t -> Bigraph.t -> string
 (** Human-readable classification + recommendation, used by the CLI.
     The profile is {!Classify.profile}: per connected component, as in
-    {!Compiled.compile}. *)
+    {!Compiled.compile}, under one ["classify"] span on [trace]. *)
 
 val version : string

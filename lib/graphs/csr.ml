@@ -201,6 +201,12 @@ let iter_neighbors t u f =
     f t.col.(k)
   done
 
+let for_all_neighbors t u f =
+  check t u;
+  let stop = t.row.(u + 1) in
+  let rec go k = k >= stop || (f t.col.(k) && go (k + 1)) in
+  go t.row.(u)
+
 let fold_neighbors t u f acc =
   check t u;
   let acc = ref acc in

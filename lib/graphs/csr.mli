@@ -60,6 +60,9 @@ val iter_neighbors : t -> int -> (int -> unit) -> unit
 
 val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
+val for_all_neighbors : t -> int -> (int -> bool) -> bool
+(** Ascending order, stopping at the first neighbor that fails. *)
+
 val mem_edge : t -> int -> int -> bool
 (** Binary search in the neighbor row: O(log degree). *)
 

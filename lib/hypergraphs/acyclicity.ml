@@ -25,14 +25,13 @@ let beta_acyclic = Beta.acyclic
 let gamma_acyclic = Gamma.acyclic
 let berge_acyclic = Berge.acyclic
 
-(* γ is β plus the absence of a special 3-cycle ([Gamma.acyclic]);
-   both functions decide β once and scan for 3-cycles only under it. *)
+(* γ ⊆ β, so β-elimination runs only when γ-elimination fails. *)
 let report h =
-  let beta = beta_acyclic h in
+  let gamma = gamma_acyclic h in
   {
     berge = berge_acyclic h;
-    gamma = beta && Gamma.special_3_cycle h = None;
-    beta;
+    gamma;
+    beta = gamma || beta_acyclic h;
     alpha = alpha_acyclic h;
     conformal = Conformal.is_conformal h;
     chordal_2section = Chordal.is_chordal (Hypergraph.two_section h);
@@ -40,8 +39,8 @@ let report h =
 
 let degree h =
   if berge_acyclic h then Berge_acyclic
-  else if beta_acyclic h then
-    if Gamma.special_3_cycle h = None then Gamma_acyclic else Beta_acyclic
+  else if gamma_acyclic h then Gamma_acyclic
+  else if beta_acyclic h then Beta_acyclic
   else if alpha_acyclic h then Alpha_acyclic
   else Cyclic
 
@@ -73,9 +72,11 @@ let why_not h target =
     | Some (es, ns) -> Some (Berge_cycle (es, ns))
     | None -> None)
   | Gamma_acyclic -> (
-    match Gamma.special_3_cycle h with
-    | Some (i, j, k) -> Some (Gamma_3_cycle (i, j, k))
-    | None -> beta_witness ())
+    if Gamma.acyclic h then None
+    else
+      match Gamma.special_3_cycle h with
+      | Some (i, j, k) -> Some (Gamma_3_cycle (i, j, k))
+      | None -> beta_witness ())
   | Beta_acyclic -> beta_witness ()
   | Alpha_acyclic ->
     let t = Gyo.run h in

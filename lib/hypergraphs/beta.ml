@@ -10,18 +10,105 @@ let is_nest_point h v =
   in
   chain sorted
 
-let elimination_order h =
-  let rec go h eliminated =
-    let covered = Hypergraph.covered_nodes h in
-    if Iset.is_empty covered then Some (List.rev eliminated)
-    else
-      match Iset.elements covered |> List.find_opt (is_nest_point h) with
-      | None -> None
-      | Some v -> go (Hypergraph.remove_node h v) (v :: eliminated)
+(* Nest-point elimination on the incidence CSR: nodes below
+   [boundary], hyperedges above it. [size.(e - boundary)] is hyperedge
+   [e]'s live size. A live node's hyperedges all stay live, so its row
+   lists exactly the edges it is in, and it is a nest point when they
+   form a chain once sorted by live size. When a test fails on two
+   consecutive edges [a] and [b], [a] is no larger than [b] and not
+   inside it, so each has a live node outside the other. Node
+   deletion only shrinks edges, so the two stay incomparable, and the
+   tested node stays blocked, until one of those two nodes goes: the
+   node waits in both [watchers] lists and is queued again only when
+   one of them is deleted. A deletion so re-tests a few nodes within
+   distance 2 and never rescans the edges through it. [eliminated v]
+   sees every deletion, in order; the result tells whether every
+   covered node went. *)
+let eliminate t ~boundary eliminated =
+  let size =
+    Array.init (Csr.n t - boundary) (fun i -> Csr.degree t (boundary + i))
   in
-  go h []
+  let alive = Bytes.make boundary '\001' in
+  let is_alive v = Bytes.get alive v <> '\000' in
+  let queued = Bytes.make boundary '\000' in
+  let queue = Array.make (max boundary 1) 0 in
+  let first = ref 0 and count = ref 0 in
+  let enqueue v =
+    if is_alive v && Bytes.get queued v = '\000' then begin
+      Bytes.set queued v '\001';
+      queue.((!first + !count) mod boundary) <- v;
+      incr count
+    end
+  in
+  let remaining = ref 0 in
+  for v = 0 to boundary - 1 do
+    if Csr.degree t v > 0 then begin
+      incr remaining;
+      enqueue v
+    end
+  done;
+  let watchers = Array.make boundary [] in
+  (* A live node of edge [a] outside edge [b], or -1. *)
+  let outside a b =
+    let w = ref (-1) in
+    ignore
+      (Csr.for_all_neighbors t a (fun u ->
+           (not (is_alive u)) || Csr.mem_edge t b u || (w := u; false)));
+    !w
+  in
+  let nest v =
+    Csr.degree t v <= 1
+    ||
+    let es = Csr.sorted_neighbors t v in
+    Array.sort
+      (fun a b -> compare size.(a - boundary) size.(b - boundary))
+      es;
+    let rec chain i =
+      i + 1 >= Array.length es
+      ||
+      let w = outside es.(i) es.(i + 1) in
+      if w < 0 then chain (i + 1)
+      else begin
+        let w' = outside es.(i + 1) es.(i) in
+        watchers.(w) <- v :: watchers.(w);
+        watchers.(w') <- v :: watchers.(w');
+        false
+      end
+    in
+    chain 0
+  in
+  while !count > 0 do
+    let v = queue.(!first) in
+    first := (!first + 1) mod boundary;
+    decr count;
+    Bytes.set queued v '\000';
+    if nest v then begin
+      Bytes.set alive v '\000';
+      decr remaining;
+      eliminated v;
+      Csr.iter_neighbors t v (fun e ->
+          size.(e - boundary) <- size.(e - boundary) - 1);
+      List.iter enqueue watchers.(v);
+      watchers.(v) <- []
+    end
+  done;
+  !remaining = 0
 
-let acyclic h = elimination_order h <> None
+let acyclic_incidence t ~boundary = eliminate t ~boundary ignore
+
+let elimination_order_incidence t ~boundary =
+  let order = ref [] in
+  if eliminate t ~boundary (fun v -> order := v :: !order) then
+    Some (List.rev !order)
+  else None
+
+let elimination_order h =
+  let t, boundary = Hypergraph.incidence_csr h in
+  elimination_order_incidence t ~boundary
+
+let acyclic h =
+  let t, boundary = Hypergraph.incidence_csr h in
+  acyclic_incidence t ~boundary
 
 let guarded_node_ordering h =
   let covered = Array.of_list (Iset.elements (Hypergraph.covered_nodes h)) in

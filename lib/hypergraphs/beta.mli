@@ -4,18 +4,39 @@
     when the edges containing it form a chain under inclusion, and a
     hypergraph is β-acyclic iff repeatedly deleting nest points deletes
     every node (β-acyclicity is hereditary, so greedy elimination is
-    confluent). The explicit β-cycle search of Definition 6 is provided
-    as a brute-force oracle. *)
+    confluent; Brault-Baron, {e Hypergraph Acyclicity Revisited},
+    arXiv:1403.7076). The explicit β-cycle search of Definition 6 is
+    provided as a brute-force oracle. *)
 
 open Graphs
 
 val is_nest_point : Hypergraph.t -> int -> bool
+(** Literal reading of the definition on the set view. *)
+
+val acyclic_incidence : Csr.t -> boundary:int -> bool
+(** Nest-point elimination on a bipartite incidence graph whose nodes
+    are the vertices below [boundary] and whose hyperedges are the
+    vertices above it (for example {!Hypergraph.incidence_csr}, or a
+    bipartite graph's CSR with [boundary = nl] read as H¹). Every
+    edge must cross the boundary. Live edge sizes are kept per
+    deletion. A node that fails its test is blocked by two
+    incomparable hyperedges, each with a live node outside the other;
+    it is tested again only when one of those two nodes is deleted, so
+    a deletion re-tests a few nodes within distance 2 and never
+    rescans a hyperedge. Hyperedge vertices of degree 0 and uncovered
+    nodes are ignored. *)
+
+val elimination_order_incidence : Csr.t -> boundary:int -> int list option
+(** The order in which {!acyclic_incidence} eliminated the covered
+    nodes, when it eliminates all of them. *)
 
 val acyclic : Hypergraph.t -> bool
+(** {!acyclic_incidence} on the hypergraph's incidence CSR. *)
 
 val elimination_order : Hypergraph.t -> int list option
-(** The order in which nodes were eliminated, when elimination
-    succeeds. *)
+(** {!elimination_order_incidence} on the hypergraph's incidence CSR:
+    the covered nodes in the order they were eliminated, when
+    elimination succeeds. *)
 
 val guarded_node_ordering : Hypergraph.t -> int list option
 (** The dual running-intersection property that Corollary 1 grants

@@ -63,6 +63,13 @@ let incidence_graph h =
     h.family;
   (Ugraph.Builder.build b, offset)
 
+let incidence_csr h =
+  let offset = h.universe in
+  let add_all add =
+    Array.iteri (fun i e -> Iset.iter (fun v -> add v (offset + i)) e) h.family
+  in
+  (Csr.of_edge_iter ~n:(offset + Array.length h.family) add_all, offset)
+
 let restrict h nodes =
   let family =
     Array.to_list h.family

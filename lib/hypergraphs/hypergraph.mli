@@ -51,6 +51,12 @@ val incidence_graph : t -> Ugraph.t * int
     nodes, nodes [n_nodes .. n_nodes+n_edges-1] are edges; returns the
     graph and the offset [n_nodes]. *)
 
+val incidence_csr : t -> Csr.t * int
+(** The same incidence graph as a {!Graphs.Csr.t}, built straight from
+    the edge family: nodes below the returned boundary [n_nodes],
+    hyperedges above it. The form the γ and β elimination kernels
+    read. *)
+
 val restrict : t -> Iset.t -> t
 (** Partial hypergraph induced by a node set: intersect every edge with
     the set, drop emptied edges. Node universe unchanged. *)

@@ -2,10 +2,28 @@
    thirteen recognizers run on the graph in one pass, each deciding its
    field independently. [Classify.profile] runs, per component, only
    the checks Theorem 1 and Corollary 2 leave open and derives the
-   rest; it must reproduce the reference field for field. *)
+   rest; it must reproduce the reference field for field. The
+   reference decides β and γ with the set-view oracles below, not with
+   the elimination kernels [Classify] runs. *)
 
 open Hypergraphs
 open Bipartite
+
+(* Nest-point elimination on the set view: rebuild the hypergraph
+   after every deletion, always taking the smallest nest point. *)
+let rec beta_acyclic_sets h =
+  let covered = Hypergraph.covered_nodes h in
+  Graphs.Iset.is_empty covered
+  ||
+  match
+    List.find_opt (Beta.is_nest_point h) (Graphs.Iset.elements covered)
+  with
+  | None -> false
+  | Some v -> beta_acyclic_sets (Hypergraph.remove_node h v)
+
+(* A γ-cycle is a β-cycle or a special 3-cycle (Definition 6). *)
+let gamma_acyclic_sets h =
+  beta_acyclic_sets h && Gamma.special_3_cycle h = None
 
 let degree ~berge ~gamma ~beta ~alpha =
   if berge then Acyclicity.Berge_acyclic
@@ -17,8 +35,8 @@ let degree ~berge ~gamma ~beta ~alpha =
 let reference_profile g =
   let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
   let h2 = Side_properties.hypergraph_of_witness_side g Bigraph.V1 in
-  let chordal_62 = Gamma.acyclic h1 in
-  let chordal_61 = Beta.acyclic h1 in
+  let chordal_62 = gamma_acyclic_sets h1 in
+  let chordal_61 = beta_acyclic_sets h1 in
   let alpha_h1 = Gyo.alpha_acyclic h1 in
   let alpha_h2 = Gyo.alpha_acyclic h2 in
   {
@@ -35,8 +53,8 @@ let reference_profile g =
       degree ~berge:(Berge.acyclic h1) ~gamma:chordal_62 ~beta:chordal_61
         ~alpha:alpha_h1;
     degree_h2 =
-      degree ~berge:(Berge.acyclic h2) ~gamma:(Gamma.acyclic h2)
-        ~beta:(Beta.acyclic h2) ~alpha:alpha_h2;
+      degree ~berge:(Berge.acyclic h2) ~gamma:(gamma_acyclic_sets h2)
+        ~beta:(beta_acyclic_sets h2) ~alpha:alpha_h2;
   }
 
 (* Gilmore's criterion on Iset, the reference for the bitset kernel

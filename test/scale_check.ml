@@ -17,6 +17,13 @@
    Theorem 1 and Corollary 2 leave open, and a compile that runs every
    recognizer on every block allocates about twice as much.
 
+   It classifies one connected schema, the γ-acyclic
+   [Gen_bipartite.chordal_62] family that `minconn generate --class 62
+   --size 3000` writes (n ≈ 9,000), under a one-second budget: the
+   classifier's γ and β kernels are elimination passes over the
+   component's CSR, and a cubic scan over its hyperedges would take
+   hours there.
+
    Last, it bounds what a schema delta allocates: a pendant relation
    added to the alpha plan and removed again. Each delta rebuilds the
    schema's CSR once and re-prepares the one small component it
@@ -35,9 +42,32 @@ let max_query_words = 10_000
    the whole-graph set view allocates about 40. *)
 let max_delta_words_per_size = 8.0
 
-(* Measured at 591 words per (n + m) on the chordal62 instance;
-   running all nine recognizers on every block allocates 1191. *)
-let max_compile_words_per_size = 800.0
+(* Measured at 75 words per (n + m) on the chordal62 instance, where
+   γ-elimination on each block's CSR decides the class; building each
+   block's hypergraph and scanning it for β and γ allocates 591. *)
+let max_compile_words_per_size = 150.0
+
+let max_connected_classify_s = 1.0
+
+(* Seconds to classify one connected chordal62 schema of [n_right]
+   relations, failing unless the schema is connected and (6,2). *)
+let connected_classify_s ~n_right =
+  let g =
+    Workloads.Gen_bipartite.chordal_62 (Workloads.Rng.make ~seed:0) ~n_right
+      ~max_size:4
+  in
+  if not (Minconn.Bigraph.is_connected g) then begin
+    prerr_endline "scale_check: the chordal62 schema is not connected";
+    exit 1
+  end;
+  let t0 = Unix.gettimeofday () in
+  let p = Minconn.Classify.profile g in
+  let dt = Unix.gettimeofday () -. t0 in
+  if not p.Minconn.Classify.chordal_62 then begin
+    prerr_endline "scale_check: the chordal62 schema is not (6,2)";
+    exit 1
+  end;
+  (Minconn.Bigraph.n g, dt)
 
 let queries inst =
   let blocks = Workloads.Gen_scale.n_blocks inst in
@@ -153,6 +183,14 @@ let () =
         exit 1
       end)
     words;
+  let connected_n, connected_s = connected_classify_s ~n_right:3000 in
+  if connected_s > max_connected_classify_s then begin
+    Printf.eprintf
+      "scale_check: classifying a connected %d-node chordal62 schema took \
+       %.2fs (bound %.0fs)\n"
+      connected_n connected_s max_connected_classify_s;
+    exit 1
+  end;
   let deltas = delta_words_per_size (fst (List.assoc "alpha" plans)) in
   List.iter
     (fun (op, w) ->
@@ -175,6 +213,9 @@ let () =
   Printf.fprintf oc
     "chordal62 compile allocation: %.0f words per (n + m) (bound %.0f)\n"
     compile_words max_compile_words_per_size;
+  Printf.fprintf oc
+    "connected chordal62 classify: n=%d in %.3fs (bound %.0fs)\n" connected_n
+    connected_s max_connected_classify_s;
   List.iter
     (fun (fam, w) ->
       Printf.fprintf oc "warm query allocation %s: max %d words (bound %d)\n"

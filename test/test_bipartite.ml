@@ -173,7 +173,8 @@ let cascade_cases =
     e ~nl:k ~nr:k
       (List.concat (List.init k (fun i -> [ (i, i); ((i + 1) mod k, i) ])))
   in
-  let beta = [ "classify.chordal_61"; "classify.chordal_62" ] in
+  let gamma = [ "classify.chordal_62" ] in
+  let beta = [ "classify.chordal_62"; "classify.chordal_61" ] in
   let side h alpha =
     [ "classify." ^ h ^ ".chordal"; "classify." ^ h ^ "." ^ alpha ]
   in
@@ -182,7 +183,7 @@ let cascade_cases =
     ("path", e ~nl:3 ~nr:2 [ (0, 0); (1, 0); (1, 1); (2, 1) ], []);
     ( "(6,2) block",
       e ~nl:4 ~nr:2 [ (0, 0); (1, 0); (2, 0); (1, 1); (2, 1); (3, 1) ],
-      beta );
+      gamma );
     ( "beta flower",
       Workloads.Gen_bipartite.chordal_61_flower (Workloads.Rng.make ~seed:1)
         ~petals:3,
@@ -190,15 +191,14 @@ let cascade_cases =
     (* 2-section a triangle: chordal, not conformal. *)
     ( "chordless 6-cycle",
       cycle 3,
-      ("classify.chordal_61" :: side "h1" "alpha") @ side "h2" "alpha" );
+      beta @ side "h1" "alpha" @ side "h2" "alpha" );
     (* 2-section C4: not chordal, conformal. *)
     ( "chordless 8-cycle",
       cycle 4,
-      ("classify.chordal_61" :: side "h1" "conformal") @ side "h2" "conformal"
-    );
+      beta @ side "h1" "conformal" @ side "h2" "conformal" );
     ( "fig2",
       Datamodel.Figures.fig2.Datamodel.Figures.graph,
-      ("classify.chordal_61" :: side "h1" "alpha") @ side "h2" "alpha" );
+      beta @ side "h1" "alpha" @ side "h2" "alpha" );
   ]
 
 let disjoint_union gs =
@@ -218,8 +218,9 @@ let checks l = List.filter (String.starts_with ~prefix:"classify.") l
 (* One ["classify"] span per call on the whole-graph path and one per
    component under compile, none of the four checks the degree
    derivation replaced, and per component only the checks the cascade
-   leaves open: none on a forest, [chordal_61] and [chordal_62] on a
-   (6,1)-chordal component, else [chordal_61] plus two per side. *)
+   leaves open: none on a forest, [chordal_62] alone on a (6,2)-chordal
+   component, [chordal_62] and [chordal_61] on a (6,1)-chordal one,
+   else those two plus two per side. *)
 let test_classify_spans () =
   let rng = Workloads.Rng.make ~seed:5 in
   let g =
@@ -280,23 +281,29 @@ let test_classify_spans () =
           kinds := `Forest :: !kinds;
           check "forest: no checks" true (children = [])
         end
+        else if verdict s "chordal_62" then begin
+          kinds := `Gamma :: !kinds;
+          check "(6,2): chordal_62 only" true
+            (children = [ "classify.chordal_62" ])
+        end
         else if verdict s "chordal_61" then begin
           kinds := `Beta :: !kinds;
-          check "(6,1): chordal_61 and chordal_62 only" true
+          check "(6,1): chordal_62 and chordal_61 only" true
             (children = [ "classify.chordal_61"; "classify.chordal_62" ])
         end
         else begin
           kinds := `Other :: !kinds;
-          check_int "other: five checks" 5 (List.length children);
-          check "other: chordal_61" true
-            (List.mem "classify.chordal_61" children);
+          check_int "other: six checks" 6 (List.length children);
+          check "other: chordal_62 and chordal_61" true
+            (List.mem "classify.chordal_62" children
+            && List.mem "classify.chordal_61" children);
           check "other: two on each side" true (on "h1" = 2 && on "h2" = 2)
         end
       end)
     spans;
   List.iter
     (fun k -> check "every kind of component present" true (List.mem k !kinds))
-    [ `Forest; `Beta; `Other ]
+    [ `Forest; `Gamma; `Beta; `Other ]
 
 (* Sparse gnp leaves several components and isolated nodes on both
    sides. *)
@@ -533,6 +540,63 @@ let test_cascade_branches () =
     Acyclicity.
       [ Berge_acyclic; Gamma_acyclic; Beta_acyclic; Alpha_acyclic; Cyclic ]
 
+(* ------------------------------------------------------- exhaustive *)
+
+(* Every bipartite graph with nl, nr <= 4: all 2^(nl·nr) edge sets on
+   each universe, connected or not, isolated nodes on either side
+   included. [f g] names the first property [g] breaks, if any. *)
+let every_small_graph f =
+  let failures = ref [] in
+  for nl = 1 to 4 do
+    for nr = 1 to 4 do
+      for mask = 0 to (1 lsl (nl * nr)) - 1 do
+        let g =
+          Bigraph.of_edge_iter ~nl ~nr (fun add ->
+              for b = 0 to (nl * nr) - 1 do
+                if mask land (1 lsl b) <> 0 then add (b / nr) (b mod nr)
+              done)
+        in
+        match f g with
+        | None -> ()
+        | Some what ->
+          if List.length !failures < 5 then
+            failures := (what, g) :: !failures
+      done
+    done
+  done;
+  List.iter
+    (fun (what, g) -> Format.eprintf "%s fails on@.%a@." what Bigraph.pp g)
+    !failures;
+  check_int "no failing graph" 0 (List.length !failures)
+
+(* The γ and β kernels on G's CSR, and on H¹'s incidence CSR, equal
+   Definition 4's brute force at (6,2) and (6,1) and the set-view
+   oracles on H¹. *)
+let test_exhaustive_kernels () =
+  every_small_graph (fun g ->
+      let h1 = fst (Correspond.h1 g) in
+      let brute62 = Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:2 in
+      let brute61 = Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:1 in
+      List.find_map
+        (fun (what, ok) -> if ok then None else Some what)
+        [
+          ( "gamma kernel = (6,2) brute",
+            Mn_chordality.is_62_chordal g = brute62 );
+          ( "beta kernel = (6,1) brute",
+            Mn_chordality.is_61_chordal g = brute61 );
+          ("Gamma.acyclic H1 = (6,2) brute", Gamma.acyclic h1 = brute62);
+          ("Beta.acyclic H1 = (6,1) brute", Beta.acyclic h1 = brute61);
+          ( "gamma oracle = (6,2) brute",
+            Reference_classify.gamma_acyclic_sets h1 = brute62 );
+          ( "beta oracle = (6,1) brute",
+            Reference_classify.beta_acyclic_sets h1 = brute61 );
+        ])
+
+let test_exhaustive_profile () =
+  every_small_graph (fun g ->
+      if Classify.profile g = Reference_classify.reference_profile g then None
+      else Some "profile = reference")
+
 let () =
   Alcotest.run "bipartite"
     [
@@ -562,4 +626,11 @@ let () =
             test_cascade_branches;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
+      ( "exhaustive",
+        [
+          Alcotest.test_case "kernels, nl, nr <= 4" `Quick
+            test_exhaustive_kernels;
+          Alcotest.test_case "profile, nl, nr <= 4" `Quick
+            test_exhaustive_profile;
+        ] );
     ]

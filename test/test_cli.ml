@@ -358,6 +358,61 @@ let test_classify_scale_output () =
     check "report = Minconn.report" true
       (read_file out = Minconn.report nb.Mc_io.Parse.graph)
 
+(* [classify --trace] writes a root [parse] span and one root
+   [classify] span whose children are the cascade's checks. Fig. 2 is
+   one component off (6,1), so every check runs: γ and β, then two
+   per side. The report is the untraced one. *)
+let test_classify_trace () =
+  let f = fixture "classify_trace" Datamodel.Figures.fig2 in
+  let out = "cli_classify_trace.out" and path = "cli_classify.trace.ndjson" in
+  check_int "classify --trace exits 0" 0
+    (Sys.command
+       (Printf.sprintf "%s classify %s --trace %s > %s" cli f path out));
+  let text = read_file path in
+  (match Observe.Export.validate_ndjson_string text with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("invalid classify trace: " ^ e));
+  let spans =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           let j = Observe.Json.parse_exn l in
+           let field k = Option.get (Observe.Json.member k j) in
+           match (field "id", field "parent", field "name") with
+           | Jnum id, Jnum parent, Jstr name ->
+             (int_of_float id, int_of_float parent, name)
+           | _ -> Alcotest.fail "span without id, parent or name")
+  in
+  let roots name =
+    List.filter (fun (_, parent, n) -> parent = 0 && n = name) spans
+  in
+  check_int "one root parse span" 1 (List.length (roots "parse"));
+  match roots "classify" with
+  | [ (id, _, _) ] ->
+    let children =
+      List.filter_map
+        (fun (_, parent, n) -> if parent = id then Some n else None)
+        spans
+    in
+    Alcotest.(check (list string))
+      "the cascade's checks"
+      (List.sort compare
+         [
+           "classify.chordal_62";
+           "classify.chordal_61";
+           "classify.h1.chordal";
+           "classify.h1.alpha";
+           "classify.h2.chordal";
+           "classify.h2.alpha";
+         ])
+      (List.sort compare children);
+    Alcotest.(check string)
+      "report = Minconn.report"
+      (Minconn.report Datamodel.Figures.fig2.Datamodel.Figures.graph)
+      (read_file out)
+  | l ->
+    Alcotest.failf "expected one root classify span, got %d" (List.length l)
+
 (* The CLI reads back its own output at a size whose name lines exceed
    the parser's 64 KiB line cap unless the emitter splits them: a
    10^5-node scale-chordal62 file, solved on terminals inside one block,
@@ -446,6 +501,8 @@ let () =
         [
           Alcotest.test_case "scale-chordal62 output reads back" `Quick
             test_classify_scale_output;
+          Alcotest.test_case "--trace records the cascade" `Quick
+            test_classify_trace;
           Alcotest.test_case "10^5 scale-chordal62 output solves" `Quick
             test_solve_scale_output;
         ] );

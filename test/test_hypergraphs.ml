@@ -215,6 +215,46 @@ let gen_random_h =
            let rng = Workloads.Rng.make ~seed in
            Workloads.Gen_hyper.random rng ~n_nodes:n ~n_edges:k ~max_size:4))
 
+(* Families with repeated edges and nodes no edge covers, drawn from
+   the cyclic, α, γ and β-flower generators so that every verdict
+   occurs. *)
+let gen_padded_h =
+  QCheck2.Gen.(
+    tup4 (int_range 0 3) (int_range 0 3) (int_range 0 3) (int_range 0 100000)
+    |> map (fun (family, dups, pad, seed) ->
+           let rng = Workloads.Rng.make ~seed in
+           let n_edges = 1 + Workloads.Rng.int rng 6 in
+           let h =
+             match family with
+             | 0 ->
+               Workloads.Gen_hyper.random rng
+                 ~n_nodes:(2 + Workloads.Rng.int rng 6)
+                 ~n_edges ~max_size:4
+             | 1 -> Workloads.Gen_hyper.alpha_acyclic rng ~n_edges ~max_size:4
+             | 2 -> Workloads.Gen_hyper.gamma_acyclic rng ~n_edges ~max_size:4
+             | _ ->
+               Workloads.Gen_hyper.beta_flower rng
+                 ~petals:(2 + Workloads.Rng.int rng 3)
+           in
+           let es = Array.to_list (Hypergraph.edges h) in
+           let copies =
+             List.init dups (fun _ ->
+                 Workloads.Rng.pick rng es)
+           in
+           Hypergraph.create
+             ~n_nodes:(Hypergraph.n_nodes h + pad)
+             (es @ copies)))
+
+(* Replays a β-elimination order on the set view: every node is a nest
+   point when its turn comes, and together they are the covered
+   nodes. *)
+let rec replays_beta h = function
+  | [] -> Iset.is_empty (Hypergraph.covered_nodes h)
+  | v :: rest ->
+    Iset.mem v (Hypergraph.covered_nodes h)
+    && Beta.is_nest_point h v
+    && replays_beta (Hypergraph.remove_node h v) rest
+
 let qcheck_cases =
   [
     QCheck2.Test.make ~count:300 ~name:"GYO = MCS alpha test" gen_random_h
@@ -342,6 +382,17 @@ let qcheck_cases =
           Iset.filter (fun v -> v mod 2 = 0) (Iset.range (Hypergraph.n_nodes h))
         in
         Beta.acyclic (Hypergraph.restrict h keep));
+    QCheck2.Test.make ~count:500
+      ~name:"elimination kernels = set-view oracles (duplicates, uncovered)"
+      gen_padded_h (fun h ->
+        let gamma = Reference_classify.gamma_acyclic_sets h in
+        let beta = Reference_classify.beta_acyclic_sets h in
+        Gamma.acyclic h = gamma
+        && Beta.acyclic h = beta
+        &&
+        match Beta.elimination_order h with
+        | Some order -> beta && replays_beta h order
+        | None -> not beta);
     QCheck2.Test.make ~count:300
       ~name:"bitset Gilmore = Iset reference, witness for witness"
       gen_random_h (fun h ->
