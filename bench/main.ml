@@ -520,6 +520,17 @@ let scaling_t2 () =
    cost in solution size? *)
 let ablation_a1 () =
   header "A1: single-pass vs fixpoint elimination ((6,2)-chordal inputs)";
+  (* One scan, exactly as Algorithms 1–2 are printed in the paper: it
+     can leave a redundant node behind (DESIGN.md §7). *)
+  let single_pass ~order u ~within ~p =
+    List.fold_left
+      (fun current v ->
+        if Iset.mem v p || not (Iset.mem v current) then current
+        else
+          let candidate = Iset.remove v current in
+          if Cover.is_cover u ~p candidate then candidate else current)
+      within order
+  in
   let trials = 400 in
   let nonoptimal_once = ref 0 and redundant_once = ref 0 in
   let nonoptimal_fix = ref 0 and cases = ref 0 in
@@ -541,7 +552,7 @@ let ablation_a1 () =
       with
       | Some comp, Some opt ->
         incr cases;
-        let once = Cover.eliminate_redundant_once ~order u ~within:comp ~p in
+        let once = single_pass ~order u ~within:comp ~p in
         let fixp = Cover.eliminate_redundant ~order u ~within:comp ~p in
         if not (Cover.is_nonredundant_cover u ~p once) then incr redundant_once;
         if Iset.cardinal once <> opt then begin
@@ -1004,17 +1015,6 @@ let kernels_section ~trials ~max_n ~json_path () =
            (fun () -> Chordal.is_chordal g)))
     (sizes [ 48; 96; 192; 384 ]);
   List.iter
-    (fun n_right ->
-      let rng = trial ~section:"kernels-algorithm1" n_right in
-      let g = Workloads.Gen_bipartite.alpha_bipartite rng ~n_right ~max_size:5 in
-      let p = Workloads.Gen_bipartite.random_terminals rng g ~k:5 in
-      let u = Bigraph.ugraph g in
-      note "algorithm1"
-        (pair ~section:"algorithm1" ~n:(Ugraph.n u) ~m:(Ugraph.m u)
-           (fun () -> Algorithm1.solve_sets g ~p)
-           (fun () -> Algorithm1.solve g ~p)))
-    (sizes [ 12; 24; 48; 96 ]);
-  List.iter
     (fun section ->
       match List.assoc_opt section !largest with
       | None -> ()
@@ -1023,7 +1023,7 @@ let kernels_section ~trials ~max_n ~json_path () =
           "-- %-10s largest instance: csr %s sets (%.4f vs %.4f ms)\n" section
           (if t_csr <= t_sets then "<=" else "SLOWER THAN")
           t_csr t_sets)
-    [ "lexbfs"; "mcs"; "chordal"; "algorithm1" ];
+    [ "lexbfs"; "mcs"; "chordal" ];
   write_bench_json ~section:"kernels" ~trials ~max_n ~path:json_path !rows
 
 (* ------------------------------------------------------------------ *)

@@ -778,25 +778,9 @@ let query_cmd =
       let output =
         List.filter (Datamodel.Schema.is_attribute schema) terminals
       in
-      let chosen =
-        List.filter
-          (fun (n, _) -> List.mem n c.Datamodel.Query.relations_used)
-          (Relalg.Database.relations db)
+      let sub =
+        Relalg.Database.make (Datamodel.Interface.relations_for db c ~output)
       in
-      let chosen =
-        (* A single-attribute query can yield a one-node tree with no
-           relation: fall back to any relation holding the attributes. *)
-        if chosen <> [] then chosen
-        else
-          match
-            List.find_opt
-              (fun (_, rel) -> List.for_all (Relalg.Relation.mem_attr rel) output)
-              (Relalg.Database.relations db)
-          with
-          | Some rel -> [ rel ]
-          | None -> []
-      in
-      let sub = Relalg.Database.make chosen in
       Printf.printf "db: relations=%d tuples=%d semantics=%s\n"
         (Relalg.Database.n_relations db)
         (Relalg.Database.total_tuples db)

@@ -1,11 +1,18 @@
 type answer = { connection : Query.connection; result : Relalg.Relation.t }
 
-let evaluate_connection ?(where = []) db (c : Query.connection) ~output =
-  let chosen =
-    List.filter
-      (fun (n, _) -> List.mem n c.Query.relations_used)
-      (Relalg.Database.relations db)
-  in
+(* A single-attribute query can yield a one-node tree with no
+   relation: fall back to the first relation holding the output. *)
+let relations_for db (c : Query.connection) ~output =
+  let all = Relalg.Database.relations db in
+  match List.filter (fun (n, _) -> List.mem n c.Query.relations_used) all with
+  | [] ->
+    Option.to_list
+      (List.find_opt
+         (fun (_, r) -> List.for_all (Relalg.Relation.mem_attr r) output)
+         all)
+  | chosen -> chosen
+
+let evaluate_connection ?(where = []) db c ~output =
   let chosen =
     (* Push equality selections down into every chosen relation that
        carries the attribute. *)
@@ -18,25 +25,11 @@ let evaluate_connection ?(where = []) db (c : Query.connection) ~output =
                 Relalg.Ops.select_eq r ~attr ~value
               else r)
             r where ))
-      chosen
+      (relations_for db c ~output)
   in
-  let chosen =
-    (* A single-attribute query can yield a one-node tree with no
-       relation: fall back to any relation holding the attributes. *)
-    if chosen <> [] then chosen
-    else
-      match
-        List.find_opt
-          (fun (_, r) -> List.for_all (Relalg.Relation.mem_attr r) output)
-          (Relalg.Database.relations db)
-      with
-      | Some r -> [ r ]
-      | None -> []
-  in
-  let sub = Relalg.Database.make chosen in
   (* Only output attributes actually present in the chosen relations
      can be projected; the connection guarantees they all are. *)
-  Relalg.Yannakakis.evaluate sub ~output
+  Relalg.Yannakakis.evaluate (Relalg.Database.make chosen) ~output
 
 (* First occurrence wins: a query naming an attribute twice is one
    output column, not a typed-error round trip. *)
@@ -51,12 +44,12 @@ let dedup_output output =
       end)
     output
 
-let answer ?strategy ?(where = []) db ~query =
+let answer ?(where = []) db ~query =
   let schema = Schema.of_database db in
   let objects =
     List.sort_uniq compare (query @ List.map fst where)
   in
-  match Query.minimal_connection ?strategy schema ~objects with
+  match Query.minimal_connection schema ~objects with
   | Error e -> Error e
   | Ok c -> (
     let output = dedup_output (List.filter (Schema.is_attribute schema) query) in

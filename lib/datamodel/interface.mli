@@ -11,7 +11,6 @@ type answer = {
 }
 
 val answer :
-  ?strategy:Query.strategy ->
   ?where:(string * string) list ->
   Relalg.Database.t ->
   query:string list ->
@@ -21,6 +20,15 @@ val answer :
     [(attribute, value)]: the selected attributes join the connection
     (they must be reachable) and the selections are pushed down into
     the chosen relations before evaluation. *)
+
+val relations_for :
+  Relalg.Database.t ->
+  Query.connection ->
+  output:string list ->
+  (string * Relalg.Relation.t) list
+(** The relations a connection is evaluated over: those it uses, or —
+    for a one-node tree with no relation — the first relation holding
+    every [output] attribute ([[]] when none does). *)
 
 val interpretations :
   ?k:int -> Relalg.Database.t -> query:string list -> answer list

@@ -16,8 +16,6 @@ type error =
   | Disconnected
   | Not_applicable of string
 
-type strategy = Auto | Exact | Algorithm2_only | Elimination_heuristic
-
 let terminals_of_objects schema objects =
   let rec go acc = function
     | [] -> Ok acc
@@ -45,58 +43,25 @@ let connection_of_tree schema ~query tree ~optimal =
   let tree_edges = List.map (fun (u, v) -> (name u, name v)) tree.Tree.edges in
   { objects; auxiliary; relations_used; attributes_used; tree_edges; optimal }
 
-let solve_exact g ~p =
-  let u = Bigraph.ugraph g in
-  if Iset.cardinal p <= Dreyfus_wagner.max_terminals then
-    Dreyfus_wagner.solve u ~terminals:p
-  else None
-
-let minimal_connection ?(strategy = Auto) schema ~objects =
+(* The engine's one ladder on the schema's cached plan: (4,1) forest
+   paths, Algorithm 2 on (6,2)-chordal schemes, Dreyfus–Wagner up to
+   its terminal cap, else the elimination heuristic. Un-budgeted, so
+   the only error a resolved, non-empty object set can meet is
+   disconnection. *)
+let minimal_connection schema ~objects =
   match terminals_of_objects schema objects with
   | Error e -> Error e
+  | Ok p when Iset.is_empty p ->
+    Ok (connection_of_tree schema ~query:p Tree.empty ~optimal:true)
   | Ok p -> (
-    let g = Schema.to_bigraph schema in
-    let u = Bigraph.ugraph g in
-    if not (Graphs.Traverse.connects u p) then Error Disconnected
-    else
-      let via_alg2 () =
-        if Mn_chordality.is_62_chordal g then
-          match Algorithm2.solve u ~p with
-          | Some tree -> Some (connection_of_tree schema ~query:p tree ~optimal:true)
-          | None -> None
-        else None
-      in
-      let via_exact () =
-        match solve_exact g ~p with
-        | Some tree -> Some (connection_of_tree schema ~query:p tree ~optimal:true)
-        | None -> None
-      in
-      let via_elimination () =
-        match Algorithm2.solve u ~p with
-        | Some tree ->
-          Some (connection_of_tree schema ~query:p tree ~optimal:false)
-        | None -> None
-      in
-      let attempt = function
-        | Some c -> Ok c
-        | None -> Error Disconnected
-      in
-      match strategy with
-      | Algorithm2_only ->
-        if Mn_chordality.is_62_chordal g then attempt (via_alg2 ())
-        else Error (Not_applicable "scheme is not (6,2)-chordal")
-      | Exact -> (
-        match via_exact () with
-        | Some c -> Ok c
-        | None -> Error (Not_applicable "too many query objects for exact search"))
-      | Elimination_heuristic -> attempt (via_elimination ())
-      | Auto -> (
-        match via_alg2 () with
-        | Some c -> Ok c
-        | None -> (
-          match via_exact () with
-          | Some c -> Ok c
-          | None -> attempt (via_elimination ()))))
+    let session = Engine.Session.create (Schema.compiled schema) in
+    match Engine.Session.query session ~p with
+    | Ok s ->
+      Ok
+        (connection_of_tree schema ~query:p s.Engine.Session.tree
+           ~optimal:s.Engine.Session.optimal)
+    | Error Runtime.Errors.Disconnected_terminals -> Error Disconnected
+    | Error e -> Error (Not_applicable (Runtime.Errors.to_string e)))
 
 let min_relations schema ~objects =
   match terminals_of_objects schema objects with

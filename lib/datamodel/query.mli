@@ -3,9 +3,12 @@
     schemes).
 
     A query is a set of attribute and/or relation names; a connection
-    is a tree of the scheme's bipartite graph over those objects. The
-    solver dispatch follows the paper's complexity map:
+    is a tree of the scheme's bipartite graph over those objects.
+    [minimal_connection] answers through the engine's one ladder
+    ({!Engine.Session.query} on {!Schema.compiled}), which follows the
+    paper's complexity map:
 
+    - (4,1)-chordal scheme → forest paths, exact and unique;
     - (6,2)-chordal scheme → Algorithm 2, exact minimum (Theorem 5);
     - otherwise, few terminals → exact Dreyfus–Wagner;
     - otherwise → nonredundant-cover elimination (heuristic upper
@@ -30,17 +33,15 @@ type error =
   | Unknown_object of string
   | Disconnected
   | Not_applicable of string
-      (** the requested strategy's precondition fails *)
-
-type strategy =
-  | Auto
-  | Exact
-  | Algorithm2_only
-  | Elimination_heuristic
+      (** the solver's precondition fails (e.g. a cyclic scheme for
+          {!min_relations}) *)
 
 val minimal_connection :
-  ?strategy:strategy -> Schema.t -> objects:string list ->
-  (connection, error) result
+  Schema.t -> objects:string list -> (connection, error) result
+(** A minimum connection of the objects, [optimal] when the rung that
+    answered is exact. The empty object list answers [Ok] with the
+    empty connection. [Error Disconnected] when the objects lie in
+    different components. *)
 
 val min_relations :
   Schema.t -> objects:string list -> (connection * int, error) result

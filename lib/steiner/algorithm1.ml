@@ -15,112 +15,6 @@ type result = {
   elimination_order : int list;
 }
 
-(* Step 2 of the algorithm, set-based reference: scan the Lemma 1
-   ordering and delete each right node together with its private left
-   neighbors whenever the remainder still covers the terminals. A
-   single pass can leave a right node that was only blocked by
-   structure deleted later in the same pass (covers must be connected
-   as a whole); re-scan in the same W order until a fixpoint so the
-   result is V2-nonredundant as Theorem 3's proof requires. *)
-let eliminate_sets u ~comp ~p w_order =
-  let step current v =
-    if not (Iset.mem v current) then current
-    else begin
-      let doomed =
-        Iset.add v (Ugraph.private_neighbors u ~within:current v)
-      in
-      if not (Iset.is_empty (Iset.inter doomed p)) then current
-      else
-        let candidate = Iset.diff current doomed in
-        if Cover.is_cover u ~p candidate then begin
-          Log.debug (fun m ->
-              m "eliminating right node %d with Adj* %a" v Iset.pp
-                (Iset.remove v doomed));
-          candidate
-        end
-        else current
-    end
-  in
-  let rec fixpoint current =
-    let next = List.fold_left step current w_order in
-    if Iset.equal next current then current else fixpoint next
-  in
-  fixpoint comp
-
-(* The same elimination as [eliminate_sets] on the flat kernels:
-   adjacency from a CSR row, node sets as dense bitsets, connectivity
-   by an array-based BFS. The decisions taken are exactly those of
-   [eliminate_sets]; only the representation differs. The buffers are
-   sized to the graph given, which on the session path is the
-   component's slice. *)
-let eliminate_kernel csr ~comp ~p w_order =
-  let n = Csr.n csr in
-  let current = Bitset.create n
-  and pb = Bitset.create n
-  and doomed = Bitset.create n
-  and candidate = Bitset.create n
-  and queue = Array.make n 0
-  and seen = Array.make n 0
-  and generation = ref 0 in
-  Iset.iter (Bitset.add current) comp;
-  Iset.iter (Bitset.add pb) p;
-  let connected within =
-    match Bitset.min_elt_opt within with
-    | None -> true
-    | Some start ->
-      incr generation;
-      let gen = !generation in
-      seen.(start) <- gen;
-      queue.(0) <- start;
-      let head = ref 0 and tail = ref 1 in
-      while !head < !tail do
-        let x = queue.(!head) in
-        incr head;
-        Csr.iter_neighbors csr x (fun y ->
-            if seen.(y) <> gen && Bitset.mem within y then begin
-              seen.(y) <- gen;
-              queue.(!tail) <- y;
-              incr tail
-            end)
-      done;
-      !tail = Bitset.card within
-  in
-  let step v =
-    if Bitset.mem current v then begin
-      Bitset.clear doomed;
-      Bitset.add doomed v;
-      Csr.iter_neighbors csr v (fun u ->
-          if Bitset.mem current u then begin
-            let private_to_v = ref true in
-            Csr.iter_neighbors csr u (fun w ->
-                if w <> v && Bitset.mem current w then private_to_v := false);
-            if !private_to_v then Bitset.add doomed u
-          end);
-      if Bitset.disjoint doomed pb then begin
-        Bitset.assign ~dst:candidate ~src:current;
-        Bitset.diff_into candidate doomed;
-        if Bitset.subset pb candidate && connected candidate then begin
-          Log.debug (fun m ->
-              m "eliminating right node %d with Adj* %a" v Bitset.pp
-                (let adj = Bitset.copy doomed in
-                 Bitset.remove adj v;
-                 adj));
-          Bitset.assign ~dst:current ~src:candidate;
-          true
-        end
-        else false
-      end
-      else false
-    end
-    else false
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter (fun v -> if step v then changed := true) w_order
-  done;
-  Bitset.to_iset current
-
 (* ------------------------------------------------------------------ *)
 (* Compile-once preprocessing: the Lemma 1 ordering depends only on
    the component, not on the terminal set, so a session answering many
@@ -171,48 +65,46 @@ let prepare ?(trace = Observe.Trace.disabled) g ~comp =
       Ok { comp; w_order }
   end
 
-(* Step 2 + Step 3 on an already-prepared component. [p] must lie
-   inside [prep.comp] (the caller established connectivity). *)
-let solve_prepared_with ~eliminate ?(trace = Observe.Trace.disabled) g prep ~p
-    =
+(* Steps 2 and 3 on the prep's component as a graph of its own:
+   [Bigraph.induced] renumbers ascending, so W keeps its order and
+   every elimination decision is the one a whole-graph run takes; the
+   tree is extracted on the slice and mapped back. [p] must lie inside
+   [prep.comp] (the caller established connectivity). *)
+let solve_prepared ?(trace = Observe.Trace.disabled) g prep ~p =
   let nl = Bigraph.nl g in
+  let v2_count nodes = Iset.cardinal (Iset.filter (fun v -> v >= nl) nodes) in
   let comp = prep.comp in
   if Iset.cardinal comp <= 1 then
     Ok
       {
         tree = { Tree.nodes = comp; edges = [] };
-        v2_count = Iset.cardinal (Iset.filter (fun v -> v >= nl) comp);
+        v2_count = v2_count comp;
         elimination_order = [];
       }
   else begin
     Observe.Trace.span trace "algorithm1"
       ~attrs:[ ("component", Observe.Trace.Int (Iset.cardinal comp)) ]
     @@ fun () ->
+    let sub, ids = Bigraph.induced g comp in
+    let local = Csr.local_index ids in
     let survivors =
       Observe.Trace.span trace "algorithm1.eliminate" (fun () ->
-          eliminate ~comp ~p prep.w_order)
+          Cover.eliminate ~drop:Cover.Node_and_private (Bigraph.csr sub)
+            ~p:(Iset.map local p) (List.map local prep.w_order))
     in
-    (* The set view is only needed here, for tree extraction over the
-       (small) survivor set; count V2 nodes by index instead of an
-       O(nr) right-node set. *)
-    match Tree.of_node_set (Bigraph.ugraph g) survivors with
+    match Tree.of_node_set (Bigraph.ugraph sub) survivors with
     | Some tree ->
+      let tree = Tree.relabel ids tree in
       Ok
         {
           tree;
-          v2_count =
-            Iset.cardinal (Iset.filter (fun v -> v >= nl) tree.Tree.nodes);
+          v2_count = v2_count tree.Tree.nodes;
           elimination_order = prep.w_order;
         }
     | None when Iset.is_empty survivors ->
       (* Empty terminal set: everything was eliminated; the empty
          tree connects nothing vacuously. *)
-      Ok
-        {
-          tree = { Tree.nodes = Iset.empty; edges = [] };
-          v2_count = 0;
-          elimination_order = prep.w_order;
-        }
+      Ok { tree = Tree.empty; v2_count = 0; elimination_order = prep.w_order }
     | None ->
       (* Defensive: every accepted elimination candidate is a
          connected cover, so a spanning tree must exist; degrade
@@ -220,47 +112,28 @@ let solve_prepared_with ~eliminate ?(trace = Observe.Trace.disabled) g prep ~p
       Error Disconnected_terminals
   end
 
-(* The session path: the elimination and the tree extraction run on
-   the prep's component as a graph of its own. [Bigraph.induced]
-   renumbers ascending, so W keeps its order, every decision is the
-   one the whole-graph run takes, and the mapped-back tree is the one
-   {!solve} returns. *)
-let solve_prepared ?trace g prep ~p =
-  let sub, ids = Bigraph.induced g prep.comp in
-  let local = Csr.local_index ids in
-  let prep' =
-    {
-      comp = Iset.range (Array.length ids);
-      w_order = List.map local prep.w_order;
-    }
+(* The terminals' component from the CSR's component labelling — the
+   component of node 0 when [p] is empty, as
+   [Traverse.component_containing] answers. *)
+let solve ?trace g ~p =
+  let ids, comps = Csr.component_ids (Bigraph.csr g) in
+  let comp =
+    match (Iset.min_elt_opt p, comps) with
+    | _ when not (Iset.for_all (fun v -> v >= 0 && v < Array.length ids) p) ->
+      None
+    | None, [] -> Some Iset.empty
+    | None, first :: _ -> Some first
+    | Some s, _ ->
+      if Iset.for_all (fun v -> ids.(v) = ids.(s)) p then
+        Some (List.nth comps ids.(s))
+      else None
   in
-  match
-    solve_prepared_with
-      ~eliminate:(eliminate_kernel (Bigraph.csr sub))
-      ?trace sub prep' ~p:(Iset.map local p)
-  with
-  | Ok r ->
-    Ok
-      {
-        r with
-        tree = Tree.relabel ids r.tree;
-        elimination_order = prep.w_order;
-      }
-  | Error e -> Error e
-
-let solve_with ~eliminate ?trace g ~p =
-  match Traverse.component_containing (Bigraph.ugraph g) p with
+  match comp with
   | None -> Error Disconnected_terminals
   | Some comp -> (
     match prepare ?trace g ~comp with
     | Error e -> Error e
-    | Ok prep -> solve_prepared_with ~eliminate ?trace g prep ~p)
-
-let solve ?trace g ~p =
-  solve_with ~eliminate:(eliminate_kernel (Bigraph.csr g)) ?trace g ~p
-
-let solve_sets ?trace g ~p =
-  solve_with ~eliminate:(eliminate_sets (Bigraph.ugraph g)) ?trace g ~p
+    | Ok prep -> solve_prepared ?trace g prep ~p)
 
 let solve_wrt_v1 g ~p =
   let flipped = Bigraph.flip g in

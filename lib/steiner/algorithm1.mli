@@ -31,11 +31,12 @@ type result = {
 
 val solve :
   ?trace:Observe.Trace.t -> Bigraph.t -> p:Iset.t -> (result, error) Stdlib.result
-(** [p] contains underlying indices (left or right nodes). The
-    elimination loop (Step 2) runs on flat [Graphs.Csr] adjacency and
-    [Graphs.Bitset] node sets. [trace] records an ["algorithm1"] span
-    with ["algorithm1.join_tree"] and ["algorithm1.eliminate"] child
-    spans. *)
+(** [p] contains underlying indices (left or right nodes). Finds the
+    terminals' component in the CSR's component labelling
+    ({!Graphs.Csr.component_ids}), then runs {!prepare} and
+    {!solve_prepared}. [trace] records an
+    ["algorithm1.join_tree"] span and an ["algorithm1"] span with an
+    ["algorithm1.eliminate"] child. *)
 
 (** {2 Compile-once / query-many}
 
@@ -73,13 +74,8 @@ val solve_prepared :
     prep's component (the caller has established connectivity). The
     work runs on the component's induced slice
     ({!Bipartite.Bigraph.induced}), so it costs the component, not the
-    graph; the result equals the elimination phase of {!solve}. *)
-
-val solve_sets :
-  ?trace:Observe.Trace.t -> Bigraph.t -> p:Iset.t -> (result, error) Stdlib.result
-(** Set-based reference for the elimination loop; takes exactly the
-    same elimination decisions as {!solve} and returns the same result.
-    Differential-testing and benchmarking only. *)
+    graph: Step 2 is {!Cover.eliminate} with [~drop:Node_and_private]
+    over W, un-budgeted. *)
 
 val solve_wrt_v1 : Bigraph.t -> p:Iset.t -> (result, error) Stdlib.result
 (** Same algorithm on the flipped graph: minimises left nodes, licensed

@@ -1,5 +1,4 @@
 open Graphs
-open Bipartite
 
 let log_src =
   Logs.Src.create "minconn.algorithm2" ~doc:"Algorithm 2 (Theorem 5)"
@@ -35,6 +34,3 @@ let solve ?order ?budget ?(trace = Observe.Trace.disabled)
               (Iset.cardinal comp - Iset.cardinal survivors)
               (Iset.cardinal comp) Iset.pp survivors);
         Tree.of_node_set g survivors)
-
-let solve_bigraph ?order ?budget ?trace ?metrics g ~p =
-  solve ?order ?budget ?trace ?metrics (Bigraph.ugraph g) ~p

@@ -11,7 +11,6 @@
     Theorem 6 discussion exercises it. *)
 
 open Graphs
-open Bipartite
 
 val solve :
   ?order:int list ->
@@ -25,17 +24,10 @@ val solve :
     is restricted to the component containing [p]; [order] defaults to
     increasing node ids and may mention any subset of nodes (missing
     nodes are appended in increasing order, terminals are skipped).
-    [budget] is spent by the underlying {!Cover.eliminate_redundant}
-    fixpoint, one fuel unit per elimination candidate. [trace] records
+    The elimination is {!Cover.eliminate_redundant}: the component is
+    cut out as a CSR of its own and run through the one elimination
+    fixpoint, which spends one fuel unit of [budget] per elimination
+    candidate. [trace] records
     an ["algorithm2"] span (component size, survivor count); [metrics]
     counts elimination steps ([elimination.steps] counter and
     [elimination.steps_per_solve] histogram). *)
-
-val solve_bigraph :
-  ?order:int list ->
-  ?budget:Runtime.Budget.t ->
-  ?trace:Observe.Trace.t ->
-  ?metrics:Observe.Metrics.t ->
-  Bigraph.t ->
-  p:Iset.t ->
-  Tree.t option

@@ -61,36 +61,118 @@ let side_minimum_brute g ~within ~p ~side =
   | [] -> None
   | l -> Some (List.fold_left min max_int l)
 
-let elimination_pass ?order ?(budget = Runtime.Budget.unlimited)
-    ?(steps = Observe.Metrics.inert) g ~p current =
-  let order =
-    match order with Some o -> o | None -> Iset.elements current
+type drop = Node | Node_and_private
+
+(* One elimination fixpoint for Algorithms 1 and 2. Every node of
+   [csr] starts present; a candidate v (not a terminal, still present)
+   is dropped — alone, or with Adj*(v), the neighbors only v holds in
+   the present set — when the rest still connects [p]. A single pass
+   can keep a node that only connected something deleted later in the
+   same pass (covers must be connected as a whole, Definition 10), so
+   re-scan [order] until a pass drops nothing, as Theorem 5's claim
+   that Step 1 yields a nonredundant cover requires. A candidate is
+   removed in place and restored if the epoch-stamped BFS from a
+   terminal no longer reaches every present node. *)
+let eliminate ?(budget = Runtime.Budget.unlimited)
+    ?(steps = Observe.Metrics.inert) ~drop csr ~p order =
+  let n = Csr.n csr in
+  let present = Bitset.create n and terminal = Bitset.create n in
+  for v = 0 to n - 1 do
+    Bitset.add present v
+  done;
+  Iset.iter (Bitset.add terminal) p;
+  let size = ref n in
+  let queue = Array.make n 0
+  and seen = Array.make n 0
+  and generation = ref 0
+  and dropped = Array.make n 0
+  and k = ref 0 in
+  let anchor = Iset.min_elt_opt p in
+  let connected () =
+    match if anchor = None then Bitset.min_elt_opt present else anchor with
+    | None -> true
+    | Some start ->
+      incr generation;
+      let gen = !generation in
+      seen.(start) <- gen;
+      queue.(0) <- start;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let x = queue.(!head) in
+        incr head;
+        Csr.iter_neighbors csr x (fun y ->
+            if seen.(y) <> gen && Bitset.mem present y then begin
+              seen.(y) <- gen;
+              queue.(!tail) <- y;
+              incr tail
+            end)
+      done;
+      !tail = !size
   in
-  List.fold_left
-    (fun current v ->
-      if Iset.mem v p || not (Iset.mem v current) then current
-      else begin
-        Runtime.Budget.check budget;
-        Observe.Metrics.incr steps;
-        let candidate = Iset.remove v current in
-        if is_cover g ~p candidate then candidate else current
-      end)
-    current order
+  let private_to v u =
+    Bitset.mem present u
+    && Csr.for_all_neighbors csr u (fun w -> w = v || not (Bitset.mem present w))
+  in
+  let toggle_dropped f =
+    for i = 0 to !k - 1 do
+      f present dropped.(i)
+    done
+  in
+  let step v =
+    if Bitset.mem terminal v || not (Bitset.mem present v) then false
+    else begin
+      Runtime.Budget.check budget;
+      Observe.Metrics.incr steps;
+      dropped.(0) <- v;
+      k := 1;
+      let blocked = ref false in
+      (match drop with
+      | Node -> ()
+      | Node_and_private ->
+        Csr.iter_neighbors csr v (fun u ->
+            if private_to v u then begin
+              if Bitset.mem terminal u then blocked := true;
+              dropped.(!k) <- u;
+              incr k
+            end));
+      (not !blocked)
+      && begin
+           toggle_dropped Bitset.remove;
+           size := !size - !k;
+           connected ()
+           || begin
+                toggle_dropped Bitset.add;
+                size := !size + !k;
+                false
+              end
+         end
+    end
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter (fun v -> if step v then changed := true) order
+  done;
+  Bitset.to_iset present
 
-let eliminate_redundant_once ?order ?budget ?steps g ~within ~p =
-  elimination_pass ?order ?budget ?steps g ~p within
-
-(* One pass in the given order is not enough for nonredundancy: a node
-   may be kept only because it connects a non-terminal that is itself
-   deleted later in the pass (covers must be connected as a whole,
-   Definition 10). Re-scan until a fixpoint, as Theorem 5's claim that
-   Step 1 yields a nonredundant cover requires. *)
+(* The Ugraph front door: cut [within] out as a CSR of its own (the
+   renumbering is ascending, so the scan takes the same decisions) and
+   map the survivors back. *)
 let eliminate_redundant ?order ?budget ?steps g ~within ~p =
-  let rec fixpoint current =
-    let next = elimination_pass ?order ?budget ?steps g ~p current in
-    if Iset.equal next current then current else fixpoint next
+  let ids = Array.of_list (Iset.elements within) in
+  let csr = Csr.of_ugraph g in
+  let csr = if Array.length ids = Csr.n csr then csr else Csr.induced csr ids in
+  let local = Csr.local_index ids in
+  let order =
+    match order with
+    | None -> List.init (Array.length ids) Fun.id
+    | Some o ->
+      List.filter_map
+        (fun v -> match local v with i -> Some i | exception Not_found -> None)
+        o
   in
-  fixpoint within
+  eliminate ?budget ?steps ~drop:Node csr ~p:(Iset.map local p) order
+  |> Iset.map (fun i -> ids.(i))
 
 let is_nonredundant_path g path =
   match path with

@@ -28,17 +28,31 @@ val side_minimum_brute :
   Ugraph.t -> within:Iset.t -> p:Iset.t -> side:Iset.t -> int option
 (** Minimum number of side-nodes over all covers. *)
 
-val eliminate_redundant_once :
-  ?order:int list ->
+(** What one elimination candidate removes: the node alone (Algorithm 2,
+    Definition 11's good orderings), or the node together with
+    Adj*(v), its neighbors no other present node is adjacent to
+    (Algorithm 1's Step 2). *)
+type drop = Node | Node_and_private
+
+val eliminate :
   ?budget:Runtime.Budget.t ->
   ?steps:Observe.Metrics.counter ->
-  Ugraph.t ->
-  within:Iset.t ->
+  drop:drop ->
+  Csr.t ->
   p:Iset.t ->
+  int list ->
   Iset.t
-(** A single scan, exactly as Algorithms 1–2 are printed in the paper.
-    Kept for the ablation benchmark: it can leave a redundant node
-    behind (see DESIGN.md §7) and is {e not} used by the solvers. *)
+(** [eliminate ~drop csr ~p order] is the one elimination fixpoint of
+    Algorithms 1 and 2. Every node of [csr] starts present; scan
+    [order] and drop each candidate (a present non-terminal) whose
+    removal, per [drop], leaves [p] connected with every present node;
+    re-scan until a pass drops nothing. Requires [p] inside the graph;
+    returns the survivors. One [Budget.check] and
+    one [steps] increment (both default inert) per considered
+    candidate; exhaustion raises the internal
+    [Runtime.Budget.Exhausted] signal (inputs are immutable, so
+    nothing partial is left behind). Node sets are dense bitsets and
+    connectivity an array BFS: one pass costs O(|order| · (n + m)). *)
 
 val eliminate_redundant :
   ?order:int list ->
@@ -48,15 +62,13 @@ val eliminate_redundant :
   within:Iset.t ->
   p:Iset.t ->
   Iset.t
-(** Scan the nodes (in [order], default increasing; terminals are
-    skipped) and drop each whose removal leaves a cover of [p] — the
-    core move of Algorithm 2 and of Definition 11's "good orderings".
-    Requires [p] connected within; returns a nonredundant cover. One
-    fuel unit is spent per elimination candidate; exhaustion raises
-    the internal [Runtime.Budget.Exhausted] signal (callers at the
-    runtime boundary catch it; the fixpoint leaves no partial
-    state behind — inputs are immutable). [steps] (default inert) is
-    bumped once per considered elimination candidate. *)
+(** {!eliminate} with [~drop:Node] on the subgraph induced by [within],
+    cut out as a CSR of its own: scan the nodes (in [order], default
+    increasing; nodes outside [within] and terminals are skipped) and
+    drop each whose removal leaves a cover of [p] — the core move of
+    Algorithm 2 and of Definition 11's "good orderings". Requires [p]
+    connected within; returns a nonredundant cover. Budget and [steps]
+    as {!eliminate}. *)
 
 val is_nonredundant_path : Ugraph.t -> int list -> bool
 (** The path's node set induces a nonredundant cover of its two

@@ -1,0 +1,82 @@
+(* Test oracles for [Cover.eliminate], the one elimination fixpoint the
+   library runs. Both references work on the Iset view with one
+   set-view BFS per candidate, over the whole graph instead of the
+   component's CSR slice; they must take exactly the kernel's
+   decisions. *)
+
+open Graphs
+open Steiner
+
+(* Algorithm 2's move (Definition 11): scan [order], drop each
+   non-terminal still present whose removal leaves a cover of [p];
+   re-scan until a pass drops nothing. [steps] is bumped once per
+   considered candidate, as the kernel does. *)
+let eliminate_sets ?order ?(steps = Observe.Metrics.inert) g ~within ~p =
+  let order = match order with Some o -> o | None -> Iset.elements within in
+  let pass current =
+    List.fold_left
+      (fun current v ->
+        if Iset.mem v p || not (Iset.mem v current) then current
+        else begin
+          Observe.Metrics.incr steps;
+          let candidate = Iset.remove v current in
+          if Cover.is_cover g ~p candidate then candidate else current
+        end)
+      current order
+  in
+  let rec fixpoint current =
+    let next = pass current in
+    if Iset.equal next current then current else fixpoint next
+  in
+  fixpoint within
+
+(* Algorithm 1's Step 2: drop each right node of W together with its
+   private left neighbors whenever the remainder still covers [p]. *)
+let algorithm1_eliminate_sets u ~comp ~p w_order =
+  let step current v =
+    if not (Iset.mem v current) then current
+    else
+      let doomed = Iset.add v (Ugraph.private_neighbors u ~within:current v) in
+      if not (Iset.is_empty (Iset.inter doomed p)) then current
+      else
+        let candidate = Iset.diff current doomed in
+        if Cover.is_cover u ~p candidate then candidate else current
+  in
+  let rec fixpoint current =
+    let next = List.fold_left step current w_order in
+    if Iset.equal next current then current else fixpoint next
+  in
+  fixpoint comp
+
+(* Algorithm 1 end to end on the whole graph's set view: the reference
+   [Algorithm1.solve] must reproduce field for field. *)
+let algorithm1_sets g ~p =
+  let u = Bipartite.Bigraph.ugraph g in
+  let nl = Bipartite.Bigraph.nl g in
+  let v2_count nodes = Iset.cardinal (Iset.filter (fun v -> v >= nl) nodes) in
+  match Traverse.component_containing u p with
+  | None -> Error Algorithm1.Disconnected_terminals
+  | Some comp -> (
+    match Algorithm1.prepare g ~comp with
+    | Error e -> Error e
+    | Ok _ when Iset.cardinal comp <= 1 ->
+      Ok
+        {
+          Algorithm1.tree = { Tree.nodes = comp; edges = [] };
+          v2_count = v2_count comp;
+          elimination_order = [];
+        }
+    | Ok prep -> (
+      let w = Algorithm1.prep_order prep in
+      let survivors = algorithm1_eliminate_sets u ~comp ~p w in
+      match Tree.of_node_set u survivors with
+      | Some tree ->
+        Ok
+          {
+            Algorithm1.tree;
+            v2_count = v2_count tree.Tree.nodes;
+            elimination_order = w;
+          }
+      | None when Iset.is_empty survivors ->
+        Ok { Algorithm1.tree = Tree.empty; v2_count = 0; elimination_order = w }
+      | None -> Error Algorithm1.Disconnected_terminals))

@@ -24,6 +24,11 @@
    component's CSR, and a cubic scan over its hyperedges would take
    hours there.
 
+   It answers one 4-terminal query on a connected chordal62 schema of
+   n ≈ 1,200 under a one-second budget: Algorithm 2's elimination runs
+   on the component's CSR with an array BFS per candidate, and the
+   set-view fixpoint took about 2 s there.
+
    Last, it bounds what a schema delta allocates: a pendant relation
    added to the alpha plan and removed again. Each delta rebuilds the
    schema's CSR once and re-prepares the one small component it
@@ -68,6 +73,33 @@ let connected_classify_s ~n_right =
     exit 1
   end;
   (Minconn.Bigraph.n g, dt)
+
+(* Measured at about 85 ms at n = 1,204 with the CSR elimination
+   kernel; one set-view BFS per candidate took about 2 s. *)
+let max_connected_query_s = 1.0
+
+(* Seconds for one 4-terminal session query on a connected chordal62
+   schema of [n_right] relations (compile not timed). *)
+let connected_query_s ~n_right =
+  let g =
+    Workloads.Gen_bipartite.chordal_62 (Workloads.Rng.make ~seed:0) ~n_right
+      ~max_size:4
+  in
+  if not (Minconn.Bigraph.is_connected g) then begin
+    prerr_endline "scale_check: the chordal62 schema is not connected";
+    exit 1
+  end;
+  let session = Minconn.Session.create (Minconn.Compiled.compile g) in
+  let p =
+    Workloads.Gen_bipartite.random_terminals (Workloads.Rng.make ~seed:1) g ~k:4
+  in
+  let t0 = Unix.gettimeofday () in
+  (match Minconn.Session.query session ~p with
+  | Ok s when s.Minconn.Session.optimal -> ()
+  | _ ->
+    prerr_endline "scale_check: the connected chordal62 query is not exact";
+    exit 1);
+  (Minconn.Bigraph.n g, Unix.gettimeofday () -. t0)
 
 let queries inst =
   let blocks = Workloads.Gen_scale.n_blocks inst in
@@ -191,6 +223,14 @@ let () =
       connected_n connected_s max_connected_classify_s;
     exit 1
   end;
+  let query_n, query_s = connected_query_s ~n_right:400 in
+  if query_s > max_connected_query_s then begin
+    Printf.eprintf
+      "scale_check: a 4-terminal query on a connected %d-node chordal62 \
+       schema took %.2fs (bound %.0fs)\n"
+      query_n query_s max_connected_query_s;
+    exit 1
+  end;
   let deltas = delta_words_per_size (fst (List.assoc "alpha" plans)) in
   List.iter
     (fun (op, w) ->
@@ -216,6 +256,9 @@ let () =
   Printf.fprintf oc
     "connected chordal62 classify: n=%d in %.3fs (bound %.0fs)\n" connected_n
     connected_s max_connected_classify_s;
+  Printf.fprintf oc
+    "connected chordal62 query: n=%d in %.3fs (bound %.0fs)\n" query_n
+    query_s max_connected_query_s;
   List.iter
     (fun (fam, w) ->
       Printf.fprintf oc "warm query allocation %s: max %d words (bound %d)\n"

@@ -66,22 +66,47 @@ let test_query_errors () =
   | Error Query.Disconnected -> check "disconnected" true true
   | _ -> Alcotest.fail "expected Disconnected"
 
-let test_strategies () =
-  (match
-     Query.minimal_connection ~strategy:Query.Algorithm2_only company_schema
-       ~objects:[ "emp"; "floor" ]
-   with
-  | Ok c -> check "alg2 strategy works on (6,2) schema" true c.Query.optimal
-  | Error _ -> Alcotest.fail "applicable");
-  let triangle =
-    Schema.make [ ("r1", [ "a"; "b" ]); ("r2", [ "b"; "c" ]); ("r3", [ "a"; "c" ]) ]
+let triangle =
+  Schema.make [ ("r1", [ "a"; "b" ]); ("r2", [ "b"; "c" ]); ("r3", [ "a"; "c" ]) ]
+
+let test_empty_query () =
+  (match Query.minimal_connection company_schema ~objects:[] with
+  | Ok c ->
+    check "no objects" true (c.Query.objects = [] && c.Query.tree_edges = []);
+    check "vacuously optimal" true c.Query.optimal
+  | Error _ -> Alcotest.fail "empty query answers the empty connection");
+  match Query.min_relations company_schema ~objects:[] with
+  | Ok (c, count) ->
+    check "no objects" true (c.Query.objects = [] && c.Query.tree_edges = []);
+    check_int "no relations" 0 count
+  | Error _ -> Alcotest.fail "empty query answers the empty connection"
+
+let test_min_relations_cyclic () =
+  match Query.min_relations triangle ~objects:[ "a"; "c" ] with
+  | Error (Query.Not_applicable "scheme hypergraph is not alpha-acyclic") ->
+    ()
+  | _ -> Alcotest.fail "triangle scheme is not alpha-acyclic"
+
+(* A ring of ten binary relations is a chordless 20-cycle, neither
+   (4,1)- nor (6,2)-chordal; eighteen objects exceed the exact DP's
+   terminal cap, so the ladder answers on its heuristic rung. *)
+let test_over_terminal_cap () =
+  let attr i = Printf.sprintf "a%d" (i mod 10) in
+  let ring =
+    Schema.make
+      (List.init 10 (fun i -> (Printf.sprintf "r%d" i, [ attr i; attr (i + 1) ])))
   in
-  match
-    Query.minimal_connection ~strategy:Query.Algorithm2_only triangle
-      ~objects:[ "a"; "c" ]
-  with
-  | Error (Query.Not_applicable _) -> check "alg2 refused off-class" true true
-  | _ -> Alcotest.fail "triangle scheme is not (6,2)-chordal"
+  let objects =
+    List.init 10 attr @ List.init 8 (fun i -> Printf.sprintf "r%d" i)
+  in
+  check "over the cap" true
+    (List.length objects > Steiner.Dreyfus_wagner.max_terminals);
+  match Query.minimal_connection ring ~objects with
+  | Ok c ->
+    check "heuristic rung" false c.Query.optimal;
+    check "covers the query" true
+      (List.for_all (fun o -> List.mem o c.Query.objects) objects)
+  | Error _ -> Alcotest.fail "connected query"
 
 let test_min_relations () =
   match Query.min_relations company_schema ~objects:[ "emp"; "floor" ] with
@@ -400,6 +425,14 @@ let test_single_attribute_query () =
   | Error _ -> Alcotest.fail "single attribute answerable"
 
 let test_where_clause () =
+  (* A one-node connection is evaluated over a fallback relation; the
+     selection applies there too. *)
+  (match Interface.answer db ~query:[ "dept" ] ~where:[ ("dept", "toys") ] with
+  | Ok a ->
+    check "selection on the fallback relation" true
+      (Relalg.Relation.equal a.Interface.result
+         (Relalg.Relation.make ~attrs:[ "dept" ] [ [ "toys" ] ]))
+  | Error _ -> Alcotest.fail "single attribute answerable");
   match
     Interface.answer db ~query:[ "emp" ] ~where:[ ("manager", "zoe") ]
   with
@@ -450,19 +483,23 @@ let interface_end_to_end =
         | Ok naive -> Relalg.Relation.equal a.Interface.result naive
         | Error _ -> false)
 
+(* One relation r<j> per hyperedge j, over attributes a<i>. *)
+let schema_of_hypergraph h =
+  let attr i = Printf.sprintf "a%d" i in
+  Schema.make
+    (Array.to_list (Hypergraphs.Hypergraph.edges h)
+    |> List.mapi (fun j e ->
+           (Printf.sprintf "r%d" j, List.map attr (Iset.elements e))))
+
 let dialogue_sizes_nondecreasing =
   QCheck2.Test.make ~count:50
     ~name:"dialogue proposals come in nondecreasing size"
     QCheck2.Gen.(int_range 0 2000)
     (fun seed ->
       let rng = Workloads.Rng.make ~seed in
-      let h = Workloads.Gen_hyper.gamma_acyclic rng ~n_edges:5 ~max_size:3 in
-      let attr i = Printf.sprintf "a%d" i in
       let schema =
-        Schema.make
-          (Array.to_list (Hypergraphs.Hypergraph.edges h)
-          |> List.mapi (fun j e ->
-                 (Printf.sprintf "r%d" j, List.map attr (Iset.elements e))))
+        schema_of_hypergraph
+          (Workloads.Gen_hyper.gamma_acyclic rng ~n_edges:5 ~max_size:3)
       in
       let attrs = Schema.attributes schema in
       let objects = Workloads.Rng.sample rng 2 attrs in
@@ -482,13 +519,8 @@ let qcheck_cases =
       int_range 0 5000
       |> map (fun seed ->
              let rng = Workloads.Rng.make ~seed in
-             let h = Workloads.Gen_hyper.gamma_acyclic rng ~n_edges:5 ~max_size:3 in
-             let attr i = Printf.sprintf "a%d" i in
-             Schema.make
-               (Array.to_list (Hypergraphs.Hypergraph.edges h)
-               |> List.mapi (fun j e ->
-                      ( Printf.sprintf "r%d" j,
-                        List.map attr (Iset.elements e) )))))
+             schema_of_hypergraph
+               (Workloads.Gen_hyper.gamma_acyclic rng ~n_edges:5 ~max_size:3)))
   in
   [
     interface_end_to_end;
@@ -530,6 +562,33 @@ let qcheck_cases =
           count <= List.length c.Query.relations_used
         | Error Query.Disconnected, _ | _, Error Query.Disconnected -> true
         | _ -> false);
+    QCheck2.Test.make ~count:200
+      ~name:"optimal answers have the Dreyfus-Wagner optimum size"
+      QCheck2.Gen.(int_range 0 5000)
+      (fun seed ->
+        let rng = Workloads.Rng.make ~seed in
+        let schema =
+          schema_of_hypergraph
+            (if seed mod 2 = 0 then
+               Workloads.Gen_hyper.random rng ~n_nodes:7 ~n_edges:6 ~max_size:3
+             else Workloads.Gen_hyper.alpha_acyclic rng ~n_edges:6 ~max_size:3)
+        in
+        let names = Schema.attributes schema @ Schema.relation_names schema in
+        let objects =
+          Workloads.Rng.sample rng (2 + Workloads.Rng.int rng 3) names
+        in
+        match Query.minimal_connection schema ~objects with
+        | Error Query.Disconnected -> true
+        | Error _ -> false
+        | Ok c when not c.Query.optimal -> true
+        | Ok c -> (
+          match Query.terminals_of_objects schema objects with
+          | Error _ -> false
+          | Ok p ->
+            Steiner.Dreyfus_wagner.optimum_nodes
+              (Bipartite.Bigraph.ugraph (Schema.to_bigraph schema))
+              ~terminals:p
+            = Some (List.length c.Query.objects)));
   ]
 
 let () =
@@ -544,7 +603,11 @@ let () =
         [
           Alcotest.test_case "minimal connection" `Quick test_minimal_connection;
           Alcotest.test_case "errors" `Quick test_query_errors;
-          Alcotest.test_case "strategies" `Quick test_strategies;
+          Alcotest.test_case "empty query" `Quick test_empty_query;
+          Alcotest.test_case "min relations on a cyclic scheme" `Quick
+            test_min_relations_cyclic;
+          Alcotest.test_case "over the terminal cap" `Quick
+            test_over_terminal_cap;
           Alcotest.test_case "min relations" `Quick test_min_relations;
           Alcotest.test_case "weighted connection" `Quick test_weighted_connection;
           Alcotest.test_case "ranked interpretations" `Quick

@@ -236,7 +236,7 @@ let prop_algorithm1_equal =
         Workloads.Gen_bipartite.random_terminals rng g
           ~k:(2 + Workloads.Rng.int rng 3)
       in
-      match (Algorithm1.solve g ~p, Algorithm1.solve_sets g ~p) with
+      match (Algorithm1.solve g ~p, Reference_elimination.algorithm1_sets g ~p) with
       | Error e, Error e' -> e = e'
       | Ok r, Ok r' ->
         Iset.equal r.Algorithm1.tree.Tree.nodes r'.Algorithm1.tree.Tree.nodes
@@ -265,6 +265,64 @@ let prop_csr_induced =
                 | exception Not_found -> true)
            (Ugraph.nodes g))
 
+(* -------------------------------------------------------- elimination *)
+
+(* The one elimination kernel against the set-based fixpoint it
+   replaced: same survivors, same number of considered candidates, on
+   every bipartite family and on non-bipartite graphs, in increasing
+   order, in a shuffled order of all nodes, and in a partial order. *)
+let prop_elimination_equal =
+  QCheck2.Test.make ~count:1000
+    ~name:"Cover elimination kernel = set-based fixpoint (survivors, steps)"
+    seed_gen
+    (fun seed ->
+      let rng = Workloads.Rng.make ~seed in
+      let size = 2 + Workloads.Rng.int rng 6 in
+      let bipartite g = Bipartite.Bigraph.ugraph g in
+      let u =
+        match seed mod 7 with
+        | 0 ->
+          bipartite
+            (Workloads.Gen_bipartite.gnp rng ~nl:size ~nr:size ~p:0.35)
+        | 1 -> bipartite (Workloads.Gen_bipartite.forest rng ~n:(2 * size))
+        | 2 ->
+          bipartite
+            (Workloads.Gen_bipartite.chordal_62 rng ~n_right:size ~max_size:4)
+        | 3 ->
+          bipartite
+            (Workloads.Gen_bipartite.alpha_bipartite rng ~n_right:size
+               ~max_size:4)
+        | 4 ->
+          bipartite
+            (Workloads.Gen_bipartite.chordal_61_flower rng ~petals:size)
+        | 5 -> Workloads.Gen_graph.gnp rng ~n:(2 * size) ~p:0.3
+        | _ ->
+          Workloads.Gen_graph.random_connected rng ~n:(2 * size)
+            ~extra_edges:size
+      in
+      let n = Ugraph.n u in
+      (* Terminals from one component, which is the [within] scanned. *)
+      let within = Traverse.component u (Workloads.Rng.int rng n) in
+      let p =
+        Iset.of_list
+          (List.init (1 + Workloads.Rng.int rng 4) (fun _ ->
+               Workloads.Rng.pick rng (Iset.elements within)))
+      in
+      let all = List.init n Fun.id in
+      let order =
+        match Workloads.Rng.int rng 3 with
+        | 0 -> None
+        | 1 -> Some (Workloads.Rng.shuffle rng all)
+        | _ -> Some (Workloads.Rng.sample rng (n / 2) all)
+      in
+      let metrics = Observe.Metrics.make () in
+      let kernel = Observe.Metrics.counter metrics "kernel"
+      and sets = Observe.Metrics.counter metrics "sets" in
+      Iset.equal
+        (Cover.eliminate_redundant ?order ~steps:kernel u ~within ~p)
+        (Reference_elimination.eliminate_sets ?order ~steps:sets u ~within ~p)
+      && Observe.Metrics.count kernel = Observe.Metrics.count sets)
+
 let qcheck_cases =
   [
     prop_bitset_model;
@@ -278,6 +336,7 @@ let qcheck_cases =
     prop_edge_mcs_equal;
     prop_algorithm1_equal;
     prop_csr_induced;
+    prop_elimination_equal;
   ]
 
 let () =
