@@ -208,8 +208,9 @@ let run_batch ?compiled nb ~queries ~cache ~timeout_ms ~fuel ~no_degrade
   let session =
     Minconn.Session.create ~degrade:(not no_degrade) ~trace ~metrics compiled
   in
+  let index = Mc_io.Parse.index nb in
   let resolved =
-    List.map (fun names -> (names, Mc_io.Parse.name_set nb names)) queries
+    List.map (fun names -> (names, Mc_io.Parse.resolve index names)) queries
   in
   let ps = List.filter_map (fun (_, r) -> Result.to_option r) resolved in
   (* A fresh budget per query: one slow query degrades itself, not

@@ -98,19 +98,23 @@ let query ?budget ?degrade t ~p =
        ascending — a monotone relabeling — so each rung takes the
        decisions it takes on the whole graph, and the tree mapped back
        through [ids] is the one a whole-graph run returns. A connected
-       schema is its own slice. *)
+       schema is its own slice. The slice is connected, so Algorithm 2
+       runs on its CSR as is; only the set-view rungs and the traced
+       [verify] force [u]. *)
     let g, ids = Bigraph.induced c.Compiled.graph comp.Compiled.nodes in
-    let u = Bigraph.ugraph g in
+    let u = lazy (Bigraph.ugraph g) in
     let p = Iset.map (Csr.local_index ids) p in
     let mst_rung =
       {
         rung = Errors.Mst;
         meth = Used_mst_approx;
         guarantee = Degrade.Ratio 2.0;
-        run = (fun () -> Mst_approx.solve ~trace u ~terminals:p);
+        run = (fun () -> Mst_approx.solve ~trace (Lazy.force u) ~terminals:p);
       }
     in
-    let algorithm2 () = Algorithm2.solve ~budget ~trace ~metrics u ~p in
+    let algorithm2 () =
+      Algorithm2.solve_csr ~budget ~trace ~metrics (Bigraph.csr g) ~p
+    in
     let fixpoint_rung =
       {
         rung = Errors.Fixpoint;
@@ -127,7 +131,9 @@ let query ?budget ?degrade t ~p =
               rung = Errors.Exact_structured;
               meth = Used_forest;
               guarantee = Degrade.Exact;
-              run = (fun () -> Steiner.Forest_steiner.solve u ~terminals:p);
+              run =
+                (fun () ->
+                  Steiner.Forest_steiner.solve (Lazy.force u) ~terminals:p);
             };
             mst_rung;
           ] )
@@ -154,7 +160,8 @@ let query ?budget ?degrade t ~p =
               guarantee = Degrade.Exact;
               run =
                 (fun () ->
-                  Dreyfus_wagner.solve ~budget ~trace ~metrics u ~terminals:p);
+                  Dreyfus_wagner.solve ~budget ~trace ~metrics (Lazy.force u)
+                    ~terminals:p);
             };
             fixpoint_rung;
             mst_rung;
@@ -224,7 +231,8 @@ let query ?budget ?degrade t ~p =
           if Observe.Trace.active trace then
             Observe.Trace.span trace "verify" (fun () ->
                 Observe.Trace.add_attr trace "covers_terminals"
-                  (Observe.Trace.Bool (Tree.verify u ~terminals:p tree)));
+                  (Observe.Trace.Bool
+                     (Tree.verify (Lazy.force u) ~terminals:p tree)));
           Ok
             {
               tree = Tree.relabel ids tree;

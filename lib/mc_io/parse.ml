@@ -127,18 +127,90 @@ let index_of (arr : string array) name =
   in
   go 0
 
-(* String -> index table over a name array. On a repeated name the
-   first occurrence wins (as a left-to-right scan would find it), and
-   the table is then smaller than the array, which is how the bipartite
-   parser detects duplicates within a side. *)
-let name_table names =
-  let t = Hashtbl.create (Array.length names) in
-  Array.iteri
-    (fun i s -> if not (Hashtbl.mem t s) then Hashtbl.add t s i)
-    names;
-  t
+(* One side's name table: open addressing keyed by [Hashtbl.hash] with
+   linear probing. A slot holds a 4-byte position plus one (0 marks an
+   empty slot) in one flat [Bytes], at load <= 1/2; a hit is confirmed
+   with [String.equal] against the side's array. On a repeated name the
+   first occurrence wins, as a left-to-right scan finds it, and
+   [distinct] falls short of the array's length — which is how the
+   bipartite parser detects duplicates within a side. Never mutated
+   once built. *)
+type side = {
+  names : string array;
+  slots : Bytes.t;
+  mask : int;
+  distinct : int;
+}
 
-(* Linear in the input: each side's names are indexed once in a hash
+let slot slots h = Int32.to_int (Bytes.get_int32_le slots (4 * h))
+
+let side_index names =
+  let n = Array.length names in
+  let cap = ref 2 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  let slots = Bytes.make (4 * !cap) '\000' and mask = !cap - 1 in
+  let distinct = ref 0 in
+  Array.iteri
+    (fun i s ->
+      let rec probe h =
+        match slot slots h with
+        | 0 ->
+          Bytes.set_int32_le slots (4 * h) (Int32.of_int (i + 1));
+          incr distinct
+        | k ->
+          if not (String.equal names.(k - 1) s) then probe ((h + 1) land mask)
+      in
+      probe (Hashtbl.hash s land mask))
+    names;
+  { names; slots; mask; distinct = !distinct }
+
+(* Position of [s] in the side's array, or -1. *)
+let find side s =
+  let rec probe h =
+    match slot side.slots h with
+    | 0 -> -1
+    | k ->
+      if String.equal side.names.(k - 1) s then k - 1
+      else probe ((h + 1) land side.mask)
+  in
+  probe (Hashtbl.hash s land side.mask)
+
+type name_index = { left : side; right : side; nl : int }
+
+let index nb =
+  {
+    left = side_index nb.left_names;
+    right = side_index nb.right_names;
+    nl = Bipartite.Bigraph.nl nb.graph;
+  }
+
+(* A side whose array is physically the indexed one keeps its table:
+   deltas never touch the left names, and edge deltas neither side. *)
+let reindex ix nb =
+  let keep side names =
+    if side.names == names then side else side_index names
+  in
+  {
+    left = keep ix.left nb.left_names;
+    right = keep ix.right nb.right_names;
+    nl = Bipartite.Bigraph.nl nb.graph;
+  }
+
+let resolve ix names =
+  let rec go acc = function
+    | [] -> Ok acc
+    | s :: rest ->
+      let i = find ix.left s in
+      if i >= 0 then go (Iset.add i acc) rest
+      else
+        let j = find ix.right s in
+        if j >= 0 then go (Iset.add (ix.nl + j) acc) rest else Error s
+  in
+  go Iset.empty names
+
+(* Linear in the input: each side's names are indexed once in a name
    table, every edge is resolved to flat [src]/[dst] arrays in file
    order (so the first unknown name reports the same position a
    line-by-line scan would), and the graph is built in one
@@ -170,11 +242,11 @@ let bigraph_of_string_unguarded text =
     | Ok () ->
       let left_names = Array.of_list (List.rev !left) in
       let right_names = Array.of_list (List.rev !right) in
-      let lidx = name_table left_names and ridx = name_table right_names in
+      let lidx = side_index left_names and ridx = side_index right_names in
       if
-        Hashtbl.length lidx <> Array.length left_names
-        || Hashtbl.length ridx <> Array.length right_names
-        || Array.exists (Hashtbl.mem lidx) right_names
+        lidx.distinct <> Array.length left_names
+        || ridx.distinct <> Array.length right_names
+        || Array.exists (fun s -> find lidx s >= 0) right_names
       then err 0 0 "duplicate node name"
       else begin
         let edges = Array.of_list (List.rev !edges) in
@@ -184,13 +256,14 @@ let bigraph_of_string_unguarded text =
           if k = m then Ok ()
           else
             let i, cs, a, b = edges.(k) in
-            match (Hashtbl.find_opt lidx a, Hashtbl.find_opt ridx b) with
-            | Some la, Some rb ->
+            let la = find lidx a and rb = find ridx b in
+            if la < 0 then err i (col_at cs 1) "unknown left node '%s'" a
+            else if rb < 0 then err i (col_at cs 2) "unknown right node '%s'" b
+            else begin
               src.(k) <- la;
               dst.(k) <- rb;
               resolve (k + 1)
-            | None, _ -> err i (col_at cs 1) "unknown left node '%s'" a
-            | _, None -> err i (col_at cs 2) "unknown right node '%s'" b
+            end
         in
         match resolve 0 with
         | Error e -> Error e
@@ -251,16 +324,16 @@ let hypergraph_of_string_unguarded text =
     | Error e -> Error e
     | Ok () ->
       let node_names = Array.of_list (List.rev !nodes) in
-      let index = name_table node_names in
+      let index = side_index node_names in
       let rec build acc = function
         | [] -> Ok (List.rev acc)
         | (i, _, members) :: rest ->
           let rec resolve set = function
             | [] -> Ok set
             | (c, m) :: ms -> (
-              match Hashtbl.find_opt index m with
-              | Some v -> resolve (Iset.add v set) ms
-              | None -> err i c "unknown node '%s'" m)
+              match find index m with
+              | -1 -> err i c "unknown node '%s'" m
+              | v -> resolve (Iset.add v set) ms)
           in
           (match resolve Iset.empty members with
           | Error e -> Error e
@@ -344,7 +417,8 @@ let deltas_of_string_unguarded nb text =
   | Error e -> Error e
   | Ok lines ->
     let remove_at j arr =
-      Array.of_list (List.filteri (fun k _ -> k <> j) (Array.to_list arr))
+      Array.init (Array.length arr - 1) (fun k ->
+          arr.(if k < j then k else k + 1))
     in
     let rec consume nb ops = function
       | [] -> Ok (List.rev ops, nb)

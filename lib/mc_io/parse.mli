@@ -65,7 +65,8 @@ val max_line_bytes : int
     offending line. *)
 
 val bigraph_of_string : string -> (named_bigraph, error) result
-(** Linear in the input: names resolve through hash tables and the
+(** Linear in the input: names resolve through the same per-side
+    tables as {!name_index}, and the
     graph is built in one pass into CSR form
     ({!Bipartite.Bigraph.of_edge_iter}). Duplicate edges collapse. An
     unknown name reports the position of its first use in file order. *)
@@ -113,7 +114,33 @@ val query_of_string :
 
 val name_set : named_bigraph -> string list -> (Iset.t, string) result
 (** Resolve a list of names to underlying indices; [Error name] on the
-    first unknown one. *)
+    first unknown one. The one-shot path: a linear scan of both name
+    arrays per name, with nothing built — right for a command that
+    resolves one terminal set. A caller resolving many sets against
+    one schema builds a {!name_index} once and calls {!resolve}. *)
+
+type name_index
+(** An immutable name table per side of a {!named_bigraph}: open
+    addressing keyed by [Hashtbl.hash], 4-byte slots in one flat
+    buffer at load <= 1/2, every hit confirmed by [String.equal]
+    against the side's array. A repeated name resolves to its first
+    occurrence, as {!name_set}'s scan finds it. Built in
+    O(|left| + |right|); never mutated afterwards, so a published
+    index can be read by any number of threads. *)
+
+val index : named_bigraph -> name_index
+
+val reindex : name_index -> named_bigraph -> name_index
+(** [reindex ix nb] is [index nb], keeping each side of [ix] whose
+    name array is physically [nb]'s. A schema evolved by
+    {!deltas_of_string} shares its left array with its parent (and
+    both arrays after edge-only deltas), so a delta rebuilds at most
+    the right side's table. *)
+
+val resolve : name_index -> string list -> (Iset.t, string) result
+(** {!name_set} against the index: the same result and the same
+    first-unknown [Error], in O(|names|) expected time. A name present
+    on both sides resolves to the left one. *)
 
 val bigraph_to_string : named_bigraph -> string
 (** The inverse of {!bigraph_of_string}. A side's names go on as few

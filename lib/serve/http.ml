@@ -241,11 +241,22 @@ let write_all c s =
 
 let write_response c ~keep_alive (r : response) =
   let b = Buffer.create (256 + String.length r.body) in
-  Printf.bprintf b "HTTP/1.1 %d %s\r\n" r.status (reason r.status);
-  List.iter (fun (k, v) -> Printf.bprintf b "%s: %s\r\n" k v) r.headers;
-  Printf.bprintf b "Content-Length: %d\r\n" (String.length r.body);
-  Printf.bprintf b "Connection: %s\r\n"
-    (if keep_alive then "keep-alive" else "close");
+  (* [Buffer.add_string] only: one response per request, no format
+     interpretation on the hot path. *)
+  let header k v =
+    Buffer.add_string b k;
+    Buffer.add_string b ": ";
+    Buffer.add_string b v;
+    Buffer.add_string b "\r\n"
+  in
+  Buffer.add_string b "HTTP/1.1 ";
+  Buffer.add_string b (string_of_int r.status);
+  Buffer.add_char b ' ';
+  Buffer.add_string b (reason r.status);
+  Buffer.add_string b "\r\n";
+  List.iter (fun (k, v) -> header k v) r.headers;
+  header "Content-Length" (string_of_int (String.length r.body));
+  header "Connection" (if keep_alive then "keep-alive" else "close");
   Buffer.add_string b "\r\n";
   Buffer.add_string b r.body;
   try

@@ -43,10 +43,15 @@ let default_config =
   }
 
 (* The schema of record. Immutable as a value — a delta builds a new
-   state and swaps the cell, so an inflight request keeps answering
-   against the plan it started with while new requests pick up the
-   evolved one at their next dispatch. *)
-type plan_state = { nb : Parse.named_bigraph; compiled : Compiled.t }
+   state (its name index by [Parse.reindex], which never mutates the
+   parent's) and swaps the cell, so an inflight request keeps
+   resolving and answering against the state it started with while
+   new requests pick up the evolved one at their next dispatch. *)
+type plan_state = {
+  nb : Parse.named_bigraph;
+  names : Parse.name_index;
+  compiled : Compiled.t;
+}
 
 type t = {
   cfg : config;
@@ -126,7 +131,7 @@ let create ?(config = default_config) ?cache ?compiled
       Ok
         {
           cfg = config;
-          state = Atomic.make { nb; compiled };
+          state = Atomic.make { nb; names = Parse.index nb; compiled };
           delta_lock = Mutex.create ();
           metrics;
           trace;
@@ -197,8 +202,8 @@ let solve_response t st session body =
     text 400
       ~headers:(("X-Minconn-Code", "4") :: pressure_headers)
       "error: empty terminal set\n"
-  | names -> (
-    match Parse.name_set st.nb names with
+  | terminals -> (
+    match Parse.resolve st.names terminals with
     | Error n ->
       text 400
         ~headers:(("X-Minconn-Code", "4") :: pressure_headers)
@@ -259,7 +264,7 @@ let delta_response t body =
         ~headers:[ ("X-Minconn-Error", "bad-delta"); ("X-Minconn-Code", "4") ]
         ("error: " ^ msg ^ "\n")
     | Ok (compiled, stats) ->
-      Atomic.set t.state { nb; compiled };
+      Atomic.set t.state { nb; names = Parse.reindex st.names nb; compiled };
       Metrics.incr t.c_deltas;
       let fallback = List.exists (fun s -> s.Compiled.fallback) stats in
       let recompiled =

@@ -35,7 +35,10 @@
 
     Endpoints: [POST /solve] (body = one terminal set, names separated
     by commas/whitespace; answer is byte-identical to the CLI batch
-    block for the same query), [POST /schema/delta] (body = a delta
+    block for the same query; the names resolve against the schema of
+    record's {!Mc_io.Parse.name_index}, so a request costs
+    O(|terminals| + |their component|) and nothing sized to the
+    schema), [POST /schema/delta] (body = a delta
     file — see {!Mc_io.Parse.deltas_of_string}; patches the compiled
     plan component-by-component and hot-swaps the schema of record
     without dropping inflight requests, answering with
@@ -77,7 +80,13 @@ val create :
   ?trace:Observe.Trace.t ->
   Mc_io.Parse.named_bigraph ->
   (t, string) result
-(** Compile (or load from [cache]) the schema once, bind and listen.
+(** Compile (or load from [cache]) the schema once, index its names
+    ({!Mc_io.Parse.index}, O(|names|)), bind and listen. Each accepted
+    delta publishes a new state whose index is
+    {!Mc_io.Parse.reindex} of the old one — only a side whose name
+    array changed is rebuilt, and no published index is mutated, so
+    an inflight request keeps resolving against the state it started
+    with.
     [compiled] supplies a pre-built plan for [nb] instead — the CLI's
     [serve --deltas] path hands over the evolved plan it obtained via
     the cache's patch rung. [Error msg] on bind/listen failure. Also

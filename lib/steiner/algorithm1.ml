@@ -92,8 +92,10 @@ let solve_prepared ?(trace = Observe.Trace.disabled) g prep ~p =
           Cover.eliminate ~drop:Cover.Node_and_private (Bigraph.csr sub)
             ~p:(Iset.map local p) (List.map local prep.w_order))
     in
-    match Tree.of_node_set (Bigraph.ugraph sub) survivors with
+    match Tree.of_csr_node_set (Bigraph.csr sub) survivors with
     | Some tree ->
+      (* With an empty terminal set everything was eliminated: the
+         empty tree connects nothing vacuously. *)
       let tree = Tree.relabel ids tree in
       Ok
         {
@@ -101,10 +103,6 @@ let solve_prepared ?(trace = Observe.Trace.disabled) g prep ~p =
           v2_count = v2_count tree.Tree.nodes;
           elimination_order = prep.w_order;
         }
-    | None when Iset.is_empty survivors ->
-      (* Empty terminal set: everything was eliminated; the empty
-         tree connects nothing vacuously. *)
-      Ok { tree = Tree.empty; v2_count = 0; elimination_order = prep.w_order }
     | None ->
       (* Defensive: every accepted elimination candidate is a
          connected cover, so a spanning tree must exist; degrade

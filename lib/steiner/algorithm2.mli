@@ -12,6 +12,27 @@
 
 open Graphs
 
+val solve_csr :
+  ?order:int list ->
+  ?budget:Runtime.Budget.t ->
+  ?trace:Observe.Trace.t ->
+  ?metrics:Observe.Metrics.t ->
+  Csr.t ->
+  p:Iset.t ->
+  Tree.t option
+(** The one Algorithm 2 core, on a connected CSR (a component slice,
+    as {!Engine.Session} holds it): {!Cover.eliminate} with
+    [~drop:Node] over [order] (default increasing ids), then the BFS
+    spanning tree of the survivors on the CSR
+    ({!Tree.of_csr_node_set}) — edge for edge the tree {!solve}
+    returns on the set view. Builds no set view and allocates only
+    arrays and bitsets sized to the CSR, the order list and the
+    tree. [None] only when the CSR is not connected. One fuel unit of
+    [budget] per elimination candidate; [trace] records an
+    ["algorithm2"] span (component size, survivor count); [metrics]
+    counts elimination steps ([elimination.steps] counter and
+    [elimination.steps_per_solve] histogram). *)
+
 val solve :
   ?order:int list ->
   ?budget:Runtime.Budget.t ->
@@ -20,14 +41,11 @@ val solve :
   Ugraph.t ->
   p:Iset.t ->
   Tree.t option
-(** [None] when the terminals do not share a component. The elimination
-    is restricted to the component containing [p]; [order] defaults to
+(** The set-view entry point: [None] when the terminals do not share a
+    component. The component containing [p] is cut out as a CSR of
+    its own ({!Cover.slice}, renumbered ascending), run through
+    {!solve_csr}, and the tree mapped back. [order] defaults to
     increasing node ids and may mention any subset of nodes (missing
-    nodes are appended in increasing order, terminals are skipped).
-    The elimination is {!Cover.eliminate_redundant}: the component is
-    cut out as a CSR of its own and run through the one elimination
-    fixpoint, which spends one fuel unit of [budget] per elimination
-    candidate. [trace] records
-    an ["algorithm2"] span (component size, survivor count); [metrics]
-    counts elimination steps ([elimination.steps] counter and
-    [elimination.steps_per_solve] histogram). *)
+    component nodes are appended in increasing order, nodes outside
+    the component and terminals are skipped). Budget, span and
+    metrics as {!solve_csr}. *)

@@ -155,10 +155,9 @@ let eliminate ?(budget = Runtime.Budget.unlimited)
   done;
   Bitset.to_iset present
 
-(* The Ugraph front door: cut [within] out as a CSR of its own (the
-   renumbering is ascending, so the scan takes the same decisions) and
-   map the survivors back. *)
-let eliminate_redundant ?order ?budget ?steps g ~within ~p =
+(* The renumbering is ascending, so a scan over the slice takes the
+   decisions it takes on [g]. *)
+let slice ?order g ~within =
   let ids = Array.of_list (Iset.elements within) in
   let csr = Csr.of_ugraph g in
   let csr = if Array.length ids = Csr.n csr then csr else Csr.induced csr ids in
@@ -171,7 +170,13 @@ let eliminate_redundant ?order ?budget ?steps g ~within ~p =
         (fun v -> match local v with i -> Some i | exception Not_found -> None)
         o
   in
-  eliminate ?budget ?steps ~drop:Node csr ~p:(Iset.map local p) order
+  (csr, ids, order)
+
+let eliminate_redundant ?order ?budget ?steps g ~within ~p =
+  let csr, ids, order = slice ?order g ~within in
+  eliminate ?budget ?steps ~drop:Node csr
+    ~p:(Iset.map (Csr.local_index ids) p)
+    order
   |> Iset.map (fun i -> ids.(i))
 
 let is_nonredundant_path g path =

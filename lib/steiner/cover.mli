@@ -54,6 +54,15 @@ val eliminate :
     nothing partial is left behind). Node sets are dense bitsets and
     connectivity an array BFS: one pass costs O(|order| · (n + m)). *)
 
+val slice :
+  ?order:int list -> Ugraph.t -> within:Iset.t -> Csr.t * int array * int list
+(** [slice ?order g ~within] cuts the subgraph induced by [within] out
+    of the set view as a CSR of its own, renumbered ascending; returns
+    it with its id array (local [i] is [ids.(i)], inverted by
+    {!Graphs.Csr.local_index}) and [order] (default increasing)
+    restricted to [within] in local ids. The set-view front door of
+    {!eliminate_redundant} and {!Algorithm2.solve}. *)
+
 val eliminate_redundant :
   ?order:int list ->
   ?budget:Runtime.Budget.t ->

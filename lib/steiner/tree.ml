@@ -22,6 +22,33 @@ let of_node_set g nodes =
   | Some edges -> Some { nodes; edges }
   | None -> None
 
+(* The BFS [Spanning.spanning_tree] makes on the set view — from the
+   least node, each row scanned ascending — over the CSR's sorted rows,
+   so the same edges in the same order. [unseen] starts as [nodes] and
+   loses each node as the BFS reaches it. *)
+let of_csr_node_set csr nodes =
+  match Iset.min_elt_opt nodes with
+  | None -> Some { nodes; edges = [] }
+  | Some root ->
+    let unseen = Bitset.create (Csr.n csr) in
+    Iset.iter (Bitset.add unseen) nodes;
+    Bitset.remove unseen root;
+    let queue = Array.make (Iset.cardinal nodes) root in
+    let head = ref 0 and tail = ref 1 and edges = ref [] in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      Csr.iter_neighbors csr u (fun v ->
+          if Bitset.mem unseen v then begin
+            Bitset.remove unseen v;
+            edges := (u, v) :: !edges;
+            queue.(!tail) <- v;
+            incr tail
+          end)
+    done;
+    if !tail = Array.length queue then Some { nodes; edges = List.rev !edges }
+    else None
+
 let spanning_with_leaves_in g ~nodes ~terminals =
   let all_edges =
     List.filter

@@ -26,7 +26,13 @@ val relabel : int array -> t -> t
     it). Edge order is kept. *)
 
 val of_node_set : Ugraph.t -> Iset.t -> t option
-(** Spanning tree of the induced subgraph, when connected. *)
+(** Spanning tree of the induced subgraph, when connected: the BFS tree
+    of {!Graphs.Spanning.spanning_tree}, rooted at the least node. *)
+
+val of_csr_node_set : Csr.t -> Iset.t -> t option
+(** {!of_node_set} on the CSR: the same BFS over the sorted rows, so
+    the same edges in the same order, in O(|nodes| + their degrees)
+    plus one bitset over the CSR's nodes — no set view. *)
 
 val spanning_with_leaves_in : Ugraph.t -> nodes:Iset.t -> terminals:Iset.t -> t option
 (** A spanning tree of the induced subgraph on [nodes] in which every

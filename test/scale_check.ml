@@ -29,6 +29,12 @@
    on the component's CSR with an array BFS per candidate, and the
    set-view fixpoint took about 2 s there.
 
+   It resolves 10^4 three-name terminal sets against a name index over
+   the chordal62 instance's 10^5 names under 50 ms: resolution through
+   [Mc_io.Parse.index] is O(|p|), where the one-shot scan
+   ([Mc_io.Parse.name_set]) costs about half a millisecond per set
+   there, about 5 s in all.
+
    Last, it bounds what a schema delta allocates: a pendant relation
    added to the alpha plan and removed again. Each delta rebuilds the
    schema's CSR once and re-prepares the one small component it
@@ -41,6 +47,13 @@ let budget_s = 60.0
 (* Far above what a query on one bounded-size block needs, far below
    one word per schema node at n = 10^5. *)
 let max_query_words = 10_000
+
+(* A chordal62 query runs Algorithm 2 on its block's CSR and derives no
+   set view: measured at 344 words, where deriving the block's set
+   view for the tree extraction allocated 887. *)
+let max_chordal62_query_words = 600
+
+let max_resolve_s = 0.05
 
 (* Measured at 3.8 words per (n + m) for each delta of the pair (one
    CSR rebuild plus the plan's per-node arrays); a round trip through
@@ -129,6 +142,43 @@ let worst_warm_words session ps =
         (int_of_float ((Gc.allocated_bytes () -. before) /. word)))
     0 ps
 
+(* Seconds to resolve 10^4 terminal sets of three names, drawn from the
+   blocks of [inst], against a fresh index over its names; failing on
+   a set that does not resolve to the block's terminals. *)
+let resolve_s inst =
+  let graph = Workloads.Gen_scale.to_bigraph inst in
+  let nl = Minconn.Bigraph.nl graph in
+  let nb =
+    {
+      Mc_io.Parse.graph;
+      left_names = Array.init nl (Printf.sprintf "a%d");
+      right_names =
+        Array.init (Minconn.Bigraph.nr graph) (Printf.sprintf "r%d");
+    }
+  in
+  let name v = if v < nl then nb.left_names.(v) else nb.right_names.(v - nl) in
+  let blocks = Workloads.Gen_scale.n_blocks inst in
+  let sets =
+    Array.init 64 (fun i ->
+        let p =
+          Workloads.Gen_scale.block_terminals inst
+            ~block:(i * (blocks - 1) / 63)
+            ~k:3
+        in
+        (p, List.map name (Minconn.Iset.elements p)))
+  in
+  let ix = Mc_io.Parse.index nb in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to 9_999 do
+    let p, names = sets.(i land 63) in
+    match Mc_io.Parse.resolve ix names with
+    | Ok q when Minconn.Iset.equal p q -> ()
+    | _ ->
+      prerr_endline "scale_check: a terminal set resolved wrong";
+      exit 1
+  done;
+  Unix.gettimeofday () -. t0
+
 (* Words allocated per (n + m) by each delta of a pendant
    [+relation a0] / [-relation] pair on [plan]. *)
 let delta_words_per_size plan =
@@ -206,12 +256,15 @@ let () =
   in
   let others = List.map (fun (fam, (_, w)) -> (fam, w)) plans in
   let words = ("chordal62", chordal62_words) :: others in
+  let bound fam =
+    if fam = "chordal62" then max_chordal62_query_words else max_query_words
+  in
   List.iter
     (fun (fam, w) ->
-      if w > max_query_words then begin
+      if w > bound fam then begin
         Printf.eprintf
           "scale_check: a warm %s query allocated %d words (bound %d)\n" fam w
-          max_query_words;
+          (bound fam);
         exit 1
       end)
     words;
@@ -242,6 +295,14 @@ let () =
         exit 1
       end)
     deltas;
+  let resolve_s = resolve_s inst in
+  if resolve_s > max_resolve_s then begin
+    Printf.eprintf
+      "scale_check: 10^4 name resolutions against a %d-name index took \
+       %.3fs (bound %.2fs)\n"
+      (Workloads.Gen_scale.n inst) resolve_s max_resolve_s;
+    exit 1
+  end;
   let oc = open_out out in
   Printf.fprintf oc
     "scale-smoke ok: n=%d m=%d components=%d construct=%.3fs compile=%.3fs \
@@ -262,8 +323,11 @@ let () =
   List.iter
     (fun (fam, w) ->
       Printf.fprintf oc "warm query allocation %s: max %d words (bound %d)\n"
-        fam w max_query_words)
+        fam w (bound fam))
     words;
+  Printf.fprintf oc
+    "name resolution: 10^4 sets against %d names in %.4fs (bound %.2fs)\n"
+    (Workloads.Gen_scale.n inst) resolve_s max_resolve_s;
   List.iter
     (fun (op, w) ->
       Printf.fprintf oc

@@ -213,25 +213,28 @@ let prop_edge_mcs_equal =
 
 (* --------------------------------------------------------- Algorithm 1 *)
 
+(* One of the five [Gen_bipartite] families, by seed. *)
+let bipartite_of_seed rng seed =
+  let size = 2 + Workloads.Rng.int rng 5 in
+  match seed mod 5 with
+  | 0 -> Workloads.Gen_bipartite.alpha_bipartite rng ~n_right:size ~max_size:4
+  | 1 ->
+    Workloads.Gen_bipartite.gnp rng ~nl:size
+      ~nr:(1 + Workloads.Rng.int rng 5)
+      ~p:0.4
+  | 2 -> Workloads.Gen_bipartite.forest rng ~n:(2 * size)
+  | 3 -> Workloads.Gen_bipartite.chordal_62 rng ~n_right:size ~max_size:4
+  | _ -> Workloads.Gen_bipartite.chordal_61_flower rng ~petals:size
+
 let prop_algorithm1_equal =
   QCheck2.Test.make ~count:500
     ~name:"Algorithm 1 kernel elimination = set-based (full result)"
     seed_gen
     (fun seed ->
       let rng = Workloads.Rng.make ~seed in
-      (* Alternate between in-class instances (success path) and
+      (* Every bipartite family: in-class instances (success path) and
          arbitrary bipartite graphs (error paths). *)
-      let g =
-        if seed mod 2 = 0 then
-          Workloads.Gen_bipartite.alpha_bipartite rng
-            ~n_right:(2 + Workloads.Rng.int rng 5)
-            ~max_size:4
-        else
-          Workloads.Gen_bipartite.gnp rng
-            ~nl:(2 + Workloads.Rng.int rng 5)
-            ~nr:(1 + Workloads.Rng.int rng 5)
-            ~p:0.4
-      in
+      let g = bipartite_of_seed rng seed in
       let p =
         Workloads.Gen_bipartite.random_terminals rng g
           ~k:(2 + Workloads.Rng.int rng 3)
@@ -323,6 +326,65 @@ let prop_elimination_equal =
         (Reference_elimination.eliminate_sets ?order ~steps:sets u ~within ~p)
       && Observe.Metrics.count kernel = Observe.Metrics.count sets)
 
+(* Algorithm 2's core on a component slice's CSR, as the session runs
+   it, against [Algorithm2.solve] on the whole graph's set view and
+   against the set-view reference (fixpoint, then [Tree.of_node_set]):
+   the same tree edge for edge, the same [elimination.steps], the same
+   number of budget checks. *)
+let prop_algorithm2_core_equal =
+  QCheck2.Test.make ~count:1000
+    ~name:"Algorithm 2 CSR core = set view (tree, steps, budget checks)"
+    seed_gen
+    (fun seed ->
+      let rng = Workloads.Rng.make ~seed in
+      let g = bipartite_of_seed rng seed in
+      let u = Bipartite.Bigraph.ugraph g in
+      let p =
+        Workloads.Gen_bipartite.random_terminals rng g
+          ~k:(1 + Workloads.Rng.int rng 4)
+      in
+      let counted solve =
+        let metrics = Observe.Metrics.make ()
+        and budget = Runtime.Budget.make () in
+        let tree = solve ~budget ~metrics in
+        ( tree,
+          Observe.Metrics.count
+            (Observe.Metrics.counter metrics "elimination.steps"),
+          Runtime.Budget.spent budget )
+      in
+      let same_tree a b =
+        match (a, b) with
+        | Some a, Some b ->
+          Iset.equal a.Tree.nodes b.Tree.nodes && a.Tree.edges = b.Tree.edges
+        | None, None -> true
+        | Some _, None | None, Some _ -> false
+      in
+      match Traverse.component_containing u p with
+      | None -> Algorithm2.solve u ~p = None
+      | Some comp ->
+        let slice, ids = Bipartite.Bigraph.induced g comp in
+        let core, core_steps, core_checks =
+          counted (fun ~budget ~metrics ->
+              Algorithm2.solve_csr ~budget ~metrics
+                (Bipartite.Bigraph.csr slice)
+                ~p:(Iset.map (Csr.local_index ids) p)
+              |> Option.map (Tree.relabel ids))
+        in
+        let whole, whole_steps, whole_checks =
+          counted (fun ~budget ~metrics ->
+              Algorithm2.solve ~budget ~metrics u ~p)
+        in
+        let metrics = Observe.Metrics.make () in
+        let steps = Observe.Metrics.counter metrics "reference" in
+        let reference =
+          Tree.of_node_set u
+            (Reference_elimination.eliminate_sets ~steps u ~within:comp ~p)
+        in
+        same_tree core whole && same_tree core reference
+        && core_steps = whole_steps
+        && core_steps = Observe.Metrics.count steps
+        && core_checks = whole_checks && core_checks = core_steps)
+
 let qcheck_cases =
   [
     prop_bitset_model;
@@ -337,6 +399,7 @@ let qcheck_cases =
     prop_algorithm1_equal;
     prop_csr_induced;
     prop_elimination_equal;
+    prop_algorithm2_core_equal;
   ]
 
 let () =

@@ -71,6 +71,44 @@ let test_name_set () =
     | Error "zz" -> check "unknown reported" true true
     | _ -> Alcotest.fail "expected unknown name")
 
+(* 6,000 names a side in 16,384 slots each. With these names
+   ([Hashtbl.hash] is unseeded and stable) an insertion on each side
+   probes past the last slot and wraps to slot 0: every name must still
+   resolve to its own position, and a sample agree with the scan. *)
+let test_name_index_large () =
+  let n = 6000 in
+  let nb =
+    {
+      Mc_io.Parse.graph = Bipartite.Bigraph.create ~nl:n ~nr:n;
+      left_names = Array.init n (Printf.sprintf "q%d");
+      right_names = Array.init n (Printf.sprintf "R%d");
+    }
+  in
+  let ix = Mc_io.Parse.index nb in
+  let resolves_to name v =
+    match Mc_io.Parse.resolve ix [ name ] with
+    | Ok s -> Iset.equal s (Iset.singleton v)
+    | Error _ -> false
+  in
+  check "every left name" true
+    (Array.for_all Fun.id
+       (Array.mapi (fun i a -> resolves_to a i) nb.left_names));
+  check "every right name" true
+    (Array.for_all Fun.id
+       (Array.mapi (fun j r -> resolves_to r (n + j)) nb.right_names));
+  let rng = Workloads.Rng.make ~seed:5 in
+  for _ = 1 to 50 do
+    let query =
+      List.init 4 (fun _ ->
+          match Workloads.Rng.int rng 3 with
+          | 0 -> Workloads.Rng.pick_array rng nb.left_names
+          | 1 -> Workloads.Rng.pick_array rng nb.right_names
+          | _ -> Printf.sprintf "x%d" (Workloads.Rng.int rng n))
+    in
+    check "sample agrees with name_set" true
+      (Mc_io.Parse.resolve ix query = Mc_io.Parse.name_set nb query)
+  done
+
 let test_parse_schema () =
   let text = {|
 schema
@@ -329,8 +367,57 @@ let reads_back_as (nb : Mc_io.Parse.named_bigraph) text =
     && nb.left_names = nb2.left_names
     && nb.right_names = nb2.right_names
 
+(* The name index against the scan it replaces on the hot paths. The
+   sides are perturbed first: a right name copied from the left side
+   (the left one wins) and a repeated name within a side (the first
+   occurrence wins) — neither parses, but a caller-built record may
+   hold them. Queries mix known and unknown names, repeats and [];
+   both must agree on the set and on the first unknown name. *)
+let prop_resolve_equals_name_set =
+  QCheck2.Test.make ~count:500 ~name:"resolve (index nb) = name_set nb"
+    family_gen (fun (nb, seed) ->
+      let rng = Workloads.Rng.make ~seed in
+      let perturb names other =
+        let names = Array.copy names in
+        let n = Array.length names in
+        if n > 0 && Workloads.Rng.bool rng 0.5 then begin
+          if Array.length other > 0 && Workloads.Rng.bool rng 0.5 then
+            names.(Workloads.Rng.int rng n) <-
+              other.(Workloads.Rng.int rng (Array.length other))
+          else
+            names.(Workloads.Rng.int rng n) <- names.(Workloads.Rng.int rng n)
+        end;
+        names
+      in
+      let nb =
+        {
+          nb with
+          Mc_io.Parse.left_names = perturb nb.Mc_io.Parse.left_names [||];
+          right_names = perturb nb.right_names nb.left_names;
+        }
+      in
+      let pool =
+        Array.concat
+          [ nb.left_names; nb.right_names; [| "zz"; "a999"; "r-1"; "" |] ]
+      in
+      let ix = Mc_io.Parse.index nb in
+      List.for_all
+        (fun _ ->
+          let query =
+            List.init (Workloads.Rng.int rng 6) (fun _ ->
+                Workloads.Rng.pick_array rng pool)
+          in
+          match
+            (Mc_io.Parse.resolve ix query, Mc_io.Parse.name_set nb query)
+          with
+          | Ok a, Ok b -> Iset.equal a b
+          | Error a, Error b -> a = b
+          | Ok _, Error _ | Error _, Ok _ -> false)
+        (List.init 8 Fun.id))
+
 let qcheck_cases =
   [
+    prop_resolve_equals_name_set;
     QCheck2.Test.make ~count:300 ~name:"emit then parse is the identity"
       family_gen (fun (nb, _) ->
         reads_back_as nb (Mc_io.Parse.bigraph_to_string nb));
@@ -349,6 +436,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "name set" `Quick test_name_set;
+          Alcotest.test_case "name index at 10^4 names" `Quick
+            test_name_index_large;
           Alcotest.test_case "schema" `Quick test_parse_schema;
           Alcotest.test_case "hypergraph" `Quick test_parse_hypergraph;
           Alcotest.test_case "database" `Quick test_parse_database;

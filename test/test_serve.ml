@@ -227,6 +227,49 @@ let test_schema_delta () =
   Unix.close fd;
   check_int "deltas counted" 1 (counter metrics "serve.deltas")
 
+(* Name resolution follows the schema of record: a relation added by a
+   delta resolves on the next request, and once removed the request
+   gets the 400 it got before the relation existed. A published name
+   index is never mutated, so a state captured before a delta keeps
+   resolving its own names. *)
+let test_delta_names () =
+  with_server @@ fun nb srv _ ->
+  let fd = connect (Server.port srv) in
+  let conn = Http.conn fd in
+  let unknown = post fd conn "A,9" in
+  check_int "unknown before the delta" 400 unknown.Http.code;
+  send fd (request ~path:"/schema/delta" "deltas\n+relation 9 A C\n");
+  check_int "+relation applied" 200 (recv conn).Http.code;
+  let added = post fd conn "A,9" in
+  check_int "new relation resolves" 200 added.Http.code;
+  check "answer names it" true
+    (List.mem "  A -- 9"
+       (String.split_on_char '\n' added.Http.resp_body));
+  send fd (request ~path:"/schema/delta" "deltas\n-relation 9\n");
+  check_int "-relation applied" 200 (recv conn).Http.code;
+  let removed = post fd conn "A,9" in
+  check_int "removed relation is 400 again" 400 removed.Http.code;
+  check_str "same body as before the delta" unknown.Http.resp_body
+    removed.Http.resp_body;
+  Unix.close fd;
+  let evolve nb text =
+    match Mc_io.Parse.deltas_of_string nb text with
+    | Ok (_, nb') -> nb'
+    | Error e -> Alcotest.fail (Runtime.Errors.to_string e)
+  in
+  let ix0 = Mc_io.Parse.index nb in
+  let nb1 = evolve nb "deltas\n+relation 9 A C\n-relation 1\n" in
+  let ix1 = Mc_io.Parse.reindex ix0 nb1 in
+  let resolves ix names = Result.is_ok (Mc_io.Parse.resolve ix names) in
+  check "old state still resolves 1" true (resolves ix0 [ "A"; "1" ]);
+  check "old state does not know 9" false (resolves ix0 [ "9" ]);
+  check "new state resolves 9" true (resolves ix1 [ "A"; "9" ]);
+  check "new state dropped 1" false (resolves ix1 [ "1" ]);
+  check "both agree with the scan" true
+    (Mc_io.Parse.resolve ix0 [ "B"; "3" ] = Mc_io.Parse.name_set nb [ "B"; "3" ]
+    && Mc_io.Parse.resolve ix1 [ "B"; "3"; "9" ]
+       = Mc_io.Parse.name_set nb1 [ "B"; "3"; "9" ])
+
 (* -------------------------------------------------------- overload *)
 
 let test_overload_sheds_fast () =
@@ -440,6 +483,7 @@ let () =
           Alcotest.test_case "solve round trip" `Quick test_round_trip;
           Alcotest.test_case "observability endpoints" `Quick test_endpoints;
           Alcotest.test_case "schema delta hot-swap" `Quick test_schema_delta;
+          Alcotest.test_case "delta names resolve" `Quick test_delta_names;
         ] );
       ( "overload",
         [
