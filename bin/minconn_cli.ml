@@ -62,39 +62,63 @@ let open_plan_cache_opt = function
         dir msg;
       None)
 
+(* A recording trace when [--trace FILE] is given, and the function
+   that writes it to FILE; a disabled trace and a no-op otherwise. *)
+let trace_to = function
+  | None -> (Observe.Trace.disabled, fun () -> ())
+  | Some path ->
+    let trace = Observe.Trace.make () in
+    (trace, fun () -> Observe.Export.write_trace ~path trace)
+
+let trace_file_arg doc =
+  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+
 let compile_cmd =
-  let run path cache_dir force =
-    let nb = or_die (load_bigraph path) in
+  let run path cache_dir force trace_file =
+    let trace, write_trace = trace_to trace_file in
+    (* The trace is written on the error exits too. *)
+    let die () =
+      write_trace ();
+      exit exit_input_error
+    in
+    let nb =
+      match load_bigraph ~trace path with
+      | Ok nb -> nb
+      | Error msg ->
+        prerr_endline msg;
+        die ()
+    in
     let graph = nb.Mc_io.Parse.graph in
     let hash = Minconn.Compiled.schema_hash graph in
     let status =
       match cache_dir with
       | None ->
-        ignore (Minconn.Compiled.compile graph : Minconn.Compiled.t);
+        ignore (Minconn.Compiled.compile ~trace graph : Minconn.Compiled.t);
         "uncached"
       | Some dir -> (
         match Minconn.Plan_cache.create ~dir () with
         | Error msg ->
           Printf.eprintf "minconn: error=plan-cache-unusable dir=%s msg=%s\n"
             dir msg;
-          exit exit_input_error
+          die ()
         | Ok cache -> (
           match
             if force then Error Minconn.Plan_cache.Absent
-            else Minconn.Plan_cache.find cache graph
+            else Minconn.Plan_cache.find ~trace cache graph
           with
           | Ok _ -> "hit"
           | Error miss -> (
-            let compiled = Minconn.Compiled.compile graph in
-            match Minconn.Plan_cache.store cache compiled with
+            let compiled = Minconn.Compiled.compile ~trace graph in
+            match Minconn.Plan_cache.store ~trace cache compiled with
             | Ok () ->
               Printf.sprintf "stored reason=%s"
                 (Minconn.Plan_cache.miss_name miss)
             | Error msg ->
               Printf.eprintf
                 "minconn: error=plan-cache-store dir=%s msg=%s\n" dir msg;
-              exit exit_input_error)))
+              die ())))
     in
+    write_trace ();
     Printf.printf "minconn: schema=%s nodes=%d edges=%d cache=%s\n" hash
       (Bigraph.n graph) (Bigraph.m graph) status
   in
@@ -122,39 +146,34 @@ let compile_cmd =
          "Compile a schema into the persistent plan cache. Exit codes: \
           0 compiled (or already cached), 4 input error (bad file or \
           unusable --plan-cache directory).")
-    Term.(const run $ path $ cache_dir $ force)
+    Term.(
+      const run $ path $ cache_dir $ force
+      $ trace_file_arg
+          "Write an NDJSON span stream (parse, compile and the plan \
+           cache's spans) to $(docv)")
 
 (* ------------------------------------------------------------ classify *)
 
 let classify_cmd =
   let run path trace_file =
-    let trace =
-      match trace_file with
-      | None -> Observe.Trace.disabled
-      | Some _ -> Observe.Trace.make ()
-    in
+    let trace, write_trace = trace_to trace_file in
     let report =
       Result.map
         (fun nb -> Minconn.report ~trace nb.Mc_io.Parse.graph)
         (load_bigraph ~trace path)
     in
-    Option.iter
-      (fun path -> Observe.Export.write_trace ~path trace)
-      trace_file;
+    write_trace ();
     print_string (or_die report)
   in
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let trace_file =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write an NDJSON span stream (parse, classify and the \
-                classifier's per-component checks) to $(docv)")
-  in
   Cmd.v
     (Cmd.info "classify"
        ~doc:"Report the chordality/acyclicity profile of a bipartite graph")
-    Term.(const run $ path $ trace_file)
+    Term.(
+      const run $ path
+      $ trace_file_arg
+          "Write an NDJSON span stream (parse, classify and the \
+           classifier's per-component checks) to $(docv)")
 
 (* --------------------------------------------------------------- solve *)
 
@@ -440,8 +459,9 @@ let load_deltas nb path =
    stdout stays clean (the evolve-smoke rule diffs it against solve
    on the pre-evolved file). *)
 let evolve_cmd =
-  let run path dfile emit queries_file cache_dir =
-    let nb = or_die (load_bigraph path) in
+  let run path dfile emit queries_file cache_dir trace_file =
+    let trace, write_trace = trace_to trace_file in
+    let nb = or_die (load_bigraph ~trace path) in
     let ops, evolved = load_deltas nb dfile in
     let cache = open_plan_cache_opt cache_dir in
     let compiled, status =
@@ -451,7 +471,7 @@ let evolve_cmd =
            cached base plan, else cold compile — all stored for the
            next run. *)
         let compiled, outcome =
-          Minconn.Plan_cache.find_or_compile ?cache ~deltas:ops
+          Minconn.Plan_cache.find_or_compile ~trace ?cache ~deltas:ops
             nb.Mc_io.Parse.graph
         in
         ( compiled,
@@ -460,8 +480,8 @@ let evolve_cmd =
           | `Patched -> "patched"
           | `Miss -> "miss" )
       | None -> (
-        let base = Minconn.Compiled.compile nb.Mc_io.Parse.graph in
-        match Minconn.Compiled.apply_deltas base ops with
+        let base = Minconn.Compiled.compile ~trace nb.Mc_io.Parse.graph in
+        match Minconn.Compiled.apply_deltas ~trace base ops with
         | Error msg ->
           (* Unreachable: the parser already applied every op. *)
           Printf.eprintf "minconn: error=bad-delta msg=%s\n" msg;
@@ -487,10 +507,10 @@ let evolve_cmd =
     | Some qpath ->
       run_batch ~compiled evolved
         ~queries:(parse_queries_file qpath)
-        ~cache:None ~timeout_ms:None ~fuel:None ~no_degrade:false
-        ~trace:Observe.Trace.disabled ~metrics:Observe.Metrics.disabled
-        ~flush_observability:(fun () -> ())
+        ~cache:None ~timeout_ms:None ~fuel:None ~no_degrade:false ~trace
+        ~metrics:Observe.Metrics.disabled ~flush_observability:write_trace
     | None ->
+      write_trace ();
       if emit then print_string (Mc_io.Parse.bigraph_to_string evolved)
       else print_string (Minconn.report evolved.Mc_io.Parse.graph)
   in
@@ -540,7 +560,11 @@ let evolve_cmd =
           or delta), and with --queries the most severe per-query \
           code.")
     Term.(
-      const run $ path $ dfile $ emit $ queries_file $ cache_dir)
+      const run $ path $ dfile $ emit $ queries_file $ cache_dir
+      $ trace_file_arg
+          "Write an NDJSON span stream (parse, compile or the plan \
+           cache's spans, the deltas' spans, and with --queries the \
+           queries and render) to $(docv)")
 
 let relations_cmd =
   let run path terminals =

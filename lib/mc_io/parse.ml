@@ -11,94 +11,199 @@ type error = Runtime.Errors.t
 
 let pp_error = Runtime.Errors.pp
 
-(* Hard input caps, checked before tokenization: parsers sit on
-   attacker-reachable boundaries (CLI files, server request bodies),
-   so unbounded input must become a typed error before it becomes a
-   resident list of tokens. The limits are far above any legitimate
-   instance file while keeping the worst-case allocation proportional
-   to a small constant times the cap. *)
+(* Hard input caps: parsers sit on attacker-reachable boundaries (CLI
+   files, server request bodies), so unbounded input must become a
+   typed error before it becomes resident tokens. The total is checked
+   before anything is scanned, each line as the cursor reaches it. The
+   limits are far above any legitimate instance file while keeping the
+   worst-case allocation proportional to a small constant times the
+   cap. *)
 let max_input_bytes = 8 * 1024 * 1024
 let max_line_bytes = 64 * 1024
 
-let oversized text =
+let parse_error line col msg = Runtime.Errors.Parse_error { line; col; msg }
+
+let too_large text =
   let n = String.length text in
   if n > max_input_bytes then
     Some
-      (Runtime.Errors.Parse_error
-         {
-           line = 0;
-           col = 0;
-           msg =
-             Printf.sprintf "input exceeds %d bytes (%d)" max_input_bytes n;
-         })
+      (parse_error 0 0
+         (Printf.sprintf "input exceeds %d bytes (%d)" max_input_bytes n))
+  else None
+
+(* A parse error, and a line over the cap. The cap outranks any parse
+   error: a parser that stops early still scans the rest of the text
+   for an oversized line before it reports. *)
+exception Fail of error
+exception Oversized of error
+
+let fail line col fmt =
+  Printf.ksprintf (fun msg -> raise (Fail (parse_error line col msg))) fmt
+
+(* The one scanner behind every format. A cursor walks the text a line
+   at a time and yields each token as an (offset, length) pair into it,
+   so nothing is copied until a parser keeps a token. A line ends at
+   its '\n', or at the '\r' of a "\r\n", or at the end of the text; a
+   '#' comments out the rest of it; spaces and tabs separate tokens.
+   Lines and tokens are found in the same pass over the bytes, and a
+   line is checked against the cap when its end is reached — so a
+   parser reads each line until [next_token] says it is over. *)
+type cursor = {
+  text : string;
+  len : int;
+  mutable lineno : int;  (* 1-based number of the current line *)
+  mutable bol : int;  (* offset of its first byte *)
+  mutable next : int;  (* offset of the following line; > [len] at the end *)
+  mutable pos : int;  (* scan position on the current line *)
+  mutable tok : int;  (* offset of the current token *)
+  mutable tok_len : int;
+}
+
+let cursor text =
+  {
+    text;
+    len = String.length text;
+    lineno = 0;
+    bol = 0;
+    next = 0;
+    pos = 0;
+    tok = 0;
+    tok_len = 0;
+  }
+
+let is_blank ch = ch = ' ' || ch = '\t'
+
+(* A token ends at a blank, a '#', a line end or the end of the text. *)
+let ends_token text n q =
+  match String.unsafe_get text q with
+  | ' ' | '\t' | '#' | '\n' -> true
+  | '\r' -> q + 1 < n && String.unsafe_get text (q + 1) = '\n'
+  | _ -> false
+
+(* Every byte above '#' is a token byte: the test that needs
+   [ends_token] runs only on the few below it. *)
+let token_end text off =
+  let n = String.length text in
+  let q = ref off in
+  while
+    !q < n
+    && (String.unsafe_get text !q > '#' || not (ends_token text n !q))
+  do
+    incr q
+  done;
+  !q
+
+(* The end of the line that holds [off]: its '\n', the '\r' of its
+   "\r\n", or the end of the text. *)
+let line_end text off =
+  let n = String.length text in
+  match String.index_from text off '\n' with
+  | nl ->
+    if nl > off && String.unsafe_get text (nl - 1) = '\r' then nl - 1 else nl
+  | exception Not_found -> n
+
+(* The current line ends at [eol]: the cursor moves past its line
+   break, and the line is held against the cap. *)
+let finish_line c eol =
+  c.pos <- eol;
+  c.next <-
+    (if eol >= c.len then c.len + 1
+     else if String.unsafe_get c.text eol = '\r' then eol + 2
+     else eol + 1);
+  if eol - c.bol > max_line_bytes then
+    raise
+      (Oversized
+         (parse_error c.lineno 0
+            (Printf.sprintf "line exceeds %d bytes (%d)" max_line_bytes
+               (eol - c.bol))))
+
+(* Steps onto the next line; false past the last one. *)
+let advance c =
+  c.next <= c.len
+  && begin
+       c.lineno <- c.lineno + 1;
+       c.bol <- c.next;
+       c.pos <- c.next;
+       true
+     end
+
+(* Steps onto the next token of the current line; false at its end. *)
+let next_token c =
+  let text = c.text and n = c.len in
+  let p = ref c.pos in
+  while !p < n && is_blank (String.unsafe_get text !p) do
+    incr p
+  done;
+  let p = !p in
+  if p < n && (String.unsafe_get text p > '#' || not (ends_token text n p))
+  then begin
+    let q = token_end text (p + 1) in
+    c.tok <- p;
+    c.tok_len <- q - p;
+    c.pos <- q;
+    true
+  end
   else begin
-    (* One pass for the longest line; no splitting before the check. *)
-    let bad = ref None in
-    let line = ref 1 and start = ref 0 and i = ref 0 in
-    while !bad = None && !i <= n do
-      if !i = n || text.[!i] = '\n' then begin
-        if !i - !start > max_line_bytes then
-          bad :=
-            Some
-              (Runtime.Errors.Parse_error
-                 {
-                   line = !line;
-                   col = 0;
-                   msg =
-                     Printf.sprintf "line exceeds %d bytes (%d)"
-                       max_line_bytes (!i - !start);
-                 });
-        incr line;
-        start := !i + 1
-      end;
-      incr i
-    done;
-    !bad
+    finish_line c
+      (if p < n && String.unsafe_get text p = '#' then line_end text p else p);
+    false
   end
 
-let guarded parse text =
-  match oversized text with Some e -> Error e | None -> parse text
+(* Steps onto the first token of the next line that has one. *)
+let rec next_line c = advance c && (next_token c || next_line c)
 
-(* Every token carries its 1-based starting column so parse errors can
-   point at the offending token, not just its line. A line is
-   [(lineno, cols, tokens)] with [cols] parallel to [tokens]. One pass
-   over the text; tokens are cut straight out of it. *)
-let tokenize text =
-  let n = String.length text in
-  let blank c = c = ' ' || c = '\t' in
-  let rec lines acc lineno start =
-    if start > n then List.rev acc
-    else begin
-      let eol =
-        match String.index_from_opt text start '\n' with
-        | Some k -> k
-        | None -> n
-      in
-      (* A '#' comments out the rest of its line. *)
-      let rec content_end j =
-        if j >= eol || text.[j] = '#' then j else content_end (j + 1)
-      in
-      let stop = content_end start in
-      let rec scan j cols toks =
-        if j >= stop then (List.rev cols, List.rev toks)
-        else if blank text.[j] then scan (j + 1) cols toks
-        else begin
-          let k = ref j in
-          while !k < stop && not (blank text.[!k]) do
-            incr k
-          done;
-          scan !k ((j - start + 1) :: cols) (String.sub text j (!k - j) :: toks)
-        end
-      in
-      let acc =
-        match scan start [] [] with
-        | [], _ -> acc
-        | cols, toks -> (lineno, cols, toks) :: acc
-      in
-      lines acc (lineno + 1) (eol + 1)
+(* After a parse error: the rest of the text, from the start of the
+   line it was found on, against the line cap. *)
+let check_rest c =
+  if c.lineno > 0 then begin
+    c.next <- c.bol;
+    c.lineno <- c.lineno - 1
+  end;
+  while advance c do
+    finish_line c (line_end c.text c.bol)
+  done
+
+let column c = c.tok - c.bol + 1
+let token c = String.sub c.text c.tok c.tok_len
+
+(* The [len] bytes of [a] at [ai] and of [b] at [bi] are equal. *)
+let rec bytes_equal a ai b bi len =
+  len <= 0
+  || String.unsafe_get a ai = String.unsafe_get b bi
+     && bytes_equal a (ai + 1) b (bi + 1) (len - 1)
+
+(* [name] equals the [len] bytes of [s] at [off]. *)
+let sub_equal name s off len =
+  String.length name = len && bytes_equal name 0 s off len
+
+let token_is c word = sub_equal word c.text c.tok c.tok_len
+
+(* Line and column of byte [off], by rescanning: only errors ask. *)
+let position text off =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to off - 1 do
+    if String.unsafe_get text i = '\n' then begin
+      incr line;
+      bol := i + 1
     end
-  in
-  lines [] 1 0
+  done;
+  (!line, off - !bol + 1)
+
+(* The token lists the line-oriented formats are written against:
+   [(lineno, cols, tokens)] per line with a token, [cols] (1-based)
+   parallel to [tokens]. *)
+let tokenize text =
+  let c = cursor text in
+  let lines = ref [] in
+  while next_line c do
+    let cols = ref [ column c ] and toks = ref [ token c ] in
+    while next_token c do
+      cols := column c :: !cols;
+      toks := token c :: !toks
+    done;
+    lines := (c.lineno, List.rev !cols, List.rev !toks) :: !lines
+  done;
+  List.rev !lines
 
 (* Column of the [k]-th token on a line; 0 (column unknown) past the end. *)
 let col_at cols k =
@@ -108,15 +213,22 @@ let rec drop n l =
   if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
 
 let err line col fmt =
-  Printf.ksprintf
-    (fun msg -> Error (Runtime.Errors.Parse_error { line; col; msg }))
-    fmt
+  Printf.ksprintf (fun msg -> Error (parse_error line col msg)) fmt
 
 let expect_header want = function
   | (_, _, [ h ]) :: rest when h = want -> Ok rest
   | (i, cs, _) :: _ ->
     err i (col_at cs 0) "expected a single '%s' header line" want
   | [] -> err 0 0 "empty input (expected '%s' header)" want
+
+(* A line-oriented parser behind both caps. *)
+let of_lines parse text =
+  match too_large text with
+  | Some e -> Error e
+  | None -> (
+    match tokenize text with
+    | lines -> parse lines
+    | exception Oversized e -> Error e)
 
 (* A linear scan, for callers that look up a few names per call. *)
 let index_of (arr : string array) name =
@@ -127,14 +239,24 @@ let index_of (arr : string array) name =
   in
   go 0
 
-(* One side's name table: open addressing keyed by [Hashtbl.hash] with
+(* FNV-1a over the [len] bytes of [s] at [off], high bits folded into
+   the low ones that a table mask keeps. A whole string and the same
+   bytes inside a larger text hash alike, so a name table built from
+   strings answers lookups of tokens in place. *)
+let hash_sub s off len =
+  let h = ref (0xcbf29ce4 + len) in
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+  done;
+  !h lxor (!h lsr 29)
+
+(* One side's name table: open addressing keyed by [hash_sub] with
    linear probing. A slot holds a 4-byte position plus one (0 marks an
    empty slot) in one flat [Bytes], at load <= 1/2; a hit is confirmed
-   with [String.equal] against the side's array. On a repeated name the
-   first occurrence wins, as a left-to-right scan finds it, and
-   [distinct] falls short of the array's length — which is how the
-   bipartite parser detects duplicates within a side. Never mutated
-   once built. *)
+   against the side's array. On a repeated name the first occurrence
+   wins, as a left-to-right scan finds it, and [distinct] falls short
+   of the array's length — which is how the bipartite parser detects
+   duplicates within a side. Never mutated once built. *)
 type side = {
   names : string array;
   slots : Bytes.t;
@@ -152,30 +274,37 @@ let side_index names =
   done;
   let slots = Bytes.make (4 * !cap) '\000' and mask = !cap - 1 in
   let distinct = ref 0 in
-  Array.iteri
-    (fun i s ->
-      let rec probe h =
-        match slot slots h with
-        | 0 ->
-          Bytes.set_int32_le slots (4 * h) (Int32.of_int (i + 1));
-          incr distinct
-        | k ->
-          if not (String.equal names.(k - 1) s) then probe ((h + 1) land mask)
-      in
-      probe (Hashtbl.hash s land mask))
-    names;
+  for i = 0 to n - 1 do
+    let s = names.(i) in
+    let h = ref (hash_sub s 0 (String.length s) land mask) in
+    let placed = ref false in
+    while not !placed do
+      match slot slots !h with
+      | 0 ->
+        Bytes.set_int32_le slots (4 * !h) (Int32.of_int (i + 1));
+        incr distinct;
+        placed := true
+      | k ->
+        if String.equal names.(k - 1) s then placed := true
+        else h := (!h + 1) land mask
+    done
+  done;
   { names; slots; mask; distinct = !distinct }
 
-(* Position of [s] in the side's array, or -1. *)
-let find side s =
-  let rec probe h =
-    match slot side.slots h with
-    | 0 -> -1
+(* Position in the side's array of the [len] bytes of [s] at [off], or
+   -1. *)
+let find_sub side s off len =
+  let h = ref (hash_sub s off len land side.mask) and found = ref (-2) in
+  while !found = -2 do
+    match slot side.slots !h with
+    | 0 -> found := -1
     | k ->
-      if String.equal side.names.(k - 1) s then k - 1
-      else probe ((h + 1) land side.mask)
-  in
-  probe (Hashtbl.hash s land side.mask)
+      if sub_equal side.names.(k - 1) s off len then found := k - 1
+      else h := (!h + 1) land side.mask
+  done;
+  !found
+
+let find side s = find_sub side s 0 (String.length s)
 
 type name_index = { left : side; right : side; nl : int }
 
@@ -210,76 +339,159 @@ let resolve ix names =
   in
   go Iset.empty names
 
-(* Linear in the input: each side's names are indexed once in a name
-   table, every edge is resolved to flat [src]/[dst] arrays in file
-   order (so the first unknown name reports the same position a
-   line-by-line scan would), and the graph is built in one
-   direct-to-CSR pass. *)
-let bigraph_of_string_unguarded text =
-  match expect_header "bipartite" (tokenize text) with
-  | Error e -> Error e
-  | Ok lines ->
-    let left = ref [] and right = ref [] and edges = ref [] in
-    let rec consume = function
-      | [] -> Ok ()
-      | (i, cs, "left" :: names) :: rest ->
-        left := List.rev_append names !left;
-        if names = [] then err i (col_at cs 0) "'left' line with no names"
-        else consume rest
-      | (i, cs, "right" :: names) :: rest ->
-        right := List.rev_append names !right;
-        if names = [] then err i (col_at cs 0) "'right' line with no names"
-        else consume rest
-      | (i, cs, [ "edge"; a; b ]) :: rest ->
-        edges := (i, cs, a, b) :: !edges;
-        consume rest
-      | (i, cs, t :: _) :: _ ->
-        err i (col_at cs 0) "unknown directive '%s'" t
-      | (i, _, []) :: _ -> err i 0 "empty line slipped through"
-    in
-    (match consume lines with
-    | Error e -> Error e
-    | Ok () ->
-      let left_names = Array.of_list (List.rev !left) in
-      let right_names = Array.of_list (List.rev !right) in
-      let lidx = side_index left_names and ridx = side_index right_names in
-      if
-        lidx.distinct <> Array.length left_names
-        || ridx.distinct <> Array.length right_names
-        || Array.exists (fun s -> find lidx s >= 0) right_names
-      then err 0 0 "duplicate node name"
-      else begin
-        let edges = Array.of_list (List.rev !edges) in
-        let m = Array.length edges in
-        let src = Array.make m 0 and dst = Array.make m 0 in
-        let rec resolve k =
-          if k = m then Ok ()
-          else
-            let i, cs, a, b = edges.(k) in
-            let la = find lidx a and rb = find ridx b in
-            if la < 0 then err i (col_at cs 1) "unknown left node '%s'" a
-            else if rb < 0 then err i (col_at cs 2) "unknown right node '%s'" b
-            else begin
-              src.(k) <- la;
-              dst.(k) <- rb;
-              resolve (k + 1)
-            end
-        in
-        match resolve 0 with
-        | Error e -> Error e
-        | Ok () ->
-          let graph =
-            Bipartite.Bigraph.of_edge_iter ~nl:(Array.length left_names)
-              ~nr:(Array.length right_names) (fun f ->
-                for k = 0 to m - 1 do
-                  f src.(k) dst.(k)
-                done)
-          in
-          Ok { graph; left_names; right_names }
-      end)
+(* A growable int buffer. The bipartite parser keeps three: the token
+   offsets of each side's names, and one int per edge. Ints carry no
+   write barrier and give the GC no pointers to follow. *)
+type offsets = { mutable offs : int array; mutable used : int }
 
-let schema_of_string_unguarded text =
-  match expect_header "schema" (tokenize text) with
+let offsets () = { offs = [||]; used = 0 }
+
+let push v x =
+  if v.used = Array.length v.offs then begin
+    let a = Array.make ((2 * v.used) + 256) 0 in
+    Array.blit v.offs 0 a 0 v.used;
+    v.offs <- a
+  end;
+  Array.unsafe_set v.offs v.used x;
+  v.used <- v.used + 1
+
+(* An edge is one int holding a pair: its endpoints' offsets into the
+   text while it is read, their node indices once resolved. Both fit
+   in [pair_bits], since no text is longer than [max_input_bytes]. *)
+let pair_bits = 23
+let pair_mask = (1 lsl pair_bits) - 1
+let () = assert (max_input_bytes <= 1 lsl pair_bits)
+
+let add_names c v keyword =
+  let col = column c in
+  if not (next_token c) then
+    fail c.lineno col "'%s' line with no names" keyword;
+  push v c.tok;
+  while next_token c do
+    push v c.tok
+  done
+
+(* An edge line's arity error points at its first extra name, or at
+   the keyword when names are missing. *)
+let add_edge c e =
+  let col = column c in
+  if not (next_token c) then
+    fail c.lineno col "'edge' line needs two names, found 0";
+  let a = c.tok in
+  if not (next_token c) then
+    fail c.lineno col "'edge' line needs two names, found 1";
+  let b = c.tok in
+  if next_token c then begin
+    let col = column c and k = ref 3 in
+    while next_token c do
+      incr k
+    done;
+    fail c.lineno col "'edge' line needs two names, found %d" !k
+  end;
+  push e ((a lsl pair_bits) lor b)
+
+let unknown text off what =
+  let len = token_end text off - off in
+  let line, col = position text off in
+  fail line col "unknown %s node '%s'" what (String.sub text off len)
+
+(* Resolves every edge's endpoints in place, against the side tables.
+   The left endpoints go first, then the right ones, so each pass works
+   in one table; a run of edges from one left node (the order
+   [bigraph_to_string] writes) looks its name up once. The error is
+   still the first unknown name in file order: the right pass stops at
+   the first edge with an unknown left name. *)
+let resolve_ends text e lidx ridx =
+  let ends = e.offs and m = e.used in
+  let prev_off = ref 0 and prev_len = ref (-1) and prev = ref 0 in
+  let bad_left = ref m and k = ref 0 in
+  while !k < m do
+    let pair = Array.unsafe_get ends !k in
+    let off = pair lsr pair_bits in
+    let len = token_end text off - off in
+    if not (len = !prev_len && bytes_equal text !prev_off text off len)
+    then begin
+      prev := find_sub lidx text off len;
+      prev_off := off;
+      prev_len := len
+    end;
+    if !prev < 0 then begin
+      bad_left := !k;
+      k := m
+    end
+    else begin
+      Array.unsafe_set ends !k
+        ((!prev lsl pair_bits) lor (pair land pair_mask));
+      incr k
+    end
+  done;
+  for k = 0 to !bad_left - 1 do
+    let pair = Array.unsafe_get ends k in
+    let off = pair land pair_mask in
+    let j = find_sub ridx text off (token_end text off - off) in
+    if j < 0 then unknown text off "right";
+    Array.unsafe_set ends k ((pair land lnot pair_mask) lor j)
+  done;
+  if !bad_left < m then
+    unknown text (Array.unsafe_get ends !bad_left lsr pair_bits) "left"
+
+(* The names at the offsets, each copied once out of the text. *)
+let names_at text v =
+  Array.init v.used (fun i ->
+      let off = Array.unsafe_get v.offs i in
+      String.sub text off (token_end text off - off))
+
+(* One pass of the cursor over the text, then passes over the edges:
+   a line keeps only token offsets, each name is copied once out of
+   the text into its side's array, each side is indexed in its table,
+   every endpoint is resolved by hashing its bytes in place, and the
+   graph is built in one direct-to-CSR pass. *)
+let bigraph_of_cursor c =
+  if not (next_line c) then
+    fail 0 0 "empty input (expected 'bipartite' header)";
+  let col = column c in
+  if not (token_is c "bipartite") || next_token c then
+    fail c.lineno col "expected a single 'bipartite' header line";
+  let left = offsets () and right = offsets () and e = offsets () in
+  while next_line c do
+    if token_is c "edge" then add_edge c e
+    else if token_is c "left" then add_names c left "left"
+    else if token_is c "right" then add_names c right "right"
+    else fail c.lineno (column c) "unknown directive '%s'" (token c)
+  done;
+  let left_names = names_at c.text left in
+  let right_names = names_at c.text right in
+  let lidx = side_index left_names and ridx = side_index right_names in
+  if
+    lidx.distinct <> left.used
+    || ridx.distinct <> right.used
+    || Array.exists (fun s -> find lidx s >= 0) right_names
+  then fail 0 0 "duplicate node name";
+  resolve_ends c.text e lidx ridx;
+  let graph =
+    Bipartite.Bigraph.of_edge_iter ~nl:left.used ~nr:right.used (fun f ->
+        for k = 0 to e.used - 1 do
+          let pair = Array.unsafe_get e.offs k in
+          f (pair lsr pair_bits) (pair land pair_mask)
+        done)
+  in
+  { graph; left_names; right_names }
+
+let bigraph_of_string text =
+  match too_large text with
+  | Some e -> Error e
+  | None -> (
+    let c = cursor text in
+    match bigraph_of_cursor c with
+    | nb -> Ok nb
+    | exception Oversized e -> Error e
+    | exception Fail e -> (
+      match check_rest c with
+      | () -> Error e
+      | exception Oversized e -> Error e))
+
+let schema_of_lines lines =
+  match expect_header "schema" lines with
   | Error e -> Error e
   | Ok lines ->
     let rec consume acc = function
@@ -298,8 +510,8 @@ let schema_of_string_unguarded text =
       try Ok (Datamodel.Schema.make rels)
       with Invalid_argument m -> err 0 0 "%s" m))
 
-let hypergraph_of_string_unguarded text =
-  match expect_header "hypergraph" (tokenize text) with
+let hypergraph_of_lines lines =
+  match expect_header "hypergraph" lines with
   | Error e -> Error e
   | Ok lines ->
     let nodes = ref [] and edges = ref [] in
@@ -352,8 +564,8 @@ let hypergraph_of_string_unguarded text =
                edge_names )
          with Invalid_argument m -> err 0 0 "%s" m))
 
-let database_of_string_unguarded ?semantics text =
-  match expect_header "database" (tokenize text) with
+let database_of_lines ?semantics lines =
+  match expect_header "database" lines with
   | Error e -> Error e
   | Ok lines ->
     let schemas = ref [] and rows = ref [] in
@@ -411,9 +623,9 @@ let database_of_string_unguarded ?semantics text =
    added three lines up is a legal edge endpoint here and the
    recorded index ops line up exactly with [Delta.apply_all]'s
    sequential semantics. *)
-let deltas_of_string_unguarded nb text =
+let deltas_of_lines nb lines =
   let module D = Bipartite.Delta in
-  match expect_header "deltas" (tokenize text) with
+  match expect_header "deltas" lines with
   | Error e -> Error e
   | Ok lines ->
     let remove_at j arr =
@@ -482,7 +694,7 @@ let deltas_of_string_unguarded nb text =
     in
     consume nb [] lines
 
-let query_of_string_unguarded text =
+let query_of_text text =
   let words =
     String.split_on_char ' ' text
     |> List.concat_map (String.split_on_char ',')
@@ -513,13 +725,20 @@ let query_of_string_unguarded text =
       | Ok where -> Ok (objects, where))
   | _ -> err 1 0 "queries start with 'connect'"
 
-let bigraph_of_string = guarded bigraph_of_string_unguarded
-let schema_of_string = guarded schema_of_string_unguarded
-let hypergraph_of_string = guarded hypergraph_of_string_unguarded
+let schema_of_string = of_lines schema_of_lines
+let hypergraph_of_string = of_lines hypergraph_of_lines
 let database_of_string ?semantics text =
-  guarded (database_of_string_unguarded ?semantics) text
-let query_of_string = guarded query_of_string_unguarded
-let deltas_of_string nb text = guarded (deltas_of_string_unguarded nb) text
+  of_lines (database_of_lines ?semantics) text
+
+let deltas_of_string nb = of_lines (deltas_of_lines nb)
+
+let query_of_string text =
+  match too_large text with
+  | Some e -> Error e
+  | None -> (
+    match check_rest (cursor text) with
+    | () -> query_of_text text
+    | exception Oversized e -> Error e)
 
 let name_set nb names =
   let module B = Bipartite.Bigraph in

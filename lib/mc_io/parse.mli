@@ -34,7 +34,10 @@
     -relation r2
     v}
 
-    Node/relation names may be any whitespace-free strings; [left] and
+    One scanner reads every format: spaces and tabs separate tokens, a
+    [#] comments out the rest of its line, lines with no token are
+    skipped, and a line may end in ["\n"] or ["\r\n"]. Node/relation
+    names may be any strings free of those separators; [left] and
     [right] lines may repeat and accumulate. *)
 
 open Graphs
@@ -61,15 +64,20 @@ val max_input_bytes : int
     request bodies). *)
 
 val max_line_bytes : int
-(** Hard cap on a single line (64 KiB); the typed rejection names the
-    offending line. *)
+(** Hard cap on a single line (64 KiB, not counting its line break);
+    the typed rejection names the first offending line, and wins over
+    any parse error, wherever in the text that error is. *)
 
 val bigraph_of_string : string -> (named_bigraph, error) result
-(** Linear in the input: names resolve through the same per-side
-    tables as {!name_index}, and the
-    graph is built in one pass into CSR form
-    ({!Bipartite.Bigraph.of_edge_iter}). Duplicate edges collapse. An
-    unknown name reports the position of its first use in file order. *)
+(** Linear in the input, in one pass of the scanner: each token is an
+    offset into the text, each name is copied out once, every edge
+    endpoint is resolved by hashing its bytes in place against the
+    same kind of table as {!name_index}, and the graph is built in one
+    pass into CSR form ({!Bipartite.Bigraph.of_edge_iter}). Duplicate
+    edges collapse. An unknown name reports the position of its first
+    use in file order; an [edge] line without exactly two names reports
+    ['edge' line needs two names, found k] at its first extra name, or
+    at the keyword when names are missing. *)
 
 val schema_of_string : string -> (Datamodel.Schema.t, error) result
 
@@ -121,7 +129,9 @@ val name_set : named_bigraph -> string list -> (Iset.t, string) result
 
 type name_index
 (** An immutable name table per side of a {!named_bigraph}: open
-    addressing keyed by [Hashtbl.hash], 4-byte slots in one flat
+    addressing keyed by an FNV-1a hash of the name's bytes (the hash
+    {!bigraph_of_string} computes on tokens in place), 4-byte slots in
+    one flat
     buffer at load <= 1/2, every hit confirmed by [String.equal]
     against the side's array. A repeated name resolves to its first
     occurrence, as {!name_set}'s scan finds it. Built in

@@ -35,6 +35,13 @@
    ([Mc_io.Parse.name_set]) costs about half a millisecond per set
    there, about 5 s in all.
 
+   It bounds what the file front end allocates per input byte: the
+   chordal62 instance written as [minconn generate] writes it, then
+   read back by [Mc_io.Parse.bigraph_of_string]. A token is an offset
+   into the text and a name is copied once, so the parse allocates
+   little beyond the names and the CSR arrays; a tokenizer that copies
+   every token into per-line lists allocates several times more.
+
    Last, it bounds what a schema delta allocates: a pendant relation
    added to the alpha plan and removed again. Each delta rebuilds the
    schema's CSR once and re-prepares the one small component it
@@ -54,6 +61,36 @@ let max_query_words = 10_000
 let max_chordal62_query_words = 600
 
 let max_resolve_s = 0.05
+
+(* Measured at 0.55 words per input byte: the names, one int per edge
+   and the CSR arrays. The list tokenizer it replaced allocated 5.20
+   on the same text. *)
+let max_parse_words_per_byte = 2.0
+
+(* The named schema of [inst] as text, and words allocated per byte
+   by parsing it back; failing unless it reads back as the instance. *)
+let parse_words_per_byte inst =
+  let graph = Workloads.Gen_scale.to_bigraph inst in
+  let text =
+    Mc_io.Parse.bigraph_to_string
+      {
+        Mc_io.Parse.graph;
+        left_names =
+          Array.init (Minconn.Bigraph.nl graph) (Printf.sprintf "a%d");
+        right_names =
+          Array.init (Minconn.Bigraph.nr graph) (Printf.sprintf "r%d");
+      }
+  in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  match Mc_io.Parse.bigraph_of_string text with
+  | Ok nb when Minconn.Bigraph.equal nb.Mc_io.Parse.graph graph ->
+    (Gc.allocated_bytes () -. before)
+    /. float_of_int (Sys.word_size / 8)
+    /. float_of_int (String.length text)
+  | _ ->
+    prerr_endline "scale_check: the chordal62 text does not read back";
+    exit 1
 
 (* Measured at 3.8 words per (n + m) for each delta of the pair (one
    CSR rebuild plus the plan's per-node arrays); a round trip through
@@ -295,6 +332,14 @@ let () =
         exit 1
       end)
     deltas;
+  let parse_words = parse_words_per_byte inst in
+  if parse_words > max_parse_words_per_byte then begin
+    Printf.eprintf
+      "scale_check: parsing the chordal62 text allocated %.2f words per \
+       byte (bound %.0f)\n"
+      parse_words max_parse_words_per_byte;
+    exit 1
+  end;
   let resolve_s = resolve_s inst in
   if resolve_s > max_resolve_s then begin
     Printf.eprintf
@@ -325,6 +370,9 @@ let () =
       Printf.fprintf oc "warm query allocation %s: max %d words (bound %d)\n"
         fam w (bound fam))
     words;
+  Printf.fprintf oc
+    "chordal62 parse allocation: %.2f words per byte (bound %.0f)\n"
+    parse_words max_parse_words_per_byte;
   Printf.fprintf oc
     "name resolution: 10^4 sets against %d names in %.4fs (bound %.2fs)\n"
     (Workloads.Gen_scale.n inst) resolve_s max_resolve_s;

@@ -191,6 +191,93 @@ let test_trace_front_end () =
   | l -> Alcotest.failf "expected one root parse span, got %d" (List.length l));
   check_int "one root render span" 1 (List.length (roots "render"))
 
+(* Every command that reads a schema records its front end and its
+   compile: [compile] and [evolve] write root [parse] and [compile]
+   spans like [solve] and [classify] do. *)
+let test_trace_compile_evolve () =
+  let f = fixture "tr_compile" Datamodel.Figures.fig3b in
+  let spans_of args trace_f =
+    check_int (args ^ " exits 0") 0 (run (args ^ " --trace " ^ trace_f));
+    let text = read_file trace_f in
+    (match Observe.Export.validate_ndjson_string text with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail ("invalid trace: " ^ e));
+    text
+  in
+  let root text name =
+    contains text (Printf.sprintf "\"parent\":0,\"name\":\"%s\"" name)
+  in
+  let compile = spans_of ("compile " ^ f) "cli_tr_compile.trace.ndjson" in
+  check "compile: root parse span" true (root compile "parse");
+  check "compile: root compile span" true (root compile "compile");
+  write_file "cli_tr_evolve.deltas" "deltas\n+relation rX A B\n";
+  write_file "cli_tr_evolve.queries" "A,B\n";
+  let evolve =
+    spans_of
+      ("evolve " ^ f ^ " --deltas cli_tr_evolve.deltas")
+      "cli_tr_evolve.trace.ndjson"
+  in
+  check "evolve: root parse span" true (root evolve "parse");
+  check "evolve: root compile span" true (root evolve "compile");
+  check "evolve: delta span" true (contains evolve "\"name\":\"apply_delta\"");
+  let batch =
+    spans_of
+      ("evolve " ^ f
+     ^ " --deltas cli_tr_evolve.deltas --queries cli_tr_evolve.queries")
+      "cli_tr_evolve_q.trace.ndjson"
+  in
+  List.iter
+    (fun name ->
+      check ("evolve --queries: root " ^ name) true (root batch name))
+    [ "parse"; "compile"; "query"; "render" ]
+
+(* ------------------------------------------------------- CRLF input *)
+
+(* A file with "\r\n" line ends reads as the same file with "\n" ones:
+   every command gives byte-identical stdout, stderr and exit code on
+   CRLF copies of the checked-in fixtures. *)
+let crlf path =
+  let text = read_file path in
+  let b = Buffer.create (String.length text + 64) in
+  String.iter
+    (fun ch ->
+      if ch = '\n' then Buffer.add_string b "\r\n" else Buffer.add_char b ch)
+    text;
+  let copy = "cli_crlf_" ^ Filename.basename path in
+  write_file copy (Buffer.contents b);
+  copy
+
+let outcome args =
+  let code =
+    Sys.command (cli ^ " " ^ args ^ " > cli_crlf.out 2> cli_crlf.err")
+  in
+  (code, read_file "cli_crlf.out", read_file "cli_crlf.err")
+
+let test_crlf_fixtures () =
+  let g = "fixtures/fig3b.bigraph"
+  and d = "fixtures/fig3b.deltas"
+  and q = "fixtures/fig3b.queries" in
+  let g' = crlf g and d' = crlf d and q' = crlf q in
+  check "the copies differ from the fixtures" true
+    (read_file g <> read_file g');
+  List.iter
+    (fun cmd ->
+      let lf = outcome (cmd g d q) and crlf = outcome (cmd g' d' q') in
+      let code, out, err = lf and code', out', err' = crlf in
+      let name = cmd "F" "D" "Q" in
+      check_int (name ^ ": exit code") code code';
+      Alcotest.(check string) (name ^ ": stdout") out out';
+      Alcotest.(check string) (name ^ ": stderr") err err';
+      check (name ^ ": answers something") true (out <> ""))
+    [
+      (fun g _ _ -> "classify " ^ g);
+      (fun g _ _ -> "compile " ^ g);
+      (fun g _ q -> "solve " ^ g ^ " --queries " ^ q);
+      (fun g d _ -> "evolve " ^ g ^ " --deltas " ^ d);
+      (fun g d _ -> "evolve " ^ g ^ " --deltas " ^ d ^ " --emit");
+      (fun g d q -> "evolve " ^ g ^ " --deltas " ^ d ^ " --queries " ^ q);
+    ]
+
 (* ---------------------------------------------------- plan cache *)
 
 (* The compile subcommand owns the cache, so an unusable directory is
@@ -487,6 +574,10 @@ let () =
             test_trace_on_failure;
           Alcotest.test_case "parse and render spans" `Quick
             test_trace_front_end;
+          Alcotest.test_case "compile and evolve spans" `Quick
+            test_trace_compile_evolve;
+          Alcotest.test_case "CRLF fixtures read alike" `Quick
+            test_crlf_fixtures;
         ] );
       ( "query",
         [

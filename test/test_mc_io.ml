@@ -246,7 +246,25 @@ let test_error_positions () =
   expect "bipartite\nleft A B\nright r s r" ~line:0 ~col:0
     ~msg:"duplicate node name";
   expect "bipartite\nleft A B\nright r B\nedge A r" ~line:0 ~col:0
-    ~msg:"duplicate node name"
+    ~msg:"duplicate node name";
+  (* An edge line of the wrong arity names its arity: at the first
+     extra name, or at the keyword when names are missing. *)
+  expect "bipartite\nleft A\nright r\nedge A r extra" ~line:4 ~col:10
+    ~msg:"'edge' line needs two names, found 3";
+  expect "bipartite\nleft A\nright r\n  edge A r x y # z" ~line:4 ~col:12
+    ~msg:"'edge' line needs two names, found 4";
+  expect "bipartite\nleft A\nright r\nedge A" ~line:4 ~col:1
+    ~msg:"'edge' line needs two names, found 1";
+  expect "bipartite\nleft A\nright r\n\tedge # none" ~line:4 ~col:2
+    ~msg:"'edge' line needs two names, found 0";
+  (* A "\r\n" ends a line: the '\r' belongs to no token, and positions
+     are those of the same file with "\n" line ends. *)
+  expect "bipartite\r\nleft A\r\nright r\r\nedge B r\r\n" ~line:4 ~col:6
+    ~msg:"unknown left node 'B'";
+  expect "bipartite\r\nleft A\r\nright r\r\nedge A z\r\n" ~line:4 ~col:8
+    ~msg:"unknown right node 'z'";
+  expect "bipartite x\r\n" ~line:1 ~col:1
+    ~msg:"expected a single 'bipartite' header line"
 
 (* ------------------------------------------------ emitter line cap *)
 

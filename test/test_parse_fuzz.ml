@@ -240,6 +240,174 @@ let oversized_line_case =
       | Error (Errors.Parse_error { line; _ }) -> line = prefix + 1
       | Ok _ | Error _ -> false)
 
+(* ------------------------------------------ differential oracle *)
+
+(* [Mc_io.Parse.bigraph_of_string] against the list-based parser it
+   replaced ([Reference_parse]): equal name arrays, equal CSR graphs,
+   or the same [Parse_error {line; col; msg}]. Two changes are by
+   design. A "\r\n" line end is a line end, so the reference reads
+   the text with each such '\r' dropped — which moves no position,
+   since the '\r' is the last byte of its line. And an [edge] line of
+   the wrong arity, an unknown directive to the reference, reports
+   its arity on the same line: at the keyword when names are missing,
+   past it at the first extra name. *)
+
+let strip_crlf text =
+  let n = String.length text in
+  let b = Buffer.create n in
+  String.iteri
+    (fun i ch ->
+      if not (ch = '\r' && i + 1 < n && text.[i + 1] = '\n') then
+        Buffer.add_char b ch)
+    text;
+  Buffer.contents b
+
+let arity_prefix = "'edge' line needs two names, found "
+
+let agrees text =
+  let module B = Bipartite.Bigraph in
+  match
+    (Reference_parse.bigraph_of_string (strip_crlf text),
+     Mc_io.Parse.bigraph_of_string text)
+  with
+  | Ok r, Ok p ->
+    r.Mc_io.Parse.left_names = p.Mc_io.Parse.left_names
+    && r.right_names = p.right_names
+    && B.nl r.graph = B.nl p.graph
+    && B.nr r.graph = B.nr p.graph
+    && Graphs.Csr.equal (B.csr r.graph) (B.csr p.graph)
+  | Error (Errors.Parse_error r), Error (Errors.Parse_error p) ->
+    if r.msg = "unknown directive 'edge'" then
+      String.starts_with ~prefix:arity_prefix p.msg
+      && p.line = r.line
+      &&
+      let k =
+        int_of_string
+          (String.sub p.msg (String.length arity_prefix)
+             (String.length p.msg - String.length arity_prefix))
+      in
+      k <> 2 && if k < 2 then p.col = r.col else p.col > r.col
+    else r.line = p.line && r.col = p.col && r.msg = p.msg
+  | _ -> false
+
+(* Layout edits that keep a file's meaning, or change it in the ways
+   the hand cases below name: CRLF line ends, tabs and runs of blanks,
+   trailing comments, name lines split, repeated or moved after the
+   edges, and edge lines with a token too many or too few. *)
+let restyle rng text =
+  let pick p = Workloads.Rng.bool rng p in
+  let lines =
+    String.split_on_char '\n' text
+    |> List.map (fun l ->
+           String.split_on_char ' ' l |> List.filter (( <> ) ""))
+  in
+  let lines =
+    if pick 0.3 then
+      let names, rest =
+        List.partition
+          (function ("left" | "right") :: _ -> true | _ -> false)
+          lines
+      in
+      rest @ names
+    else lines
+  in
+  let lines =
+    List.concat_map
+      (function
+        | ("left" | "right") as kw :: names
+          when List.length names > 1 && pick 0.3 ->
+          let k = 1 + Workloads.Rng.int rng (List.length names - 1) in
+          [
+            kw :: List.filteri (fun i _ -> i < k) names;
+            kw :: List.filteri (fun i _ -> i >= k) names;
+          ]
+        | "edge" :: _ as toks when pick 0.05 -> [ toks @ [ "extra" ] ]
+        | [ "edge"; a; _ ] when pick 0.05 -> [ [ "edge"; a ] ]
+        | toks -> [ toks ])
+      lines
+  in
+  let b = Buffer.create (2 * String.length text) in
+  List.iteri
+    (fun i toks ->
+      if i > 0 then Buffer.add_string b (if pick 0.3 then "\r\n" else "\n");
+      List.iteri
+        (fun j t ->
+          if j > 0 then
+            Buffer.add_string b
+              (match Workloads.Rng.int rng 4 with
+              | 0 -> "\t"
+              | 1 -> "  "
+              | 2 -> " \t "
+              | _ -> " ");
+          Buffer.add_string b t)
+        toks;
+      if pick 0.1 then Buffer.add_string b " # note")
+    lines;
+  Buffer.contents b
+
+let differential_prop =
+  QCheck2.Test.make ~count:1000
+    ~name:"bigraph_of_string agrees with the reference parser" seed_gen
+    (fun seed ->
+      let rng = Workloads.Rng.make ~seed in
+      let text = random_bigraph_text rng in
+      let styled = restyle rng text in
+      List.for_all agrees
+        [ text; styled; mutate rng text; mutate rng styled; mutate rng styled ])
+
+let long_line = String.make (Mc_io.Parse.max_line_bytes + 1) 'x'
+
+let hand_cases =
+  [
+    ("tabs", "bipartite\nleft\tA\t\tB\nright r\nedge\tA r\nedge B\tr\n");
+    ("# mid-line",
+     "bipartite\nleft A B#C\nright r # s\nedge A r#x\nedge B#y\n");
+    ("# ends a name", "bipartite\nleft A\nright r\nedge A#x r\n");
+    ("repeated name lines",
+     "bipartite\nleft A\nright r\nleft B C\nright s\nedge C s\nedge A r\n");
+    ("names after edges", "bipartite\nedge A r\nedge B r\nleft A B\nright r\n");
+    ("unknown name after edges",
+     "bipartite\nedge A r\nedge B q\nleft A\nright r\n");
+    ("header with a trailing token", "bipartite extra\nleft A\n");
+    ("header not first", "left A\nbipartite\n");
+    ("empty file", "");
+    ("blank lines only", "\n \n\t\n");
+    ("comment-only", "# one\n   # two\n#\n");
+    ("oversized line after an early error", "nonsense\n" ^ long_line ^ "\n");
+    ("oversized line after an unknown name",
+     "bipartite\nleft A\nright r\nedge B r\n" ^ long_line);
+    ("oversized comment line", "bipartite\n#" ^ long_line ^ "\nleft A\n");
+    ("line at the cap",
+     "bipartite\nleft "
+     ^ String.make (Mc_io.Parse.max_line_bytes - 5) 'A'
+     ^ "\n");
+    ("edge with one name", "bipartite\nleft A\nright r\nedge A\n");
+    ("edge with no names", "bipartite\nleft A\nright r\nedge  # nothing\n");
+    ("edge with three names", "bipartite\nleft A\nright r\nedge A r r\n");
+    ("empty left line", "bipartite\nleft # none\n");
+    ("duplicate across sides", "bipartite\nleft A B\nright B\n");
+    ("duplicate before unknown", "bipartite\nleft A A\nright r\nedge Z r\n");
+    ("unknown directive", "bipartite\nleft A\nnodes x\n");
+    ("names that prefix each other",
+     "bipartite\nleft A AB ABC\nright r rs\nedge A r\nedge AB r\nedge ABC rs\n\
+      edge AB rs\n");
+    ("CRLF with an unknown name",
+     "bipartite\r\nleft A\r\nright r\r\nedge A q\r\n");
+    ("CRLF", "bipartite\r\nleft A B\r\nright r\r\nedge A r\r\nedge B r\r\n");
+    ("CRLF before a comment",
+     "bipartite # x\r\nleft A\r\nright r#y\r\nedge A r\r\n");
+    ("lone CR", "bipartite\nleft A\rB\nright r\nedge A\rB r\n");
+    ("CR CR LF", "bipartite\r\r\nleft A\n");
+    ("no final newline", "bipartite\nleft A\nright r\nedge A r");
+  ]
+
+let test_hand_cases () =
+  List.iter
+    (fun (name, text) ->
+      if not (agrees text) then
+        Alcotest.failf "%s: the parser and the reference disagree" name)
+    hand_cases
+
 let () =
   Alcotest.run "parse_fuzz"
     [
@@ -249,5 +417,10 @@ let () =
           Alcotest.test_case "total byte cap refuses every parser" `Quick
             test_total_cap;
           QCheck_alcotest.to_alcotest oversized_line_case;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest differential_prop;
+          Alcotest.test_case "hand cases" `Quick test_hand_cases;
         ] );
     ]
