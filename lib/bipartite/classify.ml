@@ -36,16 +36,23 @@ let neutral =
     degree_h2 = Acyclicity.Berge_acyclic;
   }
 
-(* One side off (6,1), where α is chordal ∧ conformal (Theorem 1 (v)):
-   (chordal, conformal, α), each check under a span named [prefix]
-   followed by the check. *)
-let side trace prefix h =
-  let span check f = Observe.Trace.span trace (prefix ^ check) f in
-  let two_section = Hypergraph.two_section in
-  if span "chordal" (fun () -> Graphs.Chordal.is_chordal (two_section h)) then
-    let a = span "alpha" (fun () -> Gyo.alpha_acyclic h) in
-    (true, a, a)
-  else (false, span "conformal" (fun () -> Conformal.is_conformal h), false)
+(* Side [hK] off (6,1), read as H¹ of [g] (H² of G is H¹ of its
+   flip), as (chordal, conformal, α), each check under a span
+   ["classify.hK.check"]. α is chordal ∧ conformal (Theorem 1 (v)), so
+   the α kernel runs first; off α a chordal 2-section means not
+   conformal, and only a non-chordal side runs Gilmore. *)
+let side trace hk g =
+  let span check f =
+    Observe.Trace.span trace ("classify." ^ hk ^ "." ^ check) f
+  in
+  if span "alpha" (fun () -> Side_properties.alpha_side g Bigraph.V2) then
+    (true, true, true)
+  else
+    let h = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
+    let two_section = Hypergraph.two_section in
+    if span "chordal" (fun () -> Graphs.Chordal.is_chordal (two_section h))
+    then (true, false, false)
+    else (false, span "conformal" (fun () -> Conformal.is_conformal h), false)
 
 (* The cascade documented in classify.mli. G's CSR is the incidence
    graph of H¹, and of H² read from the other side, so γ and
@@ -74,10 +81,8 @@ let checks trace g =
           Beta.acyclic_incidence csr ~boundary:(Bigraph.nl g))
     then chordal_61_profile false
     else
-      let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
-      let h2 = Side_properties.hypergraph_of_witness_side g Bigraph.V1 in
-      let v2_chordal, v2_conformal, alpha_h1 = side trace "classify.h1." h1 in
-      let v1_chordal, v1_conformal, alpha_h2 = side trace "classify.h2." h2 in
+      let v2_chordal, v2_conformal, alpha_h1 = side trace "h1" g in
+      let v1_chordal, v1_conformal, alpha_h2 = side trace "h2" (Bigraph.flip g) in
       let degree a = if a then Acyclicity.Alpha_acyclic else Cyclic in
       {
         chordal_41 = false;
@@ -94,7 +99,7 @@ let checks trace g =
       }
 
 (* Every recognizer in the profile is component-local: cycles, cliques,
-   hyperedges and GYO reductions never cross a connected component, and
+   hyperedges and α searches never cross a connected component, and
    the witness hypergraphs drop the empty hyperedges an isolated
    relation would contribute on either side of the decomposition. So
    the whole-graph profile is the conjunction of the per-component

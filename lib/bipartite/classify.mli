@@ -58,18 +58,19 @@ val profile_connected : ?trace:Observe.Trace.t -> Bigraph.t -> profile
     - else ["classify.chordal_61"]: β-elimination
       ({!Hypergraphs.Beta.acyclic_incidence}) on the same CSR. If it
       succeeds every side field is true and both degrees are β;
-    - else H¹ and H² are built and, per side K of [h1] (V₂ witnesses)
-      and [h2] (V₁): ["classify.hK.chordal"] on the 2-section, then
-      ["classify.hK.alpha"] (GYO; conformal = α) if chordal, else
-      ["classify.hK.conformal"] (Gilmore; α false). Each degree is α
-      or cyclic.
+    - else, per side K of [h1] (V₂ witnesses, on G's CSR) and [h2]
+      (V₁, on the flipped CSR): ["classify.hK.alpha"], the linear
+      {!Hypergraphs.Mcs.incidence} kernel. α settles chordal and
+      conformal too (Theorem 1 (v)). Off α the side's hypergraph is
+      built and ["classify.hK.chordal"] tests its 2-section: a chordal
+      side is not conformal, else ["classify.hK.conformal"] (Gilmore)
+      decides. Each degree is α or cyclic.
 
     γ-elimination is near-linear in the component's size.
     β-elimination re-tests a node only when a node that blocked its
-    last test is deleted. No hypergraph is built on a (6,1)-chordal
-    component. So a
-    component records 0, 1, 2 or 6 child spans under its one
-    ["classify"] span, which carries the headline verdicts. *)
+    last test is deleted. No hypergraph is built on a side that is α.
+    So a component records 0, 1, 2, or 4 to 8 child spans under its
+    one ["classify"] span, which carries the headline verdicts. *)
 
 val neutral : profile
 (** The profile of the empty graph — identity of {!combine}: every

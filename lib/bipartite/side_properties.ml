@@ -12,7 +12,10 @@ let chordal g side =
 let conformal g side =
   Conformal.is_conformal (hypergraph_of_witness_side g side)
 
-let alpha_side g side = Gyo.alpha_acyclic (hypergraph_of_witness_side g side)
+(* G's CSR is H¹'s incidence graph, the flip's is H²'s. *)
+let alpha_side g side =
+  let g = match side with Bigraph.V2 -> g | Bigraph.V1 -> Bigraph.flip g in
+  Option.is_some (Mcs.incidence (Bigraph.csr g) ~boundary:(Bigraph.nl g))
 
 let chordal_brute g side =
   let u = Bigraph.ugraph g in

@@ -22,7 +22,8 @@ val conformal : Bigraph.t -> Bigraph.side -> bool
 
 val alpha_side : Bigraph.t -> Bigraph.side -> bool
 (** [chordal && conformal], tested directly as α-acyclicity of the
-    corresponding hypergraph (GYO). *)
+    corresponding hypergraph: {!Hypergraphs.Mcs.incidence} on G's CSR
+    for [V2], on its flip's for [V1]; no hypergraph is built. *)
 
 val chordal_brute : Bigraph.t -> Bigraph.side -> bool
 (** Literal Definition 5 by cycle enumeration; exponential. *)

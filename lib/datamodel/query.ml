@@ -63,18 +63,21 @@ let minimal_connection schema ~objects =
     | Error Runtime.Errors.Disconnected_terminals -> Error Disconnected
     | Error e -> Error (Not_applicable (Runtime.Errors.to_string e)))
 
+(* Algorithm 1 on the schema's cached plan: the only errors left are
+   disconnection and a component that is not α-acyclic. *)
 let min_relations schema ~objects =
   match terminals_of_objects schema objects with
   | Error e -> Error e
+  | Ok p when Iset.is_empty p ->
+    Ok (connection_of_tree schema ~query:p Tree.empty ~optimal:true, 0)
   | Ok p -> (
-    let g = Schema.to_bigraph schema in
-    match Algorithm1.solve g ~p with
+    let session = Engine.Session.create (Schema.compiled schema) in
+    match Engine.Session.query_relations session ~p with
     | Ok r ->
       Ok (connection_of_tree schema ~query:p r.Algorithm1.tree ~optimal:true,
           r.Algorithm1.v2_count)
-    | Error Algorithm1.Disconnected_terminals -> Error Disconnected
-    | Error Algorithm1.Not_alpha_acyclic ->
-      Error (Not_applicable "scheme hypergraph is not alpha-acyclic"))
+    | Error Runtime.Errors.Disconnected_terminals -> Error Disconnected
+    | Error _ -> Error (Not_applicable "scheme hypergraph is not alpha-acyclic"))
 
 let weighted_connection schema ~objects ~cost =
   match terminals_of_objects schema objects with

@@ -46,8 +46,10 @@ val minimal_connection :
 val min_relations :
   Schema.t -> objects:string list -> (connection * int, error) result
 (** Algorithm 1: pseudo-Steiner w.r.t. relations; the integer is the
-    relation count. [Error (Not_applicable _)] when the scheme's H¹ is
-    not α-acyclic. *)
+    relation count. Answers through {!Engine.Session.query_relations}
+    on {!Schema.compiled}; the empty object list answers the empty
+    connection and 0. [Error (Not_applicable _)] when the objects'
+    component of H¹ is not α-acyclic. *)
 
 val weighted_connection :
   Schema.t -> objects:string list -> cost:(string -> int) ->

@@ -3,7 +3,7 @@ open Hypergraphs
 type degree_goal = To_alpha | To_beta | To_gamma | To_berge
 
 let goal_test = function
-  | To_alpha -> Gyo.alpha_acyclic
+  | To_alpha -> Acyclicity.alpha_acyclic
   | To_beta -> Beta.acyclic
   | To_gamma -> Gamma.acyclic
   | To_berge -> Berge.acyclic

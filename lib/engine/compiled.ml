@@ -78,7 +78,7 @@ let of_bytes s =
 (* --------------------------------------------------- compilation *)
 
 (* Everything a single connected component contributes to the plan:
-   the Algorithm 2 elimination order, the Algorithm 1 join-tree prep,
+   the Algorithm 2 elimination order, the Algorithm 1 Lemma 1 prep,
    and — new with delta support — its own classification profile, so a
    schema edit can replace one component's slice and re-derive the
    global profile by [Classify.combine] instead of reclassifying the
@@ -86,11 +86,11 @@ let of_bytes s =
    induced sub-bigraph (the graph itself when the graph is connected,
    so the single-component fast path pays no copy). *)
 let prep_component tr graph nodes =
-  let sub, _ = Bigraph.induced graph nodes in
+  let slice = Bigraph.induced graph nodes in
   {
     nodes;
-    cprofile = Classify.profile_connected ~trace:tr sub;
-    alg1_prep = Steiner.Algorithm1.prepare ~trace:tr graph ~comp:nodes;
+    cprofile = Classify.profile_connected ~trace:tr (fst slice);
+    alg1_prep = Steiner.Algorithm1.prepare ~trace:tr ~slice graph ~comp:nodes;
   }
 
 let compile ?(trace = Observe.Trace.disabled)

@@ -4,7 +4,7 @@
     and streams terminal-set queries over it. Everything that depends
     only on the scheme — the flat CSR adjacency, the
     chordality/acyclicity {!Bipartite.Classify.profile}, the connected
-    components and Algorithm 1's GYO join-tree ordering per component
+    components and Algorithm 1's Lemma 1 ordering W per component
     — is computed here exactly once; {!Session} then answers each query
     on the terminals' component of the cached plan. *)
 
@@ -18,9 +18,9 @@ type component = {
           profile is [Classify.combine] over these, which is what lets
           {!apply_delta} re-profile only touched components *)
   alg1_prep : (Steiner.Algorithm1.prep, Steiner.Algorithm1.error) result;
-      (** Algorithm 1's Lemma 1 ordering (reverse join-tree preorder),
-          or [Error Not_alpha_acyclic] when the component has no join
-          tree *)
+      (** Algorithm 1's Lemma 1 ordering (the reversed {!Hypergraphs.Mcs}
+          order of the component's H¹), or [Error Not_alpha_acyclic]
+          when that H¹ is not α-acyclic *)
 }
 
 type t = {

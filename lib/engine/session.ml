@@ -268,9 +268,9 @@ let solve_many ?budget ?make_budget ?degrade t ps =
           query ?budget:(budget_for i) ?degrade t ~p))
     ps
 
-(* Algorithm 1 against the compiled join-tree ordering: the GYO work
-   was paid at compile time, each query only replays the elimination
-   on the terminals' component. *)
+(* Algorithm 1 against the compiled Lemma 1 ordering: the α kernel ran
+   at compile time, each query only replays the elimination on the
+   terminals' component. *)
 let query_relations t ~p =
   match locate t ~p with
   | Error e -> Error e

@@ -4,7 +4,7 @@
     — budget, degradation policy and observability sinks — and answers
     any number of terminal-set queries against one {!Compiled.t}.
     Classification, component decomposition and the Algorithm 1
-    join-tree orderings are read from the compiled plan; a query
+    Lemma 1 orderings are read from the compiled plan; a query
     performs only terminal location, the degradation ladder, and the
     chosen solver, all on the terminals' component: the rungs run on
     its induced slice, so a query costs the component, not the schema,
@@ -106,6 +106,6 @@ val solve_many :
 val query_relations :
   t -> p:Iset.t -> (Algorithm1.result, Errors.t) result
 (** Algorithm 1 (minimum relation count, Theorem 3/4) against the
-    join-tree ordering cached at compile time, run on the terminals'
+    Lemma 1 ordering cached at compile time, run on the terminals'
     component ({!Steiner.Algorithm1.solve_prepared}). [Invalid_instance]
     when the terminal component is not α-acyclic. *)

@@ -16,7 +16,7 @@ type report = {
   chordal_2section : bool;
 }
 
-let alpha_acyclic = Gyo.alpha_acyclic
+let alpha_acyclic = Mcs.alpha_acyclic
 
 let alpha_acyclic_by_definition h =
   Chordal.is_chordal (Hypergraph.two_section h) && Conformal.is_conformal h

@@ -21,12 +21,13 @@ type report = {
 }
 
 val alpha_acyclic : Hypergraph.t -> bool
-(** Via GYO reduction. Equivalent formulation (Definition 7):
-    the 2-section is chordal and the hypergraph is conformal. *)
+(** Via the linear maximum cardinality search kernel ({!Mcs}).
+    Equivalent formulation (Definition 7): the 2-section is chordal and
+    the hypergraph is conformal. *)
 
 val alpha_acyclic_by_definition : Hypergraph.t -> bool
 (** Literally Definition 7: [G(H)] chordal and [H] conformal. Used to
-    cross-check the reduction-based test. *)
+    cross-check the search-based test. *)
 
 val beta_acyclic : Hypergraph.t -> bool
 

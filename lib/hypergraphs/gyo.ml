@@ -71,8 +71,3 @@ let run h =
   { survivors = content; surviving_edges; parent }
 
 let alpha_acyclic h = (run h).surviving_edges = []
-
-let join_tree h =
-  let t = run h in
-  if t.surviving_edges = [] then Some (Join_tree.make h ~parent:t.parent)
-  else None

@@ -1,10 +1,13 @@
 (** Graham / Yu–Özsoyoğlu (GYO) reduction: the classical test for
-    α-acyclicity, which also yields a join tree.
+    α-acyclicity.
 
     The reduction repeatedly (a) deletes nodes that belong to exactly
     one remaining edge and (b) deletes edges contained in another
     remaining edge. A hypergraph is α-acyclic iff the reduction deletes
-    every edge. *)
+    every edge. Each round recounts occurrences and compares every pair
+    of edges, so no path that decides α or builds a join tree runs it
+    ({!Mcs} does, in linear time): it remains as the stuck-edge witness
+    of {!Acyclicity.why_not} and as an independent oracle for tests. *)
 
 open Graphs
 
@@ -19,9 +22,3 @@ type trace = {
 val run : Hypergraph.t -> trace
 
 val alpha_acyclic : Hypergraph.t -> bool
-
-val join_tree : Hypergraph.t -> Join_tree.t option
-(** [Some] join tree over the original edge indices when the hypergraph
-    is α-acyclic (the tree of absorptions recorded by the reduction);
-    [None] otherwise. For a disconnected hypergraph this is a join
-    forest: one root per component. *)

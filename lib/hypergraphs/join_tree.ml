@@ -18,22 +18,10 @@ let make hypergraph ~parent =
     parent;
   { hypergraph; parent }
 
-let children t i =
-  let acc = ref [] in
-  Array.iteri (fun j p -> if p = i then acc := j :: !acc) t.parent;
-  List.rev !acc
-
 let roots t =
   let acc = ref [] in
   Array.iteri (fun j p -> if p = -1 then acc := j :: !acc) t.parent;
   List.rev !acc
-
-let separator t i =
-  if t.parent.(i) < 0 then Iset.empty
-  else
-    Iset.inter
-      (Hypergraph.edge t.hypergraph i)
-      (Hypergraph.edge t.hypergraph t.parent.(i))
 
 let verify t =
   let h = t.hypergraph in

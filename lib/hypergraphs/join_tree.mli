@@ -5,8 +5,6 @@
     "running intersection" shape that makes α-acyclic database schemas
     pleasant (Beeri–Fagin–Maier–Yannakakis). *)
 
-open Graphs
-
 type t = {
   hypergraph : Hypergraph.t;
   parent : int array;  (** [parent.(i) = -1] for roots *)
@@ -20,17 +18,11 @@ val verify : t -> bool
 (** The defining property: for every node, the set of edges containing
     it is connected in the forest. *)
 
-val children : t -> int -> int list
-
 val children_arrays : t -> int array array
 (** [children_arrays t].(i) lists [i]'s children in increasing index
-    order; the whole structure is built in one O(q) pass, where a
-    {!children} call per node would be quadratic. *)
+    order, built in one O(q) pass. *)
 
 val roots : t -> int list
-
-val separator : t -> int -> Iset.t
-(** [separator t i] is [edge i ∩ edge (parent i)]; empty for roots. *)
 
 val preorder : t -> int list
 (** Roots first, then children, depth-first. On a coherent join tree of

@@ -1,25 +1,40 @@
-(** Maximum cardinality search on hyperedges (Tarjan–Yannakakis).
+(** The α-acyclicity kernel: restricted maximum cardinality search on
+    hyperedges (Tarjan & Yannakakis, SIAM J. Comput. 1984).
 
-    Greedily orders the edges, always picking next an edge containing
-    the most already-marked nodes. For a connected α-acyclic hypergraph
-    the resulting ordering satisfies the running intersection property
-    (Tarjan & Yannakakis 1984, Theorem 5) — this is the ordering that
-    powers the paper's Algorithm 1 — and conversely any ordering with
-    the running intersection property witnesses α-acyclicity, so
-    {!alpha_acyclic} is a complete test, independent of {!Gyo}. *)
+    The search selects next the hyperedge with the most marked nodes,
+    then marks its nodes. Let M(e) be the nodes of [e] marked before
+    [e] was selected and R(e) the latest hyperedge that marked one of
+    them: the hypergraph is α-acyclic iff M(e) ⊆ R(e) for every [e].
+    Then the selection order has the running intersection property
+    (reversed, it is the paper's Lemma 1 ordering W) and the R-parents
+    form a join forest. Every path that decides α or builds a join
+    tree runs this kernel; {!Gyo} is only a witness and a test
+    oracle. *)
 
-val edge_order : ?start:int -> Hypergraph.t -> int list
-(** Edge indices in selection order. Each connected component is
-    exhausted before the next begins. Runs on dense
-    [Graphs.Bitset] node sets ([inter_card] per candidate edge). *)
+open Graphs
 
-val edge_order_sets : ?start:int -> Hypergraph.t -> int list
-(** Set-based reference implementation of {!edge_order}; returns the
-    identical ordering. Differential-testing and benchmarking only. *)
+type forest = {
+  order : int array;  (** hyperedge indices in selection order *)
+  parent : int array;
+      (** R(i), or [-1] when [i] met no marked node: one root per
+          component and per empty hyperedge *)
+}
 
-val alpha_acyclic : ?start:int -> Hypergraph.t -> bool
-(** [Join_tree.rip_holds h (edge_order h)]. *)
+val incidence : Csr.t -> boundary:int -> forest option
+(** The kernel on an incidence graph in the convention of
+    {!Beta.acyclic_incidence}: nodes below [boundary], hyperedge [i]
+    at vertex [boundary + i], every edge crossing the boundary (a
+    bipartite graph's CSR with [boundary = nl] reads as H¹, its flip's
+    as H²). A bucket queue and one stamp per parent: O(n + m). [None]
+    off α. *)
+
+val run : Hypergraph.t -> forest option
+(** {!incidence} on {!Hypergraph.incidence_csr}. *)
+
+val alpha_acyclic : Hypergraph.t -> bool
+
+val join_tree : Hypergraph.t -> Join_tree.t option
+(** The R-parents as a join tree (a forest when disconnected). *)
 
 val rip_ordering : Hypergraph.t -> int list option
-(** A running-intersection ordering of all edge indices, when one
-    exists. *)
+(** The selection order, when the hypergraph is α-acyclic. *)

@@ -3,7 +3,7 @@ open Hypergraphs
 type plan = Acyclic of Join_tree.t | Naive_fallback
 
 let plan db =
-  match Gyo.join_tree (Database.scheme_hypergraph db) with
+  match Mcs.join_tree (Database.scheme_hypergraph db) with
   | Some jt -> Acyclic jt
   | None -> Naive_fallback
 

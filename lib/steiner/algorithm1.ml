@@ -18,7 +18,7 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Compile-once preprocessing: the Lemma 1 ordering depends only on
    the component, not on the terminal set, so a session answering many
-   queries computes the join tree and W once per component.           *)
+   queries runs the α kernel and derives W once per component.        *)
 (* ------------------------------------------------------------------ *)
 
 type prep = {
@@ -28,37 +28,27 @@ type prep = {
 
 let prep_order p = p.w_order
 
-let prepare ?(trace = Observe.Trace.disabled) g ~comp =
+let prepare ?(trace = Observe.Trace.disabled) ?slice g ~comp =
   if Iset.cardinal comp <= 1 then Ok { comp; w_order = [] }
   else begin
-    let c = Bigraph.csr g in
-    let nl = Bigraph.nl g in
-    let right_in_comp =
-      List.filter (fun v -> v >= nl) (Iset.elements comp)
+    let sub, ids =
+      match slice with Some s -> s | None -> Bigraph.induced g comp
     in
-    (* H¹ of the component: one hyperedge per right node, over the left
-       universe. Right nodes in the component always have at least one
-       neighbor (they would otherwise be isolated and the component
-       would be a singleton). Adjacency comes straight from the sorted
-       CSR rows — preparing every component of a schema never derives
-       the set view or an O(nr) right-node set. *)
-    let family =
-      List.map
-        (fun v -> Iset.of_list (Array.to_list (Csr.sorted_neighbors c v)))
-        right_in_comp
-    in
-    let h = Hypergraph.create ~n_nodes:(Bigraph.nl g) family in
+    (* The slice's CSR is the incidence graph of the component's H¹:
+       left nodes below [nl], one hyperedge per right node above it.
+       The α kernel runs on it directly; no hypergraph is built. *)
+    let nl = Bigraph.nl sub in
     match
       Observe.Trace.span trace "algorithm1.join_tree" (fun () ->
-          Gyo.join_tree h)
+          Mcs.incidence (Bigraph.csr sub) ~boundary:nl)
     with
     | None -> Error Not_alpha_acyclic
-    | Some jt ->
-      let rip = Join_tree.preorder jt in
-      let right_arr = Array.of_list right_in_comp in
+    | Some f ->
       (* Lemma 1's W is the reverse of the running-intersection
-         ordering. *)
-      let w_order = List.rev_map (fun i -> right_arr.(i)) rip in
+         ordering: the reverse of the search's selection order. *)
+      let w_order =
+        Array.fold_left (fun w i -> ids.(nl + i) :: w) [] f.Mcs.order
+      in
       Log.debug (fun m ->
           m "Lemma 1 ordering W = [%s]"
             (String.concat "; " (List.map string_of_int w_order)));

@@ -5,7 +5,7 @@
 
     Step 1 computes the Lemma 1 elimination ordering of the right
     nodes: the reverse of a running-intersection ordering of H¹'s
-    hyperedges, obtained here as a join-tree preorder. Step 2 scans the
+    hyperedges, the {!Hypergraphs.Mcs} order. Step 2 scans the
     ordering and deletes each right node [v] together with [Adj*(v)]
     (its private left neighbors) whenever the remainder still covers
     the terminals. Step 3 returns a spanning tree. *)
@@ -40,7 +40,7 @@ val solve :
 
 (** {2 Compile-once / query-many}
 
-    Step 1 (the join tree and the Lemma 1 ordering) depends only on the
+    Step 1 (the α kernel and the Lemma 1 ordering) depends only on the
     component, not on the terminal set. A session answering many
     terminal-set queries over one schema computes the [prep] once per
     component and reuses it for every query. *)
@@ -50,15 +50,17 @@ type prep
 
 val prepare :
   ?trace:Observe.Trace.t ->
+  ?slice:Bigraph.t * int array ->
   Bigraph.t ->
   comp:Iset.t ->
   (prep, error) Stdlib.result
 (** Step 1 for the component [comp] (as returned by
     {!Graphs.Traverse.component_containing} or
-    {!Graphs.Traverse.component_ids}): build H¹ restricted to the
-    component, run GYO, and derive W as the reversed join-tree preorder.
-    [Error Not_alpha_acyclic] when the component has no join tree.
-    Records an ["algorithm1.join_tree"] span. *)
+    {!Graphs.Traverse.component_ids}): W is the reversed
+    {!Hypergraphs.Mcs.incidence} order on the CSR of [slice]
+    ([Bigraph.induced g comp] unless the caller cut it), which is the
+    component's H¹; [Error Not_alpha_acyclic] off α. Records an
+    ["algorithm1.join_tree"] span. *)
 
 val prep_order : prep -> int list
 (** The Lemma 1 ordering W held by the prep (empty for trivial

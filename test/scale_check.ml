@@ -24,6 +24,16 @@
    component's CSR, and a cubic scan over its hyperedges would take
    hours there.
 
+   It compiles that schema and the connected
+   [Gen_bipartite.alpha_bipartite] schema of the same size, each under
+   the same one-second budget. Compiling classifies the component and
+   prepares Algorithm 1's W, and both ask α of the component's H¹
+   through the linear maximum cardinality search kernel; the alpha
+   schema is off (6,1), so its classification also asks α of H² and
+   tests H²'s 2-section. With GYO deciding α and building the join
+   tree, the chordal62 compile took about 0.9 s and the alpha one
+   about 1.5 s.
+
    It answers one 4-terminal query on a connected chordal62 schema of
    n ≈ 1,200 under a one-second budget: Algorithm 2's elimination runs
    on the component's CSR with an array BFS per candidate, and the
@@ -97,9 +107,11 @@ let parse_words_per_byte inst =
    the whole-graph set view allocates about 40. *)
 let max_delta_words_per_size = 8.0
 
-(* Measured at 75 words per (n + m) on the chordal62 instance, where
-   γ-elimination on each block's CSR decides the class; building each
-   block's hypergraph and scanning it for β and γ allocates 591. *)
+(* Measured at 49 words per (n + m) on the chordal62 instance, where
+   γ-elimination on each block's CSR decides the class and the α
+   kernel orders W on it; building each block's hypergraph and
+   scanning it for β and γ allocated 591, and building it for GYO's
+   join tree 75. *)
 let max_compile_words_per_size = 150.0
 
 let max_connected_classify_s = 1.0
@@ -120,6 +132,41 @@ let connected_classify_s ~n_right =
   let dt = Unix.gettimeofday () -. t0 in
   if not p.Minconn.Classify.chordal_62 then begin
     prerr_endline "scale_check: the chordal62 schema is not (6,2)";
+    exit 1
+  end;
+  (Minconn.Bigraph.n g, dt)
+
+(* Measured at about 10 ms for the chordal62 schema and 0.1 s for the
+   alpha one at n_right = 3,000. *)
+let max_connected_compile_s = 1.0
+
+(* Seconds to compile the connected [family] schema of [n_right]
+   relations, failing unless the schema is connected and every
+   component's Lemma 1 ordering was prepared. *)
+let connected_compile_s family ~n_right =
+  let g =
+    match family with
+    | `Chordal62 ->
+      Workloads.Gen_bipartite.chordal_62 (Workloads.Rng.make ~seed:0) ~n_right
+        ~max_size:4
+    | `Alpha ->
+      Workloads.Gen_bipartite.alpha_bipartite (Workloads.Rng.make ~seed:0)
+        ~n_right ~max_size:4
+  in
+  if not (Minconn.Bigraph.is_connected g) then begin
+    prerr_endline "scale_check: a compiled schema is not connected";
+    exit 1
+  end;
+  let t0 = Unix.gettimeofday () in
+  let plan = Minconn.Compiled.compile g in
+  let dt = Unix.gettimeofday () -. t0 in
+  if
+    not
+      (Array.for_all
+         (fun c -> Result.is_ok c.Minconn.Compiled.alg1_prep)
+         plan.Minconn.Compiled.components)
+  then begin
+    prerr_endline "scale_check: a compiled schema is not alpha-acyclic";
     exit 1
   end;
   (Minconn.Bigraph.n g, dt)
@@ -313,6 +360,20 @@ let () =
       connected_n connected_s max_connected_classify_s;
     exit 1
   end;
+  let compiles =
+    List.map
+      (fun (name, family) ->
+        let n, s = connected_compile_s family ~n_right:3000 in
+        if s > max_connected_compile_s then begin
+          Printf.eprintf
+            "scale_check: compiling a connected %d-node %s schema took %.2fs \
+             (bound %.0fs)\n"
+            n name s max_connected_compile_s;
+          exit 1
+        end;
+        (name, n, s))
+      [ ("chordal62", `Chordal62); ("alpha", `Alpha) ]
+  in
   let query_n, query_s = connected_query_s ~n_right:400 in
   if query_s > max_connected_query_s then begin
     Printf.eprintf
@@ -362,6 +423,11 @@ let () =
   Printf.fprintf oc
     "connected chordal62 classify: n=%d in %.3fs (bound %.0fs)\n" connected_n
     connected_s max_connected_classify_s;
+  List.iter
+    (fun (name, n, s) ->
+      Printf.fprintf oc "connected %s compile: n=%d in %.3fs (bound %.0fs)\n"
+        name n s max_connected_compile_s)
+    compiles;
   Printf.fprintf oc
     "connected chordal62 query: n=%d in %.3fs (bound %.0fs)\n" query_n
     query_s max_connected_query_s;

@@ -175,9 +175,7 @@ let cascade_cases =
   in
   let gamma = [ "classify.chordal_62" ] in
   let beta = [ "classify.chordal_62"; "classify.chordal_61" ] in
-  let side h alpha =
-    [ "classify." ^ h ^ ".chordal"; "classify." ^ h ^ "." ^ alpha ]
-  in
+  let side h checks = List.map (fun c -> "classify." ^ h ^ "." ^ c) checks in
   [
     ("isolated node", Bigraph.create ~nl:1 ~nr:0, []);
     ("path", e ~nl:3 ~nr:2 [ (0, 0); (1, 0); (1, 1); (2, 1) ], []);
@@ -188,17 +186,21 @@ let cascade_cases =
       Workloads.Gen_bipartite.chordal_61_flower (Workloads.Rng.make ~seed:1)
         ~petals:3,
       beta );
-    (* 2-section a triangle: chordal, not conformal. *)
+    (* 2-section a triangle: not α, chordal, so not conformal. *)
     ( "chordless 6-cycle",
       cycle 3,
-      beta @ side "h1" "alpha" @ side "h2" "alpha" );
-    (* 2-section C4: not chordal, conformal. *)
+      beta @ side "h1" [ "alpha"; "chordal" ] @ side "h2" [ "alpha"; "chordal" ]
+    );
+    (* 2-section C4: not α, not chordal; Gilmore finds it conformal. *)
     ( "chordless 8-cycle",
       cycle 4,
-      beta @ side "h1" "conformal" @ side "h2" "conformal" );
+      beta
+      @ side "h1" [ "alpha"; "chordal"; "conformal" ]
+      @ side "h2" [ "alpha"; "chordal"; "conformal" ] );
+    (* H¹ α; H² not α, chordal. *)
     ( "fig2",
       Datamodel.Figures.fig2.Datamodel.Figures.graph,
-      beta @ side "h1" "alpha" @ side "h2" "alpha" );
+      beta @ side "h1" [ "alpha" ] @ side "h2" [ "alpha"; "chordal" ] );
   ]
 
 let disjoint_union gs =
@@ -215,12 +217,35 @@ let disjoint_union gs =
 let names spans = List.map (fun s -> s.Observe.Trace.name) spans
 let checks l = List.filter (String.starts_with ~prefix:"classify.") l
 
+(* The checks the cascade leaves open on one connected graph, read off
+   its reference profile: per side, α alone when it holds, else α and
+   the 2-section, and Gilmore too when the 2-section is not chordal. *)
+let expected_checks g =
+  let p = Reference_classify.reference_profile g in
+  let side h ~alpha ~chordal =
+    List.map
+      (fun c -> "classify." ^ h ^ "." ^ c)
+      (if alpha then [ "alpha" ]
+       else if chordal then [ "alpha"; "chordal" ]
+       else [ "alpha"; "chordal"; "conformal" ])
+  in
+  if p.Classify.chordal_41 then []
+  else if p.Classify.chordal_62 then [ "classify.chordal_62" ]
+  else if p.Classify.chordal_61 then
+    [ "classify.chordal_62"; "classify.chordal_61" ]
+  else
+    [ "classify.chordal_62"; "classify.chordal_61" ]
+    @ side "h1" ~alpha:p.Classify.alpha_h1 ~chordal:p.Classify.v2_chordal
+    @ side "h2" ~alpha:p.Classify.alpha_h2 ~chordal:p.Classify.v1_chordal
+
 (* One ["classify"] span per call on the whole-graph path and one per
    component under compile, none of the four checks the degree
    derivation replaced, and per component only the checks the cascade
    leaves open: none on a forest, [chordal_62] alone on a (6,2)-chordal
    component, [chordal_62] and [chordal_61] on a (6,1)-chordal one,
-   else those two plus two per side. *)
+   else those two plus, per side, a prefix of α, 2-section chordality
+   and Gilmore. The whole trace holds exactly the checks each
+   component's reference profile leaves open. *)
 let test_classify_spans () =
   let rng = Workloads.Rng.make ~seed:5 in
   let g =
@@ -246,6 +271,12 @@ let test_classify_spans () =
   let l = names (Observe.Trace.spans whole) in
   check_int "whole graph: one classify span" 1 (count "classify" l);
   check "whole graph: no redundant checks" false (removed l);
+  check "whole graph: exactly the open checks" true
+    (List.sort compare (checks l)
+    = List.sort compare
+        (List.concat_map
+           (fun nodes -> expected_checks (fst (Bigraph.induced g nodes)))
+           (Traverse.components (Bigraph.ugraph g))));
   let compiled = Observe.Trace.make () in
   ignore (Minconn.Compiled.compile ~trace:compiled g : Minconn.Compiled.t);
   let spans = Observe.Trace.spans compiled in
@@ -272,10 +303,19 @@ let test_classify_spans () =
                      spans)))
         in
         let on side =
-          List.length
-            (List.filter
-               (String.starts_with ~prefix:("classify." ^ side ^ "."))
-               children)
+          List.filter
+            (String.starts_with ~prefix:("classify." ^ side ^ "."))
+            children
+        in
+        let cascade_prefix side =
+          List.mem (on side)
+            (List.map
+               (List.map (fun c -> "classify." ^ side ^ "." ^ c))
+               [
+                 [ "alpha" ];
+                 [ "alpha"; "chordal" ];
+                 [ "alpha"; "chordal"; "conformal" ];
+               ])
         in
         if verdict s "chordal_41" then begin
           kinds := `Forest :: !kinds;
@@ -293,11 +333,14 @@ let test_classify_spans () =
         end
         else begin
           kinds := `Other :: !kinds;
-          check_int "other: six checks" 6 (List.length children);
+          check_int "other: chordal_62, chordal_61 and the sides"
+            (2 + List.length (on "h1") + List.length (on "h2"))
+            (List.length children);
           check "other: chordal_62 and chordal_61" true
             (List.mem "classify.chordal_62" children
             && List.mem "classify.chordal_61" children);
-          check "other: two on each side" true (on "h1" = 2 && on "h2" = 2)
+          check "other: each side a prefix of alpha, chordal, conformal" true
+            (cascade_prefix "h1" && cascade_prefix "h2")
         end
       end)
     spans;
@@ -569,9 +612,36 @@ let every_small_graph f =
     !failures;
   check_int "no failing graph" 0 (List.length !failures)
 
+(* The α kernel on [g]'s CSR read as H¹: its verdict is GYO's on the
+   set view, and when α holds its R-parents form a join tree and its
+   order has the running intersection property. An isolated right node
+   is an empty hyperedge to the kernel and absent from H¹. *)
+let alpha_kernel_matches_gyo g =
+  let h, right_of = Correspond.h1 g in
+  match Mcs.incidence (Bigraph.csr g) ~boundary:(Bigraph.nl g) with
+  | None -> not (Gyo.alpha_acyclic h)
+  | Some f ->
+    let edge_of = Array.make (Bigraph.nr g) (-1) in
+    Array.iteri (fun k j -> edge_of.(j) <- k) right_of;
+    let parent =
+      Array.map
+        (fun j ->
+          let p = f.Mcs.parent.(j) in
+          if p < 0 then -1 else edge_of.(p))
+        right_of
+    in
+    let order =
+      List.filter_map
+        (fun j -> if edge_of.(j) < 0 then None else Some edge_of.(j))
+        (Array.to_list f.Mcs.order)
+    in
+    Gyo.alpha_acyclic h
+    && Join_tree.verify (Join_tree.make h ~parent)
+    && Join_tree.rip_holds h order
+
 (* The γ and β kernels on G's CSR, and on H¹'s incidence CSR, equal
    Definition 4's brute force at (6,2) and (6,1) and the set-view
-   oracles on H¹. *)
+   oracles on H¹; the α kernel on both sides equals GYO. *)
 let test_exhaustive_kernels () =
   every_small_graph (fun g ->
       let h1 = fst (Correspond.h1 g) in
@@ -590,6 +660,9 @@ let test_exhaustive_kernels () =
             Reference_classify.gamma_acyclic_sets h1 = brute62 );
           ( "beta oracle = (6,1) brute",
             Reference_classify.beta_acyclic_sets h1 = brute61 );
+          ("alpha kernel on H1 = GYO", alpha_kernel_matches_gyo g);
+          ( "alpha kernel on H2 = GYO",
+            alpha_kernel_matches_gyo (Bigraph.flip g) );
         ])
 
 let test_exhaustive_profile () =

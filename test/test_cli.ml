@@ -487,10 +487,9 @@ let test_classify_trace () =
          [
            "classify.chordal_62";
            "classify.chordal_61";
-           "classify.h1.chordal";
            "classify.h1.alpha";
-           "classify.h2.chordal";
            "classify.h2.alpha";
+           "classify.h2.chordal";
          ])
       (List.sort compare children);
     Alcotest.(check string)

@@ -69,13 +69,14 @@ let test_gyo () =
   check "covered triangle is alpha-acyclic" true
     (Gyo.alpha_acyclic triangle_covered)
 
+(* The reduction's absorptions form a join tree of its own. *)
 let test_gyo_join_tree () =
-  match Gyo.join_tree chain with
-  | Some jt ->
-    check "coherent" true (Join_tree.verify jt);
-    check "preorder has RIP" true
-      (Join_tree.rip_holds chain (Join_tree.preorder jt))
-  | None -> Alcotest.fail "chain has a join tree"
+  let t = Gyo.run chain in
+  check "reduced to nothing" true (t.Gyo.surviving_edges = []);
+  let jt = Join_tree.make chain ~parent:t.Gyo.parent in
+  check "coherent" true (Join_tree.verify jt);
+  check "preorder has RIP" true
+    (Join_tree.rip_holds chain (Join_tree.preorder jt))
 
 (* ------------------------------------------------------------- MCS *)
 
@@ -83,9 +84,12 @@ let test_mcs () =
   check "MCS agrees: chain" true (Mcs.alpha_acyclic chain);
   check "MCS agrees: triangle" false (Mcs.alpha_acyclic triangle);
   check "MCS agrees: covered triangle" true (Mcs.alpha_acyclic triangle_covered);
-  match Mcs.rip_ordering triangle_covered with
+  (match Mcs.rip_ordering triangle_covered with
   | Some order -> check "RIP ordering verifies" true (Join_tree.rip_holds triangle_covered order)
-  | None -> Alcotest.fail "expected a RIP ordering"
+  | None -> Alcotest.fail "expected a RIP ordering");
+  match Mcs.join_tree chain with
+  | Some jt -> check "R-parents form a join tree" true (Join_tree.verify jt)
+  | None -> Alcotest.fail "chain has a join tree"
 
 (* ----------------------------------------------------------- Berge *)
 
@@ -245,6 +249,32 @@ let gen_padded_h =
              ~n_nodes:(Hypergraph.n_nodes h + pad)
              (es @ copies)))
 
+(* Two [gen_padded_h] families side by side on disjoint nodes, the
+   first also given a proper subset of one of its edges, in front or
+   behind: the α kernel meets several components, nested edges,
+   duplicates and uncovered nodes. *)
+let gen_kernel_h =
+  QCheck2.Gen.(
+    tup3 gen_padded_h gen_padded_h (int_range 0 100000)
+    |> map (fun (a, b, seed) ->
+           let rng = Workloads.Rng.make ~seed in
+           let shift = Hypergraph.n_nodes a in
+           let es = Array.to_list (Hypergraph.edges a) in
+           let e = Workloads.Rng.pick rng es in
+           let nested =
+             if Iset.cardinal e < 2 then []
+             else [ Iset.remove (Iset.max_elt e) e ]
+           in
+           let es = if Workloads.Rng.bool rng 0.5 then nested @ es else es @ nested in
+           let beside =
+             List.map
+               (Iset.map (fun v -> v + shift))
+               (Array.to_list (Hypergraph.edges b))
+           in
+           Hypergraph.create
+             ~n_nodes:(shift + Hypergraph.n_nodes b)
+             (es @ beside)))
+
 (* Replays a β-elimination order on the set view: every node is a nest
    point when its turn comes, and together they are the covered
    nodes. *)
@@ -257,7 +287,7 @@ let rec replays_beta h = function
 
 let qcheck_cases =
   [
-    QCheck2.Test.make ~count:300 ~name:"GYO = MCS alpha test" gen_random_h
+    QCheck2.Test.make ~count:500 ~name:"GYO = MCS alpha test" gen_kernel_h
       (fun h -> Gyo.alpha_acyclic h = Mcs.alpha_acyclic h);
     QCheck2.Test.make ~count:300
       ~name:"GYO = Definition 7 (chordal 2-section + conformal)"
@@ -275,12 +305,15 @@ let qcheck_cases =
     QCheck2.Test.make ~count:300
       ~name:"hierarchy Berge => gamma => beta => alpha" gen_random_h (fun h ->
         Acyclicity.hierarchy_consistent (Acyclicity.report h));
-    QCheck2.Test.make ~count:200 ~name:"join tree coherent when GYO succeeds"
-      gen_random_h (fun h ->
-        match Gyo.join_tree h with
-        | None -> true
-        | Some jt ->
-          Join_tree.verify jt
+    QCheck2.Test.make ~count:500 ~name:"join tree coherent when GYO succeeds"
+      gen_kernel_h (fun h ->
+        match Mcs.run h with
+        | None -> not (Gyo.alpha_acyclic h)
+        | Some f ->
+          let jt = Join_tree.make h ~parent:f.Mcs.parent in
+          Gyo.alpha_acyclic h
+          && Join_tree.verify jt
+          && Join_tree.rip_holds h (Array.to_list f.Mcs.order)
           && Join_tree.rip_holds h (Join_tree.preorder jt));
     QCheck2.Test.make ~count:200
       ~name:"Corollary 1: Berge/gamma/beta acyclicity are self-dual"

@@ -192,24 +192,35 @@ let prop_chord_scan_equal =
 
 (* --------------------------------------------------- Hyperedge MCS *)
 
-let prop_edge_mcs_equal =
+(* The α kernel on random hypergraphs, half of them α-acyclic by
+   construction: its verdict is GYO's, and when α holds its order is a
+   permutation with the running intersection property and its
+   R-parents form a join forest. *)
+let prop_edge_mcs_gyo =
   QCheck2.Test.make ~count:500
-    ~name:"bitset hyperedge MCS = set-based (order and RIP verdict)"
+    ~name:"hyperedge MCS kernel = GYO (verdict, RIP order, join forest)"
     seed_gen
     (fun seed ->
       let rng = Workloads.Rng.make ~seed in
+      let n_edges = 1 + Workloads.Rng.int rng 8 in
       let h =
-        Workloads.Gen_hyper.random rng
-          ~n_nodes:(2 + Workloads.Rng.int rng 8)
-          ~n_edges:(1 + Workloads.Rng.int rng 8)
-          ~max_size:5
+        if Workloads.Rng.bool rng 0.5 then
+          Workloads.Gen_hyper.alpha_acyclic rng ~n_edges ~max_size:5
+        else
+          Workloads.Gen_hyper.random rng
+            ~n_nodes:(2 + Workloads.Rng.int rng 8)
+            ~n_edges ~max_size:5
       in
-      let start =
-        if Workloads.Rng.bool rng 0.5 then None
-        else Some (Workloads.Rng.int rng (Hypergraphs.Hypergraph.n_edges h))
-      in
-      Hypergraphs.Mcs.edge_order ?start h
-      = Hypergraphs.Mcs.edge_order_sets ?start h)
+      match Hypergraphs.Mcs.run h with
+      | None -> not (Hypergraphs.Gyo.alpha_acyclic h)
+      | Some f ->
+        let q = Hypergraphs.Hypergraph.n_edges h in
+        let order = Array.to_list f.Hypergraphs.Mcs.order in
+        Hypergraphs.Gyo.alpha_acyclic h
+        && List.sort compare order = List.init q Fun.id
+        && Hypergraphs.Join_tree.rip_holds h order
+        && Hypergraphs.Join_tree.verify
+             (Hypergraphs.Join_tree.make h ~parent:f.Hypergraphs.Mcs.parent))
 
 (* --------------------------------------------------------- Algorithm 1 *)
 
@@ -395,7 +406,7 @@ let qcheck_cases =
     prop_chordal_equal;
     prop_peo_check_equal;
     prop_chord_scan_equal;
-    prop_edge_mcs_equal;
+    prop_edge_mcs_gyo;
     prop_algorithm1_equal;
     prop_csr_induced;
     prop_elimination_equal;
