@@ -1241,7 +1241,7 @@ let observe_section ~trials ~max_n ~json_path () =
    price paid once from the per-query cost it buys down. The headline
    check: session ns/query strictly below one-shot ns/query on every
    workload. *)
-let engine_section ~trials ~max_n ~json_path () =
+let engine_section ~trials ~max_n ~scale_max_n ~json_path () =
   header "engine: one-shot solve vs compile-once session (ms per query)";
   Printf.printf "%-12s %-10s %6s %8s %8s %12s\n" "section" "impl" "|V|" "|E|"
     "queries" "mean ms";
@@ -1309,6 +1309,67 @@ let engine_section ~trials ~max_n ~json_path () =
       batch ~section:"gnp"
         (Workloads.Gen_bipartite.gnp rng ~nl:nsz ~nr:nsz ~p:0.3))
     (sizes [ 16; 32; 64 ]);
+  (* Alpha rows: off (6,2), so every query runs the exact DP rung on its
+     component's CSR. One 3-terminal query on a warm session over a
+     connected alpha schema at n ≈ 10^3 and 10^4, and the mean of an
+     8-query in-block burst over the disjoint scale-alpha family at
+     10^5; both ladders are capped by [--scale-max-n]. *)
+  let query_row ~section ~n ~m ~nq ms =
+    Printf.printf "%-12s %-10s %6d %8d %8d %12.4f\n%!" section "query" n m nq
+      ms;
+    let name, ns, extras = timed_entry ~section ~impl:"query" ~n ~m ~ms in
+    rows :=
+      !rows
+      @ [
+          ( name,
+            ns,
+            extras
+            @ [
+                ("queries", Observe.Json.Jnum (float_of_int nq));
+                ("terminals", Observe.Json.Jnum 3.0);
+              ] );
+        ]
+  in
+  let answer s p =
+    match Minconn.Session.query s ~p with
+    | Ok _ -> ()
+    | Error _ -> failwith "engine bench: alpha query failed"
+  in
+  List.iter
+    (fun n_right ->
+      let g =
+        Workloads.Gen_bipartite.alpha_bipartite
+          (trial ~section:"engine-alpha" n_right)
+          ~n_right ~max_size:4
+      in
+      let s = Minconn.Session.create (Minconn.Compiled.compile g) in
+      let p =
+        Workloads.Gen_bipartite.random_terminals
+          (trial ~section:"engine-alpha-terminals" n_right)
+          g ~k:3
+      in
+      query_row ~section:"alpha-connected" ~n:(Bigraph.n g) ~m:(Bigraph.m g)
+        ~nq:1
+        (time_mean ~trials (fun () -> answer s p)))
+    (List.filter (fun r -> 3 * r <= scale_max_n) [ 335; 3350 ]);
+  if scale_max_n >= 100_000 then begin
+    let inst =
+      Workloads.Gen_scale.make Workloads.Gen_scale.Alpha ~target_n:100_000
+        ~seed:2026
+    in
+    let s =
+      Minconn.Session.create
+        (Minconn.Compiled.compile (Workloads.Gen_scale.to_bigraph inst))
+    in
+    let blocks = Workloads.Gen_scale.n_blocks inst in
+    let queries =
+      List.init 8 (fun i ->
+          Workloads.Gen_scale.block_terminals inst ~block:(i * blocks / 8) ~k:3)
+    in
+    query_row ~section:"scale-alpha" ~n:(Workloads.Gen_scale.n inst)
+      ~m:(Workloads.Gen_scale.m inst) ~nq:8
+      (time_mean ~trials (fun () -> List.iter (answer s) queries) /. 8.0)
+  end;
   List.iter
     (fun (what, t_session, t_oneshot) ->
       Printf.printf
@@ -2169,6 +2230,7 @@ let () =
       ( "engine",
         fun () ->
           engine_section ~trials:!trials ~max_n:!max_n
+            ~scale_max_n:!scale_max_n
             ~json_path:!engine_json_path () );
       ( "plancache",
         fun () ->

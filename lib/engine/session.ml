@@ -98,22 +98,21 @@ let query ?budget ?degrade t ~p =
        ascending — a monotone relabeling — so each rung takes the
        decisions it takes on the whole graph, and the tree mapped back
        through [ids] is the one a whole-graph run returns. A connected
-       schema is its own slice. The slice is connected, so Algorithm 2
-       runs on its CSR as is; only the set-view rungs and the traced
-       [verify] force [u]. *)
+       schema is its own slice. Every rung, and the traced [verify],
+       runs on the slice's CSR; none builds the set view. *)
     let g, ids = Bigraph.induced c.Compiled.graph comp.Compiled.nodes in
-    let u = lazy (Bigraph.ugraph g) in
+    let csr = Bigraph.csr g in
     let p = Iset.map (Csr.local_index ids) p in
     let mst_rung =
       {
         rung = Errors.Mst;
         meth = Used_mst_approx;
         guarantee = Degrade.Ratio 2.0;
-        run = (fun () -> Mst_approx.solve ~trace (Lazy.force u) ~terminals:p);
+        run = (fun () -> Mst_approx.solve_csr ~trace csr ~terminals:p);
       }
     in
     let algorithm2 () =
-      Algorithm2.solve_csr ~budget ~trace ~metrics (Bigraph.csr g) ~p
+      Algorithm2.solve_csr ~budget ~trace ~metrics csr ~p
     in
     let fixpoint_rung =
       {
@@ -132,8 +131,7 @@ let query ?budget ?degrade t ~p =
               meth = Used_forest;
               guarantee = Degrade.Exact;
               run =
-                (fun () ->
-                  Steiner.Forest_steiner.solve (Lazy.force u) ~terminals:p);
+                (fun () -> Steiner.Forest_steiner.solve_csr csr ~terminals:p);
             };
             mst_rung;
           ] )
@@ -160,7 +158,7 @@ let query ?budget ?degrade t ~p =
               guarantee = Degrade.Exact;
               run =
                 (fun () ->
-                  Dreyfus_wagner.solve ~budget ~trace ~metrics (Lazy.force u)
+                  Dreyfus_wagner.solve_csr ~budget ~trace ~metrics csr
                     ~terminals:p);
             };
             fixpoint_rung;
@@ -232,7 +230,7 @@ let query ?budget ?degrade t ~p =
             Observe.Trace.span trace "verify" (fun () ->
                 Observe.Trace.add_attr trace "covers_terminals"
                   (Observe.Trace.Bool
-                     (Tree.verify (Lazy.force u) ~terminals:p tree)));
+                     (Tree.verify_csr csr ~terminals:p tree)));
           Ok
             {
               tree = Tree.relabel ids tree;

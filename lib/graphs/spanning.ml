@@ -41,13 +41,13 @@ let is_tree ?within g =
     in
     count / 2 = Iset.cardinal w - 1
 
-let tree_check g ~over es =
+let tree_check_by mem_edge ~over es =
   let touched =
     List.fold_left
       (fun s (u, v) -> Iset.add u (Iset.add v s))
       Iset.empty es
   in
-  let all_edges_exist = List.for_all (fun (u, v) -> Ugraph.mem_edge g u v) es in
+  let all_edges_exist = List.for_all (fun (u, v) -> mem_edge u v) es in
   let covers =
     if Iset.cardinal over <= 1 then Iset.subset touched over
     else Iset.equal touched over
@@ -76,3 +76,5 @@ let tree_check g ~over es =
       Iset.for_all (fun v -> find v = root) over
   in
   all_edges_exist && covers && edge_count_ok && connected
+
+let tree_check g = tree_check_by (Ugraph.mem_edge g)

@@ -16,3 +16,8 @@ val tree_check : Ugraph.t -> over:Iset.t -> (int * int) list -> bool
 (** [tree_check g ~over es] verifies that [es] are edges of [g] forming
     a tree whose node set is exactly [over]. Used by the test suite to
     validate every Steiner-tree output. *)
+
+val tree_check_by :
+  (int -> int -> bool) -> over:Iset.t -> (int * int) list -> bool
+(** {!tree_check} against any edge-membership test, e.g. a CSR's
+    [Csr.mem_edge]. *)

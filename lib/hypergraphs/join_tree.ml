@@ -5,17 +5,24 @@ type t = { hypergraph : Hypergraph.t; parent : int array }
 let make hypergraph ~parent =
   if Array.length parent <> Hypergraph.n_edges hypergraph then
     invalid_arg "Join_tree.make: parent array length mismatch";
-  (* Reject cycles by walking each chain; a chain longer than the number
-     of edges must loop. *)
+  (* Reject cycles in one pass: the walk from edge i stamps each edge it
+     enters with i and stops at a root or at an edge an earlier walk
+     stamped (that one reaches a root). Meeting its own stamp closes a
+     cycle. Each edge is entered once, so the check is O(q). *)
   let q = Array.length parent in
-  Array.iteri
-    (fun i _ ->
-      let rec walk j steps =
-        if steps > q then invalid_arg "Join_tree.make: parent cycle"
-        else if parent.(j) >= 0 then walk parent.(j) (steps + 1)
-      in
-      walk i 0)
-    parent;
+  let stamp = Array.make q (-1) in
+  for i = 0 to q - 1 do
+    let rec walk j =
+      if j >= q then invalid_arg "Join_tree.make: parent out of range"
+      else if j >= 0 then
+        if stamp.(j) = i then invalid_arg "Join_tree.make: parent cycle"
+        else if stamp.(j) < 0 then begin
+          stamp.(j) <- i;
+          walk parent.(j)
+        end
+    in
+    walk i
+  done;
   { hypergraph; parent }
 
 let roots t =

@@ -59,7 +59,7 @@ let v2_minimum ?(budget = Runtime.Budget.unlimited) g ~p =
       match Tree.of_node_set u comp with
       | None -> None
       | Some t ->
-        let pruned = Tree.prune_leaves u ~keep:p t in
+        let pruned = Tree.prune_leaves ~keep:p t in
         Tree.of_node_set u pruned.Tree.nodes
   in
   let rec first = function

@@ -7,7 +7,7 @@ let tree_of_nodes g ~terminals nodes =
     match Tree.of_node_set g comp with
     | None -> None
     | Some t ->
-      let pruned = Tree.prune_leaves g ~keep:terminals t in
+      let pruned = Tree.prune_leaves ~keep:terminals t in
       Tree.of_node_set g pruned.Tree.nodes)
 
 let solve ?(iterations = 200) ~seed g ~terminals =

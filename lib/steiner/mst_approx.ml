@@ -1,10 +1,10 @@
 open Graphs
 
 (* BFS recording distances and parent pointers in one pass. Neighbor
-   iteration is ascending, like [Traverse.bfs], so the distances — and
-   the parent-pointer paths — match a [Traverse.shortest_path]
-   expansion. *)
-let bfs_into g ~queue ~dist ~parent start =
+   iteration is ascending over the sorted CSR rows, like
+   [Traverse.bfs], so the distances — and the parent-pointer paths —
+   match a [Traverse.shortest_path] expansion. *)
+let bfs_into csr ~queue ~dist ~parent start =
   dist.(start) <- 0;
   parent.(start) <- -1;
   queue.(0) <- start;
@@ -12,33 +12,35 @@ let bfs_into g ~queue ~dist ~parent start =
   while !head < !tail do
     let u = queue.(!head) in
     incr head;
-    Iset.iter
-      (fun v ->
+    Csr.iter_neighbors csr u (fun v ->
         if dist.(v) < 0 then begin
           dist.(v) <- dist.(u) + 1;
           parent.(v) <- u;
           queue.(!tail) <- v;
           incr tail
         end)
-      (Ugraph.neighbors g u)
   done
 
-let solve ?(trace = Observe.Trace.disabled) g ~terminals =
-  if Iset.cardinal terminals <= 1 then
-    Some { Tree.nodes = terminals; edges = [] }
-  else if not (Traverse.connects g terminals) then None
-  else
-  Observe.Trace.span trace "mst_approx"
-    ~attrs:[ ("terminals", Observe.Trace.Int (Iset.cardinal terminals)) ]
-  @@ fun () ->
-  let n = Ugraph.n g in
+(* The first terminal's BFS doubles as the connectivity check, so the
+   span opens only on connected terminals. *)
+let solve_csr ?(trace = Observe.Trace.disabled) csr ~terminals =
+  let n = Csr.n csr in
   let terms = Array.of_list (Iset.elements terminals) in
   let t = Array.length terms in
+  if t <= 1 then Some { Tree.nodes = terminals; edges = [] }
+  else if Array.exists (fun v -> v < 0 || v >= n) terms then None
+  else
   let queue = Array.make n 0 in
   let dists = Array.init t (fun _ -> Array.make n (-1)) in
   let parents = Array.init t (fun _ -> Array.make n (-1)) in
-  for j = 0 to t - 1 do
-    bfs_into g ~queue ~dist:dists.(j) ~parent:parents.(j) terms.(j)
+  bfs_into csr ~queue ~dist:dists.(0) ~parent:parents.(0) terms.(0);
+  if Array.exists (fun v -> dists.(0).(v) < 0) terms then None
+  else
+  Observe.Trace.span trace "mst_approx"
+    ~attrs:[ ("terminals", Observe.Trace.Int t) ]
+  @@ fun () ->
+  for j = 1 to t - 1 do
+    bfs_into csr ~queue ~dist:dists.(j) ~parent:parents.(j) terms.(j)
   done;
   (* Prim's algorithm on the terminal metric closure. *)
   let in_tree = Array.make t false in
@@ -71,7 +73,7 @@ let solve ?(trace = Observe.Trace.disabled) g ~terminals =
      component, so every expansion terminates at the source; an
      unreachable endpoint would mean the graph changed under us, and
      skipping it degrades to a disconnected node set that the final
-     [of_node_set] rejects with [None] instead of crashing. *)
+     [of_csr_node_set] rejects with [None] instead of crashing. *)
   let nodes = ref terminals in
   List.iter
     (fun (a, b) ->
@@ -83,13 +85,15 @@ let solve ?(trace = Observe.Trace.disabled) g ~terminals =
         done
       end)
     !mst_edges;
-  match Tree.of_node_set g !nodes with
+  match Tree.of_csr_node_set csr !nodes with
   | None -> None
   | Some tree -> (
-    let pruned = Tree.prune_leaves g ~keep:terminals tree in
-    match Tree.of_node_set g pruned.Tree.nodes with
+    let pruned = Tree.prune_leaves ~keep:terminals tree in
+    match Tree.of_csr_node_set csr pruned.Tree.nodes with
     | Some t ->
       Observe.Trace.add_attr trace "tree_nodes"
         (Observe.Trace.Int (Tree.node_count t));
       Some t
     | None -> None)
+
+let solve ?trace g ~terminals = solve_csr ?trace (Csr.of_ugraph g) ~terminals

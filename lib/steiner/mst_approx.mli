@@ -9,10 +9,18 @@
 
 open Graphs
 
+val solve_csr :
+  ?trace:Observe.Trace.t -> Csr.t -> terminals:Iset.t -> Tree.t option
+(** The one body, on a CSR: a BFS per terminal over the sorted rows,
+    Prim on the terminals' metric closure, parent-pointer expansion,
+    {!Tree.prune_leaves}, and {!Tree.of_csr_node_set} spanning trees.
+    Builds no set view. Contract as {!solve}; a terminal outside the
+    CSR gives [None]. *)
+
 val solve :
   ?trace:Observe.Trace.t -> Ugraph.t -> terminals:Iset.t -> Tree.t option
 (** [None] when the terminals do not share a component. [trace] records
     an ["mst_approx"] span with terminal and result-tree node counts.
     Degenerate inputs (empty or singleton terminal sets, isolated
     terminal nodes) return the trivial tree or [None]; they never
-    crash. *)
+    crash. {!solve_csr} on the graph's CSR. *)

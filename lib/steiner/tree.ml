@@ -11,6 +11,10 @@ let count_in t s = Iset.cardinal (Iset.inter t.nodes s)
 let verify g ~terminals t =
   Iset.subset terminals t.nodes && Spanning.tree_check g ~over:t.nodes t.edges
 
+let verify_csr csr ~terminals t =
+  Iset.subset terminals t.nodes
+  && Spanning.tree_check_by (Csr.mem_edge csr) ~over:t.nodes t.edges
+
 let relabel ids t =
   {
     nodes = Iset.map (fun v -> ids.(v)) t.nodes;
@@ -84,7 +88,7 @@ let spanning_with_leaves_in g ~nodes ~terminals =
     !result
   end
 
-let prune_leaves _g ~keep t =
+let prune_leaves ~keep t =
   let degree nodes v =
     List.length
       (List.filter

@@ -19,6 +19,9 @@ val verify : Ugraph.t -> terminals:Iset.t -> t -> bool
 (** The edges form a tree of [g] over exactly [t.nodes], and the tree
     contains every terminal. *)
 
+val verify_csr : Csr.t -> terminals:Iset.t -> t -> bool
+(** {!verify} against a CSR's edges. *)
+
 val relabel : int array -> t -> t
 (** [relabel ids t] renames every node [v] of [t] to [ids.(v)]: it maps
     a tree found on a slice back to the graph the slice was cut from,
@@ -41,7 +44,7 @@ val spanning_with_leaves_in : Ugraph.t -> nodes:Iset.t -> terminals:Iset.t -> t 
     genuinely routes the connection instead of dangling. Exponential in
     the induced edge count; meant for small connections. *)
 
-val prune_leaves : Ugraph.t -> keep:Iset.t -> t -> t
+val prune_leaves : keep:Iset.t -> t -> t
 (** Repeatedly remove degree-1 tree nodes not in [keep]. Never increases
     any node count; useful to tidy covers into inclusion-minimal
     trees. *)

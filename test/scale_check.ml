@@ -39,6 +39,16 @@
    on the component's CSR with an array BFS per candidate, and the
    set-view fixpoint took about 2 s there.
 
+   It answers one 3-terminal query on the connected alpha schema
+   (n ≈ 9,000) under a one-second budget, and bounds what it allocates
+   by a multiple of (2^t)·(n + m) words. An alpha schema is off (6,2),
+   so the query goes to the exact Dreyfus–Wagner rung, whose cost is
+   exponential in the terminal count t only: a BFS from each terminal,
+   flat 2^t-row tables over the slice's nodes and a relax pass over its
+   CSR per terminal subset. A DP that keeps distances from every node
+   is quadratic in n — the set-view DP took 72 s and 1.2 GB of memory
+   on a schema of this size.
+
    It resolves 10^4 three-name terminal sets against a name index over
    the chordal62 instance's 10^5 names under 50 ms: resolution through
    [Mc_io.Parse.index] is O(|p|), where the one-shot scan
@@ -197,6 +207,48 @@ let connected_query_s ~n_right =
     prerr_endline "scale_check: the connected chordal62 query is not exact";
     exit 1);
   (Minconn.Bigraph.n g, Unix.gettimeofday () -. t0)
+
+(* One 3-terminal query on the connected alpha schema measures about
+   10 ms and 1.7 words per (2^t)·(n + m): the exact DP's flat tables
+   hold 2^t cells per node, its distances one row per terminal and its
+   bucket queue n + 2m entries. The set-view DP it replaced kept a BFS
+   row from every node — n² words, about 500 per (2^t)·(n + m)
+   here. *)
+let max_alpha_query_s = 1.0
+
+let max_alpha_query_words_per_cell = 16.0
+
+(* Seconds and words per (2^t)·(n + m) for one 3-terminal session query
+   on the connected alpha schema of [n_right] relations (compile not
+   timed), failing unless the exact DP answered it. *)
+let connected_alpha_query ~n_right =
+  let g =
+    Workloads.Gen_bipartite.alpha_bipartite (Workloads.Rng.make ~seed:0)
+      ~n_right ~max_size:4
+  in
+  let session = Minconn.Session.create (Minconn.Compiled.compile g) in
+  let p =
+    Workloads.Gen_bipartite.random_terminals (Workloads.Rng.make ~seed:1) g ~k:3
+  in
+  let cells =
+    float_of_int
+      ((1 lsl Minconn.Iset.cardinal p)
+      * (Minconn.Bigraph.n g + Minconn.Bigraph.m g))
+  in
+  let word = float_of_int (Sys.word_size / 8) in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let t0 = Unix.gettimeofday () in
+  (match Minconn.Session.query session ~p with
+  | Ok s when s.Minconn.Session.method_used = Minconn.Session.Used_exact_dp ->
+    ()
+  | _ ->
+    prerr_endline "scale_check: the connected alpha query missed the exact DP";
+    exit 1);
+  let dt = Unix.gettimeofday () -. t0 in
+  ( Minconn.Bigraph.n g,
+    dt,
+    (Gc.allocated_bytes () -. before) /. word /. cells )
 
 let queries inst =
   let blocks = Workloads.Gen_scale.n_blocks inst in
@@ -382,6 +434,17 @@ let () =
       query_n query_s max_connected_query_s;
     exit 1
   end;
+  let alpha_n, alpha_s, alpha_words = connected_alpha_query ~n_right:3000 in
+  if alpha_s > max_alpha_query_s || alpha_words > max_alpha_query_words_per_cell
+  then begin
+    Printf.eprintf
+      "scale_check: a 3-terminal query on a connected %d-node alpha schema \
+       took %.2fs (bound %.0fs) and allocated %.1f words per (2^t)(n + m) \
+       (bound %.0f)\n"
+      alpha_n alpha_s max_alpha_query_s alpha_words
+      max_alpha_query_words_per_cell;
+    exit 1
+  end;
   let deltas = delta_words_per_size (fst (List.assoc "alpha" plans)) in
   List.iter
     (fun (op, w) ->
@@ -431,6 +494,10 @@ let () =
   Printf.fprintf oc
     "connected chordal62 query: n=%d in %.3fs (bound %.0fs)\n" query_n
     query_s max_connected_query_s;
+  Printf.fprintf oc
+    "connected alpha query: n=%d in %.3fs (bound %.0fs), %.1f words per \
+     (2^t)(n + m) (bound %.0f)\n"
+    alpha_n alpha_s max_alpha_query_s alpha_words max_alpha_query_words_per_cell;
   List.iter
     (fun (fam, w) ->
       Printf.fprintf oc "warm query allocation %s: max %d words (bound %d)\n"

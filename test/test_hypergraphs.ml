@@ -78,6 +78,30 @@ let test_gyo_join_tree () =
   check "preorder has RIP" true
     (Join_tree.rip_holds chain (Join_tree.preorder jt))
 
+(* The cycle check visits each edge once: a 20,000-edge chain rooted at
+   its first edge (depth 20,000) builds in linear time — the walk to
+   the root from every edge took ~440 ms — and a parent cycle anywhere
+   in the array is still rejected. *)
+let test_join_tree_make_linear () =
+  let q = 20_000 in
+  let long = h_of ~n:(q + 1) (List.init q (fun i -> [ i; i + 1 ])) in
+  let parent = Array.init q (fun i -> i - 1) in
+  let t0 = Unix.gettimeofday () in
+  let jt = Join_tree.make long ~parent in
+  let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  check (Printf.sprintf "20,000-edge chain in %.1f ms < 50 ms" ms) true (ms < 50.);
+  check_int "one root" 1 (List.length (Join_tree.roots jt));
+  let rejects parent =
+    match Join_tree.make chain ~parent with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "two-cycle rejected" true (rejects [| 1; 0; -1 |]);
+  check "cycle behind a tail rejected" true (rejects [| 1; 2; 1 |]);
+  check "self-parent rejected" true (rejects [| -1; 1; 1 |]);
+  check "out-of-range parent rejected" true (rejects [| -1; 7; 1 |]);
+  check "shared ancestors accepted" false (rejects [| -1; 0; 0 |])
+
 (* ------------------------------------------------------------- MCS *)
 
 let test_mcs () =
@@ -448,6 +472,8 @@ let () =
         [
           Alcotest.test_case "alpha recognition" `Quick test_gyo;
           Alcotest.test_case "join tree" `Quick test_gyo_join_tree;
+          Alcotest.test_case "join tree make is linear" `Quick
+            test_join_tree_make_linear;
         ] );
       ("mcs", [ Alcotest.test_case "alpha + RIP" `Quick test_mcs ]);
       ("berge", [ Alcotest.test_case "recognition" `Quick test_berge ]);

@@ -1,5 +1,6 @@
 (* Fuzzing the Mc_io.Parse boundary: random byte mutations and
-   truncations of well-formed instance files must never escape as
+   truncations of well-formed instance files, delta files (read against
+   a random schema) and interface queries must never escape as
    exceptions — every outcome is [Ok _] or a positioned
    [Error (Parse_error _)] from the runtime taxonomy. *)
 
@@ -71,11 +72,71 @@ let random_database_text rng =
   done;
   Buffer.contents b
 
+(* Object lists separated by commas, blanks or tabs, and zero to three
+   [attr = value] conditions joined by [and]. *)
 let random_query_text rng =
   let n = 1 + Workloads.Rng.int rng 3 in
+  let sep () = Workloads.Rng.pick rng [ ", "; " "; ","; "\t" ] in
+  let conds =
+    List.init (Workloads.Rng.int rng 4) (fun i ->
+        Printf.sprintf "a%d = %d" i (Workloads.Rng.int rng 9))
+  in
   "connect "
-  ^ String.concat ", " (List.init n (fun i -> Printf.sprintf "a%d" i))
-  ^ if Workloads.Rng.bool rng 0.5 then " where a0 = 1 and a1 = 2" else ""
+  ^ String.concat (sep ()) (List.init n (fun i -> Printf.sprintf "a%d" i))
+  ^ if conds = [] then "" else " where " ^ String.concat " and " conds
+
+(* A random named schema, and a delta file against it whose every line
+   is valid in the schema as evolved by the lines above it: edges added
+   and removed, relations added over known attributes and removed,
+   with blank and comment lines between. *)
+let random_delta_schema rng =
+  let nl = 1 + Workloads.Rng.int rng 5 and nr = 1 + Workloads.Rng.int rng 4 in
+  {
+    Mc_io.Parse.graph = Workloads.Gen_bipartite.gnp rng ~nl ~nr ~p:0.5;
+    left_names = Array.init nl (fun i -> name_of rng "L" i);
+    right_names = Array.init nr (fun j -> name_of rng "R" j);
+  }
+
+let random_deltas_text nb rng =
+  let module B = Bipartite.Bigraph in
+  let left = nb.Mc_io.Parse.left_names in
+  let rights = ref (Array.to_list nb.right_names) in
+  let edges = ref [] in
+  B.iter_edges nb.graph (fun i j ->
+      edges := (left.(i), nb.right_names.(j)) :: !edges);
+  let b = Buffer.create 128 in
+  Buffer.add_string b "deltas\n";
+  for k = 0 to Workloads.Rng.int rng 6 do
+    let pick_left () = left.(Workloads.Rng.int rng (Array.length left)) in
+    (match Workloads.Rng.int rng 5 with
+    | 0 when !rights <> [] ->
+      let a = pick_left () and r = Workloads.Rng.pick rng !rights in
+      if not (List.mem (a, r) !edges) then begin
+        edges := (a, r) :: !edges;
+        Printf.bprintf b "+edge %s %s\n" a r
+      end
+    | 1 when !edges <> [] ->
+      let ((a, r) as e) = Workloads.Rng.pick rng !edges in
+      edges := List.filter (( <> ) e) !edges;
+      Printf.bprintf b "-edge %s %s\n" a r
+    | 2 | 3 ->
+      let r = Printf.sprintf "X%d" k in
+      let attrs =
+        List.sort_uniq compare
+          (List.init (1 + Workloads.Rng.int rng 3) (fun _ -> pick_left ()))
+      in
+      rights := !rights @ [ r ];
+      edges := List.map (fun a -> (a, r)) attrs @ !edges;
+      Printf.bprintf b "+relation %s %s\n" r (String.concat " " attrs)
+    | _ when !rights <> [] ->
+      let r = Workloads.Rng.pick rng !rights in
+      rights := List.filter (( <> ) r) !rights;
+      edges := List.filter (fun (_, r') -> r' <> r) !edges;
+      Printf.bprintf b "-relation %s\n" r
+    | _ -> ());
+    if Workloads.Rng.bool rng 0.2 then Buffer.add_string b "# note\n\n"
+  done;
+  Buffer.contents b
 
 (* ------------------------------------------------------- mutations *)
 
@@ -116,19 +177,22 @@ let survives parse input =
   | Error _ -> false
   | exception _ -> false
 
-let fuzz_prop ~name ~gen_text parse =
+let fuzz_case ~name gen =
   QCheck2.Test.make ~count:400 ~name seed_gen (fun seed ->
       let rng = Workloads.Rng.make ~seed in
-      let text = gen_text rng in
+      let text, parse = gen rng in
       (* The pristine text must parse; every mutation must fail
          gracefully if it fails at all. *)
-      survives parse text
+      Result.is_ok (parse text)
       &&
       let ok = ref true in
       for _ = 1 to 8 do
         if not (survives parse (mutate rng text)) then ok := false
       done;
       !ok)
+
+let fuzz_prop ~name ~gen_text parse =
+  fuzz_case ~name (fun rng -> (gen_text rng, parse))
 
 let suite =
   [
@@ -142,6 +206,11 @@ let suite =
       ~gen_text:random_database_text Mc_io.Parse.database_of_string;
     fuzz_prop ~name:"query_of_string never throws"
       ~gen_text:random_query_text Mc_io.Parse.query_of_string;
+    (* Each seed draws the schema once; the delta text and its mutations
+       are all read against it. *)
+    fuzz_case ~name:"deltas_of_string never throws" (fun rng ->
+        let nb = random_delta_schema rng in
+        (random_deltas_text nb rng, Mc_io.Parse.deltas_of_string nb));
     (* Constructors behind the parse boundary: arbitrary (often invalid)
        descriptions must surface as [Invalid_argument], never as an
        assertion failure or a crash in the derived graph builders. *)

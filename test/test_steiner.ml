@@ -440,6 +440,143 @@ let test_degenerate_terminals () =
   | None -> ()
   | Some _ -> Alcotest.fail "DW within: disconnected"
 
+(* ------------------------------------------- CSR rungs vs set oracles *)
+
+(* The DP, forest and MST rungs run on a CSR; [Reference_steiner] keeps
+   the set-view bodies they replaced. Instances come from four families
+   — gnp, (6,2)-chordal, α-acyclic bipartite and trees — with a random
+   suffix of the edges sometimes dropped (disconnected terminals,
+   isolated nodes), 0–5 terminals, and a [within] that is absent, every
+   node, a superset of the terminals, or an arbitrary subset (terminals
+   outside it). *)
+type oracle_instance = {
+  g : Ugraph.t;
+  terminals : Iset.t;
+  within : Iset.t option;
+}
+
+let oracle_instance_gen =
+  QCheck2.Gen.(
+    tup4 (int_range 0 3) (int_range 0 100_000) (int_range 0 5) (int_range 0 3)
+    |> map (fun (family, seed, k, within_mode) ->
+           let rng = rng_of seed in
+           let module R = Workloads.Rng in
+           let g =
+             match family with
+             | 0 -> Workloads.Gen_graph.gnp rng ~n:(4 + R.int rng 11) ~p:0.4
+             | 1 ->
+               Bigraph.ugraph
+                 (Workloads.Gen_bipartite.chordal_62 rng ~n_right:5 ~max_size:3)
+             | 2 ->
+               Bigraph.ugraph
+                 (Workloads.Gen_bipartite.alpha_bipartite rng ~n_right:5
+                    ~max_size:3)
+             | _ -> Workloads.Gen_graph.random_tree rng ~n:(2 + R.int rng 10)
+           in
+           let g =
+             if R.bool rng 0.3 then
+               let edges = Ugraph.edges g in
+               let keep = R.int rng (List.length edges + 1) in
+               Ugraph.of_edges ~n:(Ugraph.n g)
+                 (List.filteri (fun i _ -> i < keep) edges)
+             else g
+           in
+           let nodes = Iset.elements (Ugraph.nodes g) in
+           let terminals = Iset.of_list (R.sample rng k nodes) in
+           let subset () = Iset.of_list (List.filter (fun _ -> R.bool rng 0.7) nodes) in
+           let within =
+             match within_mode with
+             | 0 -> None
+             | 1 -> Some (Ugraph.nodes g)
+             | 2 -> Some (Iset.union terminals (subset ()))
+             | _ -> Some (subset ())
+           in
+           { g; terminals; within }))
+
+let print_oracle_instance i =
+  Format.asprintf "edges=%s terminals=%a within=%s"
+    (String.concat " "
+       (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) (Ugraph.edges i.g)))
+    Iset.pp i.terminals
+    (match i.within with
+    | None -> "-"
+    | Some w -> Format.asprintf "%a" Iset.pp w)
+
+let same_tree a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y ->
+    Iset.equal x.Tree.nodes y.Tree.nodes && x.Tree.edges = y.Tree.edges
+  | _ -> false
+
+(* Run [f] on a fresh metered budget: its outcome (exhaustion included)
+   and the fuel it spent. *)
+let metered ?fuel f =
+  let budget = Runtime.Budget.make ?fuel () in
+  let outcome =
+    match f budget with
+    | r -> Ok r
+    | exception Runtime.Budget.Exhausted _ -> Error ()
+  in
+  (outcome, Runtime.Budget.spent budget)
+
+let same_outcome (a, fa) (b, fb) =
+  fa = fb
+  &&
+  match (a, b) with
+  | Ok x, Ok y -> same_tree x y
+  | Error (), Error () -> true
+  | _ -> false
+
+let oracle_cases =
+  [
+    QCheck2.Test.make ~count:1500
+      ~name:"DW on the CSR = set-view DW: same tree, same fuel"
+      ~print:print_oracle_instance oracle_instance_gen
+      (fun { g; terminals; within } ->
+        let reference ?fuel () =
+          metered ?fuel (fun budget ->
+              Reference_steiner.dreyfus_wagner ?within ~budget g ~terminals)
+        in
+        let ((_, spent) as expected) = reference () in
+        let wrapper =
+          metered (fun budget -> Dreyfus_wagner.solve ?within ~budget g ~terminals)
+        in
+        (* The kernel itself, on the whole graph's CSR. *)
+        let kernel =
+          match within with
+          | Some _ -> true
+          | None ->
+            same_outcome expected
+              (metered (fun budget ->
+                   Dreyfus_wagner.solve_csr ~budget (Csr.of_ugraph g) ~terminals))
+        in
+        (* Cut off halfway, both stop at the same check. *)
+        let starved =
+          spent < 2
+          ||
+          let fuel = spent / 2 in
+          same_outcome (reference ~fuel ())
+            (metered ~fuel (fun budget ->
+                 Dreyfus_wagner.solve ?within ~budget g ~terminals))
+        in
+        same_outcome expected wrapper && kernel && starved);
+    QCheck2.Test.make ~count:300
+      ~name:"forest rung on the CSR = set-view pruning"
+      ~print:print_oracle_instance oracle_instance_gen
+      (fun { g; terminals; _ } ->
+        same_tree
+          (Reference_steiner.forest_steiner g ~terminals)
+          (Forest_steiner.solve g ~terminals));
+    QCheck2.Test.make ~count:300
+      ~name:"MST rung on the CSR = set-view MST expansion"
+      ~print:print_oracle_instance oracle_instance_gen
+      (fun { g; terminals; _ } ->
+        same_tree
+          (Reference_steiner.mst_approx g ~terminals)
+          (Mst_approx.solve g ~terminals));
+  ]
+
 let qcheck_cases =
   qcheck_cases'
   @
@@ -678,4 +815,5 @@ let () =
           Alcotest.test_case "find bad set on fig11" `Quick test_find_bad_set;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
+      ("csr-oracles", List.map QCheck_alcotest.to_alcotest oracle_cases);
     ]
