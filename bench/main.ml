@@ -738,7 +738,7 @@ let micro_tests () =
       (Staged.stage (fun () -> Mst_approx.solve u62 ~terminals:p62));
     Test.make ~name:"H1/acyclicity-report"
       (Staged.stage (fun () -> Hypergraphs.Acyclicity.report h_rand));
-    Test.make ~name:"S1/lexbfs-chordality"
+    Test.make ~name:"S1/mcs-chordality"
       (Staged.stage (fun () -> Chordal.is_chordal chordal_g));
     Test.make ~name:"S2/mcs-join-tree"
       (Staged.stage (fun () ->
@@ -790,11 +790,12 @@ let micro_section () =
 (* Section: kernels                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Old-vs-new timing for the flat CSR/bitset kernel layer: every ported
-   algorithm is timed against the set-based original it replaced, on a
-   small size ladder per section, and the whole trajectory is written
-   as machine-readable JSON (BENCH_kernels.json by default) so runs can
-   be compared across commits. [--trials k] controls repetitions per
+(* Timing for the flat CSR kernel layer on a small size ladder per
+   section: the [mcs] α kernel raced against GYO, and the [chordal]
+   kernel (maximum cardinality search plus the zero fill-in test) on
+   its own. The whole trajectory is written as machine-readable JSON
+   (BENCH_kernels.json by default) so runs can be compared across
+   commits. [--trials k] controls repetitions per
    measurement, [--max-n k] caps the generator size parameter (the
    bench-smoke alias uses --trials 1 --max-n 64), [--json path] sets
    the output file. *)
@@ -972,65 +973,45 @@ let gyo_join_tree h =
   else Some (Hypergraphs.Join_tree.make h ~parent:t.Hypergraphs.Gyo.parent)
 
 let kernels_section ~trials ~max_n ~json_path () =
-  header "kernels: set-based originals vs flat CSR/bitset ports";
+  header "kernels: flat CSR kernels (mcs raced against GYO)";
   Printf.printf "%-10s %-5s %6s %8s %12s\n" "section" "impl" "|V|" "|E|"
     "mean ms";
   let rows = ref [] in
-  let pair ~section ~n ~m sets csr =
-    let run impl f =
-      let ms = time_mean ~trials f in
-      Printf.printf "%-10s %-5s %6d %8d %12.4f\n%!" section impl n m ms;
-      rows := !rows @ [ timed_entry ~section ~impl ~n ~m ~ms ];
-      ms
-    in
-    let t_sets = run "sets" sets in
-    let t_csr = run "csr" csr in
-    (t_sets, t_csr)
+  let run ~section ~n ~m impl f =
+    let ms = time_mean ~trials f in
+    Printf.printf "%-10s %-5s %6d %8d %12.4f\n%!" section impl n m ms;
+    rows := !rows @ [ timed_entry ~section ~impl ~n ~m ~ms ];
+    ms
   in
   let sizes l = List.filter (fun x -> x <= max_n) l in
-  let largest = ref [] in
-  let note section p =
-    largest := (section, p) :: List.remove_assoc section !largest
-  in
-  List.iter
-    (fun nsz ->
-      let rng = trial ~section:"kernels-lexbfs" nsz in
-      let g = Workloads.Gen_graph.gnp rng ~n:nsz ~p:(8.0 /. float_of_int nsz) in
-      note "lexbfs"
-        (pair ~section:"lexbfs" ~n:(Ugraph.n g) ~m:(Ugraph.m g)
-           (fun () -> Lexbfs.lexbfs_order_sets g)
-           (fun () -> Lexbfs.lexbfs_order g)))
-    (sizes [ 48; 96; 192; 384 ]);
+  let largest = ref None in
   List.iter
     (fun n_edges ->
       let rng = trial ~section:"kernels-mcs" n_edges in
       let h = Workloads.Gen_hyper.alpha_acyclic rng ~n_edges ~max_size:6 in
-      note "mcs"
-        (pair ~section:"mcs"
-           ~n:(Hypergraphs.Hypergraph.n_nodes h)
-           ~m:(Hypergraphs.Hypergraph.n_edges h)
-           (fun () -> gyo_join_tree h)
-           (fun () -> Hypergraphs.Mcs.join_tree h)))
+      let n = Hypergraphs.Hypergraph.n_nodes h
+      and m = Hypergraphs.Hypergraph.n_edges h in
+      let t_sets = run ~section:"mcs" ~n ~m "sets" (fun () -> gyo_join_tree h) in
+      let t_csr =
+        run ~section:"mcs" ~n ~m "csr" (fun () -> Hypergraphs.Mcs.join_tree h)
+      in
+      largest := Some (t_sets, t_csr))
     (sizes [ 16; 32; 64; 128 ]);
   List.iter
     (fun nsz ->
       let rng = trial ~section:"kernels-chordal" nsz in
       let g = Workloads.Gen_graph.random_chordal rng ~n:nsz ~max_clique:6 in
-      note "chordal"
-        (pair ~section:"chordal" ~n:(Ugraph.n g) ~m:(Ugraph.m g)
-           (fun () -> Chordal.is_chordal_sets g)
+      ignore
+        (run ~section:"chordal" ~n:(Ugraph.n g) ~m:(Ugraph.m g) "csr"
            (fun () -> Chordal.is_chordal g)))
     (sizes [ 48; 96; 192; 384 ]);
-  List.iter
-    (fun section ->
-      match List.assoc_opt section !largest with
-      | None -> ()
-      | Some (t_sets, t_csr) ->
-        Printf.printf
-          "-- %-10s largest instance: csr %s sets (%.4f vs %.4f ms)\n" section
-          (if t_csr <= t_sets then "<=" else "SLOWER THAN")
-          t_csr t_sets)
-    [ "lexbfs"; "mcs"; "chordal" ];
+  Option.iter
+    (fun (t_sets, t_csr) ->
+      Printf.printf "-- %-10s largest instance: csr %s sets (%.4f vs %.4f ms)\n"
+        "mcs"
+        (if t_csr <= t_sets then "<=" else "SLOWER THAN")
+        t_csr t_sets)
+    !largest;
   write_bench_json ~section:"kernels" ~trials ~max_n ~path:json_path !rows
 
 (* ------------------------------------------------------------------ *)
@@ -1943,10 +1924,6 @@ let evolve_section ~trials ~max_n ~json_path () =
 
      construct-direct — edge stream -> CSR ([Bigraph.of_edge_iter]),
        the direct path, with edges/sec throughput;
-     construct-sets   — the pre-CSR baseline (materialise the edge
-       list, one AVL insertion per directed edge, then
-       [Csr.of_ugraph]), run on every rung up to 10^6; the sets/direct
-       ns_per_op ratio is the headline number;
      compile          — [Compiled.compile] off the graph's CSR;
      query-warm       — an 8-query in-block burst on one session.
        Queries run on their component's slice, so no whole-graph set
@@ -1967,7 +1944,7 @@ let scale_families =
   ]
 
 let scale_section ~trials ~scale_max_n ~json_path () =
-  header "scale: stream-to-CSR construction vs the set-based path";
+  header "scale: stream-to-CSR construction, compile and warm queries";
   let ladder =
     match List.filter (fun x -> x <= scale_max_n) [ 100_000; 1_000_000 ] with
     | [] -> [ max 1_000 scale_max_n ]
@@ -2002,11 +1979,11 @@ let scale_section ~trials ~scale_max_n ~json_path () =
                 (if ms > 0.0 then float_of_int m /. (ms /. 1000.0) else 0.0) )
           in
           (* Construction is orders of magnitude cheaper to time than
-             compile, and on this 1-core host a major collection of the
+             compile, and on a 1-core host a major collection of the
              *previous* rung's plan garbage landing inside the timed
-             region skews the headline ratio by an order of magnitude —
-             so each construct row starts from a compacted heap and
-             gets at least 5 trials of its own. *)
+             region skews the row by an order of magnitude — so each
+             construct row starts from a compacted heap and gets at
+             least 5 trials of its own. *)
           let ctrials = max trials 5 in
           Gc.compact ();
           let ms_direct =
@@ -2015,19 +1992,6 @@ let scale_section ~trials ~scale_max_n ~json_path () =
           in
           entry ~family:fname ~kind:"construct-direct" ~n ~m ~ms:ms_direct
             [ eps ms_direct ];
-          (* [make] overshoots the target by up to one block, so the cap
-             sits just above the 10^6 rung. *)
-          if n <= 1_001_000 then begin
-            Gc.compact ();
-            let ms_sets =
-              time_mean ~trials:ctrials (fun () ->
-                  Bigraph.csr (Workloads.Gen_scale.to_bigraph_sets inst))
-            in
-            entry ~family:fname ~kind:"construct-sets" ~n ~m ~ms:ms_sets
-              [ eps ms_sets ];
-            Printf.printf "-- %-9s n=%-8d construct sets/direct = %.1fx\n%!"
-              fname n (ms_sets /. ms_direct)
-          end;
           let g = Workloads.Gen_scale.to_bigraph inst in
           let ms_compile =
             time_mean ~trials (fun () -> Minconn.Compiled.compile g)

@@ -40,19 +40,20 @@ let neutral =
    flip), as (chordal, conformal, α), each check under a span
    ["classify.hK.check"]. α is chordal ∧ conformal (Theorem 1 (v)), so
    the α kernel runs first; off α a chordal 2-section means not
-   conformal, and only a non-chordal side runs Gilmore. *)
+   conformal, and only a non-chordal side builds its hypergraph for
+   Gilmore. *)
 let side trace hk g =
   let span check f =
     Observe.Trace.span trace ("classify." ^ hk ^ "." ^ check) f
   in
   if span "alpha" (fun () -> Side_properties.alpha_side g Bigraph.V2) then
     (true, true, true)
+  else if span "chordal" (fun () -> Side_properties.chordal g Bigraph.V2) then
+    (true, false, false)
   else
-    let h = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
-    let two_section = Hypergraph.two_section in
-    if span "chordal" (fun () -> Graphs.Chordal.is_chordal (two_section h))
-    then (true, false, false)
-    else (false, span "conformal" (fun () -> Conformal.is_conformal h), false)
+    ( false,
+      span "conformal" (fun () -> Side_properties.conformal g Bigraph.V2),
+      false )
 
 (* The cascade documented in classify.mli. G's CSR is the incidence
    graph of H¹, and of H² read from the other side, so γ and

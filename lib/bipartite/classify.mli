@@ -61,14 +61,19 @@ val profile_connected : ?trace:Observe.Trace.t -> Bigraph.t -> profile
     - else, per side K of [h1] (V₂ witnesses, on G's CSR) and [h2]
       (V₁, on the flipped CSR): ["classify.hK.alpha"], the linear
       {!Hypergraphs.Mcs.incidence} kernel. α settles chordal and
-      conformal too (Theorem 1 (v)). Off α the side's hypergraph is
-      built and ["classify.hK.chordal"] tests its 2-section: a chordal
-      side is not conformal, else ["classify.hK.conformal"] (Gilmore)
-      decides. Each degree is α or cyclic.
+      conformal too (Theorem 1 (v)). Off α ["classify.hK.chordal"]
+      cuts the side's 2-section from the same CSR
+      ({!Hypergraphs.Hypergraph.two_section_csr}) and decides it with
+      the linear MCS kernel ({!Graphs.Chordal.is_chordal_csr}): a
+      chordal side is not conformal, else ["classify.hK.conformal"]
+      builds the side's hypergraph and Gilmore decides. Each degree is
+      α or cyclic.
 
     γ-elimination is near-linear in the component's size.
     β-elimination re-tests a node only when a node that blocked its
-    last test is deleted. No hypergraph is built on a side that is α.
+    last test is deleted. A side's 2-section costs the sum of its
+    hyperedges' squared sizes. Only a side whose 2-section is not
+    chordal builds a hypergraph.
     So a component records 0, 1, 2, or 4 to 8 child spans under its
     one ["classify"] span, which carries the headline verdicts. *)
 

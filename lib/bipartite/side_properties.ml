@@ -6,15 +6,19 @@ let hypergraph_of_witness_side g side =
   | Bigraph.V2 -> fst (Correspond.h1 g)
   | Bigraph.V1 -> fst (Correspond.h2 g)
 
+(* G's CSR is H¹'s incidence graph, the flip's is H²'s. *)
+let oriented g = function Bigraph.V2 -> g | Bigraph.V1 -> Bigraph.flip g
+
 let chordal g side =
-  Chordal.is_chordal (Hypergraph.two_section (hypergraph_of_witness_side g side))
+  let g = oriented g side in
+  Chordal.is_chordal_csr
+    (Hypergraph.two_section_csr (Bigraph.csr g) ~boundary:(Bigraph.nl g))
 
 let conformal g side =
   Conformal.is_conformal (hypergraph_of_witness_side g side)
 
-(* G's CSR is H¹'s incidence graph, the flip's is H²'s. *)
 let alpha_side g side =
-  let g = match side with Bigraph.V2 -> g | Bigraph.V1 -> Bigraph.flip g in
+  let g = oriented g side in
   Option.is_some (Mcs.incidence (Bigraph.csr g) ~boundary:(Bigraph.nl g))
 
 let chordal_brute g side =

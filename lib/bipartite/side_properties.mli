@@ -17,8 +17,13 @@ val hypergraph_of_witness_side : Bigraph.t -> Bigraph.side -> Hypergraph.t
     (isolated witness-side nodes dropped). *)
 
 val chordal : Bigraph.t -> Bigraph.side -> bool
+(** Chordality of the 2-section, cut from G's CSR for [V2] and from
+    its flip's for [V1] ({!Hypergraphs.Hypergraph.two_section_csr}),
+    decided by {!Graphs.Chordal.is_chordal_csr}; no hypergraph is
+    built. *)
 
 val conformal : Bigraph.t -> Bigraph.side -> bool
+(** Gilmore's criterion on {!hypergraph_of_witness_side}. *)
 
 val alpha_side : Bigraph.t -> Bigraph.side -> bool
 (** [chordal && conformal], tested directly as α-acyclicity of the

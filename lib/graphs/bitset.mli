@@ -2,11 +2,11 @@
 
     The flat kernel counterpart of {!Iset}: membership, intersection
     cardinality and set combination run over packed machine words, so
-    the hot algorithm ports ({!Lexbfs}, {!Chordal}, [Hypergraphs.Mcs],
-    [Steiner.Cover]) pay O(len / word_size) per set operation and
-    allocate nothing on their inner loops. All binary operations
-    require both operands to have the same [length] and raise
-    [Invalid_argument] otherwise, as do out-of-range indices. *)
+    the hot algorithm ports ([Hypergraphs.Conformal], [Steiner.Cover])
+    pay O(len / word_size) per set operation and allocate nothing on
+    their inner loops. All binary operations require both operands to
+    have the same [length] and raise [Invalid_argument] otherwise, as
+    do out-of-range indices. *)
 
 type t
 

@@ -2,33 +2,34 @@
 
     A graph is chordal when every cycle of length at least 4 has a
     chord, equivalently when it admits a perfect elimination ordering.
-    The recogniser is the classical Rose–Tarjan–Lueker scheme: take a
-    LexBFS ordering, reverse it, and verify that the reversal is a
-    perfect elimination ordering. The verification runs on a flat
-    {!Csr} adjacency; the original set-based checker is kept under a
-    [_sets] suffix as a differential-testing reference. A brute-force
-    chordless-cycle search is provided as an independent oracle for the
-    test suite. *)
+    One kernel decides it, on a {!Csr}, in O(n + m): maximum
+    cardinality search with a bucket queue, then the zero fill-in test
+    on the reversed visit order (Tarjan and Yannakakis, SIAM
+    J. Comput. 13(3), 1984). The [Ugraph] entry points build one CSR
+    of the graph induced on [within] and run that kernel on it. A
+    brute-force chordless-cycle search is provided as an independent
+    oracle for the test suite. *)
+
+val is_chordal_csr : Csr.t -> bool
+(** The kernel: the reversed maximum cardinality search order of the
+    whole CSR is a perfect elimination ordering. O(n + m). *)
+
+val mcs_order : ?within:Iset.t -> Ugraph.t -> int list
+(** The kernel's maximum cardinality search visit order of the induced
+    subgraph, first visited first, starting from the smallest id. Its
+    reversal is a perfect elimination ordering exactly when the
+    subgraph is chordal. *)
 
 val is_perfect_elimination_order : ?within:Iset.t -> Ugraph.t -> int list -> bool
 (** [is_perfect_elimination_order g order] checks that for each node,
     its neighbors occurring later in [order] form a clique. [order] must
     enumerate exactly the nodes of the induced subgraph. *)
 
-val is_perfect_elimination_order_sets :
-  ?within:Iset.t -> Ugraph.t -> int list -> bool
-(** Set-based reference implementation of
-    {!is_perfect_elimination_order}. *)
-
 val perfect_elimination_order : ?within:Iset.t -> Ugraph.t -> int list option
 (** A perfect elimination ordering if the (induced) graph is chordal,
     [None] otherwise. *)
 
 val is_chordal : ?within:Iset.t -> Ugraph.t -> bool
-
-val is_chordal_sets : ?within:Iset.t -> Ugraph.t -> bool
-(** Set-based reference pipeline (LexBFS + elimination-order check both
-    on the original representation); agrees with {!is_chordal}. *)
 
 val is_chordal_brute : ?within:Iset.t -> Ugraph.t -> bool
 (** Exhaustive search for a chordless cycle of length >= 4.

@@ -85,14 +85,6 @@ let chords g cycle =
   done;
   List.rev !acc
 
-let exists_cycle_with_few_chords_sets g ~min_len ~max_chords =
-  let exception Found in
-  try
-    iter_simple_cycles ~min_len g (fun c ->
-        if List.length (chords g c) <= max_chords then raise Found);
-    false
-  with Found -> true
-
 (* CSR kernel for the same witness search. Paths start at the cycle's
    smallest node [s] and only use nodes greater than [s]; the chord
    count is maintained incrementally so branches that already exceed

@@ -33,12 +33,6 @@ val exists_cycle_with_few_chords : Ugraph.t -> min_len:int -> max_chords:int -> 
     adjacency with incremental chord counting, which prunes every
     branch whose partial path already carries too many chords. *)
 
-val exists_cycle_with_few_chords_sets :
-  Ugraph.t -> min_len:int -> max_chords:int -> bool
-(** Set-based reference implementation (full cycle enumeration, chords
-    counted per cycle); agrees with {!exists_cycle_with_few_chords}.
-    Differential-testing and benchmarking only. *)
-
 val girth : ?within:Iset.t -> Ugraph.t -> int option
 (** Length of a shortest cycle, [None] for forests. Polynomial (BFS from
     every node). *)

@@ -18,8 +18,12 @@ type report = {
 
 let alpha_acyclic = Mcs.alpha_acyclic
 
+let chordal_2section h =
+  let t, boundary = Hypergraph.incidence_csr h in
+  Chordal.is_chordal_csr (Hypergraph.two_section_csr t ~boundary)
+
 let alpha_acyclic_by_definition h =
-  Chordal.is_chordal (Hypergraph.two_section h) && Conformal.is_conformal h
+  chordal_2section h && Conformal.is_conformal h
 
 let beta_acyclic = Beta.acyclic
 let gamma_acyclic = Gamma.acyclic
@@ -34,7 +38,7 @@ let report h =
     beta = gamma || beta_acyclic h;
     alpha = alpha_acyclic h;
     conformal = Conformal.is_conformal h;
-    chordal_2section = Chordal.is_chordal (Hypergraph.two_section h);
+    chordal_2section = chordal_2section h;
   }
 
 let degree h =

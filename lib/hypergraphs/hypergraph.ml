@@ -70,6 +70,22 @@ let incidence_csr h =
   in
   (Csr.of_edge_iter ~n:(offset + Array.length h.family) add_all, offset)
 
+(* Each distinct pair once: for node [a], stamp every [b > a] reached
+   through [a]'s hyperedges, so a pair two hyperedges share is emitted
+   by the first and skipped by the second. *)
+let two_section_csr t ~boundary =
+  let stamp = Array.make boundary (-1) in
+  let b = Csr.Builder.create boundary in
+  for a = 0 to boundary - 1 do
+    Csr.iter_neighbors t a (fun e ->
+        Csr.iter_neighbors t e (fun x ->
+            if x > a && stamp.(x) <> a then begin
+              stamp.(x) <- a;
+              Csr.Builder.add_edge b a x
+            end))
+  done;
+  Csr.Builder.build b
+
 let restrict h nodes =
   let family =
     Array.to_list h.family

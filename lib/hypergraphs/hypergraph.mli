@@ -57,6 +57,15 @@ val incidence_csr : t -> Csr.t * int
     hyperedges above it. The form the γ and β elimination kernels
     read. *)
 
+val two_section_csr : Csr.t -> boundary:int -> Csr.t
+(** [two_section_csr t ~boundary] is the 2-section, over nodes
+    [0 .. boundary-1], of the hypergraph whose incidence CSR is [t]:
+    nodes below [boundary], hyperedges at or above it (as
+    {!incidence_csr} builds it, or a bipartite schema's CSR with its
+    left side below the boundary). Each distinct pair is emitted once,
+    so the work is the sum over hyperedges of their squared sizes, plus
+    sorting the rows. *)
+
 val restrict : t -> Iset.t -> t
 (** Partial hypergraph induced by a node set: intersect every edge with
     the set, drop emptied edges. Node universe unchanged. *)

@@ -162,23 +162,6 @@ let to_bigraph t = Bigraph.of_edge_iter ~nl:(nl t) ~nr:(nr t) (iter_edges t)
 
 let to_csr t = Bigraph.csr (to_bigraph t)
 
-(* The pre-CSR construction path, kept as the benchmark baseline. The
-   seed pipeline was: generator builds an [(int * int) list] of edges,
-   a [Ugraph.Builder] turns it into per-node AVL sets (one insertion
-   per directed edge), and the CSR is derived from those sets — so the
-   baseline materialises the list too, faithfully. Identical graph by
-   construction: test/test_scale.ml pins [Bigraph.equal] between the
-   two, and the scale bench reports the throughput ratio. *)
-let to_bigraph_sets t =
-  let edges = ref [] in
-  iter_edges t (fun i j -> edges := (i, j) :: !edges);
-  let nl = nl t in
-  let b = Ugraph.Builder.create (nl + nr t) in
-  List.iter
-    (fun (i, j) -> Ugraph.Builder.add_edge b i (nl + j))
-    (List.rev !edges);
-  Bigraph.of_bipartite_ugraph ~nl (Ugraph.Builder.build b)
-
 (* Deterministic in-block terminal sets: every block is connected, so
    any subset of one block's nodes is a feasible Steiner instance.
    Picks [k] evenly spaced lefts of block [b] — pure index arithmetic,

@@ -45,11 +45,6 @@ val to_bigraph : t -> Bigraph.t
 (** Direct-to-CSR construction ({!Bipartite.Bigraph.of_edge_iter}): no
     per-node set is ever materialised. *)
 
-val to_bigraph_sets : t -> Bigraph.t
-(** Set-based baseline (one AVL insertion per directed edge), equal to
-    {!to_bigraph} as a graph. Benchmark/differential-test reference —
-    do not use at n = 10^6. *)
-
 val to_csr : t -> Csr.t
 (** Underlying flat adjacency of {!to_bigraph} (n = nl + nr, rights
     shifted by nl). *)

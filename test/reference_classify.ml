@@ -3,8 +3,9 @@
    field independently. [Classify.profile] runs, per component, only
    the checks Theorem 1 and Corollary 2 leave open and derives the
    rest; it must reproduce the reference field for field. The
-   reference decides β and γ with the set-view oracles below, not with
-   the elimination kernels [Classify] runs. *)
+   reference decides β and γ with the set-view oracles below, and side
+   chordality with the LexBFS pipeline of [Reference_sets] on the
+   [Ugraph] 2-section, not with the kernels [Classify] runs. *)
 
 open Hypergraphs
 open Bipartite
@@ -43,9 +44,9 @@ let reference_profile g =
     Classify.chordal_41 = Mn_chordality.is_41_chordal g;
     chordal_62;
     chordal_61;
-    v2_chordal = Graphs.Chordal.is_chordal (Hypergraph.two_section h1);
+    v2_chordal = Reference_sets.is_chordal_sets (Hypergraph.two_section h1);
     v2_conformal = Conformal.is_conformal h1;
-    v1_chordal = Graphs.Chordal.is_chordal (Hypergraph.two_section h2);
+    v1_chordal = Reference_sets.is_chordal_sets (Hypergraph.two_section h2);
     v1_conformal = Conformal.is_conformal h2;
     alpha_h1;
     alpha_h2;

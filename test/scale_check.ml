@@ -34,6 +34,17 @@
    tree, the chordal62 compile took about 0.9 s and the alpha one
    about 1.5 s.
 
+   It classifies the dense [Gen_bipartite.gnp ~nl:400 ~nr:400 ~p:0.3]
+   schema that `minconn generate --class gnp --size 400 --seed 1`
+   writes under the one-second budget. That schema is off (6,1)
+   and neither side is α, so the classifier decides the chordality of
+   both sides' 2-sections, which are near-complete graphs of 400
+   nodes cut from hyperedges of about 120 nodes each: built once from
+   the schema's CSR with each distinct pair emitted once, and decided
+   by maximum cardinality search, it takes about 0.2 s; building a
+   [Ugraph] 2-section per side from the hypergraph and running the
+   quadratic LexBFS kernel on it took 1.6–1.75 s.
+
    It answers one 4-terminal query on a connected chordal62 schema of
    n ≈ 1,200 under a one-second budget: Algorithm 2's elimination runs
    on the component's CSR with an array BFS per candidate, and the
@@ -146,8 +157,30 @@ let connected_classify_s ~n_right =
   end;
   (Minconn.Bigraph.n g, dt)
 
-(* Measured at about 10 ms for the chordal62 schema and 0.1 s for the
-   alpha one at n_right = 3,000. *)
+(* Seconds to classify the dense gnp schema, failing unless it has the
+   profile that sends both sides to the 2-section check: off (6,1),
+   neither side α, both sides chordal. *)
+let gnp_classify_s () =
+  let g =
+    Workloads.Gen_bipartite.gnp (Workloads.Rng.make ~seed:1) ~nl:400 ~nr:400
+      ~p:0.3
+  in
+  let t0 = Unix.gettimeofday () in
+  let p = Minconn.Classify.profile g in
+  let dt = Unix.gettimeofday () -. t0 in
+  let open Minconn.Classify in
+  if
+    p.chordal_61 || p.alpha_h1 || p.alpha_h2
+    || not (p.v2_chordal && p.v1_chordal)
+  then begin
+    prerr_endline "scale_check: the gnp schema has an unexpected profile";
+    exit 1
+  end;
+  (Minconn.Bigraph.n g, dt)
+
+(* Measured at about 10 ms for the chordal62 schema and 15 ms for the
+   alpha one at n_right = 3,000; the alpha compile took about 75 ms
+   while H²'s 2-section was a [Ugraph] decided by LexBFS. *)
 let max_connected_compile_s = 1.0
 
 (* Seconds to compile the connected [family] schema of [n_right]
@@ -412,6 +445,14 @@ let () =
       connected_n connected_s max_connected_classify_s;
     exit 1
   end;
+  let gnp_n, gnp_s = gnp_classify_s () in
+  if gnp_s > max_connected_classify_s then begin
+    Printf.eprintf
+      "scale_check: classifying the %d-node gnp schema took %.2fs (bound \
+       %.0fs)\n"
+      gnp_n gnp_s max_connected_classify_s;
+    exit 1
+  end;
   let compiles =
     List.map
       (fun (name, family) ->
@@ -486,6 +527,8 @@ let () =
   Printf.fprintf oc
     "connected chordal62 classify: n=%d in %.3fs (bound %.0fs)\n" connected_n
     connected_s max_connected_classify_s;
+  Printf.fprintf oc "gnp classify: n=%d in %.3fs (bound %.0fs)\n" gnp_n gnp_s
+    max_connected_classify_s;
   List.iter
     (fun (name, n, s) ->
       Printf.fprintf oc "connected %s compile: n=%d in %.3fs (bound %.0fs)\n"

@@ -639,12 +639,24 @@ let alpha_kernel_matches_gyo g =
     && Join_tree.verify (Join_tree.make h ~parent)
     && Join_tree.rip_holds h order
 
+(* The 2-section cut from [g]'s CSR equals the [Ugraph] 2-section of
+   H¹, node for node. *)
+let two_section_matches g =
+  Csr.equal
+    (Hypergraph.two_section_csr (Bigraph.csr g) ~boundary:(Bigraph.nl g))
+    (Csr.of_ugraph (Hypergraph.two_section (fst (Correspond.h1 g))))
+
 (* The γ and β kernels on G's CSR, and on H¹'s incidence CSR, equal
    Definition 4's brute force at (6,2) and (6,1) and the set-view
-   oracles on H¹; the α kernel on both sides equals GYO. *)
+   oracles on H¹; the α kernel on both sides equals GYO; side
+   chordality equals Definition 5's brute force on both sides, and the
+   CSR 2-section it reads equals the [Ugraph] one. *)
 let test_exhaustive_kernels () =
   every_small_graph (fun g ->
       let h1 = fst (Correspond.h1 g) in
+      let side_chordal side =
+        Side_properties.chordal g side = Side_properties.chordal_brute g side
+      in
       let brute62 = Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:2 in
       let brute61 = Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:1 in
       List.find_map
@@ -663,6 +675,11 @@ let test_exhaustive_kernels () =
           ("alpha kernel on H1 = GYO", alpha_kernel_matches_gyo g);
           ( "alpha kernel on H2 = GYO",
             alpha_kernel_matches_gyo (Bigraph.flip g) );
+          ("V2 chordality = Definition 5 brute", side_chordal Bigraph.V2);
+          ("V1 chordality = Definition 5 brute", side_chordal Bigraph.V1);
+          ("CSR 2-section of H1 = Ugraph 2-section", two_section_matches g);
+          ( "CSR 2-section of H2 = Ugraph 2-section",
+            two_section_matches (Bigraph.flip g) );
         ])
 
 let test_exhaustive_profile () =

@@ -1,7 +1,8 @@
 (* Differential coverage for the flat CSR/bitset kernel layer: every
-   port must agree exactly with the original set-based implementation
-   it replaced, on random workload instances. Bitset itself is tested
-   against Iset as the model. *)
+   kernel must agree exactly with an independent set-based
+   implementation (the set-view oracles in test/reference_*.ml, or the
+   original it replaced), on random workload instances. Bitset itself
+   is tested against Iset as the model. *)
 
 open Graphs
 open Steiner
@@ -118,39 +119,50 @@ let prop_csr_construction =
       && !mem_agrees
       && Ugraph.equal (Csr.to_ugraph csr) g)
 
-(* ---------------------------------------------------- LexBFS and MCS *)
+(* ------------------------------------------------- MCS chordality *)
 
-(* The kernels use the same greedy rule and tie-breaking as the
-   set-based originals, so the orders must be identical — also under a
-   [within] restriction and an explicit start node. *)
-let restriction_of_seed g seed =
-  let rng = Workloads.Rng.make ~seed:(seed + 7) in
+(* Half the graphs chordal by construction, so both verdicts occur at
+   every size; [within] is absent or a random subset. *)
+let chordal_case seed =
+  let rng = Workloads.Rng.make ~seed in
+  let n = 1 + Workloads.Rng.int rng 11 in
+  let g =
+    if Workloads.Rng.bool rng 0.5 then Workloads.Gen_graph.gnp rng ~n ~p:0.35
+    else Workloads.Gen_graph.random_chordal rng ~n ~max_clique:4
+  in
   let within =
     if Workloads.Rng.bool rng 0.5 then None
     else Some (random_subset rng (Ugraph.n g))
   in
-  let start =
-    if Workloads.Rng.bool rng 0.5 then None
-    else Some (Workloads.Rng.int rng (Ugraph.n g))
-  in
-  (within, start)
+  (g, within)
 
-let prop_lexbfs_equal =
-  QCheck2.Test.make ~count:500 ~name:"CSR LexBFS = set-based LexBFS"
+let prop_mcs_order =
+  QCheck2.Test.make ~count:500
+    ~name:"kernel MCS order permutes within, reversed is a PEO iff chordal"
     seed_gen
     (fun seed ->
-      let g = graph_of_seed ~max_n:20 seed in
-      let within, start = restriction_of_seed g seed in
-      Lexbfs.lexbfs_order ?within ?start g
-      = Lexbfs.lexbfs_order_sets ?within ?start g)
+      let g, within = chordal_case seed in
+      let order = Chordal.mcs_order ?within g in
+      List.sort compare order
+      = Iset.elements (Ugraph.default_within g within)
+      && Reference_sets.is_perfect_elimination_order_sets ?within g
+           (List.rev order)
+         = Chordal.is_chordal_brute ?within g)
 
-let prop_mcs_equal =
-  QCheck2.Test.make ~count:500 ~name:"CSR MCS = set-based MCS" seed_gen
+let prop_chordal_within =
+  QCheck2.Test.make ~count:500
+    ~name:"kernel is_chordal within = reference pipeline = brute force"
+    seed_gen
     (fun seed ->
-      let g = graph_of_seed ~max_n:20 seed in
-      let within, start = restriction_of_seed g seed in
-      Lexbfs.mcs_order ?within ?start g
-      = Lexbfs.mcs_order_sets ?within ?start g)
+      let g, within = chordal_case seed in
+      let kernel = Chordal.is_chordal ?within g in
+      kernel = Reference_sets.is_chordal_sets ?within g
+      && kernel = Chordal.is_chordal_brute ?within g
+      &&
+      match Chordal.perfect_elimination_order ?within g with
+      | None -> not kernel
+      | Some peo ->
+        kernel && Reference_sets.is_perfect_elimination_order_sets ?within g peo)
 
 (* --------------------------------------------------------- Chordality *)
 
@@ -160,7 +172,7 @@ let prop_chordal_equal =
     (fun seed ->
       let g = graph_of_seed ~max_n:10 seed in
       let kernel = Chordal.is_chordal g in
-      kernel = Chordal.is_chordal_sets g
+      kernel = Reference_sets.is_chordal_sets g
       && kernel = Chordal.is_chordal_brute g)
 
 let prop_peo_check_equal =
@@ -175,7 +187,7 @@ let prop_peo_check_equal =
         Workloads.Rng.shuffle rng (Iset.elements (Ugraph.nodes g))
       in
       Chordal.is_perfect_elimination_order g order
-      = Chordal.is_perfect_elimination_order_sets g order)
+      = Reference_sets.is_perfect_elimination_order_sets g order)
 
 (* ------------------------------------------------- Cycle/chord scan *)
 
@@ -188,7 +200,7 @@ let prop_chord_scan_equal =
       let min_len = 4 + (2 * Workloads.Rng.int rng 2) in
       let max_chords = Workloads.Rng.int rng 3 in
       Cycles.exists_cycle_with_few_chords g ~min_len ~max_chords
-      = Cycles.exists_cycle_with_few_chords_sets g ~min_len ~max_chords)
+      = Reference_sets.exists_cycle_with_few_chords_sets g ~min_len ~max_chords)
 
 (* --------------------------------------------------- Hyperedge MCS *)
 
@@ -401,8 +413,8 @@ let qcheck_cases =
     prop_bitset_model;
     prop_bitset_binops;
     prop_csr_construction;
-    prop_lexbfs_equal;
-    prop_mcs_equal;
+    prop_mcs_order;
+    prop_chordal_within;
     prop_chordal_equal;
     prop_peo_check_equal;
     prop_chord_scan_equal;

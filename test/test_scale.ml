@@ -134,7 +134,7 @@ let prop_gen_scale_direct_eq_sets =
             Workloads.Gen_scale.make fam ~target_n:(60 + (seed mod 90)) ~seed
           in
           let direct = Workloads.Gen_scale.to_bigraph inst in
-          let sets = Workloads.Gen_scale.to_bigraph_sets inst in
+          let sets = Reference_sets.to_bigraph_sets inst in
           Bigraph.equal direct sets
           && Csr.equal (Bigraph.csr direct) (Bigraph.csr sets)
           && Workloads.Gen_scale.m inst = Bigraph.m direct)
@@ -157,7 +157,7 @@ let prop_gen_scale_same_answers =
           let s_sets =
             Minconn.Session.create
               (Minconn.Compiled.compile
-                 (Workloads.Gen_scale.to_bigraph_sets inst))
+                 (Reference_sets.to_bigraph_sets inst))
           in
           let blocks = Workloads.Gen_scale.n_blocks inst in
           List.for_all
