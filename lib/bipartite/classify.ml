@@ -40,8 +40,8 @@ let neutral =
    flip), as (chordal, conformal, α), each check under a span
    ["classify.hK.check"]. α is chordal ∧ conformal (Theorem 1 (v)), so
    the α kernel runs first; off α a chordal 2-section means not
-   conformal, and only a non-chordal side builds its hypergraph for
-   Gilmore. *)
+   conformal, and only a non-chordal side runs Gilmore's criterion.
+   All three read [g]'s CSR; no hypergraph is built. *)
 let side trace hk g =
   let span check f =
     Observe.Trace.span trace ("classify." ^ hk ^ "." ^ check) f

@@ -66,14 +66,16 @@ val profile_connected : ?trace:Observe.Trace.t -> Bigraph.t -> profile
       ({!Hypergraphs.Hypergraph.two_section_csr}) and decides it with
       the linear MCS kernel ({!Graphs.Chordal.is_chordal_csr}): a
       chordal side is not conformal, else ["classify.hK.conformal"]
-      builds the side's hypergraph and Gilmore decides. Each degree is
-      α or cyclic.
+      runs Gilmore's criterion on the same CSR
+      ({!Hypergraphs.Conformal.incidence}). Each degree is α or
+      cyclic.
 
     γ-elimination is near-linear in the component's size.
     β-elimination re-tests a node only when a node that blocked its
     last test is deleted. A side's 2-section costs the sum of its
-    hyperedges' squared sizes. Only a side whose 2-section is not
-    chordal builds a hypergraph.
+    hyperedges' squared sizes, and Gilmore's criterion a sum over the
+    triangles of its hyperedges' intersection graph. No check builds a
+    hypergraph or a bitset.
     So a component records 0, 1, 2, or 4 to 8 child spans under its
     one ["classify"] span, which carries the headline verdicts. *)
 

@@ -1,11 +1,6 @@
 open Graphs
 open Hypergraphs
 
-let hypergraph_of_witness_side g side =
-  match side with
-  | Bigraph.V2 -> fst (Correspond.h1 g)
-  | Bigraph.V1 -> fst (Correspond.h2 g)
-
 (* G's CSR is H¹'s incidence graph, the flip's is H²'s. *)
 let oriented g = function Bigraph.V2 -> g | Bigraph.V1 -> Bigraph.flip g
 
@@ -15,7 +10,8 @@ let chordal g side =
     (Hypergraph.two_section_csr (Bigraph.csr g) ~boundary:(Bigraph.nl g))
 
 let conformal g side =
-  Conformal.is_conformal (hypergraph_of_witness_side g side)
+  let g = oriented g side in
+  Conformal.incidence (Bigraph.csr g) ~boundary:(Bigraph.nl g) = None
 
 let alpha_side g side =
   let g = oriented g side in

@@ -10,12 +10,6 @@
     has a common V₂ neighbor, and equals conformality of [H¹_G]. Both
     together equal α-acyclicity of [H¹_G] (Theorem 1 (v)). *)
 
-open Hypergraphs
-
-val hypergraph_of_witness_side : Bigraph.t -> Bigraph.side -> Hypergraph.t
-(** [H¹_G] when the witness side is [V2], [H²_G] when it is [V1]
-    (isolated witness-side nodes dropped). *)
-
 val chordal : Bigraph.t -> Bigraph.side -> bool
 (** Chordality of the 2-section, cut from G's CSR for [V2] and from
     its flip's for [V1] ({!Hypergraphs.Hypergraph.two_section_csr}),
@@ -23,7 +17,8 @@ val chordal : Bigraph.t -> Bigraph.side -> bool
     built. *)
 
 val conformal : Bigraph.t -> Bigraph.side -> bool
-(** Gilmore's criterion on {!hypergraph_of_witness_side}. *)
+(** Gilmore's criterion ({!Hypergraphs.Conformal.incidence}) on G's
+    CSR for [V2], on its flip's for [V1]; no hypergraph is built. *)
 
 val alpha_side : Bigraph.t -> Bigraph.side -> bool
 (** [chordal && conformal], tested directly as α-acyclicity of the

@@ -1,27 +1,13 @@
 (* Dense bitsets over [{0, ..., len - 1}], packed into OCaml's native
-   63-bit integers. The structure is mutable: the [_into] operations
-   update their first argument in place so hot loops allocate nothing;
-   the binary operations allocate a fresh result. *)
+   63-bit integers and updated in place. *)
 
 let bpw = Sys.int_size (* bits per word: 63 on 64-bit platforms *)
 
 type t = { len : int; words : int array }
 
-let nwords len = (len + bpw - 1) / bpw
-
 let create len =
   if len < 0 then invalid_arg "Bitset.create: negative length";
-  { len; words = Array.make (nwords len) 0 }
-
-let length t = t.len
-
-let copy t = { t with words = Array.copy t.words }
-
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
-
-let assign ~dst ~src =
-  if dst.len <> src.len then invalid_arg "Bitset.assign: length mismatch";
-  Array.blit src.words 0 dst.words 0 (Array.length src.words)
+  { len; words = Array.make ((len + bpw - 1) / bpw) 0 }
 
 let check t i =
   if i < 0 || i >= t.len then invalid_arg "Bitset: index out of range"
@@ -53,74 +39,8 @@ let popcount x =
   let x = x + (x lsr 32) in
   x land 0x7F
 
-let card t =
-  let acc = ref 0 in
-  for k = 0 to Array.length t.words - 1 do
-    acc := !acc + popcount t.words.(k)
-  done;
-  !acc
-
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
-
-let equal a b =
-  a.len = b.len && Array.for_all2 (fun x y -> x = y) a.words b.words
-
-let check_pair a b =
-  if a.len <> b.len then invalid_arg "Bitset: length mismatch"
-
-let subset a b =
-  check_pair a b;
-  let ok = ref true in
-  for k = 0 to Array.length a.words - 1 do
-    if a.words.(k) land lnot b.words.(k) <> 0 then ok := false
-  done;
-  !ok
-
-let inter_card a b =
-  check_pair a b;
-  let acc = ref 0 in
-  for k = 0 to Array.length a.words - 1 do
-    acc := !acc + popcount (a.words.(k) land b.words.(k))
-  done;
-  !acc
-
-let disjoint a b = inter_card a b = 0
-
-let map2_into f a b =
-  check_pair a b;
-  for k = 0 to Array.length a.words - 1 do
-    a.words.(k) <- f a.words.(k) b.words.(k)
-  done
-
-let union_into a b = map2_into ( lor ) a b
-let inter_into a b = map2_into ( land ) a b
-let diff_into a b = map2_into (fun x y -> x land lnot y) a b
-
-let map2 f a b =
-  let r = copy a in
-  map2_into f r b;
-  r
-
-let union a b = map2 ( lor ) a b
-let inter a b = map2 ( land ) a b
-let diff a b = map2 (fun x y -> x land lnot y) a b
-
-(* Number of trailing zeros of a one-bit word [b]: popcount (b - 1). *)
-let iter f t =
-  for k = 0 to Array.length t.words - 1 do
-    let w = ref t.words.(k) in
-    while !w <> 0 do
-      let b = !w land (- !w) in
-      f ((k * bpw) + popcount (b - 1));
-      w := !w land lnot b
-    done
-  done
-
-let fold f t acc =
-  let acc = ref acc in
-  iter (fun i -> acc := f i !acc) t;
-  !acc
-
+(* The index of a one-bit word [b] is its trailing zero count,
+   popcount (b - 1). *)
 let min_elt_opt t =
   let result = ref None in
   (try
@@ -134,17 +54,14 @@ let min_elt_opt t =
    with Exit -> ());
   !result
 
-let of_iset ~len s =
-  let t = create len in
-  Iset.iter (fun i -> add t i) s;
-  t
-
-let to_iset t = fold Iset.add t Iset.empty
-let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       Format.pp_print_int)
-    (elements t)
+let to_iset t =
+  let s = ref Iset.empty in
+  for k = 0 to Array.length t.words - 1 do
+    let w = ref t.words.(k) in
+    while !w <> 0 do
+      let b = !w land (- !w) in
+      s := Iset.add ((k * bpw) + popcount (b - 1)) !s;
+      w := !w land lnot b
+    done
+  done;
+  !s

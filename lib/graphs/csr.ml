@@ -45,8 +45,18 @@ let of_edge_iter ~n iter =
      never overtakes the read position, so one [col] array suffices.
      Short rows — the common case in the bounded-degree scale
      workloads — are insertion-sorted directly inside [col], so the
-     whole sorting pass allocates nothing; only genuinely long rows pay
-     for a scratch copy and the general-purpose sort. *)
+     whole sorting pass allocates nothing (and is one linear pass on a
+     row that arrived ascending). A long row that arrived ascending, as
+     every row of a [Bigraph.flip] stream does, is kept after one
+     linear check; only the others pay for a scratch copy and the
+     general-purpose sort. *)
+  let ascending s e =
+    let k = ref (s + 1) in
+    while !k < e && col.(!k - 1) <= col.(!k) do
+      incr k
+    done;
+    !k >= e
+  in
   for u = 0 to n - 1 do
     let s = row.(u) and e = row.(u + 1) in
     if e - s > 1 then
@@ -60,7 +70,7 @@ let of_edge_iter ~n iter =
           done;
           col.(!j + 1) <- v
         done
-      else begin
+      else if not (ascending s e) then begin
         let tmp = Array.sub col s (e - s) in
         Array.sort cmp_int tmp;
         Array.blit tmp 0 col s (e - s)
@@ -228,24 +238,6 @@ let mem_edge t u v =
     else hi := mid - 1
   done;
   !found
-
-let adj_within t within u =
-  check t u;
-  if Bitset.length within <> t.n then invalid_arg "Csr.adj_within: length";
-  let out = Bitset.create t.n in
-  for k = t.row.(u) to t.row.(u + 1) - 1 do
-    let v = t.col.(k) in
-    if Bitset.mem within v then Bitset.add out v
-  done;
-  out
-
-let degree_within t within u =
-  check t u;
-  let acc = ref 0 in
-  for k = t.row.(u) to t.row.(u + 1) - 1 do
-    if Bitset.mem within t.col.(k) then incr acc
-  done;
-  !acc
 
 (* Rows are sorted and duplicate-free, so each adjacency set can be
    assembled by [Iset.of_list] on an already-sorted list and handed to

@@ -5,8 +5,7 @@
     which never materialise per-node sets) — and then read-only:
     neighbor lists live back to back in one flat array, sorted
     ascending, so traversal is sequential memory access and edge
-    membership is a binary search. Pairs with {!Bitset} for the
-    [within]-restricted traversals the paper's algorithms use. *)
+    membership is a binary search. *)
 
 type t
 
@@ -65,13 +64,6 @@ val for_all_neighbors : t -> int -> (int -> bool) -> bool
 
 val mem_edge : t -> int -> int -> bool
 (** Binary search in the neighbor row: O(log degree). *)
-
-val adj_within : t -> Bitset.t -> int -> Bitset.t
-(** [adj_within t within u]: neighbors of [u] restricted to [within]
-    (which must have length [n t]), as a fresh bitset. *)
-
-val degree_within : t -> Bitset.t -> int -> int
-(** [card (adj_within t within u)] without allocating. *)
 
 val to_ugraph : t -> Ugraph.t
 (** Round-trip back to the set-based representation. Linear: each

@@ -18,34 +18,34 @@ type report = {
 
 let alpha_acyclic = Mcs.alpha_acyclic
 
-let chordal_2section h =
-  let t, boundary = Hypergraph.incidence_csr h in
+let chordal_2section_incidence t ~boundary =
   Chordal.is_chordal_csr (Hypergraph.two_section_csr t ~boundary)
 
 let alpha_acyclic_by_definition h =
-  chordal_2section h && Conformal.is_conformal h
+  let t, boundary = Hypergraph.incidence_csr h in
+  chordal_2section_incidence t ~boundary
+  && Conformal.incidence t ~boundary = None
 
-let beta_acyclic = Beta.acyclic
-let gamma_acyclic = Gamma.acyclic
-let berge_acyclic = Berge.acyclic
-
-(* γ ⊆ β, so β-elimination runs only when γ-elimination fails. *)
+(* One incidence CSR feeds every kernel; γ ⊆ β, so β-elimination runs
+   only when γ-elimination fails. *)
 let report h =
-  let gamma = gamma_acyclic h in
+  let t, boundary = Hypergraph.incidence_csr h in
+  let gamma = Gamma.acyclic_incidence t in
   {
-    berge = berge_acyclic h;
+    berge = Berge.acyclic h;
     gamma;
-    beta = gamma || beta_acyclic h;
-    alpha = alpha_acyclic h;
-    conformal = Conformal.is_conformal h;
-    chordal_2section = chordal_2section h;
+    beta = gamma || Beta.acyclic_incidence t ~boundary;
+    alpha = Option.is_some (Mcs.incidence t ~boundary);
+    conformal = Conformal.incidence t ~boundary = None;
+    chordal_2section = chordal_2section_incidence t ~boundary;
   }
 
 let degree h =
-  if berge_acyclic h then Berge_acyclic
-  else if gamma_acyclic h then Gamma_acyclic
-  else if beta_acyclic h then Beta_acyclic
-  else if alpha_acyclic h then Alpha_acyclic
+  let t, boundary = Hypergraph.incidence_csr h in
+  if Berge.acyclic h then Berge_acyclic
+  else if Gamma.acyclic_incidence t then Gamma_acyclic
+  else if Beta.acyclic_incidence t ~boundary then Beta_acyclic
+  else if Option.is_some (Mcs.incidence t ~boundary) then Alpha_acyclic
   else Cyclic
 
 let degree_name = function

@@ -29,16 +29,11 @@ val alpha_acyclic_by_definition : Hypergraph.t -> bool
 (** Literally Definition 7: [G(H)] chordal and [H] conformal. Used to
     cross-check the search-based test. *)
 
-val beta_acyclic : Hypergraph.t -> bool
-
-val gamma_acyclic : Hypergraph.t -> bool
-
-val berge_acyclic : Hypergraph.t -> bool
-
 val report : Hypergraph.t -> report
+(** Every field, each kernel reading one incidence CSR. *)
 
 val degree : Hypergraph.t -> degree
-(** Most restrictive satisfied degree. *)
+(** Most restrictive satisfied degree, on one incidence CSR. *)
 
 val degree_name : degree -> string
 

@@ -2,46 +2,90 @@ open Graphs
 
 exception Found of int * int * int
 
-(* Gilmore's criterion over packed machine words: the hyperedges are
-   materialised as dense bitsets once, then the O(q^3) triple loop pays
-   O(n / word_size) per set operation and allocates nothing — the same
-   CSR/bitset treatment the chordality kernels got in PR 1. The
-   lexicographically first violating triple is returned, matching the
-   Iset reference scan in test/reference_classify.ml witness for
-   witness. *)
-let gilmore_violation h =
-  let q = Hypergraph.n_edges h in
-  if q < 3 then None
-  else begin
-    let n = Hypergraph.n_nodes h in
-    let eb = Array.init q (fun i -> Bitset.of_iset ~len:n (Hypergraph.edge h i)) in
-    let s = Bitset.create n in
-    let tmp = Bitset.create n in
-    let ij = Bitset.create n in
-    let contained_in_some s =
-      let rec go i = i < q && (Bitset.subset s eb.(i) || go (i + 1)) in
-      go 0
+(* Gilmore's criterion on the incidence CSR: nodes below [boundary],
+   hyperedge [i] at vertex [boundary + i]. Only a triangle of the
+   intersection graph can violate it: if e_i ∩ e_j = ∅, the union of the
+   pairwise intersections lies inside e_k. Triangles are enumerated in
+   lexicographic order — i ascending, j ∈ N(i) above i ascending, then
+   k ∈ N(i) ∩ N(j) above j ascending — so the first violation is the
+   first violating triple of the plain triple loop.
+
+   Rows of the intersection graph are built lazily by stamping:
+   [reach_i.(k) = i] marks k ∈ N(i), [reach_j.(k) = j] marks k ∈ N(j),
+   and [in_i]/[in_j] mark the nodes of e_i and e_j the same way, so no
+   stamp is ever cleared. For a triangle (i, j, k), [s] holds the
+   union: e_i ∩ e_j as a prefix, then the nodes of e_k in exactly one
+   of e_i, e_j. A hyperedge containing it passes through its node of
+   least degree, so only those hyperedges are tested. *)
+let incidence t ~boundary =
+  let q = Csr.n t - boundary in
+  let in_i = Array.make boundary (-1) and in_j = Array.make boundary (-1) in
+  let reach_i = Array.make q (-1) and reach_j = Array.make q (-1) in
+  let s = Array.make boundary 0 in
+  let above reach j f =
+    Csr.iter_neighbors t (boundary + j) (fun v ->
+        Csr.iter_neighbors t v (fun e ->
+            let k = e - boundary in
+            if k > j && reach.(k) <> j then begin
+              reach.(k) <- j;
+              f k
+            end))
+  in
+  let contained len =
+    let pivot = ref s.(0) in
+    for a = 1 to len - 1 do
+      if Csr.degree t s.(a) < Csr.degree t !pivot then pivot := s.(a)
+    done;
+    let rec inside e a =
+      a >= len || (Csr.mem_edge t e s.(a) && inside e (a + 1))
     in
-    try
-      for i = 0 to q - 1 do
-        for j = i + 1 to q - 1 do
-          (* e_i ∩ e_j is loop-invariant in k: hoist it. *)
-          Bitset.assign ~dst:ij ~src:eb.(i);
-          Bitset.inter_into ij eb.(j);
-          for k = j + 1 to q - 1 do
-            Bitset.assign ~dst:s ~src:eb.(j);
-            Bitset.inter_into s eb.(k);
-            Bitset.assign ~dst:tmp ~src:eb.(i);
-            Bitset.inter_into tmp eb.(k);
-            Bitset.union_into s tmp;
-            Bitset.union_into s ij;
-            if not (contained_in_some s) then raise (Found (i, j, k))
-          done
-        done
-      done;
-      None
-    with Found (i, j, k) -> Some (i, j, k)
-  end
+    not (Csr.for_all_neighbors t !pivot (fun e -> not (inside e 0)))
+  in
+  try
+    for i = 0 to q - 1 do
+      Csr.iter_neighbors t (boundary + i) (fun v -> in_i.(v) <- i);
+      let row = ref [] in
+      above reach_i i (fun k -> row := k :: !row);
+      let row = Array.of_list !row in
+      Array.sort Int.compare row;
+      Array.iteri
+        (fun a j ->
+          Csr.iter_neighbors t (boundary + j) (fun v -> in_j.(v) <- j);
+          above reach_j j ignore;
+          let shared =
+            Csr.fold_neighbors t (boundary + j)
+              (fun len v ->
+                if in_i.(v) = i then begin
+                  s.(len) <- v;
+                  len + 1
+                end
+                else len)
+              0
+          in
+          for b = a + 1 to Array.length row - 1 do
+            let k = row.(b) in
+            if reach_j.(k) = j then begin
+              let len =
+                Csr.fold_neighbors t (boundary + k)
+                  (fun len v ->
+                    if (in_i.(v) = i) <> (in_j.(v) = j) then begin
+                      s.(len) <- v;
+                      len + 1
+                    end
+                    else len)
+                  shared
+              in
+              if not (contained len) then raise (Found (i, j, k))
+            end
+          done)
+        row
+    done;
+    None
+  with Found (i, j, k) -> Some (i, j, k)
+
+let gilmore_violation h =
+  let t, boundary = Hypergraph.incidence_csr h in
+  incidence t ~boundary
 
 let is_conformal h = gilmore_violation h = None
 

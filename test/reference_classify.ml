@@ -3,9 +3,10 @@
    field independently. [Classify.profile] runs, per component, only
    the checks Theorem 1 and Corollary 2 leave open and derives the
    rest; it must reproduce the reference field for field. The
-   reference decides β and γ with the set-view oracles below, and side
+   reference decides β and γ with the set-view oracles below, side
    chordality with the LexBFS pipeline of [Reference_sets] on the
-   [Ugraph] 2-section, not with the kernels [Classify] runs. *)
+   [Ugraph] 2-section, and conformality with the Iset triple loop
+   below, not with the kernels [Classify] runs. *)
 
 open Hypergraphs
 open Bipartite
@@ -33,33 +34,8 @@ let degree ~berge ~gamma ~beta ~alpha =
   else if alpha then Acyclicity.Alpha_acyclic
   else Acyclicity.Cyclic
 
-let reference_profile g =
-  let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
-  let h2 = Side_properties.hypergraph_of_witness_side g Bigraph.V1 in
-  let chordal_62 = gamma_acyclic_sets h1 in
-  let chordal_61 = beta_acyclic_sets h1 in
-  let alpha_h1 = Gyo.alpha_acyclic h1 in
-  let alpha_h2 = Gyo.alpha_acyclic h2 in
-  {
-    Classify.chordal_41 = Mn_chordality.is_41_chordal g;
-    chordal_62;
-    chordal_61;
-    v2_chordal = Reference_sets.is_chordal_sets (Hypergraph.two_section h1);
-    v2_conformal = Conformal.is_conformal h1;
-    v1_chordal = Reference_sets.is_chordal_sets (Hypergraph.two_section h2);
-    v1_conformal = Conformal.is_conformal h2;
-    alpha_h1;
-    alpha_h2;
-    degree_h1 =
-      degree ~berge:(Berge.acyclic h1) ~gamma:chordal_62 ~beta:chordal_61
-        ~alpha:alpha_h1;
-    degree_h2 =
-      degree ~berge:(Berge.acyclic h2) ~gamma:(gamma_acyclic_sets h2)
-        ~beta:(beta_acyclic_sets h2) ~alpha:alpha_h2;
-  }
-
-(* Gilmore's criterion on Iset, the reference for the bitset kernel
-   [Conformal.gilmore_violation]: the lexicographically first triple of
+(* Gilmore's criterion on Iset, the reference for the incidence
+   kernel [Conformal.incidence]: the lexicographically first triple of
    edges whose pairwise intersections lie in no single edge. *)
 let gilmore_violation_sets h =
   let q = Hypergraph.n_edges h in
@@ -86,3 +62,28 @@ let gilmore_violation_sets h =
     done
   done;
   !result
+
+let reference_profile g =
+  let h1 = fst (Correspond.h1 g) and h2 = fst (Correspond.h2 g) in
+  let conformal h = gilmore_violation_sets h = None in
+  let chordal_62 = gamma_acyclic_sets h1 in
+  let chordal_61 = beta_acyclic_sets h1 in
+  let alpha_h1 = Gyo.alpha_acyclic h1 in
+  let alpha_h2 = Gyo.alpha_acyclic h2 in
+  {
+    Classify.chordal_41 = Mn_chordality.is_41_chordal g;
+    chordal_62;
+    chordal_61;
+    v2_chordal = Reference_sets.is_chordal_sets (Hypergraph.two_section h1);
+    v2_conformal = conformal h1;
+    v1_chordal = Reference_sets.is_chordal_sets (Hypergraph.two_section h2);
+    v1_conformal = conformal h2;
+    alpha_h1;
+    alpha_h2;
+    degree_h1 =
+      degree ~berge:(Berge.acyclic h1) ~gamma:chordal_62 ~beta:chordal_61
+        ~alpha:alpha_h1;
+    degree_h2 =
+      degree ~berge:(Berge.acyclic h2) ~gamma:(gamma_acyclic_sets h2)
+        ~beta:(beta_acyclic_sets h2) ~alpha:alpha_h2;
+  }

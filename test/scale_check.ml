@@ -45,6 +45,15 @@
    [Ugraph] 2-section per side from the hypergraph and running the
    quadratic LexBFS kernel on it took 1.6–1.75 s.
 
+   It classifies the 25×25 grid schema (an attribute per cell, a
+   binary relation per grid edge; n = 1,825) under the one-second
+   budget. Neither side is α or chordal, so both sides reach Gilmore's
+   conformality test, and both are conformal: the hyperedges'
+   intersection graph has no triangle on either side. Gilmore's test
+   enumerates only those triangles, on the component's CSR, and takes
+   a few milliseconds; the cubic loop over dense bitsets of every
+   hyperedge triple took about 224 s.
+
    It answers one 4-terminal query on a connected chordal62 schema of
    n ≈ 1,200 under a one-second budget: Algorithm 2's elimination runs
    on the component's CSR with an array BFS per candidate, and the
@@ -174,6 +183,36 @@ let gnp_classify_s () =
     || not (p.v2_chordal && p.v1_chordal)
   then begin
     prerr_endline "scale_check: the gnp schema has an unexpected profile";
+    exit 1
+  end;
+  (Minconn.Bigraph.n g, dt)
+
+(* Seconds to classify the [k]×[k] grid schema, failing unless it
+   has the profile that sends both sides to Gilmore's test: off (6,1),
+   neither side α or chordal, both sides conformal. *)
+let grid_classify_s ~k =
+  let cell i j = (i * k) + j in
+  let edges = ref [] and nr = ref 0 in
+  let relation a b =
+    edges := (a, !nr) :: (b, !nr) :: !edges;
+    incr nr
+  in
+  for i = 0 to k - 1 do
+    for j = 0 to k - 1 do
+      if j + 1 < k then relation (cell i j) (cell i (j + 1));
+      if i + 1 < k then relation (cell i j) (cell (i + 1) j)
+    done
+  done;
+  let g = Minconn.Bigraph.of_edges ~nl:(k * k) ~nr:!nr !edges in
+  let t0 = Unix.gettimeofday () in
+  let p = Minconn.Classify.profile g in
+  let dt = Unix.gettimeofday () -. t0 in
+  let open Minconn.Classify in
+  if
+    p.chordal_61 || p.alpha_h1 || p.alpha_h2 || p.v2_chordal || p.v1_chordal
+    || not (p.v2_conformal && p.v1_conformal)
+  then begin
+    prerr_endline "scale_check: the grid schema has an unexpected profile";
     exit 1
   end;
   (Minconn.Bigraph.n g, dt)
@@ -453,6 +492,14 @@ let () =
       gnp_n gnp_s max_connected_classify_s;
     exit 1
   end;
+  let grid_n, grid_s = grid_classify_s ~k:25 in
+  if grid_s > max_connected_classify_s then begin
+    Printf.eprintf
+      "scale_check: classifying the %d-node grid schema took %.2fs (bound \
+       %.0fs)\n"
+      grid_n grid_s max_connected_classify_s;
+    exit 1
+  end;
   let compiles =
     List.map
       (fun (name, family) ->
@@ -529,6 +576,8 @@ let () =
     connected_s max_connected_classify_s;
   Printf.fprintf oc "gnp classify: n=%d in %.3fs (bound %.0fs)\n" gnp_n gnp_s
     max_connected_classify_s;
+  Printf.fprintf oc "grid classify: n=%d in %.3fs (bound %.0fs)\n" grid_n
+    grid_s max_connected_classify_s;
   List.iter
     (fun (name, n, s) ->
       Printf.fprintf oc "connected %s compile: n=%d in %.3fs (bound %.0fs)\n"

@@ -148,8 +148,7 @@ let test_profile_gnp_cyclic () =
    the umbrella recognizer on each witness hypergraph. *)
 let matches_reference g =
   let p = Classify.profile g in
-  let h1 = Side_properties.hypergraph_of_witness_side g Bigraph.V2 in
-  let h2 = Side_properties.hypergraph_of_witness_side g Bigraph.V1 in
+  let h1 = fst (Correspond.h1 g) and h2 = fst (Correspond.h2 g) in
   p = Reference_classify.reference_profile g
   && p.Classify.degree_h1 = Acyclicity.degree h1
   && p.Classify.degree_h2 = Acyclicity.degree h2
@@ -646,16 +645,32 @@ let two_section_matches g =
     (Hypergraph.two_section_csr (Bigraph.csr g) ~boundary:(Bigraph.nl g))
     (Csr.of_ugraph (Hypergraph.two_section (fst (Correspond.h1 g))))
 
+(* Gilmore's kernel on [g]'s CSR read as H¹ returns the Iset
+   reference's witness on H¹, mapped back to right nodes. An isolated
+   right node is an empty hyperedge to the kernel, absent from H¹, and
+   in no triangle of the intersection graph. *)
+let gilmore_matches g =
+  let h, right_of = Correspond.h1 g in
+  Conformal.incidence (Bigraph.csr g) ~boundary:(Bigraph.nl g)
+  = Option.map
+      (fun (i, j, k) -> (right_of.(i), right_of.(j), right_of.(k)))
+      (Reference_classify.gilmore_violation_sets h)
+
 (* The γ and β kernels on G's CSR, and on H¹'s incidence CSR, equal
    Definition 4's brute force at (6,2) and (6,1) and the set-view
    oracles on H¹; the α kernel on both sides equals GYO; side
-   chordality equals Definition 5's brute force on both sides, and the
-   CSR 2-section it reads equals the [Ugraph] one. *)
+   chordality and conformality equal Definition 5's brute force on
+   both sides, the CSR 2-section chordality reads equals the [Ugraph]
+   one, and Gilmore's kernel names the reference's witness. *)
 let test_exhaustive_kernels () =
   every_small_graph (fun g ->
       let h1 = fst (Correspond.h1 g) in
       let side_chordal side =
         Side_properties.chordal g side = Side_properties.chordal_brute g side
+      in
+      let side_conformal side =
+        Side_properties.conformal g side
+        = Side_properties.conformal_brute g side
       in
       let brute62 = Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:2 in
       let brute61 = Mn_chordality.is_mn_chordal_brute g ~m:6 ~n:1 in
@@ -680,6 +695,11 @@ let test_exhaustive_kernels () =
           ("CSR 2-section of H1 = Ugraph 2-section", two_section_matches g);
           ( "CSR 2-section of H2 = Ugraph 2-section",
             two_section_matches (Bigraph.flip g) );
+          ("V2 conformality = Definition 5 brute", side_conformal Bigraph.V2);
+          ("V1 conformality = Definition 5 brute", side_conformal Bigraph.V1);
+          ("Gilmore kernel on H1 = Iset reference", gilmore_matches g);
+          ( "Gilmore kernel on H2 = Iset reference",
+            gilmore_matches (Bigraph.flip g) );
         ])
 
 let test_exhaustive_profile () =

@@ -451,10 +451,14 @@ let qcheck_cases =
         | Some order -> beta && replays_beta h order
         | None -> not beta);
     QCheck2.Test.make ~count:300
-      ~name:"bitset Gilmore = Iset reference, witness for witness"
-      gen_random_h (fun h ->
-        Conformal.gilmore_violation h
-        = Reference_classify.gilmore_violation_sets h);
+      ~name:"Gilmore kernel = Iset reference, witness for witness"
+      QCheck2.Gen.(pair gen_random_h gen_padded_h)
+      (fun (h, padded) ->
+        List.for_all
+          (fun h ->
+            Conformal.gilmore_violation h
+            = Reference_classify.gilmore_violation_sets h)
+          [ h; padded ]);
   ]
 
 let () =
