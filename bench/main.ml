@@ -59,8 +59,8 @@ let figures_section () =
   (* F2 *)
   let g2 = F.fig2.F.graph in
   row "F2" "H1 alpha-acyclic but dual H2 alpha-cyclic (Corollary 1 boundary)"
-    (Hypergraphs.Gyo.alpha_acyclic (Correspond.h1_exn g2)
-    && not (Hypergraphs.Gyo.alpha_acyclic (Correspond.h2_exn g2)));
+    (Hypergraphs.Acyclicity.alpha_acyclic (Correspond.h1_exn g2)
+    && not (Hypergraphs.Acyclicity.alpha_acyclic (Correspond.h2_exn g2)));
   (* F3/F4 *)
   let deg g = Hypergraphs.Acyclicity.degree (Correspond.h1_exn g) in
   row "F3a" "forest, Berge-acyclic H1 (Fig 4a)"
@@ -181,7 +181,7 @@ let table_t1 () =
       if
         (Side_properties.chordal_brute g Bigraph.V2
         && Side_properties.conformal_brute g Bigraph.V2)
-        = Hypergraphs.Gyo.alpha_acyclic h1
+        = Hypergraphs.Acyclicity.alpha_acyclic h1
       then incr agree_v
     end
   done;
@@ -209,9 +209,9 @@ let table_c1 () =
     if Hypergraphs.Berge.acyclic h = Hypergraphs.Berge.acyclic d then incr ok_b;
     if Hypergraphs.Gamma.acyclic h = Hypergraphs.Gamma.acyclic d then incr ok_g;
     if Hypergraphs.Beta.acyclic h = Hypergraphs.Beta.acyclic d then incr ok_be;
-    if Hypergraphs.Gyo.alpha_acyclic h then begin
+    if Hypergraphs.Acyclicity.alpha_acyclic h then begin
       incr alpha_cases;
-      if not (Hypergraphs.Gyo.alpha_acyclic d) then incr alpha_breaks
+      if not (Hypergraphs.Acyclicity.alpha_acyclic d) then incr alpha_breaks
     end
   done;
   Printf.printf "Berge self-dual: %d/%d   gamma: %d/%d   beta: %d/%d\n" !ok_b
@@ -589,22 +589,23 @@ let ablation_a2 () =
         (Bigraph.m g) t_beta t_bis t_dlex)
     [ 8; 16; 32; 64 ]
 
-(* A3: the GYO reduction, kept as the oracle, vs the linear MCS kernel
-   every caller runs. *)
+(* A3: Definition 7 (chordal 2-section and Gilmore's criterion) vs the
+   linear MCS kernel every caller runs. *)
 let ablation_a3 () =
-  header "A3: alpha-acyclicity recognisers (GYO oracle vs MCS kernel)";
+  header "A3: alpha-acyclicity recognisers (Definition 7 vs MCS kernel)";
   Printf.printf "%8s %8s %12s %12s %8s
-" "edges" "nodes" "GYO ms" "MCS ms" "agree";
+" "edges" "nodes" "Def7 ms" "MCS ms" "agree";
   List.iter
     (fun n_edges ->
       let rng = trial ~section:"a3" n_edges in
       let h = Workloads.Gen_hyper.alpha_acyclic rng ~n_edges ~max_size:5 in
-      let t_gyo = time_ms (fun () -> Hypergraphs.Gyo.alpha_acyclic h) in
+      let by_definition = Hypergraphs.Acyclicity.alpha_acyclic_by_definition in
+      let t_def = time_ms (fun () -> by_definition h) in
       let t_mcs = time_ms (fun () -> Hypergraphs.Mcs.alpha_acyclic h) in
       Printf.printf "%8d %8d %12.3f %12.3f %8b
 " n_edges
-        (Hypergraphs.Hypergraph.n_nodes h) t_gyo t_mcs
-        (Hypergraphs.Gyo.alpha_acyclic h = Hypergraphs.Mcs.alpha_acyclic h))
+        (Hypergraphs.Hypergraph.n_nodes h) t_def t_mcs
+        (by_definition h = Hypergraphs.Mcs.alpha_acyclic h))
     [ 10; 20; 40; 80 ]
 
 (* D1: the dialogue's point — proposing interpretations smallest-first
@@ -703,6 +704,7 @@ let micro_tests () =
   let gnp = Workloads.Gen_bipartite.gnp rng ~nl:12 ~nr:12 ~p:0.3 in
   let pnp = Workloads.Gen_bipartite.random_terminals (trial ~section:"micro-terminals" 3) gnp ~k:5 in
   let unp = Bigraph.ugraph gnp in
+  let wnp = Array.init (Bigraph.n gnp) (fun v -> 1 + (v mod 3)) in
   let h_rand =
     Workloads.Gen_hyper.random rng ~n_nodes:20 ~n_edges:12 ~max_size:5
   in
@@ -754,7 +756,8 @@ let micro_tests () =
            Strongly_chordal.is_strongly_chordal chordal_g));
     Test.make ~name:"X2/weighted-steiner-5t"
       (Staged.stage (fun () ->
-           Weighted.solve unp ~weight:(fun v -> 1 + (v mod 3)) ~terminals:pnp));
+           Dreyfus_wagner.solve_csr ~weight:wnp (Bigraph.csr gnp)
+             ~terminals:pnp));
     Test.make ~name:"X3/kbest-4"
       (Staged.stage (fun () ->
            Kbest.enumerate ~max_trees:4 unp ~terminals:pnp));
@@ -965,37 +968,26 @@ let timed_entry ~section ~impl ~n ~m ~ms =
       ("mean_ms", Observe.Json.Jnum ms);
     ] )
 
-(* The join tree of GYO's absorptions: the quadratic-per-round baseline
-   the [mcs] pair races the linear kernel against. *)
-let gyo_join_tree h =
-  let t = Hypergraphs.Gyo.run h in
-  if t.Hypergraphs.Gyo.surviving_edges <> [] then None
-  else Some (Hypergraphs.Join_tree.make h ~parent:t.Hypergraphs.Gyo.parent)
-
-let kernels_section ~trials ~max_n ~json_path () =
-  header "kernels: flat CSR kernels (mcs raced against GYO)";
-  Printf.printf "%-10s %-5s %6s %8s %12s\n" "section" "impl" "|V|" "|E|"
+let kernels_section ~trials ~max_n ~scale_max_n ~json_path () =
+  header "kernels: flat CSR kernels (dw node weights raced against unit)";
+  Printf.printf "%-10s %-8s %6s %8s %12s\n" "section" "impl" "|V|" "|E|"
     "mean ms";
   let rows = ref [] in
   let run ~section ~n ~m impl f =
     let ms = time_mean ~trials f in
-    Printf.printf "%-10s %-5s %6d %8d %12.4f\n%!" section impl n m ms;
+    Printf.printf "%-10s %-8s %6d %8d %12.4f\n%!" section impl n m ms;
     rows := !rows @ [ timed_entry ~section ~impl ~n ~m ~ms ];
     ms
   in
   let sizes l = List.filter (fun x -> x <= max_n) l in
-  let largest = ref None in
   List.iter
     (fun n_edges ->
       let rng = trial ~section:"kernels-mcs" n_edges in
       let h = Workloads.Gen_hyper.alpha_acyclic rng ~n_edges ~max_size:6 in
       let n = Hypergraphs.Hypergraph.n_nodes h
       and m = Hypergraphs.Hypergraph.n_edges h in
-      let t_sets = run ~section:"mcs" ~n ~m "sets" (fun () -> gyo_join_tree h) in
-      let t_csr =
-        run ~section:"mcs" ~n ~m "csr" (fun () -> Hypergraphs.Mcs.join_tree h)
-      in
-      largest := Some (t_sets, t_csr))
+      ignore
+        (run ~section:"mcs" ~n ~m "csr" (fun () -> Hypergraphs.Mcs.join_tree h)))
     (sizes [ 16; 32; 64; 128 ]);
   List.iter
     (fun nsz ->
@@ -1005,12 +997,51 @@ let kernels_section ~trials ~max_n ~json_path () =
         (run ~section:"chordal" ~n:(Ugraph.n g) ~m:(Ugraph.m g) "csr"
            (fun () -> Chordal.is_chordal g)))
     (sizes [ 48; 96; 192; 384 ]);
+  (* The exact DP on one connected α schema, three terminals, with unit
+     weights, with weights 1 + v mod 3 and with heavy weights drawn
+     from 10^4 .. 10^6 (total ≫ n + m); like the engine's alpha rows
+     the ladder (n ≈ 300 and 3,000) is capped by --scale-max-n. *)
+  let largest = ref None in
+  List.iter
+    (fun n_right ->
+      let g =
+        Workloads.Gen_bipartite.alpha_bipartite
+          (trial ~section:"kernels-dw" n_right)
+          ~n_right ~max_size:4
+      in
+      let csr = Bigraph.csr g and n = Bigraph.n g and m = Bigraph.m g in
+      let terminals =
+        Workloads.Gen_bipartite.random_terminals
+          (trial ~section:"kernels-dw-terminals" n_right)
+          g ~k:3
+      in
+      let weight = Array.init n (fun v -> 1 + (v mod 3)) in
+      let heavy =
+        let rng = trial ~section:"kernels-dw-heavy" n_right in
+        Array.init n (fun _ -> 10_000 + Workloads.Rng.int rng 990_001)
+      in
+      let solve ?weight () =
+        match Dreyfus_wagner.solve_csr ?weight csr ~terminals with
+        | Some _ -> ()
+        | None -> failwith "kernels bench: dw terminals disconnected"
+      in
+      let t_unit = run ~section:"dw" ~n ~m "unit" (fun () -> solve ()) in
+      let t_weighted = run ~section:"dw" ~n ~m "weighted" (solve ~weight) in
+      let t_heavy = run ~section:"dw" ~n ~m "heavy" (solve ~weight:heavy) in
+      largest := Some (n, t_unit, t_weighted, t_heavy))
+    (List.filter (fun r -> 3 * r <= scale_max_n) [ 100; 1000 ]);
   Option.iter
-    (fun (t_sets, t_csr) ->
-      Printf.printf "-- %-10s largest instance: csr %s sets (%.4f vs %.4f ms)\n"
-        "mcs"
-        (if t_csr <= t_sets then "<=" else "SLOWER THAN")
-        t_csr t_sets)
+    (fun (n, t_unit, t_weighted, t_heavy) ->
+      (* Small weights stay within 2x of unit; heavy ones pay a few more
+         radix-heap moves per entry, but no pass grows with the costs
+         (a queue spanning them would be ~10^4x slower here). *)
+      List.iter
+        (fun (impl, t, bound) ->
+          let ratio = t /. t_unit in
+          Printf.printf "-- dw n=%d %s/unit = %.4f (must be <= %g)%s\n" n impl
+            ratio bound
+            (if ratio <= bound then "" else "  TOO SLOW"))
+        [ ("weighted", t_weighted, 2.); ("heavy", t_heavy, 8.) ])
     !largest;
   write_bench_json ~section:"kernels" ~trials ~max_n ~path:json_path !rows
 
@@ -2181,8 +2212,8 @@ let () =
       ("micro", micro_section);
       ( "kernels",
         fun () ->
-          kernels_section ~trials:!trials ~max_n:!max_n ~json_path:!json_path
-            () );
+          kernels_section ~trials:!trials ~max_n:!max_n
+            ~scale_max_n:!scale_max_n ~json_path:!json_path () );
       ( "runtime",
         fun () ->
           runtime_section ~trials:!trials ~max_n:!max_n

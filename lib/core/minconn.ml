@@ -6,7 +6,6 @@ module Chordal = Graphs.Chordal
 module Strongly_chordal = Graphs.Strongly_chordal
 module Hypergraph = Hypergraphs.Hypergraph
 module Acyclicity = Hypergraphs.Acyclicity
-module Gyo = Hypergraphs.Gyo
 module Join_tree = Hypergraphs.Join_tree
 module Decomposition = Hypergraphs.Decomposition
 module Bigraph = Bipartite.Bigraph
@@ -17,7 +16,6 @@ module Mn_chordality = Bipartite.Mn_chordality
 module Side_properties = Bipartite.Side_properties
 module Tree = Steiner.Tree
 module Kbest = Steiner.Kbest
-module Weighted = Steiner.Weighted
 module Local_search = Steiner.Local_search
 module Algorithm1 = Steiner.Algorithm1
 module Algorithm2 = Steiner.Algorithm2

@@ -79,22 +79,29 @@ let min_relations schema ~objects =
     | Error Runtime.Errors.Disconnected_terminals -> Error Disconnected
     | Error _ -> Error (Not_applicable "scheme hypergraph is not alpha-acyclic"))
 
+(* The exact DP on the schema's CSR, each object priced once (node ids
+   list the attributes, then the relations). *)
 let weighted_connection schema ~objects ~cost =
   match terminals_of_objects schema objects with
   | Error e -> Error e
   | Ok p ->
-    let g = Schema.to_bigraph schema in
-    let u = Bigraph.ugraph g in
+    let csr = Bigraph.csr (Schema.to_bigraph schema) in
+    let weight =
+      Array.of_list
+        (List.map cost (Schema.attributes schema @ Schema.relation_names schema))
+    in
     if Iset.cardinal p > Dreyfus_wagner.max_terminals then
       Error (Not_applicable "too many query objects for exact search")
+    else if Option.is_none (Dreyfus_wagner.total_weight weight) then
+      Error
+        (Not_applicable
+           (Printf.sprintf "object costs must be nonnegative and total at most %d"
+              Dreyfus_wagner.max_total_weight))
     else (
-      match
-        Weighted.solve u
-          ~weight:(fun v -> cost (Schema.object_name schema v))
-          ~terminals:p
-      with
+      match Dreyfus_wagner.solve_csr ~weight csr ~terminals:p with
       | None -> Error Disconnected
-      | Some (tree, total) ->
+      | Some tree ->
+        let total = Iset.fold (fun v acc -> acc + weight.(v)) tree.Tree.nodes 0 in
         Ok (connection_of_tree schema ~query:p tree ~optimal:true, total))
 
 let is_unambiguous schema ~objects =

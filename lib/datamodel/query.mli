@@ -55,8 +55,14 @@ val weighted_connection :
   Schema.t -> objects:string list -> cost:(string -> int) ->
   (connection * int, error) result
 (** Minimal {e total-cost} connection, where [cost] prices each object
-    by its disclosure burden (exact node-weighted Steiner). The integer
-    is the achieved total cost. *)
+    by its disclosure burden (exact node-weighted Steiner:
+    {!Steiner.Dreyfus_wagner.solve_csr} with [~weight] on the schema's
+    CSR; [cost] is called once per object). The integer is the achieved
+    total cost. [Error (Not_applicable _)] when a cost is negative, when
+    the costs sum above {!Steiner.Dreyfus_wagner.max_total_weight}, or
+    beyond {!Steiner.Dreyfus_wagner.max_terminals} objects;
+    [Error Disconnected] when the objects lie in different
+    components. With every cost 1 the tree is the unweighted DP's. *)
 
 val interpretations :
   ?k:int -> Schema.t -> objects:string list -> connection list

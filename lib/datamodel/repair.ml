@@ -97,9 +97,14 @@ let report schema =
     Buffer.add_string buf
       (Printf.sprintf "offending pattern: Berge cycle through %s\n"
          (name_edges es))
-  | Some (Acyclicity.Gyo_stuck es) ->
+  | Some (Acyclicity.Chordless_cycle ns) ->
     Buffer.add_string buf
-      (Printf.sprintf "offending pattern: GYO stuck on %s\n" (name_edges es))
+      (Printf.sprintf "offending pattern: chordless cycle through %s\n"
+         (String.concat ", " (List.map (Schema.object_name schema) ns)))
+  | Some (Acyclicity.Gilmore_triple (i, j, k)) ->
+    Buffer.add_string buf
+      (Printf.sprintf "offending pattern: Gilmore triple %s\n"
+         (name_edges [ i; j; k ]))
   | None -> ());
   let interesting =
     match current with

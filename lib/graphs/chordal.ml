@@ -50,14 +50,16 @@ let mcs_csr t =
    each node [w] marks its earlier neighbors [v] with its rank and
    becomes the follower of those that had none yet; [v]'s follower is
    then its earliest later neighbor, which must see every other later
-   neighbor of [v] (Rose–Tarjan–Lueker). O(n + m). *)
-let is_peo_csr t peo =
+   neighbor of [v] (Rose–Tarjan–Lueker). O(n + m). A failure is
+   returned as [(v, f, w)]: [f] and [w] are later neighbors of [v] and
+   not adjacent. *)
+let peo_violation t peo =
   let n = Csr.n t in
   let pos = Array.make n 0 in
   Array.iteri (fun i v -> pos.(v) <- i) peo;
   let follower = Array.make n 0 and index = Array.make n 0 in
-  let ok = ref true and i = ref 0 in
-  while !ok && !i < n do
+  let bad = ref None and i = ref 0 in
+  while Option.is_none !bad && !i < n do
     let r = !i in
     let w = peo.(r) in
     follower.(w) <- w;
@@ -67,18 +69,57 @@ let is_peo_csr t peo =
           index.(v) <- r;
           if follower.(v) = v then follower.(v) <- w
         end);
-    ok :=
-      Csr.for_all_neighbors t w (fun v ->
-          pos.(v) > r || index.(follower.(v)) = r);
+    ignore
+      (Csr.for_all_neighbors t w (fun v ->
+           pos.(v) > r
+           || index.(follower.(v)) = r
+           ||
+           (bad := Some (v, follower.(v), w);
+            false)));
     incr i
   done;
-  !ok
+  !bad
 
 let reversed a =
   let n = Array.length a in
   Array.init n (fun i -> a.(n - 1 - i))
 
+let is_peo_csr t peo = Option.is_none (peo_violation t peo)
+
 let is_chordal_csr t = is_peo_csr t (reversed (mcs_csr t))
+
+(* Tarjan and Yannakakis (SIAM J. Comput. 13(3), 1984): when the zero
+   fill-in test of an MCS order fails at (v, f, w), f and w are joined
+   by a path avoiding v's other neighbors, and a shortest one closes a
+   chordless cycle through v. BFS from [f] with N[v] \ {f, w} blocked;
+   a missing path means a broken MCS order, not a chordal graph. *)
+let chordless_cycle_csr t =
+  match peo_violation t (reversed (mcs_csr t)) with
+  | None -> None
+  | Some (v, f, w) ->
+    let n = Csr.n t in
+    let parent = Array.make n (-2) in
+    parent.(v) <- -1;
+    Csr.iter_neighbors t v (fun u -> parent.(u) <- -1);
+    parent.(f) <- f;
+    parent.(w) <- -2;
+    let queue = Array.make n 0 in
+    queue.(0) <- f;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail && parent.(w) = -2 do
+      let x = queue.(!head) in
+      incr head;
+      Csr.iter_neighbors t x (fun y ->
+          if parent.(y) = -2 then begin
+            parent.(y) <- x;
+            queue.(!tail) <- y;
+            incr tail
+          end)
+    done;
+    if parent.(w) = -2 then
+      failwith "Chordal.chordless_cycle_csr: no f-w path (not an MCS order)";
+    let rec back x acc = if x = f then f :: acc else back parent.(x) (x :: acc) in
+    Some (v :: back w [])
 
 (* One CSR of [g] induced on [w], node [ids.(i)] renumbered [i], with
    [local] the inverse map (-1 outside [w]). *)

@@ -14,6 +14,15 @@ val is_chordal_csr : Csr.t -> bool
 (** The kernel: the reversed maximum cardinality search order of the
     whole CSR is a perfect elimination ordering. O(n + m). *)
 
+val chordless_cycle_csr : Csr.t -> int list option
+(** A chordless cycle of length at least 4 when the CSR is not chordal
+    ([None] when it is), from the failed zero fill-in test (Tarjan and
+    Yannakakis 1984): the test fails at a node v whose later neighbors
+    f and w are not adjacent, and a shortest f–w path avoiding v's
+    other neighbors (which exists for an MCS order) closes the cycle
+    [v; f; ...; w]. O(n + m). Raises [Failure] if that path is missing,
+    which the MCS invariant rules out. *)
+
 val mcs_order : ?within:Iset.t -> Ugraph.t -> int list
 (** The kernel's maximum cardinality search visit order of the induced
     subgraph, first visited first, starting from the smallest id. Its

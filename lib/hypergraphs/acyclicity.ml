@@ -59,7 +59,8 @@ type witness =
   | Berge_cycle of int list * int list
   | Gamma_3_cycle of int * int * int
   | Beta_cycle of int list
-  | Gyo_stuck of int list
+  | Chordless_cycle of int list
+  | Gilmore_triple of int * int * int
 
 let why_not h target =
   let beta_witness () =
@@ -82,10 +83,16 @@ let why_not h target =
       | Some (i, j, k) -> Some (Gamma_3_cycle (i, j, k))
       | None -> beta_witness ())
   | Beta_acyclic -> beta_witness ()
-  | Alpha_acyclic ->
-    let t = Gyo.run h in
-    if t.Gyo.surviving_edges = [] then None
-    else Some (Gyo_stuck t.Gyo.surviving_edges)
+  | Alpha_acyclic -> (
+    (* Definition 7: α fails exactly when the 2-section is not chordal
+       or the hypergraph is not conformal. *)
+    let t, boundary = Hypergraph.incidence_csr h in
+    match Chordal.chordless_cycle_csr (Hypergraph.two_section_csr t ~boundary) with
+    | Some cycle -> Some (Chordless_cycle cycle)
+    | None ->
+      Option.map
+        (fun (i, j, k) -> Gilmore_triple (i, j, k))
+        (Conformal.incidence t ~boundary))
 
 let pp_witness ppf = function
   | Berge_cycle (es, ns) ->
@@ -97,9 +104,11 @@ let pp_witness ppf = function
   | Beta_cycle es ->
     Format.fprintf ppf "beta-cycle through edges {%s}"
       (String.concat ", " (List.map string_of_int es))
-  | Gyo_stuck es ->
-    Format.fprintf ppf "GYO reduction stuck with edges {%s}"
-      (String.concat ", " (List.map string_of_int es))
+  | Chordless_cycle ns ->
+    Format.fprintf ppf "chordless cycle in the 2-section through nodes {%s}"
+      (String.concat ", " (List.map string_of_int ns))
+  | Gilmore_triple (i, j, k) ->
+    Format.fprintf ppf "edges (%d, %d, %d) violate Gilmore's criterion" i j k
 
 let hierarchy_consistent r =
   (not r.berge || r.gamma) && (not r.gamma || r.beta) && (not r.beta || r.alpha)

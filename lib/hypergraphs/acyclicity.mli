@@ -44,13 +44,22 @@ type witness =
   | Gamma_3_cycle of int * int * int
       (** ordered edge triple of Definition 6's special 3-cycle *)
   | Beta_cycle of int list  (** edge indices of a β-cycle *)
-  | Gyo_stuck of int list
-      (** edge indices surviving GYO reduction (α fails) *)
+  | Chordless_cycle of int list
+      (** nodes of a chordless cycle of length at least 4 in the
+          2-section, consecutive nodes adjacent (α fails: the 2-section
+          is not chordal) *)
+  | Gilmore_triple of int * int * int
+      (** edge triple whose pairwise intersections lie in no single
+          edge (α fails: chordal 2-section, not conformal) *)
 
 val why_not : Hypergraph.t -> degree -> witness option
 (** A witness that the hypergraph does {e not} reach the given degree;
     [None] when it does (or when the exponential β search is cut off).
-    [Cyclic] as a target never has a witness. *)
+    [Cyclic] as a target never has a witness. For [Alpha_acyclic]
+    (Definition 7): a chordless cycle of the 2-section
+    ({!Graphs.Chordal.chordless_cycle_csr}), else Gilmore's first
+    violating triple ({!Conformal.incidence}), both on one incidence
+    CSR. *)
 
 val pp_witness : Format.formatter -> witness -> unit
 

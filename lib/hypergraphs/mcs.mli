@@ -8,7 +8,7 @@
     Then the selection order has the running intersection property
     (reversed, it is the paper's Lemma 1 ordering W) and the R-parents
     form a join forest. Every path that decides α or builds a join
-    tree runs this kernel; {!Gyo} is only a witness and a test
+    tree runs this kernel; the GYO reduction survives only as a test
     oracle. *)
 
 open Graphs

@@ -6,8 +6,8 @@ open Bipartite
    class is known (and pinned by test/test_scale.ml); the union keeps
    the class, since every chordality/acyclicity property in the
    taxonomy is decided component by component. Bounded blocks also keep
-   compilation linear: GYO and the classifier run per component, so
-   their superlinear factors apply to a constant, not to n.
+   compilation linear: the classifier runs per component, so any
+   superlinear factor applies to a constant, not to n.
 
    Nothing here holds an edge list. An instance is its family, seed and
    per-block offset tables (O(#blocks) ints); [iter_edges] re-derives

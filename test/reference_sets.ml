@@ -1,7 +1,7 @@
 (* Set-based oracles for kernels that run on a CSR in the library:
    chordality by LexBFS and a perfect-elimination-order check on
    [Iset] adjacency, the chord-bounded cycle search by full cycle
-   enumeration, and the pre-CSR construction of a [Gen_scale]
+   enumeration, a chordless-cycle check, and the pre-CSR construction of a [Gen_scale]
    instance. Each is an independent second implementation: none calls
    the kernel it checks. *)
 
@@ -103,3 +103,16 @@ let to_bigraph_sets t =
   let b = Ugraph.Builder.create (nl + nr t) in
   List.iter (fun (i, j) -> Ugraph.Builder.add_edge b i (nl + j)) (List.rev !edges);
   Bipartite.Bigraph.of_bipartite_ugraph ~nl (Ugraph.Builder.build b)
+
+(* Whether [cycle] lists a chordless cycle of [g] of length at least 4:
+   distinct nodes, consecutive ones (and the last with the first)
+   adjacent, no chord. *)
+let is_chordless_cycle g cycle =
+  let a = Array.of_list cycle in
+  let k = Array.length a in
+  k >= 4
+  && Iset.cardinal (Iset.of_list cycle) = k
+  && List.for_all
+       (fun i -> Ugraph.mem_edge g a.(i) a.((i + 1) mod k))
+       (List.init k Fun.id)
+  && Cycles.chords g cycle = []

@@ -4,7 +4,8 @@
    the kernels moved to the slice's CSR. [Dreyfus_wagner.solve_csr],
    [Forest_steiner.solve_csr] and [Mst_approx.solve_csr] (and their
    set-view wrappers) must return the same trees — node sets and edge
-   lists — and the DP must spend the same budget fuel. *)
+   lists — and the DP must spend the same budget fuel. The exhaustive
+   node-weighted oracle prices the DP's [~weight] form. *)
 
 open Graphs
 
@@ -305,3 +306,27 @@ let mst_approx ?(trace = Observe.Trace.disabled) g ~terminals =
         (Observe.Trace.Int (Steiner.Tree.node_count t));
       Some t
     | None -> None)
+
+(* Exhaustive node-weighted oracle: the least total weight over every
+   connected node set holding the terminals. Exponential; tiny graphs
+   only. [Dreyfus_wagner.solve_csr ~weight] must reach it. *)
+let weighted_brute g ~weight ~terminals =
+  let optional = Iset.diff (Ugraph.nodes g) terminals in
+  if Iset.cardinal optional > 18 then
+    invalid_arg "Reference_steiner.weighted_brute: too large";
+  let elements = Array.of_list (Iset.elements optional) in
+  let k = Array.length elements in
+  let best = ref None in
+  for mask = 0 to (1 lsl k) - 1 do
+    let nodes = ref terminals in
+    for b = 0 to k - 1 do
+      if mask land (1 lsl b) <> 0 then nodes := Iset.add elements.(b) !nodes
+    done;
+    if Traverse.is_connected ~within:!nodes g then begin
+      let cost = Iset.fold (fun v acc -> acc + weight v) !nodes 0 in
+      match !best with
+      | Some b when b <= cost -> ()
+      | _ -> best := Some cost
+    end
+  done;
+  if Iset.is_empty terminals then Some 0 else !best

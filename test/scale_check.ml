@@ -283,7 +283,7 @@ let connected_query_s ~n_right =
 (* One 3-terminal query on the connected alpha schema measures about
    10 ms and 1.7 words per (2^t)·(n + m): the exact DP's flat tables
    hold 2^t cells per node, its distances one row per terminal and its
-   bucket queue n + 2m entries. The set-view DP it replaced kept a BFS
+   radix heap n + 2m entries. The set-view DP it replaced kept a BFS
    row from every node — n² words, about 500 per (2^t)·(n + m)
    here. *)
 let max_alpha_query_s = 1.0

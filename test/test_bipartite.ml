@@ -661,7 +661,9 @@ let gilmore_matches g =
    oracles on H¹; the α kernel on both sides equals GYO; side
    chordality and conformality equal Definition 5's brute force on
    both sides, the CSR 2-section chordality reads equals the [Ugraph]
-   one, and Gilmore's kernel names the reference's witness. *)
+   one, Gilmore's kernel names the reference's witness, and on both
+   sides [Acyclicity.why_not]'s α witness is real and present exactly
+   when GYO fails. *)
 let test_exhaustive_kernels () =
   every_small_graph (fun g ->
       let h1 = fst (Correspond.h1 g) in
@@ -700,6 +702,9 @@ let test_exhaustive_kernels () =
           ("Gilmore kernel on H1 = Iset reference", gilmore_matches g);
           ( "Gilmore kernel on H2 = Iset reference",
             gilmore_matches (Bigraph.flip g) );
+          ("alpha witness on H1 real", Gyo.alpha_witness_holds h1);
+          ( "alpha witness on H2 real",
+            Gyo.alpha_witness_holds (fst (Correspond.h1 (Bigraph.flip g))) );
         ])
 
 let test_exhaustive_profile () =

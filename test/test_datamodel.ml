@@ -129,6 +129,29 @@ let test_weighted_connection () =
     check_int "cost accounts for the expensive relation" (6 + 50) total
   | Error _ -> Alcotest.fail "connected"
 
+(* Every cost function gets an answer or a typed error: on the path
+   a – r – b, a negative cost, one cost at [max_int / 4] and costs
+   summing above the DP's cap are [Not_applicable], never an exception
+   or a false [Disconnected]. *)
+let test_weighted_connection_total () =
+  let path = Schema.make [ ("r", [ "a"; "b" ]) ] in
+  let answer cost =
+    Query.weighted_connection path ~objects:[ "a"; "b" ] ~cost
+  in
+  let not_applicable cost =
+    match answer cost with Error (Query.Not_applicable _) -> true | _ -> false
+  in
+  check "negative cost" true (not_applicable (fun _ -> -1));
+  check "cost max_int / 4" true
+    (not_applicable (function "r" -> max_int / 4 | _ -> 1));
+  check "total above max_total_weight" true
+    (not_applicable (fun _ -> (Steiner.Dreyfus_wagner.max_total_weight / 3) + 1));
+  match answer (function "r" -> 5 | _ -> 0) with
+  | Ok (c, total) ->
+    check_int "zero-cost ends, relation priced" 5 total;
+    check "uses r" true (c.Query.relations_used = [ "r" ])
+  | Error _ -> Alcotest.fail "connected"
+
 let test_interpretations_ranked () =
   let interps =
     Query.interpretations ~k:3 company_schema ~objects:[ "emp"; "dept" ]
@@ -589,6 +612,35 @@ let qcheck_cases =
               (Bipartite.Bigraph.ugraph (Schema.to_bigraph schema))
               ~terminals:p
             = Some (List.length c.Query.objects)));
+    QCheck2.Test.make ~count:200
+      ~name:"unit-cost weighted connection = unweighted DP tree"
+      QCheck2.Gen.(int_range 0 5000)
+      (fun seed ->
+        let rng = Workloads.Rng.make ~seed in
+        let schema =
+          schema_of_hypergraph
+            (if seed mod 2 = 0 then
+               Workloads.Gen_hyper.random rng ~n_nodes:7 ~n_edges:6 ~max_size:3
+             else Workloads.Gen_hyper.alpha_acyclic rng ~n_edges:6 ~max_size:3)
+        in
+        let names = Schema.attributes schema @ Schema.relation_names schema in
+        let objects =
+          Workloads.Rng.sample rng (1 + Workloads.Rng.int rng 4) names
+        in
+        match Query.terminals_of_objects schema objects with
+        | Error _ -> false
+        | Ok p -> (
+          let dp =
+            Steiner.Dreyfus_wagner.solve
+              (Bipartite.Bigraph.ugraph (Schema.to_bigraph schema))
+              ~terminals:p
+          in
+          match (Query.weighted_connection schema ~objects ~cost:(fun _ -> 1), dp) with
+          | Error Query.Disconnected, None -> true
+          | Ok (c, total), Some t ->
+            c = Query.connection_of_tree schema ~query:p t ~optimal:true
+            && total = Steiner.Tree.node_count t
+          | _ -> false));
   ]
 
 let () =
@@ -613,6 +665,8 @@ let () =
           Alcotest.test_case "ranked interpretations" `Quick
             test_interpretations_ranked;
           Alcotest.test_case "unambiguous queries" `Quick test_unambiguous;
+          Alcotest.test_case "weighted connection is total" `Quick
+            test_weighted_connection_total;
         ] );
       ( "er",
         [

@@ -309,6 +309,30 @@ let qcheck_cases =
                     (fun c -> Iset.mem u c && Iset.mem v c)
                     cliques)
              g true);
+    (* Near-chordal inputs: a random chordal graph, tree or gnp draw
+       with up to three extra edges, so both verdicts occur. *)
+    QCheck2.Test.make ~count:500
+      ~name:"chordless cycle from the failed fill-in test iff not chordal"
+      QCheck2.Gen.(tup3 (int_range 0 2) (int_range 4 12) (int_range 0 100000))
+      (fun (family, n, seed) ->
+        let rng = Workloads.Rng.make ~seed in
+        let g =
+          match family with
+          | 0 -> Workloads.Gen_graph.random_chordal rng ~n ~max_clique:4
+          | 1 -> Workloads.Gen_graph.random_tree rng ~n
+          | _ -> Workloads.Gen_graph.gnp rng ~n ~p:0.3
+        in
+        let extra =
+          List.init (Workloads.Rng.int rng 4) (fun _ ->
+              (Workloads.Rng.int rng n, Workloads.Rng.int rng n))
+          |> List.filter (fun (u, v) -> u <> v)
+        in
+        let g = Ugraph.of_edges ~n (Ugraph.edges g @ extra) in
+        match Chordal.chordless_cycle_csr (Csr.of_ugraph g) with
+        | None -> Chordal.is_chordal_brute g
+        | Some cycle ->
+          (not (Chordal.is_chordal_brute g))
+          && Reference_sets.is_chordless_cycle g cycle);
   ]
 
 let () =

@@ -192,8 +192,16 @@ let test_degrees () =
 
 let test_witnesses () =
   (match Acyclicity.why_not triangle Acyclicity.Alpha_acyclic with
-  | Some (Acyclicity.Gyo_stuck es) -> check_int "all three edges stuck" 3 (List.length es)
+  | Some (Acyclicity.Gilmore_triple (i, j, k)) ->
+    check "Gilmore triple (0, 1, 2)" true ((i, j, k) = (0, 1, 2))
   | _ -> Alcotest.fail "triangle must have an alpha witness");
+  (match
+     Acyclicity.why_not (h_of ~n:4 [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 0; 3 ] ])
+       Acyclicity.Alpha_acyclic
+   with
+  | Some (Acyclicity.Chordless_cycle c) ->
+    check_int "square: 4-cycle" 4 (List.length c)
+  | _ -> Alcotest.fail "square must have a chordless-cycle witness");
   (match Acyclicity.why_not flower Acyclicity.Gamma_acyclic with
   | Some (Acyclicity.Gamma_3_cycle _) -> check "gamma witness on flower" true true
   | _ -> Alcotest.fail "flower must have a gamma witness");
@@ -459,6 +467,11 @@ let qcheck_cases =
             Conformal.gilmore_violation h
             = Reference_classify.gilmore_violation_sets h)
           [ h; padded ]);
+    QCheck2.Test.make ~count:500
+      ~name:"alpha witness real, present exactly when GYO fails"
+      QCheck2.Gen.(triple gen_random_h gen_padded_h gen_kernel_h)
+      (fun (h, padded, kernel) ->
+        List.for_all Gyo.alpha_witness_holds [ h; padded; kernel ]);
   ]
 
 let () =

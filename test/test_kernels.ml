@@ -214,11 +214,11 @@ let prop_edge_mcs_gyo =
             ~n_edges ~max_size:5
       in
       match Hypergraphs.Mcs.run h with
-      | None -> not (Hypergraphs.Gyo.alpha_acyclic h)
+      | None -> not (Gyo.alpha_acyclic h)
       | Some f ->
         let q = Hypergraphs.Hypergraph.n_edges h in
         let order = Array.to_list f.Hypergraphs.Mcs.order in
-        Hypergraphs.Gyo.alpha_acyclic h
+        Gyo.alpha_acyclic h
         && List.sort compare order = List.init q Fun.id
         && Hypergraphs.Join_tree.rip_holds h order
         && Hypergraphs.Join_tree.verify

@@ -271,11 +271,20 @@ let test_find_bad_set () =
 
 (* ----------------------------------------------------------- Weighted *)
 
+(* The DP kernel with node weights on [g]'s CSR: the tree and its
+   total weight. *)
+let weighted g ~weight ~terminals =
+  let csr = Csr.of_ugraph g in
+  let w = Array.init (Csr.n csr) weight in
+  Option.map
+    (fun t -> (t, Iset.fold (fun v acc -> acc + w.(v)) t.Tree.nodes 0))
+    (Dreyfus_wagner.solve_csr ~weight:w csr ~terminals)
+
 let test_weighted_basics () =
   (* Two routes between 0 and 1: via cheap node 2 or expensive node 3. *)
   let g = Ugraph.of_edges ~n:4 [ (0, 2); (2, 1); (0, 3); (3, 1) ] in
   let weight = function 3 -> 10 | _ -> 1 in
-  match Weighted.solve g ~weight ~terminals:(Iset.of_list [ 0; 1 ]) with
+  match weighted g ~weight ~terminals:(Iset.of_list [ 0; 1 ]) with
   | Some (t, cost) ->
     check_int "routes through the cheap node" 3 cost;
     check "avoids node 3" false (Iset.mem 3 t.Tree.nodes);
@@ -287,7 +296,7 @@ let test_weighted_heavy_detour () =
   (* Heavier direct middle vs two light hops. *)
   let g = Ugraph.of_edges ~n:5 [ (0, 2); (2, 1); (0, 3); (3, 4); (4, 1) ] in
   let weight = function 2 -> 5 | _ -> 1 in
-  match Weighted.solve g ~weight ~terminals:(Iset.of_list [ 0; 1 ]) with
+  match weighted g ~weight ~terminals:(Iset.of_list [ 0; 1 ]) with
   | Some (t, cost) ->
     check_int "takes the two light hops" 4 cost;
     check "uses 3 and 4" true (Iset.mem 3 t.Tree.nodes && Iset.mem 4 t.Tree.nodes)
@@ -295,12 +304,25 @@ let test_weighted_heavy_detour () =
 
 let test_weighted_negative_rejected () =
   let g = Ugraph.of_edges ~n:2 [ (0, 1) ] in
-  check "negative weight rejected" true
-    (try
-       ignore
-         (Weighted.solve g ~weight:(fun _ -> -1) ~terminals:(Iset.singleton 0));
-       false
-     with Invalid_argument _ -> true)
+  let rejects weight =
+    try
+      ignore (weighted g ~weight ~terminals:(Iset.singleton 0));
+      false
+    with Invalid_argument _ -> true
+  in
+  check "negative weight rejected" true (rejects (fun _ -> -1));
+  check "total above the cap rejected" true
+    (rejects (fun _ -> (Dreyfus_wagner.max_total_weight / 2) + 1));
+  check "total at the cap accepted" false
+    (rejects (fun v -> if v = 0 then Dreyfus_wagner.max_total_weight else 0));
+  (* Costs near the cap are priced exactly: no queue spans the costs. *)
+  let path = Ugraph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
+  let third = Dreyfus_wagner.max_total_weight / 3 in
+  match weighted path ~weight:(fun _ -> third) ~terminals:(Iset.of_list [ 0; 2 ]) with
+  | Some (t, cost) ->
+    check_int "path at the cap" (3 * third) cost;
+    check_int "all three nodes" 3 (Tree.node_count t)
+  | None -> Alcotest.fail "connected"
 
 (* -------------------------------------------------------------- Kbest *)
 
@@ -404,7 +426,7 @@ let test_weighted_zero_costs () =
      without penalty, but cost must equal terminal weights only. *)
   let g = Ugraph.of_edges ~n:4 [ (0, 2); (2, 3); (3, 1) ] in
   let weight = function 0 | 1 -> 3 | _ -> 0 in
-  match Weighted.solve g ~weight ~terminals:(Iset.of_list [ 0; 1 ]) with
+  match weighted g ~weight ~terminals:(Iset.of_list [ 0; 1 ]) with
   | Some (_, cost) -> check_int "only terminals cost" 6 cost
   | None -> Alcotest.fail "connected"
 
@@ -575,6 +597,23 @@ let oracle_cases =
         same_tree
           (Reference_steiner.mst_approx g ~terminals)
           (Mst_approx.solve g ~terminals));
+    (* Weights scaled by 2^20 total more than n + 2m, so the kernel
+       queues on its radix heap instead of Dial's buckets; scaling keeps
+       every comparison, so the trees and the fuel must not move. *)
+    QCheck2.Test.make ~count:500
+      ~name:"DW radix heap = Dial buckets: scaled weights, same tree, same fuel"
+      ~print:print_oracle_instance oracle_instance_gen
+      (fun { g; terminals; _ } ->
+        let csr = Csr.of_ugraph g and n = Ugraph.n g in
+        let rng = rng_of (n + Iset.fold ( + ) terminals 0) in
+        let small = Array.init n (fun _ -> Workloads.Rng.int rng 8) in
+        let run weight =
+          metered (fun budget -> Dreyfus_wagner.solve_csr ~weight ~budget csr ~terminals)
+        in
+        let scaled w = Array.map (fun x -> x lsl 20) w in
+        let unit = Array.make n 1 in
+        same_outcome (run unit) (run (scaled unit))
+        && same_outcome (run small) (run (scaled small)));
   ]
 
 let qcheck_cases =
@@ -597,18 +636,26 @@ let qcheck_cases =
       QCheck2.Gen.(tup2 small_graph_gen (int_range 0 1000))
       (fun (g, s) ->
         let terminals = terminals_gen g s 3 in
-        let unit = Weighted.solve g ~weight:(fun _ -> 1) ~terminals in
-        match (unit, Dreyfus_wagner.optimum_nodes g ~terminals) with
-        | Some (_, cost), Some opt -> cost = opt
+        let unit = weighted g ~weight:(fun _ -> 1) ~terminals in
+        match (unit, Dreyfus_wagner.solve g ~terminals) with
+        | Some (t, cost), Some t' ->
+          cost = Tree.node_count t' && Iset.equal t.Tree.nodes t'.Tree.nodes
+          && t.Tree.edges = t'.Tree.edges
         | None, None -> true
         | _ -> false);
     QCheck2.Test.make ~count:120
       ~name:"weighted solver = weighted brute oracle"
-      QCheck2.Gen.(tup3 small_graph_gen (int_range 0 1000) (int_range 1 97))
+      QCheck2.Gen.(tup3 small_graph_gen (int_range 0 1000) (int_range 0 100000))
       (fun (g, s, wseed) ->
         let terminals = terminals_gen g s 3 in
-        let weight v = 1 + ((v * wseed) mod 7) in
-        match (Weighted.solve g ~weight ~terminals, Weighted.brute g ~weight ~terminals) with
+        (* Weights 0..7: zero-cost auxiliaries make equal-cost plateaus. *)
+        let rng = rng_of wseed in
+        let costs = Array.init (Ugraph.n g) (fun _ -> Workloads.Rng.int rng 8) in
+        let weight v = costs.(v) in
+        match
+          ( weighted g ~weight ~terminals,
+            Reference_steiner.weighted_brute g ~weight ~terminals )
+        with
         | Some (t, cost), Some best ->
           cost = best && Tree.verify g ~terminals t
         | None, None -> true
