@@ -794,14 +794,14 @@ let micro_section () =
 (* ------------------------------------------------------------------ *)
 
 (* Timing for the flat CSR kernel layer on a small size ladder per
-   section: the [mcs] α kernel raced against GYO, and the [chordal]
-   kernel (maximum cardinality search plus the zero fill-in test) on
-   its own. The whole trajectory is written as machine-readable JSON
-   (BENCH_kernels.json by default) so runs can be compared across
-   commits. [--trials k] controls repetitions per
-   measurement, [--max-n k] caps the generator size parameter (the
-   bench-smoke alias uses --trials 1 --max-n 64), [--json path] sets
-   the output file. *)
+   section: the [mcs] α kernel, the [chordal] kernel (maximum
+   cardinality search plus the zero fill-in test) and the exact
+   Steiner DP. The whole trajectory is written as machine-readable
+   JSON (DIR/BENCH_kernels.json, DIR from [--out-dir], default the
+   working directory) so runs can be compared across commits.
+   [--trials k] controls repetitions per measurement, [--max-n k] caps
+   the generator size parameter (the bench-smoke alias uses --trials 1
+   --max-n 64). *)
 
 let time_mean ~trials f =
   ignore (Sys.opaque_identity (f ()));
@@ -2129,17 +2129,8 @@ let frontend_section ~trials ~scale_max_n ~json_path () =
 
 let () =
   let trials = ref 5 and max_n = ref 384 in
-  let json_path = ref "BENCH_kernels.json" in
-  let runtime_json_path = ref "BENCH_runtime.json" in
-  let observe_json_path = ref "BENCH_observe.json" in
-  let engine_json_path = ref "BENCH_engine.json" in
-  let plancache_json_path = ref "BENCH_plancache.json" in
-  let relalg_json_path = ref "BENCH_relalg.json" in
-  let serve_json_path = ref "BENCH_serve.json" in
-  let evolve_json_path = ref "BENCH_evolve.json" in
-  let scale_json_path = ref "BENCH_scale.json" in
+  let out_dir = ref "." in
   let scale_max_n = ref 1_000_000 in
-  let frontend_json_path = ref "BENCH_frontend.json" in
   let rec parse_args acc = function
     | [] -> List.rev acc
     | "--trials" :: v :: rest ->
@@ -2148,40 +2139,16 @@ let () =
     | "--max-n" :: v :: rest ->
       max_n := int_of_string v;
       parse_args acc rest
-    | "--json" :: v :: rest ->
-      json_path := v;
-      parse_args acc rest
-    | "--runtime-json" :: v :: rest ->
-      runtime_json_path := v;
-      parse_args acc rest
-    | "--observe-json" :: v :: rest ->
-      observe_json_path := v;
-      parse_args acc rest
-    | "--engine-json" :: v :: rest ->
-      engine_json_path := v;
-      parse_args acc rest
-    | "--plancache-json" :: v :: rest ->
-      plancache_json_path := v;
-      parse_args acc rest
-    | "--relalg-json" :: v :: rest ->
-      relalg_json_path := v;
-      parse_args acc rest
-    | "--serve-json" :: v :: rest ->
-      serve_json_path := v;
-      parse_args acc rest
-    | "--evolve-json" :: v :: rest ->
-      evolve_json_path := v;
-      parse_args acc rest
-    | "--scale-json" :: v :: rest ->
-      scale_json_path := v;
+    | "--out-dir" :: v :: rest ->
+      out_dir := v;
       parse_args acc rest
     | "--scale-max-n" :: v :: rest ->
       scale_max_n := int_of_string v;
       parse_args acc rest
-    | "--frontend-json" :: v :: rest ->
-      frontend_json_path := v;
-      parse_args acc rest
     | a :: rest -> parse_args (a :: acc) rest
+  in
+  let json_path section =
+    Filename.concat !out_dir ("BENCH_" ^ section ^ ".json")
   in
   let sections =
     [
@@ -2213,44 +2180,44 @@ let () =
       ( "kernels",
         fun () ->
           kernels_section ~trials:!trials ~max_n:!max_n
-            ~scale_max_n:!scale_max_n ~json_path:!json_path () );
+            ~scale_max_n:!scale_max_n ~json_path:(json_path "kernels") () );
       ( "runtime",
         fun () ->
           runtime_section ~trials:!trials ~max_n:!max_n
-            ~json_path:!runtime_json_path () );
+            ~json_path:(json_path "runtime") () );
       ( "observe",
         fun () ->
           observe_section ~trials:!trials ~max_n:!max_n
-            ~json_path:!observe_json_path () );
+            ~json_path:(json_path "observe") () );
       ( "engine",
         fun () ->
           engine_section ~trials:!trials ~max_n:!max_n
             ~scale_max_n:!scale_max_n
-            ~json_path:!engine_json_path () );
+            ~json_path:(json_path "engine") () );
       ( "plancache",
         fun () ->
           plancache_section ~trials:!trials ~max_n:!max_n
-            ~json_path:!plancache_json_path () );
+            ~json_path:(json_path "plancache") () );
       ( "relalg",
         fun () ->
           relalg_section ~trials:!trials ~max_n:!max_n
-            ~json_path:!relalg_json_path () );
+            ~json_path:(json_path "relalg") () );
       ( "serve",
         fun () ->
           serve_section ~trials:!trials ~max_n:!max_n
-            ~json_path:!serve_json_path () );
+            ~json_path:(json_path "serve") () );
       ( "evolve",
         fun () ->
           evolve_section ~trials:!trials ~max_n:!max_n
-            ~json_path:!evolve_json_path () );
+            ~json_path:(json_path "evolve") () );
       ( "scale",
         fun () ->
           scale_section ~trials:!trials ~scale_max_n:!scale_max_n
-            ~json_path:!scale_json_path () );
+            ~json_path:(json_path "scale") () );
       ( "frontend",
         fun () ->
           frontend_section ~trials:!trials ~scale_max_n:!scale_max_n
-            ~json_path:!frontend_json_path () );
+            ~json_path:(json_path "frontend") () );
     ]
   in
   let wanted = parse_args [] (List.tl (Array.to_list Sys.argv)) in

@@ -62,21 +62,35 @@ let open_plan_cache_opt = function
         dir msg;
       None)
 
-(* A recording trace when [--trace FILE] is given, and the function
-   that writes it to FILE; a disabled trace and a no-op otherwise. *)
-let trace_to = function
-  | None -> (Observe.Trace.disabled, fun () -> ())
-  | Some path ->
-    let trace = Observe.Trace.make () in
-    (trace, fun () -> Observe.Export.write_trace ~path trace)
+(* The recorders behind [--trace FILE] and [--metrics FILE], and the
+   function that writes each given file. A recorder whose file is not
+   given is disabled, except that [live_metrics] records metrics
+   anyway (serve answers GET /metrics from them). Commands call the
+   flush on every exit path, error exits included, so an aborted run
+   still leaves what it recorded up to that point. *)
+let observability ?(live_metrics = false) ?metrics_file trace_file =
+  let trace =
+    if trace_file = None then Observe.Trace.disabled
+    else Observe.Trace.make ()
+  in
+  let metrics =
+    if live_metrics || metrics_file <> None then Observe.Metrics.make ()
+    else Observe.Metrics.disabled
+  in
+  let flush () =
+    Option.iter (fun path -> Observe.Export.write_trace ~path trace) trace_file;
+    Option.iter
+      (fun path -> Observe.Export.write_metrics ~path metrics)
+      metrics_file
+  in
+  (trace, metrics, flush)
 
 let trace_file_arg doc =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let compile_cmd =
   let run path cache_dir force trace_file =
-    let trace, write_trace = trace_to trace_file in
-    (* The trace is written on the error exits too. *)
+    let trace, _, write_trace = observability trace_file in
     let die () =
       write_trace ();
       exit exit_input_error
@@ -156,7 +170,7 @@ let compile_cmd =
 
 let classify_cmd =
   let run path trace_file =
-    let trace, write_trace = trace_to trace_file in
+    let trace, _, write_trace = observability trace_file in
     let report =
       Result.map
         (fun nb -> Minconn.report ~trace nb.Mc_io.Parse.graph)
@@ -286,25 +300,8 @@ let run_batch ?compiled nb ~queries ~cache ~timeout_ms ~fuel ~no_degrade
 let solve_cmd =
   let run path terminals queries_file cache_dir timeout_ms fuel
       no_degrade trace_file metrics_file =
-    let trace =
-      match trace_file with
-      | None -> Observe.Trace.disabled
-      | Some _ -> Observe.Trace.make ()
-    in
-    let metrics =
-      match metrics_file with
-      | None -> Observe.Metrics.disabled
-      | Some _ -> Observe.Metrics.make ()
-    in
-    (* Written on every exit path, including error exits, so a budget
-       abort still leaves the spans recorded up to that point. *)
-    let flush_observability () =
-      Option.iter
-        (fun path -> Observe.Export.write_trace ~path trace)
-        trace_file;
-      Option.iter
-        (fun path -> Observe.Export.write_metrics ~path metrics)
-        metrics_file
+    let trace, metrics, flush_observability =
+      observability ?metrics_file trace_file
     in
     let die code =
       flush_observability ();
@@ -460,7 +457,7 @@ let load_deltas nb path =
    on the pre-evolved file). *)
 let evolve_cmd =
   let run path dfile emit queries_file cache_dir trace_file =
-    let trace, write_trace = trace_to trace_file in
+    let trace, _, write_trace = observability trace_file in
     let nb = or_die (load_bigraph ~trace path) in
     let ops, evolved = load_deltas nb dfile in
     let cache = open_plan_cache_opt cache_dir in
@@ -544,11 +541,13 @@ let evolve_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "plan-cache" ] ~docv:"DIR"
-          ~doc:"Plan cache to consult and update: an exact evolved \
-                entry is loaded outright; a cached base plan is \
-                patched component-by-component; a cold run compiles. \
-                The evolved plan is stored keyed by base schema hash \
-                plus delta-journal hash.")
+          ~doc:"Plan cache to consult and update: the evolved \
+                schema's own entry is loaded outright; else a cached \
+                plan of the base schema is patched \
+                component-by-component; else a cold run compiles. \
+                The evolved plan is stored keyed by its own schema \
+                hash, so compile or solve on the evolved schema's file \
+                hits it.")
   in
   Cmd.v
     (Cmd.info "evolve"
@@ -706,23 +705,8 @@ let ask_cmd =
 let query_cmd =
   let run db_file gen size rows domain dangling seed bag terminals naive
       limit timeout_ms fuel trace_file metrics_file =
-    let trace =
-      match trace_file with
-      | None -> Observe.Trace.disabled
-      | Some _ -> Observe.Trace.make ()
-    in
-    let metrics =
-      match metrics_file with
-      | None -> Observe.Metrics.disabled
-      | Some _ -> Observe.Metrics.make ()
-    in
-    let flush_observability () =
-      Option.iter
-        (fun path -> Observe.Export.write_trace ~path trace)
-        trace_file;
-      Option.iter
-        (fun path -> Observe.Export.write_metrics ~path metrics)
-        metrics_file
+    let trace, metrics, flush_observability =
+      observability ?metrics_file trace_file
     in
     let die code =
       flush_observability ();
@@ -969,33 +953,31 @@ let query_cmd =
 (* --------------------------------------------------------------- serve *)
 
 let serve_cmd =
-  let run path deltas_file host port max_inflight watermark shared_fuel
-      pressure_fuel timeout_ms read_timeout_ms max_body no_degrade cache_dir
-      metrics_file trace_file =
+  let run path deltas_file host port max_inflight watermark pressure_fuel
+      timeout_ms read_timeout_ms max_body no_degrade cache_dir metrics_file
+      trace_file =
     if max_inflight < 1 then begin
       prerr_endline "minconn: error=invalid-max-inflight (need >= 1)";
       exit exit_input_error
     end;
-    let nb = or_die (load_bigraph path) in
-    let cache = open_plan_cache_opt cache_dir in
-    (* --deltas: serve the evolved schema from the start. The cache's
-       delta rung patches a cached base plan instead of recompiling. *)
-    let nb, pre_compiled =
-      match deltas_file with
-      | None -> (nb, None)
-      | Some dfile ->
-        let ops, evolved = load_deltas nb dfile in
-        let compiled, _ =
-          Minconn.Plan_cache.find_or_compile ?cache ~deltas:ops
-            nb.Mc_io.Parse.graph
-        in
-        (evolved, Some compiled)
+    let trace, metrics, flush_observability =
+      observability ~live_metrics:true ?metrics_file trace_file
     in
-    let metrics = Observe.Metrics.make () in
-    let trace =
-      match trace_file with
-      | None -> Observe.Trace.disabled
-      | Some _ -> Observe.Trace.make ()
+    let base = or_die (load_bigraph ~trace path) in
+    (* --deltas: serve the evolved schema from the start; with a plan
+       cache, a cached plan of the base is patched instead of
+       recompiled. *)
+    let nb, deltas =
+      match deltas_file with
+      | None -> (base, [])
+      | Some dfile ->
+        let ops, evolved = load_deltas base dfile in
+        (evolved, ops)
+    in
+    let compiled, _ =
+      Minconn.Plan_cache.find_or_compile ~trace ~metrics
+        ?cache:(open_plan_cache_opt cache_dir)
+        ~deltas base.Mc_io.Parse.graph
     in
     let config =
       {
@@ -1008,7 +990,6 @@ let serve_cmd =
           | Some w -> w
           | None -> max 1 (3 * max_inflight / 4));
         pressure_fuel;
-        shared_fuel;
         request_timeout_ms = timeout_ms;
         read_timeout_ms;
         write_timeout_ms = read_timeout_ms;
@@ -1016,10 +997,7 @@ let serve_cmd =
         degrade = not no_degrade;
       }
     in
-    match
-      Serve.Server.create ~config ?cache ?compiled:pre_compiled ~metrics
-        ~trace nb
-    with
+    match Serve.Server.create ~config ~compiled ~metrics ~trace nb with
     | Error msg ->
       Printf.eprintf "minconn: error=serve-bind msg=%s\n" msg;
       exit exit_input_error
@@ -1032,10 +1010,7 @@ let serve_cmd =
         (Serve.Server.port server) config.Serve.Server.max_inflight
         config.Serve.Server.degrade_watermark;
       Serve.Server.run server;
-      Option.iter
-        (fun p -> Observe.Export.write_metrics ~path:p metrics)
-        metrics_file;
-      Option.iter (fun p -> Observe.Export.write_trace ~path:p trace) trace_file;
+      flush_observability ();
       let c name =
         Option.value ~default:0 (Observe.Metrics.find_counter metrics name)
       in
@@ -1081,14 +1056,6 @@ let serve_cmd =
                 above $(docv) in-flight connections, queries answer \
                 from cheaper ladder rungs under a small fuel budget \
                 and say so in X-Minconn-Pressure/-Rung headers")
-  in
-  let shared_fuel =
-    Arg.(
-      value & opt (some int) None
-      & info [ "shared-fuel" ] ~docv:"N"
-          ~doc:"Server-wide fuel tank all request budgets draw from; \
-                exhaustion cancels in-flight siblings at their next \
-                checkpoint")
   in
   let pressure_fuel =
     Arg.(
@@ -1153,8 +1120,8 @@ let serve_cmd =
           flush artifacts.")
     Term.(
       const run $ path $ deltas_file $ host $ port $ max_inflight $ watermark
-      $ shared_fuel $ pressure_fuel $ timeout_ms $ read_timeout_ms $ max_body
-      $ no_degrade $ cache_dir $ metrics_file $ trace_file)
+      $ pressure_fuel $ timeout_ms $ read_timeout_ms $ max_body $ no_degrade
+      $ cache_dir $ metrics_file $ trace_file)
 
 (* ------------------------------------------------------------ generate *)
 

@@ -68,16 +68,3 @@ let apply_all g ops =
       | Error msg -> Error (Printf.sprintf "delta %d (%s): %s" k (to_string op) msg))
   in
   go g 1 ops
-
-let fresh_journal = "-"
-
-let journal_hash = function
-  | [] -> fresh_journal
-  | ops ->
-    let b = Buffer.create 256 in
-    List.iter
-      (fun op ->
-        Buffer.add_string b (to_string op);
-        Buffer.add_char b '\n')
-      ops;
-    Digest.to_hex (Digest.string (Buffer.contents b))

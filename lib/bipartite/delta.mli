@@ -16,12 +16,7 @@
     Applying a delta is index-validated and total otherwise; re-adding
     a present edge or removing an absent one is a {e no-op} that
     returns the input graph physically unchanged, which is what lets
-    {!Engine.Compiled.apply_delta} prove that no component was dirtied.
-
-    A delta {e journal} (the ordered list of ops applied since some
-    base schema) has a canonical digest, {!journal_hash}, which the
-    plan cache stamps into evolved entries so a patched plan can never
-    be mistaken for the fresh compile of its base schema. *)
+    {!Engine.Compiled.apply_delta} prove that no component was dirtied. *)
 
 open Graphs
 
@@ -41,16 +36,6 @@ val apply_all : Bigraph.t -> op list -> (Bigraph.t, string) result
     1-based position of the failing delta. *)
 
 val to_string : op -> string
-(** Canonical rendering ([+edge 0 2], [-relation 1], ...); the journal
-    digest is computed over these lines. *)
-
-val fresh_journal : string
-(** The distinguished journal hash (["-"]) of the empty delta list —
-    what fresh (non-evolved) plan-cache entries carry. *)
-
-val journal_hash : op list -> string
-(** Hex digest of the canonical renderings, one per line;
-    {!fresh_journal} for the empty list. Two delta sequences hash
-    equally iff they are the same ops in the same order. *)
+(** Canonical rendering ([+edge 0 2], [-relation 1], ...). *)
 
 val pp : Format.formatter -> op -> unit

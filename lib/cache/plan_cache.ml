@@ -3,12 +3,12 @@ module Bigraph = Bipartite.Bigraph
 module Delta = Bipartite.Delta
 module Fault = Runtime.Fault
 
-(* Format 2 adds the [journal] header line: the delta-journal digest
-   distinguishing an evolved plan (patched from a base schema by a
-   recorded delta sequence) from the fresh compile of that base.
-   Format 3 changes the payload layout: the graph is a CSR-only record
-   and components no longer carry an [order] list. *)
-let format_version = 3
+(* Format 3 changed the payload layout: the graph is a CSR-only record
+   and components no longer carry an [order] list. Format 4 drops the
+   header line that named the delta sequence a plan was patched along:
+   a plan is keyed by its schema's content alone, however it was
+   built. *)
+let format_version = 4
 let magic = Printf.sprintf "minconn-plan/%d" format_version
 
 let default_commit =
@@ -54,7 +54,6 @@ type miss =
   | Version_mismatch
   | Commit_mismatch
   | Schema_mismatch
-  | Delta_mismatch
   | Truncated
   | Checksum_mismatch
   | Unreadable of string
@@ -64,25 +63,12 @@ let miss_name = function
   | Version_mismatch -> "version-mismatch"
   | Commit_mismatch -> "commit-mismatch"
   | Schema_mismatch -> "schema-mismatch"
-  | Delta_mismatch -> "delta-mismatch"
   | Truncated -> "truncated"
   | Checksum_mismatch -> "checksum-mismatch"
   | Unreadable _ -> "unreadable"
 
-(* Fresh plans live at [<schema_hash>.plan]; evolved plans at
-   [<base_hash>+<journal_hash>.plan] so one base schema can carry any
-   number of cached delta lineages side by side. *)
-let key_of ~hash ~journal =
-  if journal = Delta.fresh_journal then hash else hash ^ "+" ^ journal
-
 let path_of_key t key = Filename.concat t.dir (key ^ ".plan")
 let entry_path t g = path_of_key t (Compiled.schema_hash g)
-
-let evolved_path t ~base ~deltas =
-  path_of_key t
-    (key_of
-       ~hash:(Compiled.schema_hash base)
-       ~journal:(Delta.journal_hash deltas))
 
 (* ------------------------------------------------------------ load *)
 
@@ -96,7 +82,7 @@ let header_field expect line =
 (* Envelope checks outermost-first, so every stale or damaged layer
    maps to the one miss that names it and Marshal only ever sees
    checksummed same-build bytes. *)
-let read_entry t ~hash ~journal path =
+let read_entry t ~hash path =
   match open_in_bin path with
   | exception Sys_error _ ->
     if Sys.file_exists path then Error (Unreadable "cannot open") else Error Absent
@@ -110,23 +96,21 @@ let read_entry t ~hash ~journal path =
         Error Version_mismatch
       else Error (Unreadable "bad magic")
     | Some _ -> (
-      match (line (), line (), line (), line (), line ()) with
-      | Some c, Some s, Some j, Some l, Some d -> (
+      match (line (), line (), line (), line ()) with
+      | Some c, Some s, Some l, Some d -> (
         match
           ( header_field "commit" c,
             header_field "schema" s,
-            header_field "journal" j,
             header_field "length" l,
             header_field "digest" d )
         with
-        | Some commit, Some schema, Some jrnl, Some length, Some digest -> (
+        | Some commit, Some schema, Some length, Some digest -> (
           match int_of_string_opt length with
           | None -> Error (Unreadable "bad length field")
           | Some len when len < 0 -> Error (Unreadable "bad length field")
           | Some len ->
             if commit <> t.commit then Error Commit_mismatch
             else if schema <> hash then Error Schema_mismatch
-            else if jrnl <> journal then Error Delta_mismatch
             else if in_channel_length ic - pos_in ic <> len then
               Error Truncated
             else (
@@ -141,23 +125,24 @@ let read_entry t ~hash ~journal path =
 
 let touch path = try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ()
 
-(* Shared lookup core: validate the envelope against the expected
-   (hash, journal) pair, unmarshal, and check the recovered plan's
-   graph equals [expect] — a colliding or mislabeled entry must read
-   as a miss, never answer for the wrong graph. *)
-let lookup ~trace ~metrics ~op t ~hash ~journal ~expect =
+(* Validate the envelope, unmarshal, and check the recovered plan's
+   graph equals [g] — a colliding or mislabeled entry must read as a
+   miss, never answer for the wrong graph. *)
+let find ?(trace = Observe.Trace.disabled)
+    ?(metrics = Observe.Metrics.disabled) t g =
   Observe.Trace.span trace "plan_cache"
-    ~attrs:[ ("op", Observe.Trace.Str op) ]
+    ~attrs:[ ("op", Observe.Trace.Str "find") ]
   @@ fun () ->
-  let path = path_of_key t (key_of ~hash ~journal) in
+  let hash = Compiled.schema_hash g in
+  let path = path_of_key t hash in
   let result =
-    match read_entry t ~hash ~journal path with
+    match read_entry t ~hash path with
     | Error _ as e -> e
     | Ok payload -> (
       match Compiled.of_bytes payload with
       | None -> Error (Unreadable "unmarshal failed")
       | Some compiled ->
-        if Bigraph.equal (Compiled.graph compiled) expect then Ok compiled
+        if Bigraph.equal (Compiled.graph compiled) g then Ok compiled
         else Error Schema_mismatch)
   in
   (match result with
@@ -171,21 +156,6 @@ let lookup ~trace ~metrics ~op t ~hash ~journal ~expect =
     Observe.Trace.add_attr trace "reason"
       (Observe.Trace.Str (miss_name miss)));
   result
-
-let find ?(trace = Observe.Trace.disabled)
-    ?(metrics = Observe.Metrics.disabled) t g =
-  lookup ~trace ~metrics ~op:"find" t ~hash:(Compiled.schema_hash g)
-    ~journal:Delta.fresh_journal ~expect:g
-
-let find_evolved ?(trace = Observe.Trace.disabled)
-    ?(metrics = Observe.Metrics.disabled) t ~base ~deltas =
-  match Delta.apply_all base deltas with
-  | Error msg -> invalid_arg ("Plan_cache.find_evolved: " ^ msg)
-  | Ok target ->
-    lookup ~trace ~metrics ~op:"find_evolved" t
-      ~hash:(Compiled.schema_hash base)
-      ~journal:(Delta.journal_hash deltas)
-      ~expect:target
 
 (* ----------------------------------------------------------- store *)
 
@@ -244,9 +214,9 @@ let evict ?(metrics = Observe.Metrics.disabled) t ~keep =
         | exception Sys_error _ -> ()))
     files
 
-let envelope ~commit ~hash ~journal payload =
-  Printf.sprintf "%s\ncommit %s\nschema %s\njournal %s\nlength %d\ndigest %s\n"
-    magic commit hash journal (String.length payload)
+let envelope ~commit ~hash payload =
+  Printf.sprintf "%s\ncommit %s\nschema %s\nlength %d\ndigest %s\n"
+    magic commit hash (String.length payload)
     (Digest.to_hex (Digest.string payload))
 
 let write_chunk_bytes = 65536
@@ -276,20 +246,14 @@ let rename_entry ~metrics tmp final =
     attempt ()
 
 let store ?(trace = Observe.Trace.disabled)
-    ?(metrics = Observe.Metrics.disabled) ?lineage t compiled =
+    ?(metrics = Observe.Metrics.disabled) t compiled =
   Observe.Trace.span trace "plan_cache"
     ~attrs:[ ("op", Observe.Trace.Str "store") ]
   @@ fun () ->
-  let hash, journal =
-    match lineage with
-    | Some (base_hash, journal) -> (base_hash, journal)
-    | None ->
-      (Compiled.schema_hash (Compiled.graph compiled), Delta.fresh_journal)
-  in
-  let key = key_of ~hash ~journal in
-  let final = path_of_key t key in
+  let hash = Compiled.schema_hash (Compiled.graph compiled) in
+  let final = path_of_key t hash in
   let payload = Compiled.to_bytes compiled in
-  let blob = envelope ~commit:t.commit ~hash ~journal payload ^ payload in
+  let blob = envelope ~commit:t.commit ~hash payload ^ payload in
   let tmp =
     Printf.sprintf "%s.%d.%d.tmp" final (Unix.getpid ())
       (Hashtbl.hash (Unix.gettimeofday ()))
@@ -338,64 +302,47 @@ let store ?(trace = Observe.Trace.disabled)
     Observe.Metrics.incr (Observe.Metrics.counter metrics "cache.store");
     Observe.Trace.add_attr trace "bytes"
       (Observe.Trace.Int (String.length blob));
-    evict ~metrics t ~keep:(key ^ ".plan")
+    evict ~metrics t ~keep:(hash ^ ".plan")
   | Error msg ->
     Observe.Trace.add_attr trace "error" (Observe.Trace.Str msg));
   result
 
+(* The plan for [target] is whatever its own entry holds; with deltas,
+   a cached plan of the base patched through [Compiled.apply_deltas] is
+   the next cheapest (it reuses every untouched component's orderings
+   and join-tree prep), and a cold compile the last resort. Whatever is
+   built is stored under [target]'s own hash. Storing is best-effort: a
+   full disk or a lost race must not fail the query path. *)
 let find_or_compile ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) ?cache ?(deltas = []) g =
-  match (cache, deltas) with
-  | None, [] -> (Compiled.compile ~trace ~metrics g, `Miss)
-  | None, _ -> (
+  let target =
     match Delta.apply_all g deltas with
+    | Ok target -> target
     | Error msg -> invalid_arg ("Plan_cache.find_or_compile: " ^ msg)
-    | Ok target -> (Compiled.compile ~trace ~metrics target, `Miss))
-  | Some t, [] -> (
-    match find ~trace ~metrics t g with
+  in
+  match cache with
+  | None -> (Compiled.compile ~trace ~metrics target, `Miss)
+  | Some t -> (
+    match find ~trace ~metrics t target with
     | Ok compiled -> (compiled, `Hit)
     | Error _ ->
-      let compiled = Compiled.compile ~trace ~metrics g in
-      (* Best-effort: a full disk or lost race must not fail the
-         query path. *)
-      ignore (store ~trace ~metrics t compiled : (unit, string) result);
-      (compiled, `Miss))
-  | Some t, _ -> (
-    match Delta.apply_all g deltas with
-    | Error msg -> invalid_arg ("Plan_cache.find_or_compile: " ^ msg)
-    | Ok target -> (
-      let lineage =
-        (Compiled.schema_hash g, Delta.journal_hash deltas)
-      in
-      match find_evolved ~trace ~metrics t ~base:g ~deltas with
-      | Ok compiled -> (compiled, `Hit)
-      | Error _ -> (
-        (* No exact evolved entry. Prefer patching the base schema's
-           cached plan over a cold compile of the target: the patch
-           reuses every untouched component's orderings and join-tree
-           prep, which is the whole point of the delta path. *)
-        let patched =
+      let patched =
+        if deltas = [] then None
+        else
           match find ~trace ~metrics t g with
           | Error _ -> None
-          | Ok base_compiled -> (
-            match
-              Compiled.apply_deltas ~trace ~metrics base_compiled
-                deltas
-            with
+          | Ok base -> (
+            match Compiled.apply_deltas ~trace ~metrics base deltas with
             | Ok (compiled, _) -> Some compiled
             | Error _ -> None)
-        in
+      in
+      let compiled, outcome =
         match patched with
         | Some compiled ->
           Observe.Metrics.incr
             (Observe.Metrics.counter metrics "cache.patched");
-          ignore
-            (store ~trace ~metrics ~lineage t compiled
-              : (unit, string) result);
           (compiled, `Patched)
-        | None ->
-          let compiled = Compiled.compile ~trace ~metrics target in
-          ignore
-            (store ~trace ~metrics ~lineage t compiled
-              : (unit, string) result);
-          (compiled, `Miss))))
+        | None -> (Compiled.compile ~trace ~metrics target, `Miss)
+      in
+      ignore (store ~trace ~metrics t compiled : (unit, string) result);
+      (compiled, outcome))

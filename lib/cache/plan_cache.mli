@@ -6,29 +6,26 @@
     join-tree prep entirely — the next amortization rung after the
     in-process session engine.
 
-    {2 Entry format (minconn-plan/3)}
+    {2 Entry format (minconn-plan/4)}
 
-    One file per plan. A fresh compile of schema [S] is named
-    [<schema_hash S>.plan]; a plan evolved from base schema [S] by a
-    delta sequence [ds] is named
-    [<schema_hash S>+<Delta.journal_hash ds>.plan], so one base can
-    carry any number of cached lineages side by side. Each file is a
-    six-line textual integrity envelope followed by the raw [Marshal]
-    payload:
+    One file per schema: the plan for schema [S] is named
+    [<schema_hash S>.plan], whether it was compiled from [S] or
+    patched into [S] from another schema's plan by
+    {!Engine.Compiled.apply_deltas} (which gives exactly the plan a
+    fresh compile gives). Each file is a five-line textual integrity
+    envelope followed by the raw [Marshal] payload:
 
     {v
     minconn-plan/<format_version>
     commit <library build id>
-    schema <Compiled.schema_hash of the base graph>
-    journal <Delta.journal_hash of the delta sequence; "-" when fresh>
+    schema <Compiled.schema_hash of the plan's graph>
     length <payload byte count>
     digest <hex digest of the payload bytes>
     <payload>
     v}
 
     A load validates the envelope outermost-first (magic/version,
-    commit, schema hash, delta journal, length, checksum) and only
-    then unmarshals,
+    commit, schema hash, length, checksum) and only then unmarshals,
     so bytes written by a different build — or damaged in any way —
     are rejected before [Marshal.from_string] ever sees them. The
     version is bumped whenever the payload's type layout changes, so
@@ -86,10 +83,6 @@ type miss =
   | Schema_mismatch
       (** envelope or payload belongs to a different schema (renamed
           file, hash collision) *)
-  | Delta_mismatch
-      (** the entry's delta-journal hash disagrees with the lookup's:
-          a fresh lookup found an evolved plan (or vice versa), or the
-          entry was patched along a different delta sequence *)
   | Truncated  (** header or payload cut short, including empty files *)
   | Checksum_mismatch  (** payload bytes damaged (bit flips) *)
   | Unreadable of string
@@ -100,13 +93,7 @@ val miss_name : miss -> string
 (** Stable lower-kebab name for logs and metrics. *)
 
 val entry_path : t -> Bipartite.Bigraph.t -> string
-(** Where this schema's fresh entry lives (whether or not it
-    exists). *)
-
-val evolved_path :
-  t -> base:Bipartite.Bigraph.t -> deltas:Bipartite.Delta.op list -> string
-(** Where the plan evolved from [base] by [deltas] lives (whether or
-    not it exists). *)
+(** Where this schema's entry lives (whether or not it exists). *)
 
 val find :
   ?trace:Observe.Trace.t ->
@@ -114,38 +101,21 @@ val find :
   t ->
   Bipartite.Bigraph.t ->
   (Engine.Compiled.t, miss) result
-(** Validate and load the fresh entry for this schema (an evolved
-    entry at the same base reads as {!Delta_mismatch}). On a hit the
+(** Validate and load the entry for this schema. On a hit the
     loaded plan's graph is checked equal to the requested graph (belt
     and braces over the hash) and the entry's mtime is touched for
     LRU. Records a ["plan_cache"] span (op/outcome/reason attrs) and
     bumps [cache.hit] or [cache.miss]. Never raises on bad entries. *)
 
-val find_evolved :
-  ?trace:Observe.Trace.t ->
-  ?metrics:Observe.Metrics.t ->
-  t ->
-  base:Bipartite.Bigraph.t ->
-  deltas:Bipartite.Delta.op list ->
-  (Engine.Compiled.t, miss) result
-(** Validate and load the plan evolved from [base] by [deltas]. The
-    loaded plan's graph is checked equal to [Delta.apply_all base
-    deltas] — an entry whose journal line matches but whose payload
-    answers for a different target reads as a miss.
-    [Invalid_argument] when the deltas do not apply to [base]. *)
-
 val store :
   ?trace:Observe.Trace.t ->
   ?metrics:Observe.Metrics.t ->
-  ?lineage:string * string ->
   t ->
   Engine.Compiled.t ->
   (unit, string) result
 (** Write the plan atomically (temp + rename), then evict LRU entries
-    over [max_bytes]. [lineage] is [(base_schema_hash,
-    journal_hash)] for an evolved plan — it selects the entry's name
-    and [schema]/[journal] header lines; default: the plan's own
-    schema hash with the fresh journal. [Error msg] on I/O failure —
+    over [max_bytes]. The entry is named by the plan's own schema
+    hash. [Error msg] on I/O failure —
     callers treat the cache as best-effort. Bumps [cache.store] and
     [cache.evict] (per evicted entry); records a ["plan_cache"] span.
     Re-raises {!Runtime.Fault.Injected_crash} without cleaning its
@@ -158,24 +128,20 @@ val find_or_compile :
   ?deltas:Bipartite.Delta.op list ->
   Bipartite.Bigraph.t ->
   Engine.Compiled.t * [ `Hit | `Miss | `Patched ]
-(** The serving entry point. Without [deltas] (default [[]]): warm
-    cache → the stored plan ([`Hit], classification skipped
-    entirely); cold, damaged or no cache → [Compiled.compile]
-    and, when a cache is present, a best-effort [store] ([`Miss]).
-
-    With [deltas], the schema of record is [g] evolved by the
-    sequence, and the lookup prefers cheaper plans first: an exact
-    evolved entry ([`Hit]) → the base schema's fresh entry patched
-    through [Compiled.apply_deltas], stored under the evolved key and
-    counted in [cache.patched] ([`Patched]) → a cold compile of the
-    evolved schema, stored under the evolved key ([`Miss]).
+(** The serving entry point. The schema of record is [g] evolved by
+    [deltas] (default [[]]: [g] itself), and the lookup prefers
+    cheaper plans first: that schema's own entry ([`Hit],
+    classification skipped entirely) → with [deltas], [g]'s entry
+    patched through [Compiled.apply_deltas], counted in
+    [cache.patched] ([`Patched]) → a compile of the schema of record
+    ([`Miss]). Without a cache it compiles; with one, a plan it
+    builds gets a best-effort {!store} under its own schema hash.
     [Invalid_argument] when the deltas do not apply to [g] — validate
     with [Delta.apply_all] first when the sequence is untrusted. *)
 
 val entries : t -> (string * int) list
-(** [(entry_key, bytes)] of current entries, least recently used
-    first — the key is the schema hash, with a [+<journal_hash>]
-    suffix for evolved plans. Test and tooling support. *)
+(** [(schema_hash, bytes)] of current entries, least recently used
+    first. Test and tooling support. *)
 
 val total_bytes : t -> int
 (** Sum of [*.plan] sizes currently in the directory. *)

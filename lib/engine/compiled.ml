@@ -24,7 +24,6 @@ type delta_stats = {
 
 let graph t = t.graph
 let ugraph t = Bigraph.ugraph t.graph
-let csr t = Bigraph.csr t.graph
 let profile t = t.profile
 let n_components t = Array.length t.components
 

@@ -26,7 +26,7 @@ type component = {
 type t = {
   graph : Bigraph.t;
       (** the schema; queries slice their component out of its CSR
-          (via {!csr}) *)
+          ({!Bipartite.Bigraph.csr}) *)
   profile : Classify.profile;
   comp_id : int array;  (** component index per node *)
   components : component array;
@@ -55,7 +55,6 @@ val ugraph : t -> Ugraph.t
 (** [Bigraph.ugraph] of the schema: the whole-graph set view, derived
     in O(n + m) on every call. No engine path calls it. *)
 
-val csr : t -> Csr.t
 val profile : t -> Classify.profile
 val n_components : t -> int
 

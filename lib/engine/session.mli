@@ -99,9 +99,8 @@ val solve_many :
 
     [make_budget] (overrides [budget]) builds the budget for query
     [i] — [fun _ -> Budget.make ~fuel:f ()] for a fresh deterministic
-    allowance per query, or [fun _ -> Budget.Shared.view handle] to
-    drain one batch-wide tank (see {!Budget.Shared}). A plain shared
-    [budget] drains across the batch. *)
+    allowance per query. A plain [budget] is one allowance drained
+    across the whole batch. *)
 
 val query_relations :
   t -> p:Iset.t -> (Algorithm1.result, Errors.t) result

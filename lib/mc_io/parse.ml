@@ -622,8 +622,11 @@ let database_of_lines ?semantics lines =
    resolved against the schema *as evolved so far*, so a relation
    added three lines up is a legal edge endpoint here and the
    recorded index ops line up exactly with [Delta.apply_all]'s
-   sequential semantics. *)
-let deltas_of_lines nb lines =
+   sequential semantics. Names resolve through a [name_index] of the
+   schema as evolved so far; after each op it is [reindex]ed on first
+   use, so a side is rebuilt only when its names changed and a later
+   line looks one up. *)
+let deltas_of_lines ?names nb lines =
   let module D = Bipartite.Delta in
   match expect_header "deltas" lines with
   | Error e -> Error e
@@ -632,18 +635,16 @@ let deltas_of_lines nb lines =
       Array.init (Array.length arr - 1) (fun k ->
           arr.(if k < j then k else k + 1))
     in
-    let rec consume nb ops = function
+    let rec consume ix nb ops = function
       | [] -> Ok (List.rev ops, nb)
       | (i, cs, toks) :: rest ->
         let left c a =
-          match index_of nb.left_names a with
-          | Some la -> Ok la
-          | None -> err i c "unknown left node '%s'" a
+          let la = find (Lazy.force ix).left a in
+          if la >= 0 then Ok la else err i c "unknown left node '%s'" a
         in
         let right c r =
-          match index_of nb.right_names r with
-          | Some j -> Ok j
-          | None -> err i c "unknown relation '%s'" r
+          let j = find (Lazy.force ix).right r in
+          if j >= 0 then Ok j else err i c "unknown relation '%s'" r
         in
         (* Apply as we go: later lines must validate against the
            evolved schema, and an op the engine would reject must die
@@ -651,7 +652,9 @@ let deltas_of_lines nb lines =
         let step op rename =
           match D.apply nb.graph op with
           | Error msg -> err i (col_at cs 0) "%s" msg
-          | Ok graph -> consume (rename { nb with graph }) (op :: ops) rest
+          | Ok graph ->
+            let nb = rename { nb with graph } in
+            consume (lazy (reindex (Lazy.force ix) nb)) nb (op :: ops) rest
         in
         (match toks with
         | [ "+edge"; a; b ] -> (
@@ -663,10 +666,9 @@ let deltas_of_lines nb lines =
           | Ok la, Ok rb -> step (D.Remove_edge (la, rb)) Fun.id
           | (Error _ as e), _ | _, (Error _ as e) -> e)
         | "+relation" :: name :: attrs ->
-          if
-            index_of nb.left_names name <> None
-            || index_of nb.right_names name <> None
-          then err i (col_at cs 1) "duplicate node name '%s'" name
+          let ix = Lazy.force ix in
+          if find ix.left name >= 0 || find ix.right name >= 0 then
+            err i (col_at cs 1) "duplicate node name '%s'" name
           else
             let rec resolve set k = function
               | [] -> Ok set
@@ -692,7 +694,10 @@ let deltas_of_lines nb lines =
         | t :: _ -> err i (col_at cs 0) "unknown delta directive '%s'" t
         | [] -> err i 0 "empty line slipped through")
     in
-    consume nb [] lines
+    let ix =
+      match names with Some ix -> Lazy.from_val ix | None -> lazy (index nb)
+    in
+    consume ix nb [] lines
 
 let query_of_text text =
   let words =
@@ -730,7 +735,7 @@ let hypergraph_of_string = of_lines hypergraph_of_lines
 let database_of_string ?semantics text =
   of_lines (database_of_lines ?semantics) text
 
-let deltas_of_string nb = of_lines (deltas_of_lines nb)
+let deltas_of_string ?names nb = of_lines (deltas_of_lines ?names nb)
 
 let query_of_string text =
   match too_large text with

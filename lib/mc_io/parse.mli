@@ -99,21 +99,6 @@ val database_of_string :
     Under the default [Set] semantics duplicate [row] lines collapse;
     pass [~semantics:Bag] to preserve multiplicities. *)
 
-val deltas_of_string :
-  named_bigraph ->
-  string ->
-  (Bipartite.Delta.op list * named_bigraph, error) result
-(** Parse a delta file against the given schema, resolving each line's
-    names in the schema {e as evolved by the preceding lines} — a
-    [+relation] three lines up is a legal [+edge] endpoint here. The
-    returned index ops are exactly what [Delta.apply_all] (and the
-    engine's [Compiled.apply_deltas]) expect, and the returned
-    [named_bigraph] is the fully evolved schema with its name tables
-    ([+relation] appends a right name, [-relation] removes one;
-    duplicate names are rejected). Typed [Parse_error] with line/col
-    on unknown directives, unknown names, or an op the engine would
-    reject (out-of-range index). *)
-
 val query_of_string :
   string -> (string list * (string * string) list, error) result
 (** The interface's tiny query language:
@@ -151,6 +136,25 @@ val resolve : name_index -> string list -> (Iset.t, string) result
 (** {!name_set} against the index: the same result and the same
     first-unknown [Error], in O(|names|) expected time. A name present
     on both sides resolves to the left one. *)
+
+val deltas_of_string :
+  ?names:name_index ->
+  named_bigraph ->
+  string ->
+  (Bipartite.Delta.op list * named_bigraph, error) result
+(** Parse a delta file against the given schema, resolving each line's
+    names in the schema {e as evolved by the preceding lines} — a
+    [+relation] three lines up is a legal [+edge] endpoint here.
+    Names resolve through a {!name_index} ({!resolve}'s table), which
+    is {!reindex}ed after each op on its next use; [names], an index
+    of the given schema, saves building the first one. The
+    returned index ops are exactly what [Delta.apply_all] (and the
+    engine's [Compiled.apply_deltas]) expect, and the returned
+    [named_bigraph] is the fully evolved schema with its name tables
+    ([+relation] appends a right name, [-relation] removes one;
+    duplicate names are rejected). Typed [Parse_error] with line/col
+    on unknown directives, unknown names, or an op the engine would
+    reject (out-of-range index). *)
 
 val bigraph_to_string : named_bigraph -> string
 (** The inverse of {!bigraph_of_string}. A side's names go on as few

@@ -1,21 +1,11 @@
 exception Exhausted of Errors.stop_reason
 
-(* Batch-wide state shared by every per-task view; all cross-domain
-   traffic goes through the two atomics. *)
-type shared_state = {
-  has_fuel : bool;  (* whether [sfuel] is a real cap *)
-  sfuel : int Atomic.t;  (* pooled steps, drawn by every view *)
-  sdeadline : float;  (* absolute, like [deadline] below *)
-  scancel : Errors.stop_reason option Atomic.t;
-}
-
 type t = {
   limited : bool;
   deadline : float;  (* absolute Unix.gettimeofday; infinity = none *)
   mutable fuel : int;  (* remaining steps; max_int = none *)
   mutable tick : int;  (* checks until the next wall-clock poll *)
   mutable spent : int;
-  shared : shared_state option;  (* batch pool this view draws from *)
 }
 
 (* Polling the wall clock every check would dominate the hot loops;
@@ -32,7 +22,6 @@ let unlimited =
     fuel = max_int;
     tick = 0;
     spent = 0;
-    shared = None;
   }
 
 let make ?timeout_ms ?fuel () =
@@ -50,10 +39,7 @@ let make ?timeout_ms ?fuel () =
       if f < 0 then invalid_arg "Budget.make: negative fuel";
       f
   in
-  { limited = true; deadline; fuel; tick = clock_stride; spent = 0;
-    shared = None }
-
-let is_unlimited b = not b.limited
+  { limited = true; deadline; fuel; tick = clock_stride; spent = 0 }
 
 let spent b = b.spent
 
@@ -62,19 +48,6 @@ let slow_check b =
   (match Fault.should_fail () with
   | Some reason -> raise (Exhausted reason)
   | None -> ());
-  (match b.shared with
-  | None -> ()
-  | Some s ->
-    (match Atomic.get s.scancel with
-    | Some reason -> raise (Exhausted reason)
-    | None -> ());
-    if s.has_fuel && Atomic.fetch_and_add s.sfuel (-1) <= 0 then begin
-      (* Park the reason so sibling tasks stop at their next check
-         instead of each draining the (empty) pool to discover it. *)
-      ignore
-        (Atomic.compare_and_set s.scancel None (Some Errors.Fuel));
-      raise (Exhausted Errors.Fuel)
-    end);
   if b.fuel <> max_int then begin
     b.fuel <- b.fuel - 1;
     if b.fuel < 0 then raise (Exhausted Errors.Fuel)
@@ -82,14 +55,8 @@ let slow_check b =
   b.tick <- b.tick - 1;
   if b.tick <= 0 then begin
     b.tick <- clock_stride;
-    if b.deadline < infinity && Unix.gettimeofday () > b.deadline then begin
-      (match b.shared with
-      | Some s ->
-        ignore
-          (Atomic.compare_and_set s.scancel None (Some Errors.Timeout))
-      | None -> ());
+    if b.deadline < infinity && Unix.gettimeofday () > b.deadline then
       raise (Exhausted Errors.Timeout)
-    end
   end
 
 let check b = if b.limited then slow_check b
@@ -100,42 +67,3 @@ let protect b f =
   | exception Exhausted reason ->
     ignore b;
     Error reason
-
-module Shared = struct
-  type handle = shared_state
-
-  let make ?timeout_ms ?fuel () =
-    let sdeadline =
-      match timeout_ms with
-      | None -> infinity
-      | Some ms ->
-        if ms < 0 then invalid_arg "Budget.Shared.make: negative timeout";
-        Unix.gettimeofday () +. (float_of_int ms /. 1000.0)
-    in
-    let has_fuel, sfuel =
-      match fuel with
-      | None -> (false, max_int)
-      | Some f ->
-        if f < 0 then invalid_arg "Budget.Shared.make: negative fuel";
-        (true, f)
-    in
-    { has_fuel; sfuel = Atomic.make sfuel; sdeadline;
-      scancel = Atomic.make None }
-
-  let view ?timeout_ms s =
-    let deadline =
-      match timeout_ms with
-      | None -> s.sdeadline
-      | Some ms ->
-        if ms < 0 then invalid_arg "Budget.Shared.view: negative timeout";
-        Float.min s.sdeadline
-          (Unix.gettimeofday () +. (float_of_int ms /. 1000.0))
-    in
-    { limited = true; deadline; fuel = max_int;
-      tick = clock_stride; spent = 0; shared = Some s }
-
-  let cancel s reason =
-    ignore (Atomic.compare_and_set s.scancel None (Some reason))
-
-  let cancelled s = Atomic.get s.scancel
-end

@@ -124,10 +124,6 @@ let arm_op ~op ?(after = 0) ?(times = max_int) () =
 
 let disarm_op ~op = Hashtbl.remove (ops ()) op
 
-let disarm_ops () = Hashtbl.reset (ops ())
-
-let op_armed ~op = Hashtbl.mem (ops ()) op
-
 let check_op op =
   match Hashtbl.find_opt (ops ()) op with
   | None -> ()
@@ -162,8 +158,6 @@ let arm_write_crash ~after_bytes =
   Domain.DLS.set write_crash_key (Some after_bytes)
 
 let disarm_write_crash () = Domain.DLS.set write_crash_key None
-
-let write_crash_armed () = Domain.DLS.get write_crash_key <> None
 
 let check_write ~written =
   match Domain.DLS.get write_crash_key with

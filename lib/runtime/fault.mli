@@ -78,11 +78,6 @@ val arm_op : op:string -> ?after:int -> ?times:int -> unit -> unit
 
 val disarm_op : op:string -> unit
 
-val disarm_ops : unit -> unit
-(** Drop every armed operation plan in the calling domain. *)
-
-val op_armed : op:string -> bool
-
 val check_op : string -> unit
 (** Consulted by the instrumented boundary; raises {!Injected_fault}
     when that operation's armed plan says so, advancing the plan. *)
@@ -112,8 +107,6 @@ val arm_write_crash : after_bytes:int -> unit
     {!disarm_write_crash}. *)
 
 val disarm_write_crash : unit -> unit
-
-val write_crash_armed : unit -> bool
 
 val check_write : written:int -> unit
 (** Consulted by chunked writers with the running byte count; raises

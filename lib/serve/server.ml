@@ -12,7 +12,6 @@ module Export = Observe.Export
 type config = {
   host : string;
   port : int;
-  backlog : int;
   max_inflight : int;
   degrade_watermark : int;
   pressure_fuel : int;
@@ -20,7 +19,6 @@ type config = {
   read_timeout_ms : int;
   write_timeout_ms : int;
   max_body_bytes : int;
-  shared_fuel : int option;
   degrade : bool;
   drain_timeout_ms : int;
 }
@@ -29,7 +27,6 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    backlog = 64;
     max_inflight = 32;
     degrade_watermark = 24;
     pressure_fuel = 64;
@@ -37,7 +34,6 @@ let default_config =
     read_timeout_ms = 10_000;
     write_timeout_ms = 10_000;
     max_body_bytes = 64 * 1024;
-    shared_fuel = None;
     degrade = true;
     drain_timeout_ms = 2_000;
   }
@@ -69,7 +65,6 @@ type t = {
   wake_w : Unix.file_descr;
   conns : (int, Unix.file_descr) Hashtbl.t;  (* live handler fds *)
   conns_lock : Mutex.t;
-  shared : Budget.Shared.handle option;
   c_accepted : Metrics.counter;
   c_shed : Metrics.counter;
   c_reaped : Metrics.counter;
@@ -89,7 +84,11 @@ let metrics t = t.metrics
 let latency_bounds_us =
   [| 50.; 100.; 250.; 500.; 1000.; 2500.; 5000.; 25000.; 100000.; 1000000. |]
 
-let create ?(config = default_config) ?cache ?compiled
+(* The kernel's accept queue; admission control proper is
+   [max_inflight]. *)
+let backlog = 64
+
+let create ?(config = default_config) ?compiled
     ?(metrics = Metrics.disabled) ?(trace = Trace.disabled) nb =
   (* A peer that hangs up mid-response must surface as EPIPE on the
      write, not as a fatal signal. *)
@@ -98,10 +97,7 @@ let create ?(config = default_config) ?cache ?compiled
   let compiled =
     match compiled with
     | Some c -> c
-    | None ->
-      fst
-        (Cache.Plan_cache.find_or_compile ~trace ~metrics ?cache
-           nb.Parse.graph)
+    | None -> Compiled.compile ~trace ~metrics nb.Parse.graph
   in
   match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
@@ -110,7 +106,7 @@ let create ?(config = default_config) ?cache ?compiled
       Unix.setsockopt lfd Unix.SO_REUSEADDR true;
       Unix.bind lfd
         (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-      Unix.listen lfd config.backlog;
+      Unix.listen lfd backlog;
       match Unix.getsockname lfd with
       | Unix.ADDR_INET (_, p) -> p
       | _ -> config.port
@@ -123,11 +119,6 @@ let create ?(config = default_config) ?cache ?compiled
       Error (config.host ^ ": " ^ msg)
     | bound_port ->
       let wake_r, wake_w = Unix.pipe () in
-      let shared =
-        Option.map
-          (fun fuel -> Budget.Shared.make ~fuel ())
-          config.shared_fuel
-      in
       Ok
         {
           cfg = config;
@@ -145,7 +136,6 @@ let create ?(config = default_config) ?cache ?compiled
           wake_w;
           conns = Hashtbl.create 64;
           conns_lock = Mutex.create ();
-          shared;
           c_accepted = Metrics.counter metrics "serve.accepted";
           c_shed = Metrics.counter metrics "serve.shed";
           c_reaped = Metrics.counter metrics "serve.reaped";
@@ -189,10 +179,7 @@ let solve_response t st session body =
     if pressured then
       Budget.make ~timeout_ms:t.cfg.request_timeout_ms
         ~fuel:t.cfg.pressure_fuel ()
-    else
-      match t.shared with
-      | Some h -> Budget.Shared.view ~timeout_ms:t.cfg.request_timeout_ms h
-      | None -> Budget.make ~timeout_ms:t.cfg.request_timeout_ms ()
+    else Budget.make ~timeout_ms:t.cfg.request_timeout_ms ()
   in
   let pressure_headers =
     if pressured then [ ("X-Minconn-Pressure", "high") ] else []
@@ -248,7 +235,7 @@ let delta_response t body =
   Mutex.lock t.delta_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.delta_lock) @@ fun () ->
   let st = Atomic.get t.state in
-  match Parse.deltas_of_string st.nb body with
+  match Parse.deltas_of_string ~names:st.names st.nb body with
   | Error e ->
     text 400
       ~headers:

@@ -5,17 +5,16 @@
     shared compiled plan, so concurrent requests never share a
     session's mutable budget or trace. The robustness contract:
 
-    - {b Admission control}: the kernel accept queue is bounded by
-      [backlog]; beyond [max_inflight] concurrent connections the
+    - {b Admission control}: the kernel accept queue holds 64
+      connections; beyond [max_inflight] concurrent connections the
       listener answers [503] with [X-Minconn-Error: overloaded]
       immediately — the request is never read, so shedding stays fast
       under any load.
     - {b Deadlines}: every admitted socket carries receive/send
       deadlines ([read_timeout_ms]/[write_timeout_ms]); a stalled
       client is reaped with [408] (counted as [serve.reaped]). Every
-      query runs under a budget capped at [request_timeout_ms], drawn
-      as a view of the server-wide {!Runtime.Budget.Shared} tank when
-      [shared_fuel] is set.
+      query runs under its own budget, capped at
+      [request_timeout_ms].
     - {b Graceful degradation}: above [degrade_watermark] in-flight
       connections, queries run on a small fuel budget
       ([pressure_fuel]) so the ladder answers from cheaper rungs;
@@ -50,7 +49,6 @@
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 picks an ephemeral port; see {!port} *)
-  backlog : int;  (** kernel accept-queue bound *)
   max_inflight : int;  (** admission cap on concurrent connections *)
   degrade_watermark : int;
       (** in-flight count above which queries run in pressure mode *)
@@ -59,9 +57,6 @@ type config = {
   read_timeout_ms : int;  (** socket receive deadline *)
   write_timeout_ms : int;  (** socket send deadline *)
   max_body_bytes : int;  (** request body cap (413 beyond it) *)
-  shared_fuel : int option;
-      (** when set, a server-wide fuel tank all request budgets draw
-          from (see {!Runtime.Budget.Shared}) *)
   degrade : bool;
       (** ladder fall-through on exhaustion (default); [false] turns
           budget exhaustion into [504] *)
@@ -74,22 +69,21 @@ type t
 
 val create :
   ?config:config ->
-  ?cache:Cache.Plan_cache.t ->
   ?compiled:Engine.Compiled.t ->
   ?metrics:Observe.Metrics.t ->
   ?trace:Observe.Trace.t ->
   Mc_io.Parse.named_bigraph ->
   (t, string) result
-(** Compile (or load from [cache]) the schema once, index its names
+(** Compile the schema once (or take [compiled]), index its names
     ({!Mc_io.Parse.index}, O(|names|)), bind and listen. Each accepted
     delta publishes a new state whose index is
     {!Mc_io.Parse.reindex} of the old one — only a side whose name
     array changed is rebuilt, and no published index is mutated, so
     an inflight request keeps resolving against the state it started
     with.
-    [compiled] supplies a pre-built plan for [nb] instead — the CLI's
-    [serve --deltas] path hands over the evolved plan it obtained via
-    the cache's patch rung. [Error msg] on bind/listen failure. Also
+    [compiled] supplies a pre-built plan for [nb] instead — the CLI
+    hands over the plan it found in (or stored into) its plan cache.
+    [Error msg] on bind/listen failure. Also
     ignores SIGPIPE process-wide: a dead peer must surface as a typed
     write error, never a fatal signal. *)
 

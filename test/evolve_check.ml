@@ -1,7 +1,9 @@
 (* evolve-smoke driver: apply the checked-in delta file to the fixture
    schema and require that the incrementally patched plan answers the
    fixture queries byte-identically to `solve` on the emitted evolved
-   schema — cold, patched-from-cache, and exact-evolved-hit. Usage:
+   schema — cold, patched-from-cache, and evolved-entry hit — and that
+   the plan cache keys the evolved plan by the evolved schema's
+   content, so compiling the emitted file hits it. Usage:
      evolve_check CLI FIXTURE DELTAS QUERIES \
        EVOLVED_OUT SOLVE_OUT EVOLVE_OUT CACHED_OUT
    Exits nonzero with a diagnostic on any violation, failing the dune
@@ -55,7 +57,8 @@ let () =
     fail "evolve --queries answers differ from solve on the evolved schema";
   (* Same contract through the plan cache: seed the base entry, then
      the first evolve must patch it and the second must hit the stored
-     evolved entry — both byte-identical again. *)
+     evolved entry — both byte-identical again. The evolved entry is
+     the evolved schema's own, so compiling the emitted file hits it. *)
   let dir = "evolve_smoke_store" in
   (match Sys.readdir dir with
   | names -> Array.iter (fun n -> Sys.remove (Filename.concat dir n)) names
@@ -79,4 +82,10 @@ let () =
   if not (contains (read_file (cached_out ^ ".err2")) "cache=hit") then
     fail "second cached evolve did not hit the stored evolved entry";
   if read_file cached_out <> want then
-    fail "evolved-entry answers differ from solve on the evolved schema"
+    fail "evolved-entry answers differ from solve on the evolved schema";
+  let compiled_out = cached_out ^ ".compile" in
+  sh
+    (Printf.sprintf "%s compile %s --plan-cache %s > %s"
+       (q cli) (q evolved_out) (q dir) (q compiled_out));
+  if not (contains (read_file compiled_out) "cache=hit") then
+    fail "compile on the emitted evolved schema missed the evolved entry"

@@ -238,7 +238,7 @@ let reenvelope entry payload =
     Filename.chop_suffix (Filename.basename entry) ".plan"
   in
   Printf.sprintf
-    "minconn-plan/%d\n%s\nschema %s\njournal -\nlength %d\ndigest %s\n%s"
+    "minconn-plan/%d\n%s\nschema %s\nlength %d\ndigest %s\n%s"
     PC.format_version commit_line schema (String.length payload)
     (Digest.to_hex (Digest.string payload))
     payload
@@ -282,32 +282,6 @@ let corruption_cases =
         write_file entry
           (String.sub blob 0 (nl + 1) ^ "commit someone-elses-build" ^ rest)
     );
-    ( "delta journal line truncated",
-      "truncated",
-      fun entry blob ->
-        (* Keep magic, commit and schema lines; cut the envelope at
-           the journal line. *)
-        let upto =
-          let rec skip i k =
-            if k = 0 then i else skip (String.index_from blob i '\n' + 1) (k - 1)
-          in
-          skip 0 3
-        in
-        write_file entry (String.sub blob 0 upto) );
-    ( "journal from a different delta sequence",
-      "delta-mismatch",
-      fun entry blob ->
-        (* A fresh lookup must refuse an entry whose journal line
-           records some delta lineage: same base schema, different
-           schema of record. *)
-        let lines = String.split_on_char '\n' blob in
-        let rewritten =
-          List.mapi
-            (fun i l ->
-              if i = 3 then "journal " ^ String.make 32 'd' else l)
-            lines
-        in
-        write_file entry (String.concat "\n" rewritten) );
     ( "entry filed under wrong schema",
       "schema-mismatch",
       fun entry blob ->
@@ -337,7 +311,7 @@ let corruption_cases =
           let rec skip i k =
             if k = 0 then i else skip (String.index_from blob i '\n' + 1) (k - 1)
           in
-          skip 0 6
+          skip 0 5
         in
         let payload = String.sub blob nl4 (String.length blob - nl4) in
         let cut = String.sub payload 0 (String.length payload / 2) in
@@ -345,10 +319,10 @@ let corruption_cases =
     ( "previous format version",
       "version-mismatch",
       fun entry blob ->
-        (* A format-2 payload has another Compiled.t layout: it must be
-           refused before unmarshaling. *)
+        (* A format-3 entry carries a header line format 4 dropped: it
+           must be refused before its header is parsed any further. *)
         let rest = String.sub blob 14 (String.length blob - 14) in
-        write_file entry ("minconn-plan/2" ^ rest) );
+        write_file entry ("minconn-plan/3" ^ rest) );
   ]
 
 let test_miss_absent () =
@@ -587,13 +561,12 @@ let test_counters () =
 
 (* --------------------------------------------- evolved-plan entries *)
 
-(* The delta-aware lookup ladder: exact evolved entry -> patch the
-   base schema's cached plan -> cold compile of the evolved schema.
-   Every rung stores under the evolved key [<base>+<journal>.plan],
-   and a patched plan answers exactly like a fresh compile of the
-   evolved schema. Also the satellite contract for the typed miss: an
-   entry whose journal hash disagrees with the lookup's reads as
-   [delta-mismatch], never a hit. *)
+(* The delta-aware lookup ladder: the evolved schema's own entry ->
+   the base schema's cached plan patched through the deltas -> a cold
+   compile of the evolved schema. Every plan is stored under its own
+   schema hash, so a patched plan is the entry a plain [find] on the
+   evolved graph hits, and it answers exactly like a fresh compile of
+   the evolved schema. *)
 let test_evolved_cache () =
   let rng = Workloads.Rng.make ~seed:4242 in
   let g, _ = test_graph () in
@@ -609,51 +582,55 @@ let test_evolved_cache () =
     | Ok t -> t
     | Error m -> Alcotest.failf "deltas do not apply: %s" m
   in
-  let deltas = [ Minconn.Delta.Add_relation (Iset.of_list [ 0; 1 ]) ] in
-  let target = apply_all deltas in
-  (match PC.find_evolved cache ~base:g ~deltas with
-  | Ok _ -> Alcotest.fail "evolved entry cannot exist yet"
-  | Error m -> check_string "cold evolved miss" "absent" (PC.miss_name m));
-  (* Rung 3 (cold): nothing cached at all -> compile the evolved
-     schema, store it under the evolved key. *)
-  let c1, o1 = PC.find_or_compile ~metrics ~cache ~deltas g in
-  check "cold delta lookup is a miss" true (o1 = `Miss);
-  check "cold delta lookup compiles the evolved schema" true
-    (Minconn.Bigraph.equal (Minconn.Compiled.graph c1) target);
-  (* Rung 1 (exact): the store above makes the next lookup a hit... *)
-  let _c2, o2 = PC.find_or_compile ~metrics ~cache ~deltas g in
-  check "evolved entry is an exact hit" true (o2 = `Hit);
-  (* ...without ever creating a fresh entry for the base schema. *)
-  check_string "fresh lookup unaffected by evolved entries" "absent"
-    (find_miss cache g);
-  (* Rung 2 (patch): with the base's fresh plan cached, a new delta
-     sequence is served by patching it, not recompiling. *)
+  let keys () = List.sort compare (List.map fst (PC.entries cache)) in
+  let hashes gs = List.sort compare (List.map Minconn.Compiled.schema_hash gs) in
+  (* Patch: with the base's plan cached, the first lookup patches it
+     instead of recompiling. *)
   store_ok cache (Minconn.Compiled.compile g);
-  let deltas2 = [ Minconn.Delta.Add_relation (Iset.of_list [ 0 ]) ] in
-  let target2 = apply_all deltas2 in
-  let c3, o3 = PC.find_or_compile ~metrics ~cache ~deltas:deltas2 g in
-  check "served by patching the cached base plan" true (o3 = `Patched);
+  let deltas = [ Minconn.Delta.Add_relation (Iset.of_list [ 0 ]) ] in
+  let target = apply_all deltas in
+  let c1, o1 = PC.find_or_compile ~metrics ~cache ~deltas g in
+  check "served by patching the cached base plan" true (o1 = `Patched);
   check "patch counted" true (count "cache.patched" = 1);
-  let u2 = Bigraph.ugraph target2 in
-  let p2 = Workloads.Gen_bipartite.random_terminals rng target2 ~k:3 in
-  let fresh2 = Minconn.Compiled.compile target2 in
-  let want = Minconn.Session.query (Minconn.Session.create fresh2) ~p:p2 in
-  let got = Minconn.Session.query (Minconn.Session.create c3) ~p:p2 in
+  let u = Bigraph.ugraph target in
+  let p = Workloads.Gen_bipartite.random_terminals rng target ~k:3 in
+  let fresh = Minconn.Compiled.compile target in
+  let want = Minconn.Session.query (Minconn.Session.create fresh) ~p in
+  let got = Minconn.Session.query (Minconn.Session.create c1) ~p in
   check "patched plan answers like the fresh compile" true
-    (result_equal u2 ~p:p2 want got);
-  (* The patched plan was stored under its evolved key: exact hit. *)
-  let _c4, o4 = PC.find_or_compile ~metrics ~cache ~deltas:deltas2 g in
-  check "patched entry now an exact hit" true (o4 = `Hit);
-  (match PC.find_evolved cache ~base:g ~deltas:deltas2 with
-  | Ok c -> check "find_evolved loads the patched plan" true
-      (Minconn.Bigraph.equal (Minconn.Compiled.graph c) target2)
-  | Error m -> Alcotest.failf "find_evolved: %s" (PC.miss_name m));
-  (* Typed miss: an evolved entry misfiled under the base's fresh
-     name has a matching schema line but a foreign journal hash. *)
-  let evolved_file = PC.evolved_path cache ~base:g ~deltas:deltas2 in
-  write_file (PC.entry_path cache g) (read_file evolved_file);
-  check_string "misfiled evolved entry is a delta-mismatch"
-    "delta-mismatch" (find_miss cache g)
+    (result_equal u ~p want got);
+  (* The patched plan is the evolved schema's entry: a plain [find] on
+     the evolved graph hits it, and the evolved schema has one entry. *)
+  check "find on the evolved graph loads the patched plan" true
+    (Minconn.Bigraph.equal
+       (Minconn.Compiled.graph (find_ok cache target))
+       target);
+  check "one entry per schema" true (keys () = hashes [ g; target ]);
+  let _c2, o2 = PC.find_or_compile ~metrics ~cache ~deltas g in
+  check "the evolved entry is a hit" true (o2 = `Hit);
+  (* A delta sequence that ends where it began is the base schema: its
+     own entry hits, and nothing new is stored. *)
+  let back =
+    [
+      Minconn.Delta.Add_relation (Iset.of_list [ 0 ]);
+      Minconn.Delta.Remove_relation (Bigraph.nr g);
+    ]
+  in
+  let _c3, o3 = PC.find_or_compile ~metrics ~cache ~deltas:back g in
+  check "a round-trip delta sequence hits the base entry" true (o3 = `Hit);
+  check "nothing new stored" true (keys () = hashes [ g; target ]);
+  (* Cold: without the base's plan, compile the evolved schema and
+     store it under its own hash, creating no entry for the base. *)
+  Sys.remove (PC.entry_path cache g);
+  let deltas2 = [ Minconn.Delta.Add_relation (Iset.of_list [ 0; 1 ]) ] in
+  let target2 = apply_all deltas2 in
+  let c4, o4 = PC.find_or_compile ~metrics ~cache ~deltas:deltas2 g in
+  check "cold delta lookup is a miss" true (o4 = `Miss);
+  check "cold delta lookup compiles the evolved schema" true
+    (Minconn.Bigraph.equal (Minconn.Compiled.graph c4) target2);
+  check_string "no entry for the base schema" "absent" (find_miss cache g);
+  check "cold entry stored under its own hash" true
+    (keys () = hashes [ target; target2 ])
 
 (* ------------------------------- marshal-safety regression (fixtures) *)
 

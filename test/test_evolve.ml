@@ -368,15 +368,7 @@ let test_invalid_deltas () =
       Minconn.Delta.Remove_edge (-1, 0);
       Minconn.Delta.Remove_relation 2;
       Minconn.Delta.Add_relation (Iset.singleton 9);
-    ];
-  (* journal hashing: order-sensitive, canonical, "-" for empty *)
-  check "empty journal is the fresh sentinel" true
-    (Minconn.Delta.journal_hash [] = Minconn.Delta.fresh_journal);
-  let a = Minconn.Delta.Add_edge (0, 1) and b = Minconn.Delta.Remove_edge (0, 1) in
-  check "journal hash is order-sensitive" true
-    (Minconn.Delta.journal_hash [ a; b ] <> Minconn.Delta.journal_hash [ b; a ]);
-  check "journal hash is deterministic" true
-    (Minconn.Delta.journal_hash [ a; b ] = Minconn.Delta.journal_hash [ a; b ])
+    ]
 
 (* Session.with_plan: physical no-op on the same plan, correct answers
    on a swapped plan. *)

@@ -71,6 +71,63 @@ let test_name_set () =
     | Error "zz" -> check "unknown reported" true true
     | _ -> Alcotest.fail "expected unknown name")
 
+(* Delta files resolve each line against the schema as evolved by the
+   lines above it: an edge may name a relation the file added, and
+   after a [-relation] every later name means its shifted index. The
+   same holds when the caller hands over an index of the schema. *)
+let test_delta_names () =
+  let module D = Bipartite.Delta in
+  let nb =
+    match Mc_io.Parse.bigraph_of_string sample_graph with
+    | Ok nb -> nb
+    | Error _ -> Alcotest.fail "parse"
+  in
+  let text =
+    "deltas\n+relation r9 A\n+edge C r9\n-relation r1\n-edge A r9\n\
+     +edge A r2\n"
+  in
+  let want =
+    [
+      D.Add_relation (Iset.singleton 0);
+      D.Add_edge (2, 2);
+      D.Remove_relation 0;
+      D.Remove_edge (0, 1);
+      D.Add_edge (0, 0);
+    ]
+  in
+  List.iter
+    (fun (how, parsed) ->
+      match parsed with
+      | Error e -> Alcotest.failf "%s: %a" how Mc_io.Parse.pp_error e
+      | Ok (ops, evolved) ->
+        check (how ^ ": ops at the evolved indices") true (ops = want);
+        check (how ^ ": evolved right names") true
+          (evolved.Mc_io.Parse.right_names = [| "r2"; "r9" |]);
+        check (how ^ ": evolved graph = apply_all") true
+          (match D.apply_all nb.Mc_io.Parse.graph ops with
+          | Ok g -> Bipartite.Bigraph.equal g evolved.Mc_io.Parse.graph
+          | Error _ -> false))
+    [
+      ("fresh index", Mc_io.Parse.deltas_of_string nb text);
+      ( "given index",
+        Mc_io.Parse.deltas_of_string ~names:(Mc_io.Parse.index nb) nb text );
+    ];
+  let error_of text =
+    match Mc_io.Parse.deltas_of_string nb text with
+    | Ok _ -> "ok"
+    | Error e -> Runtime.Errors.to_string e
+  in
+  check "a removed relation is unknown on later lines" true
+    (error_of "deltas\n-relation r1\n+edge A r1\n"
+    = Runtime.Errors.to_string
+        (Runtime.Errors.Parse_error
+           { line = 3; col = 9; msg = "unknown relation 'r1'" }));
+  check "a new relation may not reuse a left name" true
+    (error_of "deltas\n+relation B A\n"
+    = Runtime.Errors.to_string
+        (Runtime.Errors.Parse_error
+           { line = 2; col = 11; msg = "duplicate node name 'B'" }))
+
 (* 6,000 names a side in 16,384 slots each. With these names
    ([Hashtbl.hash] is unseeded and stable) an insertion on each side
    probes past the last slot and wraps to slot 0: every name must still
@@ -454,6 +511,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "name set" `Quick test_name_set;
+          Alcotest.test_case "delta file names" `Quick test_delta_names;
           Alcotest.test_case "name index at 10^4 names" `Quick
             test_name_index_large;
           Alcotest.test_case "schema" `Quick test_parse_schema;

@@ -323,81 +323,10 @@ let test_budget_protect () =
   | Ok 42 -> check "unlimited passes through" true true
   | _ -> Alcotest.fail "protect must return the value"
 
-(* The serving pattern: one server-wide fuel tank, one view per
-   concurrent request. When the pool drains, every sibling — busy on
-   its own thread — must stop at its next cooperative checkpoint with
-   the typed [Fuel] error, the handle must record the cancellation,
-   and views created after the drain must stop on their first check. *)
-let test_shared_concurrent_drain () =
-  let h = Budget.Shared.make ~fuel:10_000 () in
-  let results = Array.make 4 (Ok ()) in
-  let worker i =
-    let b = Budget.Shared.view h in
-    results.(i) <-
-      Budget.protect b (fun () ->
-          while true do
-            Budget.check b
-          done)
-  in
-  let threads = List.init 4 (fun i -> Thread.create worker i) in
-  List.iter Thread.join threads;
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Error Errors.Fuel -> ()
-      | Error e ->
-        Alcotest.failf "view %d stopped with %s, not fuel" i
-          (Errors.stop_reason_name e)
-      | Ok () -> Alcotest.failf "view %d never stopped" i)
-    results;
-  (match Budget.Shared.cancelled h with
-  | Some Errors.Fuel -> ()
-  | Some e ->
-    Alcotest.failf "handle recorded %s, not fuel" (Errors.stop_reason_name e)
-  | None -> Alcotest.fail "handle must record the cancellation");
-  let late = Budget.Shared.view h in
-  match Budget.protect late (fun () -> Budget.check late) with
-  | Error Errors.Fuel -> ()
-  | _ -> Alcotest.fail "a view created after the drain must stop immediately"
-
-(* The same tank drained from one thread: the first view stops on
-   [Fuel], the handle parks the exhaustion, and a fresh view stops on
-   its first check. *)
-let test_shared_fuel_cancels_batch () =
-  let h = Budget.Shared.make ~fuel:100 () in
-  let drain view =
-    match
-      Budget.protect view (fun () ->
-          while true do
-            Budget.check view
-          done)
-    with
-    | Error reason -> reason
-    | Ok _ -> assert false
-  in
-  check "first view drains the tank to Fuel" true
-    (drain (Budget.Shared.view h) = Errors.Fuel);
-  check "exhaustion is parked for siblings" true
-    (Budget.Shared.cancelled h = Some Errors.Fuel);
-  check "fresh view stops immediately" true
-    (drain (Budget.Shared.view h) = Errors.Fuel)
-
-let test_shared_cancel () =
-  let h = Budget.Shared.make ~fuel:1_000_000 () in
-  Budget.Shared.cancel h Errors.Timeout;
-  let view = Budget.Shared.view h in
-  check "cancelled handle stops views" true
-    (Budget.protect view (fun () -> Budget.check view)
-    = Error Errors.Timeout);
-  Budget.Shared.cancel h Errors.Fuel;
-  check "first cancel wins" true
-    (Budget.Shared.cancelled h = Some Errors.Timeout)
-
-(* A per-request wall-clock cap tightens a shared view's deadline even
-   when the handle itself has no deadline and plenty of fuel. *)
-let test_shared_view_timeout () =
-  let h = Budget.Shared.make ~fuel:max_int () in
-  let b = Budget.Shared.view ~timeout_ms:10 h in
+(* The serving pattern: every request runs under its own budget,
+   capped by the per-request wall clock, however much fuel it has. *)
+let test_request_timeout () =
+  let b = Budget.make ~timeout_ms:10 () in
   match
     Budget.protect b (fun () ->
         while true do
@@ -406,8 +335,9 @@ let test_shared_view_timeout () =
   with
   | Error Errors.Timeout -> ()
   | Error e ->
-    Alcotest.failf "view stopped with %s, not timeout" (Errors.stop_reason_name e)
-  | Ok () -> Alcotest.fail "capped view never stopped"
+    Alcotest.failf "budget stopped with %s, not timeout"
+      (Errors.stop_reason_name e)
+  | Ok () -> Alcotest.fail "capped budget never stopped"
 
 let () =
   Alcotest.run "runtime"
@@ -445,13 +375,8 @@ let () =
             test_cancellation_clean_rerun;
           Alcotest.test_case "generous budget never alters in-class results"
             `Quick test_generous_budget_same_result;
-          Alcotest.test_case "shared tank drain cancels every sibling view"
-            `Quick test_shared_concurrent_drain;
-          Alcotest.test_case "per-request timeout tightens a shared view"
-            `Quick test_shared_view_timeout;
-          Alcotest.test_case "shared fuel tank cancels the batch" `Quick
-            test_shared_fuel_cancels_batch;
-          Alcotest.test_case "explicit shared cancel" `Quick test_shared_cancel;
+          Alcotest.test_case "per-request timeout stops a budget" `Quick
+            test_request_timeout;
         ] );
       ( "errors",
         [
