@@ -1321,12 +1321,13 @@ let engine_section ~trials ~max_n ~scale_max_n ~json_path () =
       batch ~section:"gnp"
         (Workloads.Gen_bipartite.gnp rng ~nl:nsz ~nr:nsz ~p:0.3))
     (sizes [ 16; 32; 64 ]);
-  (* Alpha rows: off (6,2), so every query runs the exact DP rung on its
-     component's CSR. One 3-terminal query on a warm session over a
-     connected alpha schema at n ≈ 10^3 and 10^4, and the mean of an
-     8-query in-block burst over the disjoint scale-alpha family at
-     10^5; both ladders are capped by [--scale-max-n]. *)
-  let query_row ~section ~n ~m ~nq ms =
+  (* Query rows on connected schemas, capped by [--scale-max-n]: one
+     query on a warm session. Alpha is off (6,2), so its 3-terminal
+     query runs the exact DP rung on the component's CSR (n ≈ 10^3 and
+     10^4); a 4-terminal chordal62 query runs Algorithm 2 inside its
+     seed cover (n ≈ 10^3, 10^4 and 10^5). Then the mean of an 8-query
+     in-block burst over the disjoint scale-alpha family at 10^5. *)
+  let query_row ~section ~k ~n ~m ~nq ms =
     Printf.printf "%-12s %-10s %6d %8d %8d %12.4f\n%!" section "query" n m nq
       ms;
     let name, ns, extras = timed_entry ~section ~impl:"query" ~n ~m ~ms in
@@ -1338,32 +1339,35 @@ let engine_section ~trials ~max_n ~scale_max_n ~json_path () =
             extras
             @ [
                 ("queries", Observe.Json.Jnum (float_of_int nq));
-                ("terminals", Observe.Json.Jnum 3.0);
+                ("terminals", Observe.Json.Jnum (float_of_int k));
               ] );
         ]
   in
   let answer s p =
     match Minconn.Session.query s ~p with
     | Ok _ -> ()
-    | Error _ -> failwith "engine bench: alpha query failed"
+    | Error _ -> failwith "engine bench: connected query failed"
   in
-  List.iter
-    (fun n_right ->
-      let g =
-        Workloads.Gen_bipartite.alpha_bipartite
-          (trial ~section:"engine-alpha" n_right)
-          ~n_right ~max_size:4
-      in
-      let s = Minconn.Session.create (Minconn.Compiled.compile g) in
-      let p =
-        Workloads.Gen_bipartite.random_terminals
-          (trial ~section:"engine-alpha-terminals" n_right)
-          g ~k:3
-      in
-      query_row ~section:"alpha-connected" ~n:(Bigraph.n g) ~m:(Bigraph.m g)
-        ~nq:1
-        (time_mean ~trials (fun () -> answer s p)))
-    (List.filter (fun r -> 3 * r <= scale_max_n) [ 335; 3350 ]);
+  let connected_rows ~section ~seeds ~k generate sizes =
+    List.iter
+      (fun n_right ->
+        let g =
+          generate (trial ~section:seeds n_right) ~n_right ~max_size:4
+        in
+        let s = Minconn.Session.create (Minconn.Compiled.compile g) in
+        let p =
+          Workloads.Gen_bipartite.random_terminals
+            (trial ~section:(seeds ^ "-terminals") n_right)
+            g ~k
+        in
+        query_row ~section ~k ~n:(Bigraph.n g) ~m:(Bigraph.m g) ~nq:1
+          (time_mean ~trials (fun () -> answer s p)))
+      (List.filter (fun r -> 3 * r <= scale_max_n) sizes)
+  in
+  connected_rows ~section:"alpha-connected" ~seeds:"engine-alpha" ~k:3
+    Workloads.Gen_bipartite.alpha_bipartite [ 335; 3350 ];
+  connected_rows ~section:"chordal62-connected" ~seeds:"engine-62-connected"
+    ~k:4 Workloads.Gen_bipartite.chordal_62 [ 335; 3350; 33_300 ];
   if scale_max_n >= 100_000 then begin
     let inst =
       Workloads.Gen_scale.make Workloads.Gen_scale.Alpha ~target_n:100_000
@@ -1378,7 +1382,7 @@ let engine_section ~trials ~max_n ~scale_max_n ~json_path () =
       List.init 8 (fun i ->
           Workloads.Gen_scale.block_terminals inst ~block:(i * blocks / 8) ~k:3)
     in
-    query_row ~section:"scale-alpha" ~n:(Workloads.Gen_scale.n inst)
+    query_row ~section:"scale-alpha" ~k:3 ~n:(Workloads.Gen_scale.n inst)
       ~m:(Workloads.Gen_scale.m inst) ~nq:8
       (time_mean ~trials (fun () -> List.iter (answer s) queries) /. 8.0)
   end;

@@ -64,13 +64,19 @@ let () =
       | Some a -> [ a ]
       | None -> []
     in
-    let eliminated = Algorithm2.solve ~order:bad_order u ~p in
+    (* Definition 11's elimination over the whole graph: Algorithm 2
+       itself eliminates inside a BFS seed, where A may never appear. *)
+    let nodes = Ugraph.nodes u in
+    let order =
+      bad_order @ Iset.elements (Iset.diff nodes (Iset.of_list bad_order))
+    in
+    let eliminated = Cover.eliminate_redundant ~order u ~within:nodes ~p in
     let exact = Dreyfus_wagner.solve u ~terminals:p in
     let count = function Some t -> Tree.node_count t | None -> -1 in
     Format.printf
       "  eliminating A first: %d nodes; optimum: %d nodes — no ordering is \
        good on this graph@."
-      (count eliminated) (count exact)
+      (Iset.cardinal eliminated) (count exact)
   | None -> ());
   (* X3C hardness gadget: watch the exact solver's work blow up. *)
   Format.printf "@.Theorem 2 gadgets (exact solver on 3q+1 terminals):@.";

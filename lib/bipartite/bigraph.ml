@@ -125,9 +125,6 @@ let node_of_index g v =
   if v < 0 || v >= g.nl + g.nr then invalid_arg "Bigraph.node_of_index";
   if v < g.nl then L v else R (v - g.nl)
 
-let side_of_index g v =
-  match node_of_index g v with L _ -> V1 | R _ -> V2
-
 let left_nodes g = Iset.range g.nl
 
 let right_nodes g =

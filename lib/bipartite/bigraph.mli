@@ -88,7 +88,6 @@ val csr : t -> Csr.t
 
 val index : t -> node -> int
 val node_of_index : t -> int -> node
-val side_of_index : t -> int -> side
 
 val left_nodes : t -> Iset.t
 (** As underlying indices. *)

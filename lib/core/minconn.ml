@@ -81,15 +81,8 @@ let solve_min_relations g ~p =
   | None, _ | _, None -> Error (Errors.Invalid_instance "empty terminal set")
   | Some lo, Some hi when lo < 0 || hi >= Bigraph.n g ->
     Error (Errors.Invalid_instance "terminal index out of range")
-  | Some _, Some _ -> (
-    match Algorithm1.solve g ~p with
-    | Ok r -> Ok r
-    | Error Algorithm1.Disconnected_terminals ->
-      Error Errors.Disconnected_terminals
-    | Error Algorithm1.Not_alpha_acyclic ->
-      Error
-        (Errors.Invalid_instance
-           "scheme is not alpha-acyclic (V2-chordal V2-conformal)"))
+  | Some _, Some _ ->
+    Result.map_error Algorithm1.to_error (Algorithm1.solve g ~p)
 
 let report ?trace g =
   let profile = Classify.profile ?trace g in

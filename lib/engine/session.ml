@@ -7,6 +7,7 @@ module Fault = Runtime.Fault
 module Tree = Steiner.Tree
 module Algorithm1 = Steiner.Algorithm1
 module Algorithm2 = Steiner.Algorithm2
+module Cover = Steiner.Cover
 module Dreyfus_wagner = Steiner.Dreyfus_wagner
 module Mst_approx = Steiner.Mst_approx
 
@@ -131,7 +132,11 @@ let query ?budget ?degrade t ~p =
               meth = Used_forest;
               guarantee = Degrade.Exact;
               run =
-                (fun () -> Steiner.Forest_steiner.solve_csr csr ~terminals:p);
+                (fun () ->
+                  (* On a forest the seed is the unique minimal
+                     connection. *)
+                  Option.bind (Cover.seed csr ~p) (fun ids ->
+                      Tree.of_csr_node_set csr (Iset.of_array ids)));
             };
             mst_rung;
           ] )
@@ -272,24 +277,8 @@ let solve_many ?budget ?make_budget ?degrade t ps =
 let query_relations t ~p =
   match locate t ~p with
   | Error e -> Error e
-  | Ok comp -> (
-    match comp.Compiled.alg1_prep with
-    | Error Algorithm1.Not_alpha_acyclic ->
-      Error
-        (Errors.Invalid_instance
-           "scheme is not alpha-acyclic (V2-chordal V2-conformal)")
-    | Error Algorithm1.Disconnected_terminals ->
-      (* prepare never returns this; locate already placed [p]. *)
-      Error Errors.Disconnected_terminals
-    | Ok prep -> (
-      match
-        Algorithm1.solve_prepared ~trace:t.trace t.compiled.Compiled.graph
-          prep ~p
-      with
-      | Ok r -> Ok r
-      | Error Algorithm1.Disconnected_terminals ->
-        Error Errors.Disconnected_terminals
-      | Error Algorithm1.Not_alpha_acyclic ->
-        Error
-          (Errors.Invalid_instance
-             "scheme is not alpha-acyclic (V2-chordal V2-conformal)")))
+  | Ok comp ->
+    Result.map_error Algorithm1.to_error
+      (Result.bind comp.Compiled.alg1_prep (fun prep ->
+           Algorithm1.solve_prepared ~trace:t.trace t.compiled.Compiled.graph
+             prep ~p))

@@ -73,13 +73,10 @@ val query :
     Every rung runs on the induced slice of the terminals' component
     ({!Bipartite.Bigraph.induced}, which renumbers ascending) and its
     tree is mapped back, so the answer is the one the rung returns on
-    the whole graph. On a (6,2)-chordal plan Algorithm 2 runs on the
-    slice's CSR ({!Steiner.Algorithm2.solve_csr}) and, with tracing
-    off, the query derives no set view: only the forest,
-    Dreyfus–Wagner and MST rungs and the traced [verify] span build
-    the slice's {!Graphs.Ugraph.t}, on first use. The degradation
-    ladder, rung spans, [ladder.*]
-    events and
+    the whole graph. No rung builds a set view. The (4,1) rung answers
+    the seed cover {!Steiner.Cover.seed} itself; the (6,2) and fixpoint
+    rungs eliminate inside it ({!Steiner.Algorithm2.solve_csr}). The
+    degradation ladder, rung spans, [ladder.*] events and
     [budget.checks]/[rung.abandonments] counters are exactly those of
     the one-shot solver, recorded under a ["query"] span. [?budget] and
     [?degrade] override the session defaults for this query only — a

@@ -1,7 +1,7 @@
 (** Dense mutable bitsets over [{0, ..., len - 1}].
 
     The flat membership sets of the Steiner kernels ([Steiner.Cover],
-    [Steiner.Tree], [Steiner.Forest_steiner]): [mem], [add] and
+    [Steiner.Tree], [Steiner.Algorithm2]): [mem], [add] and
     [remove] are O(1) on packed machine words and allocate nothing.
     Out-of-range indices raise [Invalid_argument]. *)
 

@@ -6,7 +6,30 @@
 
 type t = { n : int; m : int; row : int array; col : int array }
 
-let cmp_int (a : int) (b : int) = compare a b
+(* In-place heap sort of [a.(lo) .. a.(hi - 1)]: monomorphic int
+   comparisons, no closure, no allocation. *)
+let heap_sort (a : int array) lo hi =
+  let rec sift i len =
+    let c = (2 * i) + 1 in
+    if c < len then begin
+      let c = if c + 1 < len && a.(lo + c + 1) > a.(lo + c) then c + 1 else c in
+      if a.(lo + c) > a.(lo + i) then begin
+        let t = a.(lo + i) in
+        a.(lo + i) <- a.(lo + c);
+        a.(lo + c) <- t;
+        sift c len
+      end
+    end
+  in
+  for i = ((hi - lo) / 2) - 1 downto 0 do
+    sift i (hi - lo)
+  done;
+  for last = hi - lo - 1 downto 1 do
+    let t = a.(lo) in
+    a.(lo) <- a.(lo + last);
+    a.(lo + last) <- t;
+    sift 0 last
+  done
 
 let check_edge n u v =
   if u < 0 || u >= n || v < 0 || v >= n then
@@ -46,16 +69,32 @@ let of_edge_iter ~n iter =
      Short rows — the common case in the bounded-degree scale
      workloads — are insertion-sorted directly inside [col], so the
      whole sorting pass allocates nothing (and is one linear pass on a
-     row that arrived ascending). A long row that arrived ascending, as
-     every row of a [Bigraph.flip] stream does, is kept after one
-     linear check; only the others pay for a scratch copy and the
-     general-purpose sort. *)
-  let ascending s e =
+     row that arrived ascending). A long row arrives as an ascending
+     prefix (all of it for a [Bigraph.flip] stream; the smaller
+     neighbours for a 2-section) and a tail: only the tail is
+     heap-sorted in place, then the prefix is copied out and merged
+     back in front of it if the two overlap. *)
+  let prefix_end s e =
     let k = ref (s + 1) in
     while !k < e && col.(!k - 1) <= col.(!k) do
       incr k
     done;
-    !k >= e
+    !k
+  in
+  let merge_prefix s k e =
+    let prefix = Array.sub col s (k - s) in
+    let i = ref 0 and j = ref k and w = ref s in
+    while !i < k - s do
+      if !j < e && col.(!j) < prefix.(!i) then begin
+        col.(!w) <- col.(!j);
+        incr j
+      end
+      else begin
+        col.(!w) <- prefix.(!i);
+        incr i
+      end;
+      incr w
+    done
   in
   for u = 0 to n - 1 do
     let s = row.(u) and e = row.(u + 1) in
@@ -70,10 +109,12 @@ let of_edge_iter ~n iter =
           done;
           col.(!j + 1) <- v
         done
-      else if not (ascending s e) then begin
-        let tmp = Array.sub col s (e - s) in
-        Array.sort cmp_int tmp;
-        Array.blit tmp 0 col s (e - s)
+      else begin
+        let k = prefix_end s e in
+        if k < e then begin
+          heap_sort col k e;
+          if col.(k - 1) > col.(k) then merge_prefix s k e
+        end
       end
   done;
   let out_row = Array.make (n + 1) 0 in

@@ -6,8 +6,6 @@ let range n =
   let rec go acc i = if i < 0 then acc else go (add i acc) (i - 1) in
   go empty (n - 1)
 
-let to_list_sorted = elements
-
 let pp ppf s =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list

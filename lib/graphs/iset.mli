@@ -11,10 +11,6 @@ val of_array : int array -> t
 val range : int -> t
 (** [range n] is the set [{0, 1, ..., n-1}]; empty when [n <= 0]. *)
 
-val to_list_sorted : t -> int list
-(** Elements in increasing order (alias of [elements], named for
-    clarity at call sites). *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints as [{0, 3, 7}]. *)
 

@@ -104,6 +104,3 @@ let distance ?within g s t =
   else
     let d = (bfs ~within:w g s).(t) in
     if d < 0 then None else Some d
-
-let all_pairs_distances g =
-  Array.init (Ugraph.n g) (fun s -> bfs g s)

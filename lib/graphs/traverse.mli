@@ -42,6 +42,3 @@ val shortest_path : ?within:Iset.t -> Ugraph.t -> int -> int -> int list option
 (** A shortest path from [s] to [t] as a node list [s; ...; t]. *)
 
 val distance : ?within:Iset.t -> Ugraph.t -> int -> int -> int option
-
-val all_pairs_distances : Ugraph.t -> int array array
-(** BFS from every node; [-1] marks unreachable pairs. *)

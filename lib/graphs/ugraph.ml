@@ -58,9 +58,6 @@ let edges g = List.rev (fold_edges (fun u v l -> (u, v) :: l) g [])
 
 let adj_within g ~within u = Iset.inter (neighbors g u) within
 
-let neighborhood g w =
-  Iset.fold (fun u acc -> Iset.union g.adj.(u) acc) w Iset.empty
-
 let private_neighbors g ~within v =
   let candidates = Iset.inter g.adj.(v) within in
   let only_v u =

@@ -56,10 +56,6 @@ val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val adj_within : t -> within:Iset.t -> int -> Iset.t
 (** Neighbors intersected with [within]. *)
 
-val neighborhood : t -> Iset.t -> Iset.t
-(** [neighborhood g w] is the set of nodes adjacent to at least one node
-    of [w] — the paper's [Adj(W)]; it may intersect [w]. *)
-
 val private_neighbors : t -> within:Iset.t -> int -> Iset.t
 (** [private_neighbors g ~within v] is the paper's [Adj*(v)] relative to
     the induced subgraph on [within]: nodes of [within] adjacent to [v]

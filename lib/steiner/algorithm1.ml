@@ -26,6 +26,12 @@ type prep = {
   w_order : int list;  (* [] for trivial (<= 1 node) components *)
 }
 
+let to_error = function
+  | Disconnected_terminals -> Runtime.Errors.Disconnected_terminals
+  | Not_alpha_acyclic ->
+    Runtime.Errors.Invalid_instance
+      "scheme is not alpha-acyclic (V2-chordal V2-conformal)"
+
 let prep_order p = p.w_order
 
 let prepare ?(trace = Observe.Trace.disabled) ?slice g ~comp =

@@ -20,6 +20,12 @@ type error =
       (** the terminal component is not V₂-chordal V₂-conformal, so the
           Lemma 1 ordering does not exist and the guarantee is void *)
 
+val to_error : error -> Runtime.Errors.t
+(** The one mapping onto the stack's error taxonomy, shared by
+    [Minconn.solve_min_relations] and [Engine.Session.query_relations]:
+    [Disconnected_terminals] stays itself and [Not_alpha_acyclic]
+    becomes an [Invalid_instance] naming the failed side properties. *)
+
 type result = {
   tree : Tree.t;
   v2_count : int;  (** number of right nodes in the tree — the paper's

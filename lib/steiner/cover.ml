@@ -155,6 +155,50 @@ let eliminate ?(budget = Runtime.Budget.unlimited)
   done;
   Bitset.to_iset present
 
+(* Lemma 5 lets elimination run in any connected superset of [p]; the
+   cheapest at hand is the parent paths of one BFS from the least
+   terminal, cut short once the last terminal is discovered. [parent]
+   doubles as the visited mark (-2 unseen, -1 the root); each path is
+   walked up only until it meets the seed. *)
+let seed csr ~p =
+  let n = Csr.n csr in
+  match (Iset.min_elt_opt p, Iset.max_elt_opt p) with
+  | None, _ | _, None -> Some [||]
+  | Some root, Some hi when root >= 0 && hi < n ->
+    let parent = Array.make n (-2) and queue = Array.make n root in
+    parent.(root) <- -1;
+    let missing = ref (Iset.cardinal p - 1) and head = ref 0 and tail = ref 1 in
+    while !missing > 0 && !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      Csr.iter_neighbors csr u (fun v ->
+          if parent.(v) = -2 then begin
+            parent.(v) <- u;
+            queue.(!tail) <- v;
+            incr tail;
+            if Iset.mem v p then decr missing
+          end)
+    done;
+    if !missing > 0 then None
+    else begin
+      (* The queue is spent: it collects the seed. *)
+      let member = Bitset.create n and size = ref 0 in
+      Iset.iter
+        (fun t ->
+          let v = ref t in
+          while !v >= 0 && not (Bitset.mem member !v) do
+            Bitset.add member !v;
+            queue.(!size) <- !v;
+            incr size;
+            v := parent.(!v)
+          done)
+        p;
+      let ids = Array.sub queue 0 !size in
+      Array.sort Int.compare ids;
+      Some ids
+    end
+  | Some _, Some _ -> None
+
 (* The renumbering is ascending, so a scan over the slice takes the
    decisions it takes on [g]. *)
 let slice ?order g ~within =

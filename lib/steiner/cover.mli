@@ -54,6 +54,15 @@ val eliminate :
     nothing partial is left behind). Node sets are dense bitsets and
     connectivity an array BFS: one pass costs O(|order| · (n + m)). *)
 
+val seed : Csr.t -> p:Iset.t -> int array option
+(** [seed csr ~p] is the one seed cover: the union of the parent paths
+    of one BFS from the least terminal (rows scanned ascending), cut
+    short once every terminal is discovered, as ascending ids for
+    {!Graphs.Csr.induced}. It is connected and holds [p], and on a
+    forest it {e is} the unique minimal connection. [Some [||]] for
+    empty [p]; [None] when a terminal is out of range or unreached.
+    O(n) words; time O(the part of the graph the BFS visits). *)
+
 val slice :
   ?order:int list -> Ugraph.t -> within:Iset.t -> Csr.t * int array * int list
 (** [slice ?order g ~within] cuts the subgraph induced by [within] out
@@ -61,7 +70,7 @@ val slice :
     it with its id array (local [i] is [ids.(i)], inverted by
     {!Graphs.Csr.local_index}) and [order] (default increasing)
     restricted to [within] in local ids. The set-view front door of
-    {!eliminate_redundant} and {!Algorithm2.solve}. *)
+    {!eliminate_redundant} and {!Dreyfus_wagner.solve}. *)
 
 val eliminate_redundant :
   ?order:int list ->

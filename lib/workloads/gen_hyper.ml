@@ -12,7 +12,10 @@ let random rng ~n_nodes ~n_edges ~max_size =
 
 (* Join-tree construction. [disjoint_separators] additionally consumes
    separator nodes from the parent's private pool so that any two edges
-   intersect only when tree-adjacent, and separators never overlap. *)
+   intersect only when tree-adjacent, and separators never overlap.
+   Edges and their pools live in [lo, hi) of arrays with room for
+   n_edges pushes at either end: a joined edge goes last, a new tree
+   (every pool exhausted) first, so the family is linear in its size. *)
 let join_tree_family rng ~n_edges ~max_size ~max_sep ~disjoint_separators =
   if n_edges < 1 then invalid_arg "Gen_hyper: need at least one edge";
   let fresh = ref 0 in
@@ -25,33 +28,39 @@ let join_tree_family rng ~n_edges ~max_size ~max_sep ~disjoint_separators =
     let k = 1 + Rng.int rng (max 1 (max_size - 1)) in
     List.init k (fun _ -> next_fresh ())
   in
+  let edges = Array.make (2 * n_edges) Iset.empty
+  and pools = Array.make (2 * n_edges) [] in
+  let lo = ref n_edges and hi = ref n_edges and live = ref 0 in
+  let push_back e pool =
+    edges.(!hi) <- e;
+    pools.(!hi) <- pool;
+    incr hi;
+    incr live
+  in
   let first = new_privates () in
-  let edges = ref [ Iset.of_list first ] in
-  let pools = ref [ first ] in
+  push_back (Iset.of_list first) first;
   for _ = 2 to n_edges do
-    let arr = Array.of_list !pools in
     (* Pick a parent whose pool is still usable. *)
-    let candidates =
-      List.filteri (fun _ pool -> pool <> []) !pools
-    in
-    let parent_index =
-      if candidates = [] then -1
+    let parent =
+      if !live = 0 then -1
       else begin
         let rec pick () =
-          let i = Rng.int rng (Array.length arr) in
-          if arr.(i) = [] then pick () else i
+          let i = !lo + Rng.int rng (!hi - !lo) in
+          if pools.(i) = [] then pick () else i
         in
         pick ()
       end
     in
     let privates = new_privates () in
-    if parent_index < 0 then begin
+    if parent < 0 then begin
       (* Every pool exhausted: start a new tree in the forest. *)
-      edges := Iset.of_list privates :: !edges;
-      pools := privates :: !pools
+      decr lo;
+      edges.(!lo) <- Iset.of_list privates;
+      pools.(!lo) <- privates;
+      incr live
     end
     else begin
-      let pool = arr.(parent_index) in
+      let pool = pools.(parent) in
       let sep_size = 1 + Rng.int rng (max 1 (min max_sep (List.length pool))) in
       let sep_size = min sep_size (List.length pool) in
       let separator = Rng.sample rng sep_size pool in
@@ -59,16 +68,14 @@ let join_tree_family rng ~n_edges ~max_size ~max_sep ~disjoint_separators =
         let remaining =
           List.filter (fun v -> not (List.mem v separator)) pool
         in
-        pools :=
-          List.mapi (fun i p -> if i = parent_index then remaining else p)
-            !pools
+        pools.(parent) <- remaining;
+        if remaining = [] then decr live
       end;
-      let e = Iset.of_list (separator @ privates) in
-      edges := !edges @ [ e ];
-      pools := !pools @ [ privates ]
+      push_back (Iset.of_list (separator @ privates)) privates
     end
   done;
-  Hypergraph.create ~n_nodes:!fresh !edges
+  Hypergraph.create ~n_nodes:!fresh
+    (Array.to_list (Array.sub edges !lo (!hi - !lo)))
 
 let alpha_acyclic rng ~n_edges ~max_size =
   join_tree_family rng ~n_edges ~max_size ~max_sep:max_size

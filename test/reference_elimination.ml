@@ -1,8 +1,8 @@
 (* Test oracles for [Cover.eliminate], the one elimination fixpoint the
-   library runs. Both references work on the Iset view with one
-   set-view BFS per candidate, over the whole graph instead of the
-   component's CSR slice; they must take exactly the kernel's
-   decisions. *)
+   library runs, and for [Cover.seed], the node set Algorithm 2
+   eliminates in. The elimination references work on the Iset view
+   with one set-view BFS per candidate, over the whole graph instead
+   of a CSR slice; they must take exactly the kernel's decisions. *)
 
 open Graphs
 open Steiner
@@ -29,6 +29,35 @@ let eliminate_sets ?order ?(steps = Observe.Metrics.inert) g ~within ~p =
     if Iset.equal next current then current else fixpoint next
   in
   fixpoint within
+
+(* [Cover.seed] on the set view, written independently: a full BFS
+   from the least terminal over ascending neighbour sets (each node's
+   parent is the node that first reached it), then the union of the
+   parent paths from every terminal. [None] when a terminal is
+   unreached. *)
+let bfs_seed u ~p =
+  match Iset.min_elt_opt p with
+  | None -> Some Iset.empty
+  | Some root ->
+    let parent = Hashtbl.create 64 and queue = Queue.create () in
+    Hashtbl.replace parent root root;
+    Queue.push root queue;
+    while not (Queue.is_empty queue) do
+      let x = Queue.pop queue in
+      Iset.iter
+        (fun y ->
+          if not (Hashtbl.mem parent y) then begin
+            Hashtbl.replace parent y x;
+            Queue.push y queue
+          end)
+        (Ugraph.neighbors u x)
+    done;
+    let rec path v acc =
+      if v = root then Iset.add v acc
+      else path (Hashtbl.find parent v) (Iset.add v acc)
+    in
+    if Iset.for_all (Hashtbl.mem parent) p then Some (Iset.fold path p Iset.empty)
+    else None
 
 (* Algorithm 1's Step 2: drop each right node of W together with its
    private left neighbors whenever the remainder still covers [p]. *)

@@ -41,7 +41,9 @@
    both sides' 2-sections, which are near-complete graphs of 400
    nodes cut from hyperedges of about 120 nodes each: built once from
    the schema's CSR with each distinct pair emitted once, and decided
-   by maximum cardinality search, it takes about 0.2 s; building a
+   by maximum cardinality search, it takes about 0.1 s (0.19 s when
+   each long 2-section row was copied out and sorted through a
+   comparison closure rather than heap-sorted in place); building a
    [Ugraph] 2-section per side from the hypergraph and running the
    quadratic LexBFS kernel on it took 1.6–1.75 s.
 
@@ -54,10 +56,11 @@
    a few milliseconds; the cubic loop over dense bitsets of every
    hyperedge triple took about 224 s.
 
-   It answers one 4-terminal query on a connected chordal62 schema of
-   n ≈ 1,200 under a one-second budget: Algorithm 2's elimination runs
-   on the component's CSR with an array BFS per candidate, and the
-   set-view fixpoint took about 2 s there.
+   It answers a warm 4-terminal query on the connected chordal62 schema
+   that `minconn generate --class 62 --size 3400 --seed 1` writes
+   (n = 10,249) under 5 ms, and bounds what it allocates: Algorithm 2
+   eliminates inside the seed cover of the terminals, not over the
+   whole component, which took about 8 s there.
 
    It answers one 3-terminal query on the connected alpha schema
    (n ≈ 9,000) under a one-second budget, and bounds what it allocates
@@ -95,9 +98,10 @@ let budget_s = 60.0
    one word per schema node at n = 10^5. *)
 let max_query_words = 10_000
 
-(* A chordal62 query runs Algorithm 2 on its block's CSR and derives no
-   set view: measured at 344 words, where deriving the block's set
-   view for the tree extraction allocated 887. *)
+(* A chordal62 query runs Algorithm 2 inside its seed cover on its
+   block's CSR and derives no set view: measured at 270 words (344
+   when it eliminated over the whole block), where deriving the
+   block's set view for the tree extraction allocated 887. *)
 let max_chordal62_query_words = 600
 
 let max_resolve_s = 0.05
@@ -253,15 +257,24 @@ let connected_compile_s family ~n_right =
   end;
   (Minconn.Bigraph.n g, dt)
 
-(* Measured at about 85 ms at n = 1,204 with the CSR elimination
-   kernel; one set-view BFS per candidate took about 2 s. *)
-let max_connected_query_s = 1.0
+(* A warm 4-terminal query on the connected schema that `minconn
+   generate --class 62 --size 3400 --seed 1` writes (n = 10,249)
+   measures about 2 ms and 55,000 words: Algorithm 2 eliminates inside
+   the seed cover, the BFS parent paths between the terminals (135
+   nodes), and the seed's parent and queue arrays and the slice's id
+   array (3n words) are the only allocations sized to the schema.
+   Eliminating over the whole component took about 8 s there. *)
+let max_connected_query_s = 0.005
 
-(* Seconds for one 4-terminal session query on a connected chordal62
-   schema of [n_right] relations (compile not timed). *)
-let connected_query_s ~n_right =
+let max_connected_query_words = 80_000
+
+(* The best of three warm runs, in seconds, and the words allocated by
+   one, of a 4-terminal session query on the connected chordal62 schema
+   of [n_right] relations (compile and a first query not timed),
+   failing unless Algorithm 2 answered it exactly. *)
+let connected_query ~n_right =
   let g =
-    Workloads.Gen_bipartite.chordal_62 (Workloads.Rng.make ~seed:0) ~n_right
+    Workloads.Gen_bipartite.chordal_62 (Workloads.Rng.make ~seed:1) ~n_right
       ~max_size:4
   in
   if not (Minconn.Bigraph.is_connected g) then begin
@@ -272,13 +285,28 @@ let connected_query_s ~n_right =
   let p =
     Workloads.Gen_bipartite.random_terminals (Workloads.Rng.make ~seed:1) g ~k:4
   in
-  let t0 = Unix.gettimeofday () in
-  (match Minconn.Session.query session ~p with
-  | Ok s when s.Minconn.Session.optimal -> ()
-  | _ ->
-    prerr_endline "scale_check: the connected chordal62 query is not exact";
-    exit 1);
-  (Minconn.Bigraph.n g, Unix.gettimeofday () -. t0)
+  let run () =
+    match Minconn.Session.query session ~p with
+    | Ok s when s.Minconn.Session.method_used = Minconn.Session.Used_algorithm2
+      ->
+      ()
+    | _ ->
+      prerr_endline "scale_check: the connected chordal62 query is not exact";
+      exit 1
+  in
+  run ();
+  let word = float_of_int (Sys.word_size / 8) in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  run ();
+  let words = int_of_float ((Gc.allocated_bytes () -. before) /. word) in
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    run ();
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  (Minconn.Bigraph.n g, !best, words)
 
 (* One 3-terminal query on the connected alpha schema measures about
    10 ms and 1.7 words per (2^t)·(n + m): the exact DP's flat tables
@@ -514,12 +542,15 @@ let () =
         (name, n, s))
       [ ("chordal62", `Chordal62); ("alpha", `Alpha) ]
   in
-  let query_n, query_s = connected_query_s ~n_right:400 in
-  if query_s > max_connected_query_s then begin
+  let query_n, query_s, query_words = connected_query ~n_right:3400 in
+  if query_s > max_connected_query_s || query_words > max_connected_query_words
+  then begin
     Printf.eprintf
-      "scale_check: a 4-terminal query on a connected %d-node chordal62 \
-       schema took %.2fs (bound %.0fs)\n"
-      query_n query_s max_connected_query_s;
+      "scale_check: a warm 4-terminal query on a connected %d-node \
+       chordal62 schema took %.4fs (bound %.3fs) and allocated %d words \
+       (bound %d)\n"
+      query_n query_s max_connected_query_s query_words
+      max_connected_query_words;
     exit 1
   end;
   let alpha_n, alpha_s, alpha_words = connected_alpha_query ~n_right:3000 in
@@ -584,8 +615,10 @@ let () =
         name n s max_connected_compile_s)
     compiles;
   Printf.fprintf oc
-    "connected chordal62 query: n=%d in %.3fs (bound %.0fs)\n" query_n
-    query_s max_connected_query_s;
+    "connected chordal62 query: n=%d in %.4fs (bound %.3fs), %d words \
+     (bound %d)\n"
+    query_n query_s max_connected_query_s query_words
+    max_connected_query_words;
   Printf.fprintf oc
     "connected alpha query: n=%d in %.3fs (bound %.0fs), %.1f words per \
      (2^t)(n + m) (bound %.0f)\n"

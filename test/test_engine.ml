@@ -72,6 +72,32 @@ let prop_session_equal_chordal62 =
       let g = Workloads.Gen_bipartite.chordal_62 rng ~n_right ~max_size:4 in
       batch_matches_oneshot g (query_batch rng g))
 
+(* Lemma 5 on connected schemas of about a thousand nodes: the session
+   eliminates inside the seed cover only, and its tree must still cost
+   what the exact DP's does. *)
+let prop_seeded_algorithm2_exact_connected =
+  QCheck2.Test.make ~count:40
+    ~name:"seeded Algorithm 2 = Dreyfus-Wagner (connected (6,2), n ~ 10^3)"
+    seed_gen
+    (fun seed ->
+      let rng = Workloads.Rng.make ~seed in
+      let n_right = 250 + Workloads.Rng.int rng 100 in
+      let g = Workloads.Gen_bipartite.chordal_62 rng ~n_right ~max_size:4 in
+      let p =
+        Workloads.Gen_bipartite.random_terminals rng g
+          ~k:(2 + Workloads.Rng.int rng 5)
+      in
+      let session = Minconn.Session.create (Minconn.Compiled.compile g) in
+      match
+        ( Minconn.Session.query session ~p,
+          Dreyfus_wagner.solve_csr (Bigraph.csr g) ~terminals:p )
+      with
+      | Ok s, Some opt ->
+        s.Minconn.method_used = Minconn.Used_algorithm2
+        && Tree.verify_csr (Bigraph.csr g) ~terminals:p s.Minconn.tree
+        && Tree.node_count s.Minconn.tree = Tree.node_count opt
+      | _ -> false)
+
 (* Fuel-metered paths: the session must exhaust, abandon rungs, and
    degrade on exactly the same query the one-shot solver does, because
    compilation is never metered and fuel starts fresh per query. Only
@@ -154,7 +180,10 @@ let union_families =
 (* The rung behind each method, called directly on the whole graph's
    set view: the references the session's sliced ladder must match. *)
 let whole_graph_rung u ~p = function
-  | Minconn.Used_forest -> Forest_steiner.solve u ~terminals:p
+  | Minconn.Used_forest ->
+    let csr = Csr.of_ugraph u in
+    Option.bind (Cover.seed csr ~p) (fun ids ->
+        Tree.of_csr_node_set csr (Iset.of_array ids))
   | Minconn.Used_algorithm2 | Minconn.Used_elimination -> Algorithm2.solve u ~p
   | Minconn.Used_exact_dp -> Dreyfus_wagner.solve u ~terminals:p
   | Minconn.Used_mst_approx -> Mst_approx.solve u ~terminals:p
@@ -339,6 +368,7 @@ let qcheck_cases =
     prop_session_equal_under_fuel;
     prop_sliced_ladder_equals_whole_graph;
     prop_relations_equal;
+    prop_seeded_algorithm2_exact_connected;
   ]
 
 let () =

@@ -86,9 +86,11 @@ let prop_csr_construction =
       && Ugraph.equal (Csr.to_ugraph csr) g)
 
 (* The same edge set streamed in ascending order, so every row arrives
-   sorted (some with repeated entries), and shuffled, so rows arrive
-   unsorted, builds the same CSR as the [Ugraph]. Dense graphs push
-   rows past the insertion-sort cutoff on both paths. *)
+   sorted (some with repeated entries), shuffled, so rows arrive
+   unsorted, and as an ascending run followed by a shuffled one, so
+   long rows arrive as a sorted prefix plus a tail that must be merged
+   into it, builds the same CSR as the [Ugraph]. Dense graphs push
+   rows past the insertion-sort cutoff on every path. *)
 let prop_csr_presorted_rows =
   QCheck2.Test.make ~count:300
     ~name:"Csr.of_edge_iter: ascending rows = shuffled rows" seed_gen
@@ -105,9 +107,15 @@ let prop_csr_presorted_rows =
              (Ugraph.edges g))
       in
       let shuffled = Workloads.Rng.shuffle rng ascending in
+      let cut = Workloads.Rng.int rng (List.length ascending + 1) in
+      let prefix_tail =
+        List.filteri (fun i _ -> i < cut) ascending
+        @ Workloads.Rng.shuffle rng (List.filteri (fun i _ -> i >= cut) ascending)
+      in
       let reference = Csr.of_ugraph g in
       Csr.equal (Csr.of_edges ~n ascending) reference
-      && Csr.equal (Csr.of_edges ~n shuffled) reference)
+      && Csr.equal (Csr.of_edges ~n shuffled) reference
+      && Csr.equal (Csr.of_edges ~n prefix_tail) reference)
 
 (* ------------------------------------------------- MCS chordality *)
 
@@ -341,9 +349,10 @@ let prop_elimination_equal =
 
 (* Algorithm 2's core on a component slice's CSR, as the session runs
    it, against [Algorithm2.solve] on the whole graph's set view and
-   against the set-view reference (fixpoint, then [Tree.of_node_set]):
-   the same tree edge for edge, the same [elimination.steps], the same
-   number of budget checks. *)
+   against the set-view reference (fixpoint inside an independently
+   computed BFS-path seed, then [Tree.of_node_set]): the same tree edge
+   for edge, the same [elimination.steps], the same number of budget
+   checks. *)
 let prop_algorithm2_core_equal =
   QCheck2.Test.make ~count:1000
     ~name:"Algorithm 2 CSR core = set view (tree, steps, budget checks)"
@@ -373,7 +382,9 @@ let prop_algorithm2_core_equal =
         | Some _, None | None, Some _ -> false
       in
       match Traverse.component_containing u p with
-      | None -> Algorithm2.solve u ~p = None
+      | None ->
+        Algorithm2.solve u ~p = None
+        && Reference_elimination.bfs_seed u ~p = None
       | Some comp ->
         let slice, ids = Bipartite.Bigraph.induced g comp in
         let core, core_steps, core_checks =
@@ -390,8 +401,9 @@ let prop_algorithm2_core_equal =
         let metrics = Observe.Metrics.make () in
         let steps = Observe.Metrics.counter metrics "reference" in
         let reference =
-          Tree.of_node_set u
-            (Reference_elimination.eliminate_sets ~steps u ~within:comp ~p)
+          Option.bind (Reference_elimination.bfs_seed u ~p) (fun seed ->
+              Tree.of_node_set u
+                (Reference_elimination.eliminate_sets ~steps u ~within:seed ~p))
         in
         same_tree core whole && same_tree core reference
         && core_steps = whole_steps

@@ -174,7 +174,9 @@ let test_rung_mst_after_faults reason () =
    (6,2)-chordal instance mid-elimination. *)
 let test_rung_structured_abandoned () =
   let g = Minconn.Figures.fig3b.Minconn.Figures.graph in
-  let p = Iset.of_list [ 0; 2 ] in
+  (* The seed A-1-B ∪ A-2-C leaves two candidates, 1 and 2: 1 goes,
+     then 2 is checked on both passes — three checks. *)
+  let p = Iset.of_list [ 0; 1; 2 ] in
   let budget = Minconn.Budget.make () in
   let result =
     Fault.with_plan
@@ -253,7 +255,8 @@ let test_fuel_determinism () =
 let test_cancellation_clean_rerun () =
   let g = Minconn.Figures.fig3b.Minconn.Figures.graph in
   let u = Bigraph.ugraph g in
-  let p = Iset.of_list [ 0; 2 ] in
+  (* Three checks, as in [test_rung_structured_abandoned]. *)
+  let p = Iset.of_list [ 0; 1; 2 ] in
   let budget = Budget.make () in
   let interrupted =
     Fault.with_plan
