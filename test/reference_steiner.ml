@@ -1,10 +1,11 @@
 (* Test oracles for the Steiner rungs the engine runs on a CSR: the
    set-view bodies of the exact Dreyfus–Wagner DP, the (4,1) forest
    pruning and the MST 2-approximation, as they ran on [Ugraph] before
-   the kernels moved to the slice's CSR. [Dreyfus_wagner.solve_csr],
-   [Forest_steiner.solve_csr] and [Mst_approx.solve_csr] (and their
-   set-view wrappers) must return the same trees — node sets and edge
-   lists — and the DP must spend the same budget fuel. The exhaustive
+   the kernels moved to the slice's CSR. [Dreyfus_wagner.solve_csr] and
+   [Mst_approx.solve_csr] (and their set-view wrappers) must return the
+   same trees — node sets and edge lists — and the DP must spend the
+   same budget fuel; the (4,1) rung's seed tree ([Cover.seed], spanned
+   by [Tree.of_csr_node_set]) must equal the forest pruning's. The exhaustive
    node-weighted oracle prices the DP's [~weight] form. *)
 
 open Graphs
