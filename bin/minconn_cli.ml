@@ -238,9 +238,7 @@ let run_batch ?compiled nb ~queries ~cache ~timeout_ms ~fuel ~no_degrade
         (Minconn.Plan_cache.find_or_compile ~trace ~metrics ?cache
            nb.Mc_io.Parse.graph)
   in
-  let session =
-    Minconn.Session.create ~degrade:(not no_degrade) ~trace ~metrics compiled
-  in
+  let session = Minconn.Session.create ~trace ~metrics compiled in
   let index = Mc_io.Parse.index nb in
   let resolved =
     List.map (fun names -> (names, Mc_io.Parse.resolve index names)) queries
@@ -253,7 +251,10 @@ let run_batch ?compiled nb ~queries ~cache ~timeout_ms ~fuel ~no_degrade
     | None, None -> Minconn.Budget.unlimited
     | _ -> Minconn.Budget.make ?timeout_ms ?fuel ()
   in
-  let answers = Minconn.Session.solve_many ~make_budget session ps in
+  let answers =
+    Minconn.Session.solve_many ~make_budget ~degrade:(not no_degrade) session
+      ps
+  in
   let worst = ref 0 in
   let remaining = ref answers in
   Observe.Trace.span trace "render" (fun () ->
@@ -334,24 +335,24 @@ let solve_cmd =
         | None, None -> Minconn.Budget.unlimited
         | _ -> Minconn.Budget.make ?timeout_ms ?fuel ()
       in
+      let g = nb.Mc_io.Parse.graph in
       let answer =
-        match cache with
-        | None ->
-          Minconn.solve ~budget ~degrade:(not no_degrade) ~trace ~metrics
-            nb.Mc_io.Parse.graph ~p
-        | Some _ ->
-          (* Warm path: the loaded plan replaces compilation, the
-             session's locate performs the same terminal validation
-             Minconn.solve does and returns the same typed errors. *)
-          let compiled, _ =
-            Minconn.Plan_cache.find_or_compile ~trace ~metrics ?cache
-              nb.Mc_io.Parse.graph
-          in
-          let session =
-            Minconn.Session.create ~budget ~degrade:(not no_degrade) ~trace
-              ~metrics compiled
-          in
-          Minconn.Session.query session ~p
+        Observe.Trace.span trace "solve"
+          ~attrs:
+            [
+              ("terminals", Observe.Trace.Int (Graphs.Iset.cardinal p));
+              ("nodes", Observe.Trace.Int (Bigraph.n g));
+            ]
+        @@ fun () ->
+        (* With or without a plan cache: a loaded plan replaces
+           compilation, and the session's locate validates the
+           terminals either way. *)
+        let compiled, _ =
+          Minconn.Plan_cache.find_or_compile ~trace ~metrics ?cache g
+        in
+        Minconn.Session.query ~budget ~degrade:(not no_degrade)
+          (Minconn.Session.create ~trace ~metrics compiled)
+          ~p
       in
       match answer with
       | Error e ->
@@ -772,8 +773,7 @@ let query_cmd =
       | _ -> Minconn.Budget.make ?timeout_ms ?fuel ()
     in
     let session =
-      Minconn.Session.create ~budget ~trace ~metrics
-        (Datamodel.Schema.compiled schema)
+      Minconn.Session.create ~trace ~metrics (Datamodel.Schema.compiled schema)
     in
     match Minconn.Session.query_relations session ~p with
     | Error e ->

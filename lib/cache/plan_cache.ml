@@ -7,8 +7,9 @@ module Fault = Runtime.Fault
    and components no longer carry an [order] list. Format 4 drops the
    header line that named the delta sequence a plan was patched along:
    a plan is keyed by its schema's content alone, however it was
-   built. *)
-let format_version = 4
+   built. Format 5 stores Algorithm 1's prep as W alone, in slice
+   ids, without its own copy of the component's node set. *)
+let format_version = 5
 let magic = Printf.sprintf "minconn-plan/%d" format_version
 
 let default_commit =

@@ -6,7 +6,7 @@
     join-tree prep entirely — the next amortization rung after the
     in-process session engine.
 
-    {2 Entry format (minconn-plan/4)}
+    {2 Entry format (minconn-plan/5)}
 
     One file per schema: the plan for schema [S] is named
     [<schema_hash S>.plan], whether it was compiled from [S] or

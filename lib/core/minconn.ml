@@ -66,8 +66,7 @@ let solve ?(budget = Budget.unlimited) ?(degrade = true)
       ]
   @@ fun () ->
   let compiled = Compiled.compile ~trace ~metrics g in
-  let session = Session.create ~budget ~degrade ~trace ~metrics compiled in
-  Session.query session ~p
+  Session.query ~budget ~degrade (Session.create ~trace ~metrics compiled) ~p
 
 let solve_steiner ?budget g ~p =
   match solve ?budget g ~p with Ok s -> Some s | Error _ -> None

@@ -161,8 +161,8 @@ let minimal_connection t ~objects =
            (Printf.sprintf "more than %d distinct objects"
               Dreyfus_wagner.max_terminals))
     else
-      let g = Engine.Compiled.ugraph (compiled t) in
-      (match Dreyfus_wagner.solve g ~terminals:p with
+      let csr = Bigraph.csr (Engine.Compiled.graph (compiled t)) in
+      (match Dreyfus_wagner.solve_csr csr ~terminals:p with
       | None -> Error Runtime.Errors.Disconnected_terminals
       | Some tree ->
         Ok

@@ -45,10 +45,12 @@ let schema_hash g =
    (int arrays), Classify.profile is bools plus Acyclicity.degree
    variants, and each component holds an Iset (Set.Make(Int): plain AVL
    blocks), a profile and an [(Algorithm1.prep, error) result] whose
-   prep is {comp; w_order} — no closures, lazies or custom blocks
-   anywhere. The lazy compiled handles live in Datamodel.Schema/Layered
-   (outside [t]) and are never marshaled; a Session holds nothing but
-   the plan and its query defaults.
+   prep is W alone, an int list in the component's slice ids — no
+   closures, lazies or custom blocks anywhere, and no second copy of
+   the component's node set (marshaled [No_sharing], a copy would be
+   written out in full). The lazy compiled handles live in
+   Datamodel.Schema/Layered (outside [t]) and are never marshaled; a
+   Session holds nothing but the plan, its trace and its metrics.
 
    The plan is marshaled as is: a Bigraph holds no cache, only its
    CSR, whose arrays are canonical for the graph, so a loaded plan
@@ -85,11 +87,11 @@ let of_bytes s =
    induced sub-bigraph (the graph itself when the graph is connected,
    so the single-component fast path pays no copy). *)
 let prep_component tr graph nodes =
-  let slice = Bigraph.induced graph nodes in
+  let slice, _ = Bigraph.induced graph nodes in
   {
     nodes;
-    cprofile = Classify.profile_connected ~trace:tr (fst slice);
-    alg1_prep = Steiner.Algorithm1.prepare ~trace:tr ~slice graph ~comp:nodes;
+    cprofile = Classify.profile_connected ~trace:tr slice;
+    alg1_prep = Steiner.Algorithm1.prepare ~trace:tr slice;
   }
 
 let compile ?(trace = Observe.Trace.disabled)

@@ -19,8 +19,9 @@ type component = {
           {!apply_delta} re-profile only touched components *)
   alg1_prep : (Steiner.Algorithm1.prep, Steiner.Algorithm1.error) result;
       (** Algorithm 1's Lemma 1 ordering (the reversed {!Hypergraphs.Mcs}
-          order of the component's H¹), or [Error Not_alpha_acyclic]
-          when that H¹ is not α-acyclic *)
+          order of the component's H¹) in the ids of the component's
+          slice ([Bigraph.induced graph nodes]), or
+          [Error Not_alpha_acyclic] when that H¹ is not α-acyclic *)
 }
 
 type t = {

@@ -28,16 +28,13 @@ type solution = {
 
 type t = {
   compiled : Compiled.t;
-  budget : Budget.t;
-  degrade : bool;
   trace : Observe.Trace.t;
   metrics : Observe.Metrics.t;
 }
 
-let create ?(budget = Budget.unlimited) ?(degrade = true)
-    ?(trace = Observe.Trace.disabled) ?(metrics = Observe.Metrics.disabled)
-    compiled =
-  { compiled; budget; degrade; trace; metrics }
+let create ?(trace = Observe.Trace.disabled)
+    ?(metrics = Observe.Metrics.disabled) compiled =
+  { compiled; trace; metrics }
 
 let compiled t = t.compiled
 
@@ -65,6 +62,17 @@ let locate t ~p =
       else Error Errors.Disconnected_terminals
     end
 
+(* The one place a query cuts the terminals' component out of the
+   schema: a minimal connection never leaves it, so a query costs the
+   component, not the schema. [Bigraph.induced] renumbers ascending —
+   a monotone relabeling — so a solver takes on the slice the
+   decisions it takes on the whole graph, and the answer mapped back
+   through [ids] by [relabel] is the one a whole-graph run returns. A
+   connected schema is its own slice. *)
+let on_slice t comp ~p ~relabel solve =
+  let g, ids = Bigraph.induced t.compiled.Compiled.graph comp.Compiled.nodes in
+  Result.map (relabel ids) (solve g ids (Iset.map (Csr.local_index ids) p))
+
 (* One rung of the degradation ladder: identity for provenance, the
    method tag and guarantee reported on success, and the solver thunk
    (the only place the internal Budget.Exhausted signal can arise). *)
@@ -75,35 +83,27 @@ type rung_spec = {
   run : unit -> Tree.t option;
 }
 
-let query ?budget ?degrade t ~p =
+let relabel_solution ids s = { s with tree = Tree.relabel ids s.tree }
+
+let query ?(budget = Budget.unlimited) ?(degrade = true) t ~p =
   let trace = t.trace in
-  let budget = match budget with Some b -> b | None -> t.budget in
-  let degrade = match degrade with Some d -> d | None -> t.degrade in
   let metrics = t.metrics in
-  let c = t.compiled in
   match locate t ~p with
   | Error e -> Error e
   | Ok comp ->
+    on_slice t comp ~p ~relabel:relabel_solution @@ fun g ids p ->
     Observe.Trace.span trace "query"
       ~attrs:
         [
           ("terminals", Observe.Trace.Int (Iset.cardinal p));
-          ("component", Observe.Trace.Int (Iset.cardinal comp.Compiled.nodes));
+          ("component", Observe.Trace.Int (Array.length ids));
         ]
     @@ fun () ->
     Observe.Metrics.incr (Observe.Metrics.counter metrics "engine.queries");
-    let profile = c.Compiled.profile in
-    (* Every rung runs on the terminals' component as a graph of its
-       own: a minimal connection never leaves it, so a query costs the
-       component, not the schema. [Bigraph.induced] renumbers
-       ascending — a monotone relabeling — so each rung takes the
-       decisions it takes on the whole graph, and the tree mapped back
-       through [ids] is the one a whole-graph run returns. A connected
-       schema is its own slice. Every rung, and the traced [verify],
-       runs on the slice's CSR; none builds the set view. *)
-    let g, ids = Bigraph.induced c.Compiled.graph comp.Compiled.nodes in
+    let profile = t.compiled.Compiled.profile in
+    (* Every rung, and the traced [verify], runs on the slice's CSR;
+       none builds the set view. *)
     let csr = Bigraph.csr g in
-    let p = Iset.map (Csr.local_index ids) p in
     let mst_rung =
       {
         rung = Errors.Mst;
@@ -125,6 +125,9 @@ let query ?budget ?degrade t ~p =
     in
     let pre_attempts, ladder =
       if profile.Classify.chordal_41 then
+        (* On a forest the seed is the unique minimal connection. It
+           makes no budget check and always spans a connected [p], so
+           no rung follows it. *)
         ( [],
           [
             {
@@ -133,12 +136,9 @@ let query ?budget ?degrade t ~p =
               guarantee = Degrade.Exact;
               run =
                 (fun () ->
-                  (* On a forest the seed is the unique minimal
-                     connection. *)
                   Option.bind (Cover.seed csr ~p) (fun ids ->
                       Tree.of_csr_node_set csr (Iset.of_array ids)));
             };
-            mst_rung;
           ] )
       else if profile.Classify.chordal_62 then
         (* Algorithm 2 is exact here (Theorem 5); its elimination
@@ -213,8 +213,9 @@ let query ?budget ?degrade t ~p =
     in
     let rec descend attempts = function
       | [] ->
-        (* Unreachable with a connected [p]: the MST rung is
-           un-budgeted and total. Report the last abandoned rung. *)
+        (* Unreachable with a connected [p]: the last rung of every
+           ladder (forest seed or MST) is un-budgeted and total.
+           Report the last abandoned rung. *)
         Error
           (Errors.Budget_exhausted
              (match attempts with
@@ -238,7 +239,7 @@ let query ?budget ?degrade t ~p =
                      (Tree.verify_csr csr ~terminals:p tree)));
           Ok
             {
-              tree = Tree.relabel ids tree;
+              tree;
               method_used = spec.meth;
               optimal = spec.guarantee = Degrade.Exact;
               profile;
@@ -260,25 +261,22 @@ let query ?budget ?degrade t ~p =
 (* The batch path snapshots the caller's fault plan once and
    re-derives an independent plan per query index, so a query's
    injected faults do not depend on its neighbours in the batch. *)
-let solve_many ?budget ?make_budget ?degrade t ps =
+let solve_many ?make_budget ?degrade t ps =
   let fault = Fault.capture () in
-  let budget_for i =
-    match make_budget with Some f -> Some (f i) | None -> budget
-  in
   List.mapi
     (fun i p ->
       Fault.with_derived fault ~index:i (fun () ->
-          query ?budget:(budget_for i) ?degrade t ~p))
+          query ?budget:(Option.map (fun f -> f i) make_budget) ?degrade t ~p))
     ps
 
 (* Algorithm 1 against the compiled Lemma 1 ordering: the α kernel ran
-   at compile time, each query only replays the elimination on the
-   terminals' component. *)
+   at compile time on the same slice, so W is already in slice ids and
+   each query only replays the elimination. *)
 let query_relations t ~p =
   match locate t ~p with
   | Error e -> Error e
   | Ok comp ->
+    on_slice t comp ~p ~relabel:Algorithm1.relabel @@ fun g _ p ->
     Result.map_error Algorithm1.to_error
-      (Result.bind comp.Compiled.alg1_prep (fun prep ->
-           Algorithm1.solve_prepared ~trace:t.trace t.compiled.Compiled.graph
-             prep ~p))
+      (Result.bind comp.Compiled.alg1_prep (fun w ->
+           Algorithm1.solve_prepared ~trace:t.trace g w ~p))

@@ -1,16 +1,16 @@
 (** Query sessions over a compiled schema.
 
-    A session is a compiled plan plus the defaults its queries inherit
-    — budget, degradation policy and observability sinks — and answers
-    any number of terminal-set queries against one {!Compiled.t}.
-    Classification, component decomposition and the Algorithm 1
-    Lemma 1 orderings are read from the compiled plan; a query
-    performs only terminal location, the degradation ladder, and the
-    chosen solver, all on the terminals' component: the rungs run on
-    its induced slice, so a query costs the component, not the schema,
-    and allocates nothing sized to the schema. Sessions are not safe
-    for concurrent use: the default budget and trace they share across
-    queries are mutable. *)
+    A session is a compiled plan plus its observability sinks, and
+    answers any number of terminal-set queries against one
+    {!Compiled.t}. Budgets and the degradation policy are per call:
+    each {!query} takes its own. Classification, component
+    decomposition and the Algorithm 1 Lemma 1 orderings are read from
+    the compiled plan; a query performs only terminal location, the
+    degradation ladder, and the chosen solver, all on the terminals'
+    component: both {!query} and {!query_relations} cut its induced
+    slice out once, through one helper, so a query costs the
+    component, not the schema. Sessions are not safe for concurrent
+    use: the trace they share across queries is mutable. *)
 
 open Graphs
 open Bipartite
@@ -41,22 +41,15 @@ type solution = {
 type t
 
 val create :
-  ?budget:Budget.t ->
-  ?degrade:bool ->
-  ?trace:Observe.Trace.t ->
-  ?metrics:Observe.Metrics.t ->
-  Compiled.t ->
-  t
-(** Fixes the defaults every {!query} inherits: [budget] (default
-    unlimited) meters queries — never compilation — [degrade] (default
-    [true]) selects ladder fall-through vs fail-fast, and
-    [trace]/[metrics] default to the shared inert instances. *)
+  ?trace:Observe.Trace.t -> ?metrics:Observe.Metrics.t -> Compiled.t -> t
+(** A session over a plan; [trace]/[metrics] default to the shared
+    inert instances. *)
 
 val compiled : t -> Compiled.t
 
 val with_plan : t -> Compiled.t -> t
 (** [with_plan t c] is the session retargeted at plan [c], with the
-    same budget, degradation policy, trace and metrics. Physical no-op
+    same trace and metrics. Physical no-op
     (returns [t] itself)
     when [c == compiled t] — the cheap per-request resync the serving
     layer performs so schema deltas swap in without dropping inflight
@@ -74,16 +67,18 @@ val query :
     ({!Bipartite.Bigraph.induced}, which renumbers ascending) and its
     tree is mapped back, so the answer is the one the rung returns on
     the whole graph. No rung builds a set view. The (4,1) rung answers
-    the seed cover {!Steiner.Cover.seed} itself; the (6,2) and fixpoint
-    rungs eliminate inside it ({!Steiner.Algorithm2.solve_csr}). The
-    degradation ladder, rung spans, [ladder.*] events and
-    [budget.checks]/[rung.abandonments] counters are exactly those of
-    the one-shot solver, recorded under a ["query"] span. [?budget] and
-    [?degrade] override the session defaults for this query only — a
-    fresh fuel budget per query is the typical batch pattern. *)
+    the seed cover {!Steiner.Cover.seed} itself — un-budgeted and total
+    on connected terminals, so it is the whole (4,1) ladder; the (6,2)
+    and fixpoint rungs eliminate inside it
+    ({!Steiner.Algorithm2.solve_csr}). The degradation ladder, rung
+    spans, [ladder.*] events and [budget.checks]/[rung.abandonments]
+    counters are exactly those of the one-shot solver, recorded under a
+    ["query"] span whose [component] attribute is the slice's size.
+    [budget] (default unlimited) meters this query alone — never
+    compilation — and [degrade] (default [true]) selects ladder
+    fall-through vs fail-fast. *)
 
 val solve_many :
-  ?budget:Budget.t ->
   ?make_budget:(int -> Budget.t) ->
   ?degrade:bool ->
   t ->
@@ -94,14 +89,15 @@ val solve_many :
     from the caller's by index ({!Runtime.Fault.with_derived}), so its
     injected faults do not depend on the rest of the batch.
 
-    [make_budget] (overrides [budget]) builds the budget for query
-    [i] — [fun _ -> Budget.make ~fuel:f ()] for a fresh deterministic
-    allowance per query. A plain [budget] is one allowance drained
-    across the whole batch. *)
+    [make_budget] builds the budget for query [i] —
+    [fun _ -> Budget.make ~fuel:f ()] for a fresh deterministic
+    allowance per query; without it every query is unlimited. *)
 
 val query_relations :
   t -> p:Iset.t -> (Algorithm1.result, Errors.t) result
 (** Algorithm 1 (minimum relation count, Theorem 3/4) against the
-    Lemma 1 ordering cached at compile time, run on the terminals'
-    component ({!Steiner.Algorithm1.solve_prepared}). [Invalid_instance]
-    when the terminal component is not α-acyclic. *)
+    Lemma 1 ordering cached at compile time in slice ids, run on the
+    same slice of the terminals' component as {!query}
+    ({!Steiner.Algorithm1.solve_prepared}) and mapped back to the
+    schema's ids. [Invalid_instance] when the terminal component is not
+    α-acyclic. *)

@@ -21,10 +21,8 @@ type result = {
    queries runs the α kernel and derives W once per component.        *)
 (* ------------------------------------------------------------------ *)
 
-type prep = {
-  comp : Iset.t;
-  w_order : int list;  (* [] for trivial (<= 1 node) components *)
-}
+(* W in the slice's ids; [] for trivial (<= 1 node) components. *)
+type prep = int list
 
 let to_error = function
   | Disconnected_terminals -> Runtime.Errors.Disconnected_terminals
@@ -32,73 +30,58 @@ let to_error = function
     Runtime.Errors.Invalid_instance
       "scheme is not alpha-acyclic (V2-chordal V2-conformal)"
 
-let prep_order p = p.w_order
+let prep_order w = w
 
-let prepare ?(trace = Observe.Trace.disabled) ?slice g ~comp =
-  if Iset.cardinal comp <= 1 then Ok { comp; w_order = [] }
+let prepare ?(trace = Observe.Trace.disabled) g =
+  if Bigraph.n g <= 1 then Ok []
   else begin
-    let sub, ids =
-      match slice with Some s -> s | None -> Bigraph.induced g comp
-    in
     (* The slice's CSR is the incidence graph of the component's H¹:
        left nodes below [nl], one hyperedge per right node above it.
        The α kernel runs on it directly; no hypergraph is built. *)
-    let nl = Bigraph.nl sub in
+    let nl = Bigraph.nl g in
     match
       Observe.Trace.span trace "algorithm1.join_tree" (fun () ->
-          Mcs.incidence (Bigraph.csr sub) ~boundary:nl)
+          Mcs.incidence (Bigraph.csr g) ~boundary:nl)
     with
     | None -> Error Not_alpha_acyclic
     | Some f ->
       (* Lemma 1's W is the reverse of the running-intersection
          ordering: the reverse of the search's selection order. *)
-      let w_order =
-        Array.fold_left (fun w i -> ids.(nl + i) :: w) [] f.Mcs.order
-      in
+      let w = Array.fold_left (fun w i -> (nl + i) :: w) [] f.Mcs.order in
       Log.debug (fun m ->
           m "Lemma 1 ordering W = [%s]"
-            (String.concat "; " (List.map string_of_int w_order)));
-      Ok { comp; w_order }
+            (String.concat "; " (List.map string_of_int w)));
+      Ok w
   end
 
-(* Steps 2 and 3 on the prep's component as a graph of its own:
-   [Bigraph.induced] renumbers ascending, so W keeps its order and
-   every elimination decision is the one a whole-graph run takes; the
-   tree is extracted on the slice and mapped back. [p] must lie inside
-   [prep.comp] (the caller established connectivity). *)
-let solve_prepared ?(trace = Observe.Trace.disabled) g prep ~p =
+(* Steps 2 and 3 on the connected slice the prep was computed on;
+   [p] lies inside it (the caller established connectivity). *)
+let solve_prepared ?(trace = Observe.Trace.disabled) g w ~p =
   let nl = Bigraph.nl g in
   let v2_count nodes = Iset.cardinal (Iset.filter (fun v -> v >= nl) nodes) in
-  let comp = prep.comp in
-  if Iset.cardinal comp <= 1 then
+  let n = Bigraph.n g in
+  if n <= 1 then
+    let nodes = if n = 1 then Iset.singleton 0 else Iset.empty in
     Ok
       {
-        tree = { Tree.nodes = comp; edges = [] };
-        v2_count = v2_count comp;
+        tree = { Tree.nodes; edges = [] };
+        v2_count = v2_count nodes;
         elimination_order = [];
       }
   else begin
     Observe.Trace.span trace "algorithm1"
-      ~attrs:[ ("component", Observe.Trace.Int (Iset.cardinal comp)) ]
+      ~attrs:[ ("component", Observe.Trace.Int n) ]
     @@ fun () ->
-    let sub, ids = Bigraph.induced g comp in
-    let local = Csr.local_index ids in
+    let csr = Bigraph.csr g in
     let survivors =
       Observe.Trace.span trace "algorithm1.eliminate" (fun () ->
-          Cover.eliminate ~drop:Cover.Node_and_private (Bigraph.csr sub)
-            ~p:(Iset.map local p) (List.map local prep.w_order))
+          Cover.eliminate ~drop:Cover.Node_and_private csr ~p w)
     in
-    match Tree.of_csr_node_set (Bigraph.csr sub) survivors with
+    match Tree.of_csr_node_set csr survivors with
     | Some tree ->
       (* With an empty terminal set everything was eliminated: the
          empty tree connects nothing vacuously. *)
-      let tree = Tree.relabel ids tree in
-      Ok
-        {
-          tree;
-          v2_count = v2_count tree.Tree.nodes;
-          elimination_order = prep.w_order;
-        }
+      Ok { tree; v2_count = v2_count tree.Tree.nodes; elimination_order = w }
     | None ->
       (* Defensive: every accepted elimination candidate is a
          connected cover, so a spanning tree must exist; degrade
@@ -106,9 +89,18 @@ let solve_prepared ?(trace = Observe.Trace.disabled) g prep ~p =
       Error Disconnected_terminals
   end
 
+let relabel ids r =
+  {
+    r with
+    tree = Tree.relabel ids r.tree;
+    elimination_order = List.map (fun v -> ids.(v)) r.elimination_order;
+  }
+
 (* The terminals' component from the CSR's component labelling — the
    component of node 0 when [p] is empty, as
-   [Traverse.component_containing] answers. *)
+   [Traverse.component_containing] answers — cut out as a graph of its
+   own. [Bigraph.induced] renumbers ascending, so W keeps its order and
+   every elimination decision is the one a whole-graph run takes. *)
 let solve ?trace g ~p =
   let ids, comps = Csr.component_ids (Bigraph.csr g) in
   let comp =
@@ -124,10 +116,11 @@ let solve ?trace g ~p =
   in
   match comp with
   | None -> Error Disconnected_terminals
-  | Some comp -> (
-    match prepare ?trace g ~comp with
-    | Error e -> Error e
-    | Ok prep -> solve_prepared ?trace g prep ~p)
+  | Some comp ->
+    let sub, ids = Bigraph.induced g comp in
+    Result.bind (prepare ?trace sub) (fun w ->
+        solve_prepared ?trace sub w ~p:(Iset.map (Csr.local_index ids) p)
+        |> Result.map (relabel ids))
 
 let solve_wrt_v1 g ~p =
   let flipped = Bigraph.flip g in

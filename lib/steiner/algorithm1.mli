@@ -39,38 +39,35 @@ val solve :
   ?trace:Observe.Trace.t -> Bigraph.t -> p:Iset.t -> (result, error) Stdlib.result
 (** [p] contains underlying indices (left or right nodes). Finds the
     terminals' component in the CSR's component labelling
-    ({!Graphs.Csr.component_ids}), then runs {!prepare} and
-    {!solve_prepared}. [trace] records an
-    ["algorithm1.join_tree"] span and an ["algorithm1"] span with an
-    ["algorithm1.eliminate"] child. *)
+    ({!Graphs.Csr.component_ids}), cuts it out with
+    {!Bipartite.Bigraph.induced}, runs {!prepare} and {!solve_prepared}
+    on that slice and maps the result back with {!relabel}. [trace]
+    records an ["algorithm1.join_tree"] span and an ["algorithm1"] span
+    with an ["algorithm1.eliminate"] child. *)
 
 (** {2 Compile-once / query-many}
 
     Step 1 (the α kernel and the Lemma 1 ordering) depends only on the
     component, not on the terminal set. A session answering many
     terminal-set queries over one schema computes the [prep] once per
-    component and reuses it for every query. *)
+    component and reuses it for every query. Both steps run on the
+    component's slice — the component cut out as a graph of its own
+    ({!Bipartite.Bigraph.induced}, which renumbers ascending) — and
+    speak its ids. *)
 
 type prep
-(** A component together with its Lemma 1 ordering W. *)
+(** The component's Lemma 1 ordering W, in slice ids. *)
 
 val prepare :
-  ?trace:Observe.Trace.t ->
-  ?slice:Bigraph.t * int array ->
-  Bigraph.t ->
-  comp:Iset.t ->
-  (prep, error) Stdlib.result
-(** Step 1 for the component [comp] (as returned by
-    {!Graphs.Traverse.component_containing} or
-    {!Graphs.Traverse.component_ids}): W is the reversed
-    {!Hypergraphs.Mcs.incidence} order on the CSR of [slice]
-    ([Bigraph.induced g comp] unless the caller cut it), which is the
+  ?trace:Observe.Trace.t -> Bigraph.t -> (prep, error) Stdlib.result
+(** Step 1 on a connected slice: W is the reversed
+    {!Hypergraphs.Mcs.incidence} order on its CSR, which is the
     component's H¹; [Error Not_alpha_acyclic] off α. Records an
     ["algorithm1.join_tree"] span. *)
 
 val prep_order : prep -> int list
-(** The Lemma 1 ordering W held by the prep (empty for trivial
-    components). *)
+(** The Lemma 1 ordering W held by the prep, in the ids of the slice it
+    was computed on (empty for trivial components). *)
 
 val solve_prepared :
   ?trace:Observe.Trace.t ->
@@ -78,12 +75,14 @@ val solve_prepared :
   prep ->
   p:Iset.t ->
   (result, error) Stdlib.result
-(** Steps 2–3 on an already-prepared component. [p] must lie inside the
-    prep's component (the caller has established connectivity). The
-    work runs on the component's induced slice
-    ({!Bipartite.Bigraph.induced}), so it costs the component, not the
-    graph: Step 2 is {!Cover.eliminate} with [~drop:Node_and_private]
-    over W, un-budgeted. *)
+(** Steps 2–3 on the slice [prepare] ran on, with [p] in its ids (the
+    caller has established connectivity). Step 2 is {!Cover.eliminate}
+    with [~drop:Node_and_private] over W, un-budgeted. The result is in
+    slice ids; {!relabel} maps it back. *)
+
+val relabel : int array -> result -> result
+(** [relabel ids r] maps a slice result's tree and elimination order
+    through the slice's id array. *)
 
 val solve_wrt_v1 : Bigraph.t -> p:Iset.t -> (result, error) Stdlib.result
 (** Same algorithm on the flipped graph: minimises left nodes, licensed

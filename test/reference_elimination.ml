@@ -78,7 +78,9 @@ let algorithm1_eliminate_sets u ~comp ~p w_order =
   fixpoint comp
 
 (* Algorithm 1 end to end on the whole graph's set view: the reference
-   [Algorithm1.solve] must reproduce field for field. *)
+   [Algorithm1.solve] must reproduce field for field. Only W comes from
+   the library, computed on the component's slice and mapped back to
+   the graph's ids here. *)
 let algorithm1_sets g ~p =
   let u = Bipartite.Bigraph.ugraph g in
   let nl = Bipartite.Bigraph.nl g in
@@ -86,7 +88,8 @@ let algorithm1_sets g ~p =
   match Traverse.component_containing u p with
   | None -> Error Algorithm1.Disconnected_terminals
   | Some comp -> (
-    match Algorithm1.prepare g ~comp with
+    let slice, ids = Bipartite.Bigraph.induced g comp in
+    match Algorithm1.prepare slice with
     | Error e -> Error e
     | Ok _ when Iset.cardinal comp <= 1 ->
       Ok
@@ -96,7 +99,7 @@ let algorithm1_sets g ~p =
           elimination_order = [];
         }
     | Ok prep -> (
-      let w = Algorithm1.prep_order prep in
+      let w = List.map (fun v -> ids.(v)) (Algorithm1.prep_order prep) in
       let survivors = algorithm1_eliminate_sets u ~comp ~p w in
       match Tree.of_node_set u survivors with
       | Some tree ->

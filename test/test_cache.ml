@@ -319,10 +319,11 @@ let corruption_cases =
     ( "previous format version",
       "version-mismatch",
       fun entry blob ->
-        (* A format-3 entry carries a header line format 4 dropped: it
-           must be refused before its header is parsed any further. *)
+        (* A format-4 entry marshals a prep layout format 5 dropped
+           (W beside a copy of the component's node set): it must be
+           refused before its payload is unmarshaled. *)
         let rest = String.sub blob 14 (String.length blob - 14) in
-        write_file entry ("minconn-plan/3" ^ rest) );
+        write_file entry ("minconn-plan/4" ^ rest) );
   ]
 
 let test_miss_absent () =

@@ -354,6 +354,38 @@ let test_layered_connection () =
   | Ok (nodes, edges) ->
     check_int "tree shape" (List.length nodes - 1) (List.length edges)
   | Error _ -> Alcotest.fail "connected");
+  (* The DP runs on the schema's CSR, whose rows are canonical: every
+     answer is the set-view DP's tree, edge for edge. *)
+  let u = Bipartite.Bigraph.ugraph (Layered.to_bigraph hierarchy) in
+  let names = [ "a"; "b"; "c"; "e1"; "e2"; "r1" ] in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          let objects = [ x; y ] in
+          let p =
+            Iset.of_list
+              (List.filter_map (Layered.object_index hierarchy) objects)
+          in
+          let want =
+            Option.map
+              (fun t ->
+                ( List.map (Layered.object_name hierarchy)
+                    (Iset.elements t.Steiner.Tree.nodes),
+                  List.map
+                    (fun (v, w) ->
+                      ( Layered.object_name hierarchy v,
+                        Layered.object_name hierarchy w ))
+                    t.Steiner.Tree.edges ))
+              (Steiner.Dreyfus_wagner.solve u ~terminals:p)
+          in
+          check
+            (Printf.sprintf "%s,%s = set-view DP" x y)
+            true
+            (Result.to_option (Layered.minimal_connection hierarchy ~objects)
+            = want))
+        names)
+    names;
   match Layered.minimal_connection hierarchy ~objects:[ "a"; "zzz" ] with
   | Ok _ -> Alcotest.fail "unknown object must be a typed error"
   | Error (Runtime.Errors.Invalid_instance _) -> ()

@@ -114,6 +114,27 @@ let test_rung_exact_structured () =
     check "not degraded" false (Degrade.degraded s.Minconn.provenance)
   | Error e -> Alcotest.failf "unexpected: %s" (Errors.to_string e)
 
+(* The forest rung makes no budget check, so it is the whole (4,1)
+   ladder: an empty fuel tank and a fault armed at the first check
+   leave the answer exact, with nothing abandoned. *)
+let test_forest_rung_unbudgeted () =
+  let g = Minconn.Figures.fig3a.Minconn.Figures.graph in
+  let p = Iset.of_list [ 0; 3 ] in
+  let budget = Minconn.Budget.make ~fuel:0 () in
+  let result =
+    Fault.with_plan
+      ~arm:(fun () -> Fault.arm_after ~checks:0 ~reason:Errors.Fuel)
+      (fun () -> Minconn.solve ~budget g ~p)
+  in
+  match result with
+  | Ok s ->
+    check "ran forest rung" true
+      (s.Minconn.provenance.Degrade.ran = Errors.Exact_structured);
+    check "no attempts" true (s.Minconn.provenance.Degrade.attempts = []);
+    check "forest method" true (s.Minconn.method_used = Minconn.Used_forest);
+    check "tree valid" true (solution_ok (Bigraph.ugraph g) ~p s)
+  | Error e -> Alcotest.failf "unexpected: %s" (Errors.to_string e)
+
 (* Rung ran = Exact_dp, nothing abandoned. *)
 let test_rung_exact_dp () =
   let g, u, p = dp_instance () in
@@ -356,6 +377,8 @@ let () =
         [
           Alcotest.test_case "rung: exact-structured (forest)" `Quick
             test_rung_exact_structured;
+          Alcotest.test_case "rung: forest needs no budget" `Quick
+            test_forest_rung_unbudgeted;
           Alcotest.test_case "rung: exact-dp" `Quick test_rung_exact_dp;
           Alcotest.test_case "rung: fixpoint via terminal cap" `Quick
             test_rung_fixpoint_over_cap;
