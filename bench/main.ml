@@ -1400,7 +1400,7 @@ let engine_section ~trials ~max_n ~scale_max_n ~json_path () =
 (* ------------------------------------------------------------------ *)
 
 (* Cold-vs-warm compile curve for the persistent plan cache: per
-   workload/size, the cold compile (classification + orderings), the
+   workload/size, the cold compile (per-component classification), the
    envelope store, and the warm [Plan_cache.find] that replaces the
    compile on the next process. The headline check backs the cache's
    reason to exist: warm load must cost at most 0.2x the cold compile

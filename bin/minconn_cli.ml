@@ -452,7 +452,7 @@ let load_deltas nb path =
     exit exit_input_error
 
 (* Apply a delta file to a schema, component-scoped: untouched
-   components keep their compiled orderings and join-tree preps.
+   components keep their node sets and profiles.
    Status and per-delta stats go to stderr so --emit and --queries
    stdout stays clean (the evolve-smoke rule diffs it against solve
    on the pre-evolved file). *)
@@ -954,7 +954,7 @@ let query_cmd =
 
 let serve_cmd =
   let run path deltas_file host port max_inflight watermark pressure_fuel
-      timeout_ms read_timeout_ms max_body no_degrade cache_dir metrics_file
+      timeout_ms io_timeout_ms max_body no_degrade cache_dir metrics_file
       trace_file =
     if max_inflight < 1 then begin
       prerr_endline "minconn: error=invalid-max-inflight (need >= 1)";
@@ -991,8 +991,7 @@ let serve_cmd =
           | None -> max 1 (3 * max_inflight / 4));
         pressure_fuel;
         request_timeout_ms = timeout_ms;
-        read_timeout_ms;
-        write_timeout_ms = read_timeout_ms;
+        io_timeout_ms;
         max_body_bytes = max_body;
         degrade = not no_degrade;
       }
@@ -1068,7 +1067,7 @@ let serve_cmd =
       value & opt int 5000
       & info [ "timeout" ] ~docv:"MS" ~doc:"Per-request wall-clock budget")
   in
-  let read_timeout_ms =
+  let io_timeout_ms =
     Arg.(
       value & opt int 10000
       & info [ "io-timeout" ] ~docv:"MS"
@@ -1120,7 +1119,7 @@ let serve_cmd =
           flush artifacts.")
     Term.(
       const run $ path $ deltas_file $ host $ port $ max_inflight $ watermark
-      $ pressure_fuel $ timeout_ms $ read_timeout_ms $ max_body $ no_degrade
+      $ pressure_fuel $ timeout_ms $ io_timeout_ms $ max_body $ no_degrade
       $ cache_dir $ metrics_file $ trace_file)
 
 (* ------------------------------------------------------------ generate *)

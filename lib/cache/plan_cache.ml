@@ -8,8 +8,9 @@ module Fault = Runtime.Fault
    header line that named the delta sequence a plan was patched along:
    a plan is keyed by its schema's content alone, however it was
    built. Format 5 stores Algorithm 1's prep as W alone, in slice
-   ids, without its own copy of the component's node set. *)
-let format_version = 5
+   ids, without its own copy of the component's node set. Format 6
+   drops that prep: a component is its node set and its profile. *)
+let format_version = 6
 let magic = Printf.sprintf "minconn-plan/%d" format_version
 
 let default_commit =
@@ -310,8 +311,8 @@ let store ?(trace = Observe.Trace.disabled)
 
 (* The plan for [target] is whatever its own entry holds; with deltas,
    a cached plan of the base patched through [Compiled.apply_deltas] is
-   the next cheapest (it reuses every untouched component's orderings
-   and join-tree prep), and a cold compile the last resort. Whatever is
+   the next cheapest (it reuses every untouched component's node set
+   and profile), and a cold compile the last resort. Whatever is
    built is stored under [target]'s own hash. Storing is best-effort: a
    full disk or a lost race must not fail the query path. *)
 let find_or_compile ?(trace = Observe.Trace.disabled)

@@ -2,11 +2,10 @@
 
     A production fleet compiles each schema once, not once per
     process: the cache persists {!Engine.Compiled.t} across processes
-    so a warm start skips [Classify.profile] and the per-component
-    join-tree prep entirely — the next amortization rung after the
-    in-process session engine.
+    so a warm start skips [Classify.profile] entirely — the next
+    amortization rung after the in-process session engine.
 
-    {2 Entry format (minconn-plan/5)}
+    {2 Entry format (minconn-plan/6)}
 
     One file per schema: the plan for schema [S] is named
     [<schema_hash S>.plan], whether it was compiled from [S] or

@@ -68,9 +68,6 @@ let solve ?(budget = Budget.unlimited) ?(degrade = true)
   let compiled = Compiled.compile ~trace ~metrics g in
   Session.query ~budget ~degrade (Session.create ~trace ~metrics compiled) ~p
 
-let solve_steiner ?budget g ~p =
-  match solve ?budget g ~p with Ok s -> Some s | Error _ -> None
-
 (* Same typed front door as [solve]: reject empty and out-of-range
    terminal sets in O(|p|) before Algorithm 1 runs, and surface its
    rejections (disconnected terminals, a cyclic scheme) as typed

@@ -45,9 +45,10 @@ module Degrade = Runtime.Degrade
 module Errors = Runtime.Errors
 
 module Compiled = Engine.Compiled
-(** One-time schema compilation: CSR arena, classification profile,
-    components and elimination orderings, computed once and shared by
-    any number of queries. *)
+(** One-time schema compilation: CSR arena, classification profile
+    and components, computed once and shared by any number of queries.
+    The plan holds no solver state: each query derives what its
+    algorithm needs on the terminals' component. *)
 
 module Session = Engine.Session
 (** Compile-once / query-many serving: [Session.query] and
@@ -109,8 +110,8 @@ val solve :
     every call.
 
     [trace] (default disabled) records a ["solve"] root span containing
-    a ["compile"] span (classifier child spans, component/ordering
-    construction) and a ["query"] span with one ["rung:<name>"] span
+    a ["compile"] span (component labelling and per-component
+    classifier spans) and a ["query"] span with one ["rung:<name>"] span
     per attempted rung (outcome, abandonment reason, budget-check
     delta), structured ["ladder.abandon"]/["ladder.ran"] events
     mirroring the returned provenance, and — only when tracing is on —
@@ -121,13 +122,6 @@ val solve :
     ([elimination.steps_per_solve], [dp.table_size]). Both default to
     shared inert instances whose cost at every instrumentation site is
     one load and one branch. *)
-
-val solve_steiner :
-  ?budget:Budget.t -> Bigraph.t -> p:Iset.t -> solution option
-(** [solve] with errors collapsed to [None]: Algorithm 2 when the
-    classification licenses it, Dreyfus–Wagner when the terminal count
-    allows, elimination otherwise, degrading down the ladder when the
-    budget runs out. [None] if [p] is disconnected. *)
 
 val solve_min_relations :
   Bigraph.t -> p:Iset.t -> (Algorithm1.result, Errors.t) result

@@ -38,7 +38,7 @@ val to_bigraph : t -> Bigraph.t
 
 val compiled : t -> Engine.Compiled.t
 (** The hierarchy compiled for serving (bigraph, CSR arena,
-    classification profile, component orderings), built on first use
+    classification profile, components), built on first use
     and cached in the record. *)
 
 val object_index : t -> string -> int option

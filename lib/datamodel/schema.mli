@@ -30,7 +30,7 @@ val to_bigraph : t -> Bigraph.t
 
 val compiled : t -> Engine.Compiled.t
 (** The schema compiled for serving (bigraph, CSR arena, classification
-    profile, component orderings), built on first use and cached in the
+    profile, components), built on first use and cached in the
     schema record; feed it to [Engine.Session.create] to answer query
     batches. *)
 

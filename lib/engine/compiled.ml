@@ -4,7 +4,6 @@ open Bipartite
 type component = {
   nodes : Iset.t;
   cprofile : Classify.profile;
-  alg1_prep : (Steiner.Algorithm1.prep, Steiner.Algorithm1.error) result;
 }
 
 type t = {
@@ -44,10 +43,9 @@ let schema_hash g =
    [t] is first-order data — Bigraph is a record of two ints and a Csr
    (int arrays), Classify.profile is bools plus Acyclicity.degree
    variants, and each component holds an Iset (Set.Make(Int): plain AVL
-   blocks), a profile and an [(Algorithm1.prep, error) result] whose
-   prep is W alone, an int list in the component's slice ids — no
-   closures, lazies or custom blocks anywhere, and no second copy of
-   the component's node set (marshaled [No_sharing], a copy would be
+   blocks) and a profile — no closures, lazies or custom blocks
+   anywhere, and nothing derived from a component that a query can
+   derive itself (marshaled [No_sharing], every such copy would be
    written out in full). The lazy compiled handles live in
    Datamodel.Schema/Layered (outside [t]) and are never marshaled; a
    Session holds nothing but the plan, its trace and its metrics.
@@ -79,20 +77,15 @@ let of_bytes s =
 (* --------------------------------------------------- compilation *)
 
 (* Everything a single connected component contributes to the plan:
-   the Algorithm 2 elimination order, the Algorithm 1 Lemma 1 prep,
-   and — new with delta support — its own classification profile, so a
-   schema edit can replace one component's slice and re-derive the
-   global profile by [Classify.combine] instead of reclassifying the
-   whole graph. The component profile is computed on the materialised
-   induced sub-bigraph (the graph itself when the graph is connected,
+   its node set and its own classification profile, so a schema edit
+   can replace one component and re-derive the global profile by
+   [Classify.combine] instead of reclassifying the whole graph. The
+   profile is computed on the induced slice, the component cut out as
+   a graph of its own (the graph itself when the graph is connected,
    so the single-component fast path pays no copy). *)
 let prep_component tr graph nodes =
   let slice, _ = Bigraph.induced graph nodes in
-  {
-    nodes;
-    cprofile = Classify.profile_connected ~trace:tr slice;
-    alg1_prep = Steiner.Algorithm1.prepare ~trace:tr slice;
-  }
+  { nodes; cprofile = Classify.profile_connected ~trace:tr slice }
 
 let compile ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) graph =
@@ -190,10 +183,10 @@ let apply_delta ?(trace = Observe.Trace.disabled)
     let nl = Bigraph.nl t.graph in
     let total = Array.length t.components in
     (* Removing an interior relation shifts every higher underlying
-       index, invalidating the node sets, orderings and join-tree preps
-       of untouched components wholesale — the conservative fallback
-       the delta contract reserves for edits that break cached
-       invariants. Only last-index removal is incremental. *)
+       index, invalidating the node sets of untouched components
+       wholesale — the conservative fallback the delta contract
+       reserves for edits that break cached invariants. Only
+       last-index removal is incremental. *)
     let interior_removal =
       match op with
       | Delta.Remove_relation j -> j < Bigraph.nr t.graph - 1

@@ -2,11 +2,15 @@
 
     The paper's serving setting (Section 3) fixes the bipartite scheme
     and streams terminal-set queries over it. Everything that depends
-    only on the scheme — the flat CSR adjacency, the
-    chordality/acyclicity {!Bipartite.Classify.profile}, the connected
-    components and Algorithm 1's Lemma 1 ordering W per component
-    — is computed here exactly once; {!Session} then answers each query
-    on the terminals' component of the cached plan. *)
+    only on the scheme and that every query reads — the flat CSR
+    adjacency, the chordality/acyclicity {!Bipartite.Classify.profile}
+    and the connected components — is computed here exactly once;
+    {!Session} then answers each query on the terminals' component of
+    the cached plan. Algorithm 1's Lemma 1 ordering W also depends only
+    on a component, but the plan does not keep it: no caller asks
+    Algorithm 1 more than one terminal set per plan, so
+    {!Session.query_relations} derives W on the terminals' slice
+    ({!Steiner.Algorithm1.solve_slice}). *)
 
 open Graphs
 open Bipartite
@@ -17,12 +21,10 @@ type component = {
       (** classification of the induced sub-bigraph; the plan's global
           profile is [Classify.combine] over these, which is what lets
           {!apply_delta} re-profile only touched components *)
-  alg1_prep : (Steiner.Algorithm1.prep, Steiner.Algorithm1.error) result;
-      (** Algorithm 1's Lemma 1 ordering (the reversed {!Hypergraphs.Mcs}
-          order of the component's H¹) in the ids of the component's
-          slice ([Bigraph.induced graph nodes]), or
-          [Error Not_alpha_acyclic] when that H¹ is not α-acyclic *)
 }
+(** A component is its node set and its profile; a query cuts the
+    component's slice out of [graph] itself
+    ([Bigraph.induced graph nodes]). *)
 
 type t = {
   graph : Bigraph.t;
@@ -42,8 +44,9 @@ val compile :
   t
 (** One-time schema compilation: each connected component is
     classified by {!Bipartite.Classify.profile_connected} on its
-    induced slice and prepped for both algorithms, and the global
-    profile is their {!Bipartite.Classify.combine}. [trace] records a
+    induced slice, and the global profile is their
+    {!Bipartite.Classify.combine}. No solver runs at compile time: no
+    ["algorithm1.*"] span is recorded. [trace] records a
     ["compile"] span with ["compile.components"] and
     ["compile.orderings"] children (the latter holding one
     ["classify"] span per component) and a [components] count
@@ -63,25 +66,24 @@ val n_components : t -> int
 
     A schema delta dirties the components whose vertex sets it
     touches and nothing else: an edge insertion merges (at most) the
-    two endpoint components into one freshly prepped component, an
-    edge deletion relabels the one component it hits (which may
-    split into several), an appended relation merges the components of
-    its attributes with the new node, and removing the {e last}
-    relation drops its node from its component. Every untouched
-    component's slice — node set, elimination order, profile,
-    join-tree prep — is reused verbatim; the global profile is
-    re-derived by [Classify.combine]. Removing an {e interior}
-    relation shifts every higher underlying index, which invalidates
-    the cached per-component structure wholesale; that case falls back
-    to a full {!compile} (reported via [fallback]).
+    two endpoint components into one freshly classified component, an
+    edge deletion relabels the one component it hits (which may split
+    into several), an appended relation merges the components of its
+    attributes with the new node, and removing the {e last} relation
+    drops its node from its component. Every untouched component —
+    node set and profile — is reused verbatim; the global profile is
+    re-derived by [Classify.combine]. Removing an {e interior} relation
+    shifts every higher underlying index, which invalidates the cached
+    per-component structure wholesale; that case falls back to a full
+    {!compile} (reported via [fallback]).
 
     The patched plan is canonically identical to compiling the mutated
-    schema from scratch — same profile, same per-component node sets,
-    orderings and join-tree preps, same component numbering (ascending
-    minimum element, matching [Traverse.component_ids]), and therefore
-    the same answer to every query. test/test_evolve.ml pins this
-    differentially over random delta sequences. (Marshal bytes may
-    differ: equal [Iset]s built by different operation orders need not
+    schema from scratch — same profile, same per-component node sets
+    and profiles, same component numbering (ascending minimum element,
+    matching [Traverse.component_ids]), and therefore the same answer
+    to every query. test/test_evolve.ml pins this differentially over
+    random delta sequences. (Marshal bytes may differ: equal [Iset]s
+    built by different operation orders need not
     share AVL shape.) *)
 
 type delta_stats = {

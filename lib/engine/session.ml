@@ -269,14 +269,14 @@ let solve_many ?make_budget ?degrade t ps =
           query ?budget:(Option.map (fun f -> f i) make_budget) ?degrade t ~p))
     ps
 
-(* Algorithm 1 against the compiled Lemma 1 ordering: the α kernel ran
-   at compile time on the same slice, so W is already in slice ids and
-   each query only replays the elimination. *)
+(* Algorithm 1 on the terminals' slice. Step 1 (the α kernel and W)
+   depends only on the component, but no caller asks more than one
+   terminal set per plan, so it runs here rather than at compile time;
+   it is linear in the component, less than the elimination after it. *)
 let query_relations t ~p =
   match locate t ~p with
   | Error e -> Error e
   | Ok comp ->
     on_slice t comp ~p ~relabel:Algorithm1.relabel @@ fun g _ p ->
     Result.map_error Algorithm1.to_error
-      (Result.bind comp.Compiled.alg1_prep (fun w ->
-           Algorithm1.solve_prepared ~trace:t.trace g w ~p))
+      (Algorithm1.solve_slice ~trace:t.trace g ~p)

@@ -3,11 +3,10 @@
     A session is a compiled plan plus its observability sinks, and
     answers any number of terminal-set queries against one
     {!Compiled.t}. Budgets and the degradation policy are per call:
-    each {!query} takes its own. Classification, component
-    decomposition and the Algorithm 1 Lemma 1 orderings are read from
-    the compiled plan; a query performs only terminal location, the
-    degradation ladder, and the chosen solver, all on the terminals'
-    component: both {!query} and {!query_relations} cut its induced
+    each {!query} takes its own. Classification and component
+    decomposition are read from the compiled plan; a query performs
+    only terminal location, the degradation ladder, and the chosen
+    solver, all on the terminals' component: both {!query} and {!query_relations} cut its induced
     slice out once, through one helper, so a query costs the
     component, not the schema. Sessions are not safe for concurrent
     use: the trace they share across queries is mutable. *)
@@ -95,9 +94,10 @@ val solve_many :
 
 val query_relations :
   t -> p:Iset.t -> (Algorithm1.result, Errors.t) result
-(** Algorithm 1 (minimum relation count, Theorem 3/4) against the
-    Lemma 1 ordering cached at compile time in slice ids, run on the
-    same slice of the terminals' component as {!query}
-    ({!Steiner.Algorithm1.solve_prepared}) and mapped back to the
-    schema's ids. [Invalid_instance] when the terminal component is not
+(** Algorithm 1 (minimum relation count, Theorem 3/4) on the same
+    slice of the terminals' component as {!query}
+    ({!Steiner.Algorithm1.solve_slice}: Step 1 derives the Lemma 1
+    ordering on the slice, under one ["algorithm1.join_tree"] span,
+    then Steps 2–3 run), mapped back to the schema's ids.
+    [Invalid_instance] when the terminal component is not
     α-acyclic. *)

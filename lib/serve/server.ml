@@ -16,8 +16,7 @@ type config = {
   degrade_watermark : int;
   pressure_fuel : int;
   request_timeout_ms : int;
-  read_timeout_ms : int;
-  write_timeout_ms : int;
+  io_timeout_ms : int;
   max_body_bytes : int;
   degrade : bool;
   drain_timeout_ms : int;
@@ -31,8 +30,7 @@ let default_config =
     degrade_watermark = 24;
     pressure_fuel = 64;
     request_timeout_ms = 5_000;
-    read_timeout_ms = 10_000;
-    write_timeout_ms = 10_000;
+    io_timeout_ms = 10_000;
     max_body_bytes = 64 * 1024;
     degrade = true;
     drain_timeout_ms = 2_000;
@@ -441,10 +439,9 @@ let accept_one t =
     else if Atomic.get t.inflight >= t.cfg.max_inflight then shed t fd
     else begin
       (try
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO
-           (float_of_int t.cfg.read_timeout_ms /. 1000.);
-         Unix.setsockopt_float fd Unix.SO_SNDTIMEO
-           (float_of_int t.cfg.write_timeout_ms /. 1000.)
+         let deadline = float_of_int t.cfg.io_timeout_ms /. 1000. in
+         Unix.setsockopt_float fd Unix.SO_RCVTIMEO deadline;
+         Unix.setsockopt_float fd Unix.SO_SNDTIMEO deadline
        with Unix.Unix_error _ -> ());
       Atomic.incr t.inflight;
       let id = Atomic.fetch_and_add t.conn_seq 1 in

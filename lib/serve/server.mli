@@ -11,7 +11,7 @@
       immediately — the request is never read, so shedding stays fast
       under any load.
     - {b Deadlines}: every admitted socket carries receive/send
-      deadlines ([read_timeout_ms]/[write_timeout_ms]); a stalled
+      deadlines (both [io_timeout_ms]); a stalled
       client is reaped with [408] (counted as [serve.reaped]). Every
       query runs under its own budget, capped at
       [request_timeout_ms].
@@ -54,8 +54,7 @@ type config = {
       (** in-flight count above which queries run in pressure mode *)
   pressure_fuel : int;  (** fuel for pressure-mode query budgets *)
   request_timeout_ms : int;  (** per-query wall-clock budget *)
-  read_timeout_ms : int;  (** socket receive deadline *)
-  write_timeout_ms : int;  (** socket send deadline *)
+  io_timeout_ms : int;  (** socket receive and send deadline *)
   max_body_bytes : int;  (** request body cap (413 beyond it) *)
   degrade : bool;
       (** ladder fall-through on exhaustion (default); [false] turns

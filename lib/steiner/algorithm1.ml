@@ -15,48 +15,17 @@ type result = {
   elimination_order : int list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Compile-once preprocessing: the Lemma 1 ordering depends only on
-   the component, not on the terminal set, so a session answering many
-   queries runs the α kernel and derives W once per component.        *)
-(* ------------------------------------------------------------------ *)
-
-(* W in the slice's ids; [] for trivial (<= 1 node) components. *)
-type prep = int list
-
 let to_error = function
   | Disconnected_terminals -> Runtime.Errors.Disconnected_terminals
   | Not_alpha_acyclic ->
     Runtime.Errors.Invalid_instance
       "scheme is not alpha-acyclic (V2-chordal V2-conformal)"
 
-let prep_order w = w
-
-let prepare ?(trace = Observe.Trace.disabled) g =
-  if Bigraph.n g <= 1 then Ok []
-  else begin
-    (* The slice's CSR is the incidence graph of the component's H¹:
-       left nodes below [nl], one hyperedge per right node above it.
-       The α kernel runs on it directly; no hypergraph is built. *)
-    let nl = Bigraph.nl g in
-    match
-      Observe.Trace.span trace "algorithm1.join_tree" (fun () ->
-          Mcs.incidence (Bigraph.csr g) ~boundary:nl)
-    with
-    | None -> Error Not_alpha_acyclic
-    | Some f ->
-      (* Lemma 1's W is the reverse of the running-intersection
-         ordering: the reverse of the search's selection order. *)
-      let w = Array.fold_left (fun w i -> (nl + i) :: w) [] f.Mcs.order in
-      Log.debug (fun m ->
-          m "Lemma 1 ordering W = [%s]"
-            (String.concat "; " (List.map string_of_int w)));
-      Ok w
-  end
-
-(* Steps 2 and 3 on the connected slice the prep was computed on;
-   [p] lies inside it (the caller established connectivity). *)
-let solve_prepared ?(trace = Observe.Trace.disabled) g w ~p =
+(* Steps 1-3 on a connected slice; [p] lies inside it (the caller
+   established connectivity). Step 1 depends only on the component,
+   but it is linear in it, so it costs less than the elimination that
+   follows and is derived afresh for each terminal set. *)
+let solve_slice ?(trace = Observe.Trace.disabled) g ~p =
   let nl = Bigraph.nl g in
   let v2_count nodes = Iset.cardinal (Iset.filter (fun v -> v >= nl) nodes) in
   let n = Bigraph.n g in
@@ -69,24 +38,39 @@ let solve_prepared ?(trace = Observe.Trace.disabled) g w ~p =
         elimination_order = [];
       }
   else begin
-    Observe.Trace.span trace "algorithm1"
-      ~attrs:[ ("component", Observe.Trace.Int n) ]
-    @@ fun () ->
+    (* The slice's CSR is the incidence graph of the component's H¹:
+       left nodes below [nl], one hyperedge per right node above it.
+       The α kernel runs on it directly; no hypergraph is built. *)
     let csr = Bigraph.csr g in
-    let survivors =
-      Observe.Trace.span trace "algorithm1.eliminate" (fun () ->
-          Cover.eliminate ~drop:Cover.Node_and_private csr ~p w)
-    in
-    match Tree.of_csr_node_set csr survivors with
-    | Some tree ->
-      (* With an empty terminal set everything was eliminated: the
-         empty tree connects nothing vacuously. *)
-      Ok { tree; v2_count = v2_count tree.Tree.nodes; elimination_order = w }
-    | None ->
-      (* Defensive: every accepted elimination candidate is a
-         connected cover, so a spanning tree must exist; degrade
-         instead of crashing if that invariant is ever broken. *)
-      Error Disconnected_terminals
+    match
+      Observe.Trace.span trace "algorithm1.join_tree" (fun () ->
+          Mcs.incidence csr ~boundary:nl)
+    with
+    | None -> Error Not_alpha_acyclic
+    | Some f ->
+      (* Lemma 1's W is the reverse of the running-intersection
+         ordering: the reverse of the search's selection order. *)
+      let w = Array.fold_left (fun w i -> (nl + i) :: w) [] f.Mcs.order in
+      Log.debug (fun m ->
+          m "Lemma 1 ordering W = [%s]"
+            (String.concat "; " (List.map string_of_int w)));
+      Observe.Trace.span trace "algorithm1"
+        ~attrs:[ ("component", Observe.Trace.Int n) ]
+      @@ fun () ->
+      let survivors =
+        Observe.Trace.span trace "algorithm1.eliminate" (fun () ->
+            Cover.eliminate ~drop:Cover.Node_and_private csr ~p w)
+      in
+      match Tree.of_csr_node_set csr survivors with
+      | Some tree ->
+        (* With an empty terminal set everything was eliminated: the
+           empty tree connects nothing vacuously. *)
+        Ok { tree; v2_count = v2_count tree.Tree.nodes; elimination_order = w }
+      | None ->
+        (* Defensive: every accepted elimination candidate is a
+           connected cover, so a spanning tree must exist; degrade
+           instead of crashing if that invariant is ever broken. *)
+        Error Disconnected_terminals
   end
 
 let relabel ids r =
@@ -118,9 +102,8 @@ let solve ?trace g ~p =
   | None -> Error Disconnected_terminals
   | Some comp ->
     let sub, ids = Bigraph.induced g comp in
-    Result.bind (prepare ?trace sub) (fun w ->
-        solve_prepared ?trace sub w ~p:(Iset.map (Csr.local_index ids) p)
-        |> Result.map (relabel ids))
+    solve_slice ?trace sub ~p:(Iset.map (Csr.local_index ids) p)
+    |> Result.map (relabel ids)
 
 let solve_wrt_v1 g ~p =
   let flipped = Bigraph.flip g in

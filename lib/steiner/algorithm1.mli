@@ -40,45 +40,30 @@ val solve :
 (** [p] contains underlying indices (left or right nodes). Finds the
     terminals' component in the CSR's component labelling
     ({!Graphs.Csr.component_ids}), cuts it out with
-    {!Bipartite.Bigraph.induced}, runs {!prepare} and {!solve_prepared}
-    on that slice and maps the result back with {!relabel}. [trace]
-    records an ["algorithm1.join_tree"] span and an ["algorithm1"] span
-    with an ["algorithm1.eliminate"] child. *)
+    {!Bipartite.Bigraph.induced}, runs {!solve_slice} on that slice and
+    maps the result back with {!relabel}. *)
 
-(** {2 Compile-once / query-many}
+(** {2 One slice, one terminal set}
 
     Step 1 (the α kernel and the Lemma 1 ordering) depends only on the
-    component, not on the terminal set. A session answering many
-    terminal-set queries over one schema computes the [prep] once per
-    component and reuses it for every query. Both steps run on the
-    component's slice — the component cut out as a graph of its own
-    ({!Bipartite.Bigraph.induced}, which renumbers ascending) — and
-    speak its ids. *)
+    component, not on the terminal set, but no caller asks a component
+    more than one terminal set per plan, and the α test is linear in the
+    component — less than Step 2's elimination. So the plan keeps no W:
+    every call derives it on the terminals' slice, the component cut out
+    as a graph of its own ({!Bipartite.Bigraph.induced}, which renumbers
+    ascending), and speaks that slice's ids. *)
 
-type prep
-(** The component's Lemma 1 ordering W, in slice ids. *)
-
-val prepare :
-  ?trace:Observe.Trace.t -> Bigraph.t -> (prep, error) Stdlib.result
-(** Step 1 on a connected slice: W is the reversed
-    {!Hypergraphs.Mcs.incidence} order on its CSR, which is the
-    component's H¹; [Error Not_alpha_acyclic] off α. Records an
-    ["algorithm1.join_tree"] span. *)
-
-val prep_order : prep -> int list
-(** The Lemma 1 ordering W held by the prep, in the ids of the slice it
-    was computed on (empty for trivial components). *)
-
-val solve_prepared :
-  ?trace:Observe.Trace.t ->
-  Bigraph.t ->
-  prep ->
-  p:Iset.t ->
-  (result, error) Stdlib.result
-(** Steps 2–3 on the slice [prepare] ran on, with [p] in its ids (the
-    caller has established connectivity). Step 2 is {!Cover.eliminate}
-    with [~drop:Node_and_private] over W, un-budgeted. The result is in
-    slice ids; {!relabel} maps it back. *)
+val solve_slice :
+  ?trace:Observe.Trace.t -> Bigraph.t -> p:Iset.t -> (result, error) Stdlib.result
+(** Steps 1–3 on a connected slice, with [p] in its ids (the caller has
+    established connectivity). Step 1 takes W as the reversed
+    {!Hypergraphs.Mcs.incidence} order on the slice's CSR, which is the
+    component's H¹, and answers [Error Not_alpha_acyclic] off α. Step 2
+    is {!Cover.eliminate} with [~drop:Node_and_private] over W,
+    un-budgeted. The result is in slice ids; {!relabel} maps it back.
+    [trace] records an ["algorithm1.join_tree"] span and an
+    ["algorithm1"] span with an ["algorithm1.eliminate"] child (neither
+    on a slice of at most one node). *)
 
 val relabel : int array -> result -> result
 (** [relabel ids r] maps a slice result's tree and elimination order

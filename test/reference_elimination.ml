@@ -79,8 +79,8 @@ let algorithm1_eliminate_sets u ~comp ~p w_order =
 
 (* Algorithm 1 end to end on the whole graph's set view: the reference
    [Algorithm1.solve] must reproduce field for field. Only W comes from
-   the library, computed on the component's slice and mapped back to
-   the graph's ids here. *)
+   the library: the [elimination_order] of [Algorithm1.solve_slice] on
+   the component's slice, mapped back to the graph's ids here. *)
 let algorithm1_sets g ~p =
   let u = Bipartite.Bigraph.ugraph g in
   let nl = Bipartite.Bigraph.nl g in
@@ -89,8 +89,14 @@ let algorithm1_sets g ~p =
   | None -> Error Algorithm1.Disconnected_terminals
   | Some comp -> (
     let slice, ids = Bipartite.Bigraph.induced g comp in
-    match Algorithm1.prepare slice with
-    | Error e -> Error e
+    match
+      Algorithm1.solve_slice slice ~p:(Iset.map (Csr.local_index ids) p)
+    with
+    | Error Algorithm1.Not_alpha_acyclic -> Error Algorithm1.Not_alpha_acyclic
+    | Error Algorithm1.Disconnected_terminals ->
+      (* The slice is the terminals' component: only a broken Step 2
+         could lose them, and the reference must not echo that. *)
+      failwith "Algorithm1.solve_slice lost terminals on their own component"
     | Ok _ when Iset.cardinal comp <= 1 ->
       Ok
         {
@@ -98,8 +104,8 @@ let algorithm1_sets g ~p =
           v2_count = v2_count comp;
           elimination_order = [];
         }
-    | Ok prep -> (
-      let w = List.map (fun v -> ids.(v)) (Algorithm1.prep_order prep) in
+    | Ok r -> (
+      let w = List.map (fun v -> ids.(v)) r.Algorithm1.elimination_order in
       let survivors = algorithm1_eliminate_sets u ~comp ~p w in
       match Tree.of_node_set u survivors with
       | Some tree ->

@@ -319,11 +319,11 @@ let corruption_cases =
     ( "previous format version",
       "version-mismatch",
       fun entry blob ->
-        (* A format-4 entry marshals a prep layout format 5 dropped
-           (W beside a copy of the component's node set): it must be
-           refused before its payload is unmarshaled. *)
+        (* A format-5 entry marshals components with Algorithm 1's
+           W, a field format 6 dropped: it must be refused before its
+           payload is unmarshaled. *)
         let rest = String.sub blob 14 (String.length blob - 14) in
-        write_file entry ("minconn-plan/4" ^ rest) );
+        write_file entry ("minconn-plan/5" ^ rest) );
   ]
 
 let test_miss_absent () =

@@ -361,6 +361,35 @@ let test_engine_counters () =
   check_int "one compile for the batch" 1 (count "engine.compiles");
   check_int "three queries recorded" 3 (count "engine.queries")
 
+(* The plan keeps no Algorithm 1 state: compiling a many-component
+   alpha schema records no [algorithm1.*] span, and a relations query
+   derives W once, on its own component's slice. *)
+let test_compile_runs_no_algorithm1 () =
+  let inst =
+    Workloads.Gen_scale.make Workloads.Gen_scale.Alpha ~target_n:200 ~seed:11
+  in
+  let g = Workloads.Gen_scale.to_bigraph inst in
+  let names tr =
+    List.map (fun s -> s.Observe.Trace.name) (Observe.Trace.spans tr)
+  in
+  let count name tr =
+    List.length (List.filter (String.equal name) (names tr))
+  in
+  let compile_trace = Observe.Trace.make () in
+  let compiled = Minconn.Compiled.compile ~trace:compile_trace g in
+  check "several components" true (Minconn.Compiled.n_components compiled > 1);
+  check "compile records no algorithm1 span" false
+    (List.exists
+       (fun n -> String.length n >= 10 && String.sub n 0 10 = "algorithm1")
+       (names compile_trace));
+  let query_trace = Observe.Trace.make () in
+  let session = Minconn.Session.create ~trace:query_trace compiled in
+  let p = Workloads.Gen_scale.block_terminals inst ~block:1 ~k:3 in
+  check "relations query answers" true
+    (Result.is_ok (Minconn.Session.query_relations session ~p));
+  check_int "one join_tree span per relations query" 1
+    (count "algorithm1.join_tree" query_trace)
+
 let qcheck_cases =
   [
     prop_session_equal_gnp;
@@ -388,5 +417,7 @@ let () =
           Alcotest.test_case "layered compiled once" `Quick
             test_layered_memoized;
           Alcotest.test_case "engine counters" `Quick test_engine_counters;
+          Alcotest.test_case "compile runs no Algorithm 1" `Quick
+            test_compile_runs_no_algorithm1;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Incremental schema evolution: [Compiled.apply_delta] must be
-   indistinguishable — profile, component structure, orderings,
-   join-tree preps, and query answers — from throwing the plan away
+   indistinguishable — profile, component structure, component
+   profiles, and query answers — from throwing the plan away
    and recompiling the mutated schema from scratch. Comparisons are
    canonical (Iset.equal, order lists, rendered values), never Marshal
    bytes: equal sets built by different operation orders need not
@@ -19,16 +19,9 @@ module Session = Minconn.Session
 
 (* ------------------------------------------------ canonical equality *)
 
-let prep_equal a b =
-  match (a, b) with
-  | Ok pa, Ok pb -> Algorithm1.prep_order pa = Algorithm1.prep_order pb
-  | Error ea, Error eb -> ea = eb
-  | Ok _, Error _ | Error _, Ok _ -> false
-
 let component_equal (a : Compiled.component) (b : Compiled.component) =
   Iset.equal a.Compiled.nodes b.Compiled.nodes
   && a.Compiled.cprofile = b.Compiled.cprofile
-  && prep_equal a.Compiled.alg1_prep b.Compiled.alg1_prep
 
 let plan_equal (a : Compiled.t) (b : Compiled.t) =
   Bigraph.equal (Compiled.graph a) (Compiled.graph b)

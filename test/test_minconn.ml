@@ -4,33 +4,33 @@ let check = Alcotest.(check bool)
 
 let test_forest_dispatch () =
   let g = Minconn.Figures.fig3a.Minconn.Figures.graph in
-  match Minconn.solve_steiner g ~p:(Minconn.Iset.of_list [ 0; 3 ]) with
-  | Some s ->
+  match Minconn.solve g ~p:(Minconn.Iset.of_list [ 0; 3 ]) with
+  | Ok s ->
     check "fig3a routed to the forest solver" true
       (s.Minconn.method_used = Minconn.Used_forest);
     check "optimal" true s.Minconn.optimal
-  | None -> Alcotest.fail "solvable"
+  | Error _ -> Alcotest.fail "solvable"
 
 let test_solve_dispatch () =
   let fig3b = Minconn.Figures.fig3b.Minconn.Figures.graph in
   let p = Minconn.Iset.of_list [ 0; 2 ] in
-  (match Minconn.solve_steiner fig3b ~p with
-  | Some s ->
+  (match Minconn.solve fig3b ~p with
+  | Ok s ->
     check "fig3b routed to Algorithm 2" true
       (s.Minconn.method_used = Minconn.Used_algorithm2);
     check "optimal" true s.Minconn.optimal
-  | None -> Alcotest.fail "solvable");
+  | Error _ -> Alcotest.fail "solvable");
   let fig2 = Minconn.Figures.fig2.Minconn.Figures.graph in
-  match Minconn.solve_steiner fig2 ~p with
-  | Some s ->
+  match Minconn.solve fig2 ~p with
+  | Ok s ->
     check "fig2 routed to exact DP" true
       (s.Minconn.method_used = Minconn.Used_exact_dp)
-  | None -> Alcotest.fail "solvable"
+  | Error _ -> Alcotest.fail "solvable"
 
 let test_solve_disconnected () =
   let g = Minconn.Bigraph.of_edges ~nl:2 ~nr:2 [ (0, 0); (1, 1) ] in
-  check "disconnected returns None" true
-    (Minconn.solve_steiner g ~p:(Minconn.Iset.of_list [ 0; 1 ]) = None)
+  check "disconnected returns an error" true
+    (Result.is_error (Minconn.solve g ~p:(Minconn.Iset.of_list [ 0; 1 ])))
 
 let test_min_relations_facade () =
   let fig2 = Minconn.Figures.fig2.Minconn.Figures.graph in

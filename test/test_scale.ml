@@ -202,19 +202,27 @@ let test_family_classes () =
       check "alpha is α-acyclic (H¹)" true p.Classify.alpha_h1)
     [ 0; 7; 42 ]
 
-(* Every component of every family admits Algorithm 1 preprocessing
-   (α-acyclicity per component), so million-node sessions never fall
-   back to the exponential rung on in-block terminal sets. *)
+(* Every component of every family admits Algorithm 1 (α-acyclicity
+   per component), so million-node sessions never fall back to the
+   exponential rung on in-block terminal sets. The maximum cardinality
+   search kernel runs on each component's slice, as Algorithm 1's
+   Step 1 does; the plan's profile is not read, since on (6,1) blocks
+   it comes from β-elimination. *)
 let test_family_alg1_prep () =
   List.iter
     (fun fam ->
-      let inst = Workloads.Gen_scale.make fam ~target_n:200 ~seed:11 in
-      let c = Minconn.Compiled.compile (Workloads.Gen_scale.to_bigraph inst) in
+      let g = Workloads.Gen_scale.to_bigraph
+          (Workloads.Gen_scale.make fam ~target_n:200 ~seed:11) in
+      let c = Minconn.Compiled.compile g in
       check
         (Workloads.Gen_scale.family_name fam ^ " components admit Algorithm 1")
         true
         (Array.for_all
-           (fun comp -> Result.is_ok comp.Minconn.Compiled.alg1_prep)
+           (fun comp ->
+             let slice, _ = Bigraph.induced g comp.Minconn.Compiled.nodes in
+             Option.is_some
+               (Hypergraphs.Mcs.incidence (Bigraph.csr slice)
+                  ~boundary:(Bigraph.nl slice)))
            c.Minconn.Compiled.components))
     families
 

@@ -278,7 +278,7 @@ let test_overload_sheds_fast () =
       Server.default_config with
       Server.max_inflight = 2;
       degrade_watermark = 100;
-      read_timeout_ms = 5_000;
+      io_timeout_ms = 5_000;
     }
   in
   with_server ~config @@ fun _nb srv metrics ->
@@ -397,7 +397,7 @@ let test_body_too_large () =
   Unix.close fd
 
 let test_stalled_client_reaped () =
-  let config = { Server.default_config with Server.read_timeout_ms = 80 } in
+  let config = { Server.default_config with Server.io_timeout_ms = 80 } in
   with_server ~config @@ fun _nb srv metrics ->
   let fd = connect (Server.port srv) in
   let conn = Http.conn fd in
@@ -433,7 +433,7 @@ let test_graceful_drain_forces_stragglers () =
     {
       Server.default_config with
       Server.drain_timeout_ms = 100;
-      read_timeout_ms = 5_000;
+      io_timeout_ms = 5_000;
     }
   in
   let nb = fig3b () in

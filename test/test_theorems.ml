@@ -190,9 +190,9 @@ let facade_consistency =
       let rng = rng_of (Ugraph.m u + 17) in
       let p = Workloads.Gen_bipartite.random_terminals rng g ~k:3 in
       QCheck2.assume (Iset.cardinal p >= 2);
-      match Minconn.solve_steiner g ~p with
-      | None -> Traverse.component_containing u p = None
-      | Some s ->
+      match Minconn.solve g ~p with
+      | Error _ -> Traverse.component_containing u p = None
+      | Ok s ->
         (not s.Minconn.optimal)
         || Some (Steiner.Tree.node_count s.Minconn.tree)
            = Dreyfus_wagner.optimum_nodes u ~terminals:p)
