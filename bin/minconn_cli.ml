@@ -103,7 +103,10 @@ let compile_cmd =
         die ()
     in
     let graph = nb.Mc_io.Parse.graph in
-    let hash = Minconn.Compiled.schema_hash graph in
+    let hash =
+      Observe.Trace.span trace "schema_hash" (fun () ->
+          Minconn.Compiled.schema_hash graph)
+    in
     let status =
       match cache_dir with
       | None ->
@@ -118,12 +121,12 @@ let compile_cmd =
         | Ok cache -> (
           match
             if force then Error Minconn.Plan_cache.Absent
-            else Minconn.Plan_cache.find ~trace cache graph
+            else Minconn.Plan_cache.find ~trace ~hash cache graph
           with
           | Ok _ -> "hit"
           | Error miss -> (
             let compiled = Minconn.Compiled.compile ~trace graph in
-            match Minconn.Plan_cache.store ~trace cache compiled with
+            match Minconn.Plan_cache.store ~trace ~hash cache compiled with
             | Ok () ->
               Printf.sprintf "stored reason=%s"
                 (Minconn.Plan_cache.miss_name miss)

@@ -176,6 +176,21 @@ let induced g w =
     ({ nl = nl'; nr = k - nl'; csr = Csr.induced g.csr ids }, ids)
   end
 
+(* [induced] on a component of the layout, cut by [Csr.slice]: the
+   segment is ascending, so its members below [nl] (the new lefts) come
+   first. *)
+let slice g cs ~local c =
+  let csr = Csr.slice g.csr cs ~local c in
+  if csr == g.csr then g
+  else begin
+    let lo = cs.Csr.start.(c) and hi = cs.Csr.start.(c + 1) in
+    let i = ref lo in
+    while !i < hi && cs.Csr.order.(!i) < g.nl do
+      incr i
+    done;
+    { nl = !i - lo; nr = hi - !i; csr }
+  end
+
 let flip g =
   let csr =
     Csr.of_edge_iter ~n:(n g) (fun f ->
@@ -232,7 +247,7 @@ let of_ugraph u =
     Some ({ nl; nr = !next_r; csr }, mapping)
   end
 
-let is_connected g = List.length (snd (Csr.component_ids g.csr)) <= 1
+let is_connected g = Csr.n_components (Csr.components g.csr) <= 1
 
 let equal a b = a.nl = b.nl && a.nr = b.nr && Csr.equal a.csr b.csr
 

@@ -72,6 +72,12 @@ val induced : t -> Iset.t -> t * int array
     every node of [g], the result is [g] itself (the renumbering is the
     identity). *)
 
+val slice : t -> Csr.components -> local:int array -> int -> t
+(** [slice g cs ~local c] is [fst (induced g (Iset.of_array
+    (Csr.members cs c)))] for a component [c] of [cs = Csr.components
+    (csr g)], cut by {!Graphs.Csr.slice} (same [local] contract): no
+    node set, no search. A connected [g] is its own slice. *)
+
 val nl : t -> int
 val nr : t -> int
 val n : t -> int

@@ -162,12 +162,11 @@ let profile_connected ?(trace = Observe.Trace.disabled) g =
    ["classify"] span, so span totals never count a component twice. *)
 let profile ?(trace = Observe.Trace.disabled) g =
   classify_span trace g (fun () ->
-      let _, comps = Graphs.Csr.component_ids (Bigraph.csr g) in
+      let cs = Graphs.Csr.components (Bigraph.csr g) in
+      let local = Array.make (Bigraph.n g) 0 in
       combine
-        (Array.of_list
-           (List.map
-              (fun nodes -> checks trace (fst (Bigraph.induced g nodes)))
-              comps)))
+        (Array.init (Graphs.Csr.n_components cs) (fun c ->
+             checks trace (Bigraph.slice g cs ~local c))))
 
 let recommend p =
   if p.chordal_62 then Steiner_polynomial

@@ -131,11 +131,13 @@ let touch path = try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ()
    graph equals [g] — a colliding or mislabeled entry must read as a
    miss, never answer for the wrong graph. *)
 let find ?(trace = Observe.Trace.disabled)
-    ?(metrics = Observe.Metrics.disabled) t g =
+    ?(metrics = Observe.Metrics.disabled) ?hash t g =
   Observe.Trace.span trace "plan_cache"
     ~attrs:[ ("op", Observe.Trace.Str "find") ]
   @@ fun () ->
-  let hash = Compiled.schema_hash g in
+  let hash =
+    match hash with Some h -> h | None -> Compiled.schema_hash g
+  in
   let path = path_of_key t hash in
   let result =
     match read_entry t ~hash path with
@@ -248,11 +250,15 @@ let rename_entry ~metrics tmp final =
     attempt ()
 
 let store ?(trace = Observe.Trace.disabled)
-    ?(metrics = Observe.Metrics.disabled) t compiled =
+    ?(metrics = Observe.Metrics.disabled) ?hash t compiled =
   Observe.Trace.span trace "plan_cache"
     ~attrs:[ ("op", Observe.Trace.Str "store") ]
   @@ fun () ->
-  let hash = Compiled.schema_hash (Compiled.graph compiled) in
+  let hash =
+    match hash with
+    | Some h -> h
+    | None -> Compiled.schema_hash (Compiled.graph compiled)
+  in
   let final = path_of_key t hash in
   let payload = Compiled.to_bytes compiled in
   let blob = envelope ~commit:t.commit ~hash payload ^ payload in
@@ -313,8 +319,9 @@ let store ?(trace = Observe.Trace.disabled)
    a cached plan of the base patched through [Compiled.apply_deltas] is
    the next cheapest (it reuses every untouched component's node set
    and profile), and a cold compile the last resort. Whatever is
-   built is stored under [target]'s own hash. Storing is best-effort: a
-   full disk or a lost race must not fail the query path. *)
+   built is stored under [target]'s own hash, computed once. Storing
+   is best-effort: a full disk or a lost race must not fail the query
+   path. *)
 let find_or_compile ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) ?cache ?(deltas = []) g =
   let target =
@@ -325,7 +332,8 @@ let find_or_compile ?(trace = Observe.Trace.disabled)
   match cache with
   | None -> (Compiled.compile ~trace ~metrics target, `Miss)
   | Some t -> (
-    match find ~trace ~metrics t target with
+    let hash = Compiled.schema_hash target in
+    match find ~trace ~metrics ~hash t target with
     | Ok compiled -> (compiled, `Hit)
     | Error _ ->
       let patched =
@@ -346,5 +354,5 @@ let find_or_compile ?(trace = Observe.Trace.disabled)
           (compiled, `Patched)
         | None -> (Compiled.compile ~trace ~metrics target, `Miss)
       in
-      ignore (store ~trace ~metrics t compiled : (unit, string) result);
+      ignore (store ~trace ~metrics ~hash t compiled : (unit, string) result);
       (compiled, outcome))

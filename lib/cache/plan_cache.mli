@@ -97,10 +97,13 @@ val entry_path : t -> Bipartite.Bigraph.t -> string
 val find :
   ?trace:Observe.Trace.t ->
   ?metrics:Observe.Metrics.t ->
+  ?hash:string ->
   t ->
   Bipartite.Bigraph.t ->
   (Engine.Compiled.t, miss) result
-(** Validate and load the entry for this schema. On a hit the
+(** Validate and load the entry for this schema. [hash], when the
+    caller already holds it, must be the schema's
+    {!Engine.Compiled.schema_hash}; it is computed otherwise. On a hit the
     loaded plan's graph is checked equal to the requested graph (belt
     and braces over the hash) and the entry's mtime is touched for
     LRU. Records a ["plan_cache"] span (op/outcome/reason attrs) and
@@ -109,12 +112,13 @@ val find :
 val store :
   ?trace:Observe.Trace.t ->
   ?metrics:Observe.Metrics.t ->
+  ?hash:string ->
   t ->
   Engine.Compiled.t ->
   (unit, string) result
 (** Write the plan atomically (temp + rename), then evict LRU entries
     over [max_bytes]. The entry is named by the plan's own schema
-    hash. [Error msg] on I/O failure —
+    hash ([hash], as for {!find}). [Error msg] on I/O failure —
     callers treat the cache as best-effort. Bumps [cache.store] and
     [cache.evict] (per evicted entry); records a ["plan_cache"] span.
     Re-raises {!Runtime.Fault.Injected_crash} without cleaning its

@@ -130,9 +130,9 @@ val apply_deltas :
     protection and must never be trusted across builds. *)
 
 val schema_hash : Bigraph.t -> string
-(** Hex digest of a canonical rendering (sizes + ascending edge list):
-    equal graphs hash equally regardless of construction order. The
-    plan cache keys entries by this hash. *)
+(** Hex digest of the schema's left count and canonical CSR arrays
+    ({!Graphs.Csr.digest}): equal graphs hash equally regardless of
+    construction order. The plan cache keys entries by this hash. *)
 
 val to_bytes : t -> string
 (** Marshal the plan. Total on any plan [compile] can produce. *)

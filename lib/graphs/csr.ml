@@ -292,40 +292,100 @@ let to_ugraph t =
   in
   Ugraph.of_adjacency adj ~m:t.m
 
+(* The arrays are canonical for the graph, so writing them out as
+   fixed-width ints is a canonical rendering with no formatting. *)
+let digest ~tag t =
+  let b = Bytes.create (8 * (3 + Array.length t.row + Array.length t.col)) in
+  let pos = ref 0 in
+  let put x =
+    Bytes.set_int64_le b !pos (Int64.of_int x);
+    pos := !pos + 8
+  in
+  put tag;
+  put t.n;
+  put t.m;
+  Array.iter put t.row;
+  Array.iter put t.col;
+  Digest.bytes b
+
 let equal a b = a.n = b.n && a.m = b.m && a.row = b.row && a.col = b.col
 
-(* Flat component labelling: one array-based BFS sweep over the rows,
-   no per-component distance arrays or set differences, so a graph made
-   of many small components is labelled in O(n + m) total. Components
-   are numbered by ascending minimum element — the same order
-   [Traverse.component_ids] produces. *)
-let component_ids t =
-  let id = Array.make t.n (-1) in
-  let queue = Array.make (max t.n 1) 0 in
-  let k = ref 0 in
+(* The flat component layout: one BFS labelling (its queue is [order]
+   itself, every node enqueued once), then one counting pass that
+   rewrites [order] grouped by component and ascending within each
+   group. No per-component list or set is built, so a graph made of
+   many small components is laid out in O(n + m) total. Components are
+   numbered by ascending smallest node, as [Traverse.component_ids]
+   numbers them. *)
+type components = { label : int array; order : int array; start : int array }
+
+let components t =
+  let label = Array.make t.n (-1) and order = Array.make t.n 0 in
+  let k = ref 0 and tail = ref 0 in
   for s = 0 to t.n - 1 do
-    if id.(s) < 0 then begin
+    if label.(s) < 0 then begin
       let cid = !k in
       incr k;
-      id.(s) <- cid;
-      queue.(0) <- s;
-      let head = ref 0 and tail = ref 1 in
+      label.(s) <- cid;
+      let head = ref !tail in
+      order.(!tail) <- s;
+      incr tail;
       while !head < !tail do
-        let u = queue.(!head) in
+        let u = order.(!head) in
         incr head;
         for p = t.row.(u) to t.row.(u + 1) - 1 do
           let v = t.col.(p) in
-          if id.(v) < 0 then begin
-            id.(v) <- cid;
-            queue.(!tail) <- v;
+          if label.(v) < 0 then begin
+            label.(v) <- cid;
+            order.(!tail) <- v;
             incr tail
           end
         done
       done
     end
   done;
-  let acc = Array.make (max !k 1) [] in
-  for v = t.n - 1 downto 0 do
-    acc.(id.(v)) <- v :: acc.(id.(v))
+  let start = Array.make (!k + 1) 0 in
+  Array.iter (fun c -> start.(c + 1) <- start.(c + 1) + 1) label;
+  for c = 1 to !k do
+    start.(c) <- start.(c) + start.(c - 1)
   done;
-  (id, List.init !k (fun c -> Iset.of_list acc.(c)))
+  let next = Array.sub start 0 !k in
+  Array.iteri
+    (fun v c ->
+      order.(next.(c)) <- v;
+      next.(c) <- next.(c) + 1)
+    label;
+  { label; order; start }
+
+let n_components cs = Array.length cs.start - 1
+
+let members cs c =
+  Array.sub cs.order cs.start.(c) (cs.start.(c + 1) - cs.start.(c))
+
+(* Every neighbour of a member is a member, and the segment is
+   ascending, so renumbering by segment position is monotone: each row
+   is copied through [local] in order, with nothing filtered, searched
+   or sorted, into arrays sized exactly by the members' degrees. *)
+let slice t cs ~local c =
+  let lo = cs.start.(c) and hi = cs.start.(c + 1) in
+  for i = lo to hi - 1 do
+    local.(cs.order.(i)) <- i - lo
+  done;
+  if hi - lo = t.n then t
+  else begin
+    let k = hi - lo in
+    let row = Array.make (k + 1) 0 in
+    for i = 0 to k - 1 do
+      let v = cs.order.(lo + i) in
+      row.(i + 1) <- row.(i) + t.row.(v + 1) - t.row.(v)
+    done;
+    let col = Array.make row.(k) 0 in
+    for i = 0 to k - 1 do
+      let v = cs.order.(lo + i) in
+      let shift = row.(i) - t.row.(v) in
+      for x = t.row.(v) to t.row.(v + 1) - 1 do
+        col.(shift + x) <- local.(t.col.(x))
+      done
+    done;
+    { n = k; m = row.(k) / 2; row; col }
+  end

@@ -40,10 +40,45 @@ val equal : t -> t -> bool
     same graph (whatever edge order or duplication built them) yield
     identical arrays. *)
 
-val component_ids : t -> int array * Iset.t list
-(** Flat O(n + m) connected-component labelling: [ids.(v)] indexes
-    [v]'s component in the returned list. Components are numbered by
-    ascending minimum element, matching [Traverse.component_ids]. *)
+val digest : tag:int -> t -> Digest.t
+(** MD5 of [tag], the sizes and the row and column arrays,
+    each as an 8-byte little-endian int. The arrays are canonical (see
+    {!equal}), so equal graphs digest equally. *)
+
+(** {2 Connected components}
+
+    Every profile a plan stores is decided one component at a time, so
+    components are laid out flat: [label] maps a node to its component,
+    [order] lists the nodes grouped by component, and component [c]
+    occupies [order.(start.(c)) .. order.(start.(c + 1) - 1)]. *)
+
+type components = {
+  label : int array;
+      (** node → component id; components are numbered by ascending
+          smallest node, as [Traverse.component_ids] numbers them *)
+  order : int array;
+      (** the nodes grouped by component, ascending within each group *)
+  start : int array;
+      (** where each component begins in [order]; one more entry than
+          there are components, the last being [n] *)
+}
+
+val components : t -> components
+(** One BFS labelling and one counting pass, O(n + m). *)
+
+val n_components : components -> int
+
+val members : components -> int -> int array
+(** [members cs c]: component [c]'s nodes, ascending (a fresh copy of
+    its segment of [order]). *)
+
+val slice : t -> components -> local:int array -> int -> t
+(** [slice t cs ~local c] is component [c] as a graph of its own, its
+    member [order.(start.(c) + i)] renumbered [i]: the same graph as
+    [induced t (members cs c)], cut in O(size of the component) with no
+    search. [local] is scratch of length [n t] shared by the calls on
+    one layout; on return, [local.(v)] is [v]'s new index for every
+    member [v] of [c]. A component holding every node is [t] itself. *)
 
 val n : t -> int
 val m : t -> int

@@ -80,30 +80,26 @@ let relabel ids r =
     elimination_order = List.map (fun v -> ids.(v)) r.elimination_order;
   }
 
-(* The terminals' component from the CSR's component labelling — the
+(* The terminals' component from the CSR's component layout — the
    component of node 0 when [p] is empty, as
    [Traverse.component_containing] answers — cut out as a graph of its
-   own. [Bigraph.induced] renumbers ascending, so W keeps its order and
+   own. [Bigraph.slice] renumbers ascending, so W keeps its order and
    every elimination decision is the one a whole-graph run takes. *)
 let solve ?trace g ~p =
-  let ids, comps = Csr.component_ids (Bigraph.csr g) in
-  let comp =
-    match (Iset.min_elt_opt p, comps) with
-    | _ when not (Iset.for_all (fun v -> v >= 0 && v < Array.length ids) p) ->
-      None
-    | None, [] -> Some Iset.empty
-    | None, first :: _ -> Some first
-    | Some s, _ ->
-      if Iset.for_all (fun v -> ids.(v) = ids.(s)) p then
-        Some (List.nth comps ids.(s))
-      else None
-  in
-  match comp with
-  | None -> Error Disconnected_terminals
-  | Some comp ->
-    let sub, ids = Bigraph.induced g comp in
-    solve_slice ?trace sub ~p:(Iset.map (Csr.local_index ids) p)
-    |> Result.map (relabel ids)
+  let cs = Csr.components (Bigraph.csr g) in
+  let label = cs.Csr.label in
+  match Iset.min_elt_opt p with
+  | _ when not (Iset.for_all (fun v -> v >= 0 && v < Array.length label) p) ->
+    Error Disconnected_terminals
+  | None when Csr.n_components cs = 0 -> solve_slice ?trace g ~p
+  | Some s when not (Iset.for_all (fun v -> label.(v) = label.(s)) p) ->
+    Error Disconnected_terminals
+  | s ->
+    let c = match s with None -> 0 | Some s -> label.(s) in
+    let local = Array.make (Array.length label) 0 in
+    let sub = Bigraph.slice g cs ~local c in
+    solve_slice ?trace sub ~p:(Iset.map (fun v -> local.(v)) p)
+    |> Result.map (relabel (Csr.members cs c))
 
 let solve_wrt_v1 g ~p =
   let flipped = Bigraph.flip g in

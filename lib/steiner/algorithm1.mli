@@ -38,9 +38,9 @@ type result = {
 val solve :
   ?trace:Observe.Trace.t -> Bigraph.t -> p:Iset.t -> (result, error) Stdlib.result
 (** [p] contains underlying indices (left or right nodes). Finds the
-    terminals' component in the CSR's component labelling
-    ({!Graphs.Csr.component_ids}), cuts it out with
-    {!Bipartite.Bigraph.induced}, runs {!solve_slice} on that slice and
+    terminals' component in the CSR's component layout
+    ({!Graphs.Csr.components}), cuts it out with
+    {!Bipartite.Bigraph.slice}, runs {!solve_slice} on that slice and
     maps the result back with {!relabel}. *)
 
 (** {2 One slice, one terminal set}

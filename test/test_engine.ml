@@ -229,6 +229,105 @@ let prop_sliced_ladder_equals_whole_graph =
       | Ok s -> matches s
       | Error _ -> false)
 
+(* ------------------------------------------------ component layout *)
+
+(* Many components of every shape: isolated lefts and rights, single
+   edges, small family draws (a gnp draw may itself be disconnected),
+   with both sides permuted so components interleave in index order —
+   or, one time in five, one connected draw. *)
+let layout_schema rng =
+  let part rng =
+    match Workloads.Rng.int rng 6 with
+    | 0 -> Bigraph.create ~nl:1 ~nr:0
+    | 1 -> Bigraph.create ~nl:0 ~nr:1
+    | 2 -> Bigraph.of_edges ~nl:1 ~nr:1 [ (0, 0) ]
+    | 3 -> Workloads.Gen_bipartite.forest rng ~n:(2 + Workloads.Rng.int rng 6)
+    | 4 ->
+      Workloads.Gen_bipartite.chordal_62 rng
+        ~n_right:(1 + Workloads.Rng.int rng 3)
+        ~max_size:4
+    | _ ->
+      Workloads.Gen_bipartite.gnp rng
+        ~nl:(1 + Workloads.Rng.int rng 4)
+        ~nr:(1 + Workloads.Rng.int rng 4)
+        ~p:0.3
+  in
+  if Workloads.Rng.int rng 5 = 0 then
+    Workloads.Gen_bipartite.alpha_bipartite rng
+      ~n_right:(1 + Workloads.Rng.int rng 6)
+      ~max_size:4
+  else begin
+    let parts = List.init (Workloads.Rng.int rng 12) (fun _ -> part rng) in
+    let nl = List.fold_left (fun acc g -> acc + Bigraph.nl g) 0 parts
+    and nr = List.fold_left (fun acc g -> acc + Bigraph.nr g) 0 parts in
+    let perm k = Array.of_list (Workloads.Rng.shuffle rng (List.init k Fun.id)) in
+    let pl = perm nl and pr = perm nr in
+    let _, _, edges =
+      List.fold_left
+        (fun (ol, or_, acc) g ->
+          ( ol + Bigraph.nl g,
+            or_ + Bigraph.nr g,
+            List.map (fun (i, j) -> (pl.(ol + i), pr.(or_ + j))) (Bigraph.edges g)
+            @ acc ))
+        (0, 0, []) parts
+    in
+    Bigraph.of_edges ~nl ~nr edges
+  end
+
+(* The plan as the set-based path builds it: components from
+   [Traverse.component_ids], each cut by [Bigraph.induced] and
+   classified by [Classify.profile_connected], its node set rebuilt by
+   [Iset.of_list] from the ascending elements, as the plan builds it
+   (equal sets built by other operation orders can differ in shape). *)
+let reference_plan g =
+  let ids, comps = Traverse.component_ids (Bigraph.ugraph g) in
+  let components =
+    Array.of_list
+      (List.map
+         (fun nodes ->
+           {
+             Minconn.Compiled.nodes = Iset.of_list (Iset.elements nodes);
+             cprofile = Classify.profile_connected (fst (Bigraph.induced g nodes));
+           })
+         comps)
+  in
+  {
+    Minconn.Compiled.graph = g;
+    profile =
+      Classify.combine
+        (Array.map (fun c -> c.Minconn.Compiled.cprofile) components);
+    comp_id = ids;
+    components;
+  }
+
+let prop_layout_equals_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"compile on the flat layout = set-based per-component plan"
+    seed_gen
+    (fun seed ->
+      let g = layout_schema (Workloads.Rng.make ~seed) in
+      let plan = Minconn.Compiled.compile g and ref_plan = reference_plan g in
+      let open Minconn.Compiled in
+      let cs = Csr.components (Bigraph.csr g) in
+      let local = Array.make (Bigraph.n g) 0 in
+      plan.comp_id = ref_plan.comp_id
+      && cs.Csr.label = ref_plan.comp_id
+      && Array.length plan.components = Array.length ref_plan.components
+      && Array.for_all2
+           (fun a b -> Iset.equal a.nodes b.nodes && a.cprofile = b.cprofile)
+           plan.components ref_plan.components
+      && plan.profile = ref_plan.profile
+      && Classify.profile g = ref_plan.profile
+      && Bigraph.is_connected g = (Array.length ref_plan.components <= 1)
+      && to_bytes plan = to_bytes ref_plan
+      && List.for_all
+           (fun k ->
+             Bigraph.equal
+               (Bigraph.slice g cs ~local k)
+               (fst (Bigraph.induced g ref_plan.components.(k).nodes)))
+           (List.init (Csr.n_components cs) Fun.id)
+      && (Csr.n_components cs <> 1 || Bigraph.slice g cs ~local 0 == g))
+
 let prop_relations_equal =
   QCheck2.Test.make ~count:150
     ~name:"Session.query_relations = Minconn.solve_min_relations" seed_gen
@@ -398,6 +497,7 @@ let qcheck_cases =
     prop_sliced_ladder_equals_whole_graph;
     prop_relations_equal;
     prop_seeded_algorithm2_exact_connected;
+    prop_layout_equals_reference;
   ]
 
 let () =

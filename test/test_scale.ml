@@ -4,8 +4,8 @@
    any edge multiset — duplicated, reversed, out of order. Also pins
    the [Gen_scale] streaming families: direct ≡ sets construction,
    identical session answers over both, the advertised chordality class
-   of each family, and the flat [Csr.component_ids] labelling against
-   the set-based [Traverse.component_ids]. *)
+   of each family, and the flat [Csr.components] layout against the
+   set-based [Traverse.component_ids]. *)
 
 open Graphs
 open Bipartite
@@ -69,16 +69,21 @@ let prop_csr_builder =
       Csr.Builder.length b = List.length edges
       && Csr.equal (Csr.Builder.build b) (Csr.of_edges ~n edges))
 
-let prop_component_ids =
+let prop_components =
   QCheck2.Test.make ~count:200
-    ~name:"Csr.component_ids = Traverse.component_ids" gen_multiset
+    ~name:"Csr.components = Traverse.component_ids" gen_multiset
     (fun (n, edges) ->
       let c = Csr.of_edges ~n edges in
-      let ids, comps = Csr.component_ids c in
+      let cs = Csr.components c in
       let ids', comps' = Traverse.component_ids (Csr.to_ugraph c) in
-      ids = ids'
-      && List.length comps = List.length comps'
-      && List.for_all2 Iset.equal comps comps')
+      cs.Csr.label = ids'
+      && Csr.n_components cs = List.length comps'
+      && Array.length cs.Csr.order = n
+      && List.for_all2
+           (fun k comp ->
+             Array.to_list (Csr.members cs k) = Iset.elements comp)
+           (List.init (Csr.n_components cs) Fun.id)
+           comps')
 
 (* The in-place insertion sort only covers rows up to 32 entries; a hub
    star (duplicated, reversed, shuffled) exercises the scratch-copy
@@ -229,7 +234,7 @@ let test_family_alg1_prep () =
 let test_block_terminals () =
   let inst = Workloads.Gen_scale.make Workloads.Gen_scale.Chordal62
       ~target_n:100 ~seed:3 in
-  let ids, _ = Csr.component_ids (Workloads.Gen_scale.to_csr inst) in
+  let ids = (Csr.components (Workloads.Gen_scale.to_csr inst)).Csr.label in
   List.iter
     (fun b ->
       let p = Workloads.Gen_scale.block_terminals inst ~block:b ~k:3 in
@@ -242,7 +247,7 @@ let qcheck_cases =
   [
     prop_csr_of_edges;
     prop_csr_builder;
-    prop_component_ids;
+    prop_components;
     prop_bigraph_of_edge_iter;
     prop_gen_scale_direct_eq_sets;
     prop_gen_scale_same_answers;
