@@ -142,11 +142,12 @@ let parse_words_per_byte inst =
    the whole-graph set view allocates about 40. *)
 let max_delta_words_per_size = 8.0
 
-(* Measured at 49 words per (n + m) on the chordal62 instance, where
-   γ-elimination on each block's CSR decides the class and the α
-   kernel orders W on it; building each block's hypergraph and
-   scanning it for β and γ allocated 591, and building it for GYO's
-   join tree 75. *)
+(* Measured at 30 words per (n + m) on the chordal62 instance, where
+   γ-elimination on each block's CSR decides the class and each block
+   is cut from the flat component layout (37 when blocks were cut
+   through Iset lists, 49 while compile also ran the α kernel);
+   building each block's hypergraph and scanning it for β and γ
+   allocated 591, and building it for GYO's join tree 75. *)
 let max_compile_words_per_size = 150.0
 
 let max_connected_classify_s = 1.0
