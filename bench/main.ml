@@ -1405,104 +1405,6 @@ let engine_section ~trials ~max_n ~scale_max_n ~json_path () =
   write_bench_json ~section:"engine" ~trials ~max_n ~path:json_path !rows
 
 (* ------------------------------------------------------------------ *)
-(* Section: plancache                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Cold-vs-warm compile curve for the persistent plan cache: per
-   workload/size, the cold compile (per-component classification), the
-   envelope store, and the warm [Plan_cache.find] that replaces the
-   compile on the next process. The headline check backs the cache's
-   reason to exist: warm load must cost at most 0.2x the cold compile
-   once the graph is big enough (n >= 100) for classification to
-   dominate. Below that the cache is still correct, just not yet
-   profitable — the ratio line says which regime each size is in. *)
-let plancache_section ~trials ~max_n ~json_path () =
-  header "plancache: cold compile vs envelope store vs warm load (ms)";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "minconn-bench-plancache.%d" (Unix.getpid ()))
-  in
-  let cache =
-    match Minconn.Plan_cache.create ~dir () with
-    | Ok c -> c
-    | Error msg ->
-      Printf.eprintf "plancache: cannot create %s: %s\n" dir msg;
-      exit 1
-  in
-  Printf.printf "%-12s %-8s %6s %8s %12s\n" "section" "impl" "|V|" "|E|"
-    "mean ms";
-  let rows = ref [] in
-  let ratios = ref [] in
-  let bench_workload ~section g =
-    let n = Bigraph.n g and m = Bigraph.m g in
-    let row impl ms =
-      Printf.printf "%-12s %-8s %6d %8d %12.4f\n%!" section impl n m ms;
-      rows := !rows @ [ timed_entry ~section ~impl ~n ~m ~ms ];
-      ms
-    in
-    let t_cold = row "cold" (time_mean ~trials (fun () -> Minconn.Compiled.compile g)) in
-    let compiled = Minconn.Compiled.compile g in
-    let t_store =
-      row "store"
-        (time_mean ~trials (fun () ->
-             match Minconn.Plan_cache.store cache compiled with
-             | Ok () -> ()
-             | Error msg -> failwith ("plancache store: " ^ msg)))
-    in
-    ignore t_store;
-    let t_warm =
-      row "warm"
-        (time_mean ~trials (fun () ->
-             match Minconn.Plan_cache.find cache g with
-             | Ok c -> ignore (Sys.opaque_identity c)
-             | Error miss ->
-               failwith
-                 ("plancache warm find missed: "
-                 ^ Minconn.Plan_cache.miss_name miss)))
-    in
-    ratios := (section, n, t_cold, t_warm) :: !ratios
-  in
-  let sizes l = List.filter (fun x -> x <= max_n) l in
-  List.iter
-    (fun n_right ->
-      let rng = trial ~section:"plancache-62" n_right in
-      bench_workload ~section:"chordal62"
-        (Workloads.Gen_bipartite.chordal_62 rng ~n_right ~max_size:5))
-    (sizes [ 20; 40; 80 ]);
-  List.iter
-    (fun n_right ->
-      let rng = trial ~section:"plancache-alpha" n_right in
-      bench_workload ~section:"alpha"
-        (Workloads.Gen_bipartite.alpha_bipartite rng ~n_right ~max_size:5))
-    (sizes [ 20; 40; 80 ]);
-  List.iter
-    (fun nsz ->
-      let rng = trial ~section:"plancache-gnp" nsz in
-      bench_workload ~section:"gnp"
-        (Workloads.Gen_bipartite.gnp rng ~nl:nsz ~nr:nsz ~p:0.3))
-    (sizes [ 16; 32; 64 ]);
-  List.iter
-    (fun (section, n, t_cold, t_warm) ->
-      let ratio = if t_cold > 0.0 then t_warm /. t_cold else 1.0 in
-      if n >= 100 then
-        Printf.printf "-- %-10s n=%-4d warm/cold = %.4f (must be <= 0.2)%s\n"
-          section n ratio
-          (if ratio <= 0.2 then "" else "  NOT PROFITABLE")
-      else
-        Printf.printf "-- %-10s n=%-4d warm/cold = %.4f (below threshold size)\n"
-          section n ratio)
-    (List.rev !ratios);
-  (* Leave no droppings: the bench cache is process-private. *)
-  (match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | names ->
-    Array.iter
-      (fun name -> try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-      names;
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ()));
-  write_bench_json ~section:"plancache" ~trials ~max_n ~path:json_path !rows
-
-(* ------------------------------------------------------------------ *)
 (* Section: relalg                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -2207,10 +2109,6 @@ let () =
           engine_section ~trials:!trials ~max_n:!max_n
             ~scale_max_n:!scale_max_n
             ~json_path:(json_path "engine") () );
-      ( "plancache",
-        fun () ->
-          plancache_section ~trials:!trials ~max_n:!max_n
-            ~json_path:(json_path "plancache") () );
       ( "relalg",
         fun () ->
           relalg_section ~trials:!trials ~max_n:!max_n

@@ -43,25 +43,6 @@ let or_die = function
     prerr_endline msg;
     exit exit_input_error
 
-(* ---------------------------------------------------------- plan cache *)
-
-(* Best-effort opening for `solve --plan-cache`: an unusable directory
-   degrades to uncached compilation with one structured warning and
-   must not change the exit code. `compile` (below) treats the same
-   failure as an input error, because storing the plan is its job. *)
-let open_plan_cache_opt = function
-  | None -> None
-  | Some dir -> (
-    match Minconn.Plan_cache.create ~dir () with
-    | Ok cache -> Some cache
-    | Error msg ->
-      Printf.eprintf
-        "minconn: warn=plan-cache-unusable dir=%s msg=%s (compiling \
-         uncached)\n\
-         %!"
-        dir msg;
-      None)
-
 (* The recorders behind [--trace FILE] and [--metrics FILE], and the
    function that writes each given file. A recorder whose file is not
    given is disabled, except that [live_metrics] records metrics
@@ -89,85 +70,37 @@ let trace_file_arg doc =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let compile_cmd =
-  let run path cache_dir force trace_file =
+  let run path trace_file =
     let trace, _, write_trace = observability trace_file in
-    let die () =
-      write_trace ();
-      exit exit_input_error
-    in
     let nb =
       match load_bigraph ~trace path with
       | Ok nb -> nb
       | Error msg ->
         prerr_endline msg;
-        die ()
+        write_trace ();
+        exit exit_input_error
     in
     let graph = nb.Mc_io.Parse.graph in
     let hash =
       Observe.Trace.span trace "schema_hash" (fun () ->
           Minconn.Compiled.schema_hash graph)
     in
-    let status =
-      match cache_dir with
-      | None ->
-        ignore (Minconn.Compiled.compile ~trace graph : Minconn.Compiled.t);
-        "uncached"
-      | Some dir -> (
-        match Minconn.Plan_cache.create ~dir () with
-        | Error msg ->
-          Printf.eprintf "minconn: error=plan-cache-unusable dir=%s msg=%s\n"
-            dir msg;
-          die ()
-        | Ok cache -> (
-          match
-            if force then Error Minconn.Plan_cache.Absent
-            else Minconn.Plan_cache.find ~trace ~hash cache graph
-          with
-          | Ok _ -> "hit"
-          | Error miss -> (
-            let compiled = Minconn.Compiled.compile ~trace graph in
-            match Minconn.Plan_cache.store ~trace ~hash cache compiled with
-            | Ok () ->
-              Printf.sprintf "stored reason=%s"
-                (Minconn.Plan_cache.miss_name miss)
-            | Error msg ->
-              Printf.eprintf
-                "minconn: error=plan-cache-store dir=%s msg=%s\n" dir msg;
-              die ())))
-    in
+    ignore (Minconn.Compiled.compile ~trace graph : Minconn.Compiled.t);
     write_trace ();
-    Printf.printf "minconn: schema=%s nodes=%d edges=%d cache=%s\n" hash
-      (Bigraph.n graph) (Bigraph.m graph) status
+    Printf.printf "minconn: schema=%s nodes=%d edges=%d\n" hash
+      (Bigraph.n graph) (Bigraph.m graph)
   in
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let cache_dir =
-    Arg.(
-      value & opt (some string) None
-      & info [ "plan-cache" ] ~docv:"DIR"
-          ~doc:"Store the compiled plan under $(docv) (created if \
-                missing), keyed by schema content hash, so later runs \
-                with --plan-cache skip classification entirely. An \
-                unusable directory is an input error (exit 4) here, \
-                unlike solve's best-effort degradation.")
-  in
-  let force =
-    Arg.(
-      value & flag
-      & info [ "force" ]
-          ~doc:"Recompile and overwrite the entry even when the cache \
-                already holds a valid plan for this schema")
-  in
   Cmd.v
     (Cmd.info "compile"
        ~doc:
-         "Compile a schema into the persistent plan cache. Exit codes: \
-          0 compiled (or already cached), 4 input error (bad file or \
-          unusable --plan-cache directory).")
+         "Parse and compile a schema, and print its content hash and \
+          size. Exit codes: 0 compiled, 4 input error (bad file).")
     Term.(
-      const run $ path $ cache_dir $ force
+      const run $ path
       $ trace_file_arg
-          "Write an NDJSON span stream (parse, compile and the plan \
-           cache's spans) to $(docv)")
+          "Write an NDJSON span stream (parse, schema hash and \
+           compile) to $(docv)")
 
 (* ------------------------------------------------------------ classify *)
 
@@ -231,15 +164,12 @@ let parse_queries_file path =
    the session, report one status line per query, and exit with the
    most severe per-query code (the codes are ordered 0 < 2 < 3 < 4 < 5
    by severity, so a numeric max is the contract). *)
-let run_batch ?compiled nb ~queries ~cache ~timeout_ms ~fuel ~no_degrade
-    ~trace ~metrics ~flush_observability =
+let run_batch ?compiled nb ~queries ~timeout_ms ~fuel ~no_degrade ~trace
+    ~metrics ~flush_observability =
   let compiled =
     match compiled with
     | Some c -> c
-    | None ->
-      fst
-        (Minconn.Plan_cache.find_or_compile ~trace ~metrics ?cache
-           nb.Mc_io.Parse.graph)
+    | None -> Minconn.Compiled.compile ~trace ~metrics nb.Mc_io.Parse.graph
   in
   let session = Minconn.Session.create ~trace ~metrics compiled in
   let index = Mc_io.Parse.index nb in
@@ -302,8 +232,8 @@ let run_batch ?compiled nb ~queries ~cache ~timeout_ms ~fuel ~no_degrade
   exit !worst
 
 let solve_cmd =
-  let run path terminals queries_file cache_dir timeout_ms fuel
-      no_degrade trace_file metrics_file =
+  let run path terminals queries_file timeout_ms fuel no_degrade trace_file
+      metrics_file =
     let trace, metrics, flush_observability =
       observability ?metrics_file trace_file
     in
@@ -312,7 +242,6 @@ let solve_cmd =
       exit code
     in
     let nb = or_die (load_bigraph ~trace path) in
-    let cache = open_plan_cache_opt cache_dir in
     match (terminals, queries_file) with
     | [], None ->
       prerr_endline "minconn: error=missing-terminals (use -t or --queries)";
@@ -323,8 +252,7 @@ let solve_cmd =
     | [], Some qpath ->
       run_batch nb
         ~queries:(parse_queries_file qpath)
-        ~cache ~timeout_ms ~fuel ~no_degrade ~trace ~metrics
-        ~flush_observability
+        ~timeout_ms ~fuel ~no_degrade ~trace ~metrics ~flush_observability
     | _ :: _, None -> (
       let p =
         match Mc_io.Parse.name_set nb terminals with
@@ -347,12 +275,7 @@ let solve_cmd =
               ("nodes", Observe.Trace.Int (Bigraph.n g));
             ]
         @@ fun () ->
-        (* With or without a plan cache: a loaded plan replaces
-           compilation, and the session's locate validates the
-           terminals either way. *)
-        let compiled, _ =
-          Minconn.Plan_cache.find_or_compile ~trace ~metrics ?cache g
-        in
+        let compiled = Minconn.Compiled.compile ~trace ~metrics g in
         Minconn.Session.query ~budget ~degrade:(not no_degrade)
           (Minconn.Session.create ~trace ~metrics compiled)
           ~p
@@ -388,17 +311,6 @@ let solve_cmd =
                 spaces; blank lines and # comments skipped). Prints a \
                 per-query status line and exits with the most severe \
                 per-query code.")
-  in
-  let cache_dir =
-    Arg.(
-      value & opt (some string) None
-      & info [ "plan-cache" ] ~docv:"DIR"
-          ~doc:"Reuse compiled plans from $(docv) (see the compile \
-                subcommand): a warm entry skips classification \
-                entirely, a cold run compiles and stores. An unusable \
-                directory degrades to uncached compilation with a \
-                structured stderr warning and does not affect the exit \
-                code.")
   in
   let timeout_ms =
     Arg.(
@@ -442,8 +354,8 @@ let solve_cmd =
           5 budget exhausted with --no-degrade. With --queries, the \
           exit code is the most severe per-query code.")
     Term.(
-      const run $ path $ terminals $ queries_file $ cache_dir
-      $ timeout_ms $ fuel $ no_degrade $ trace_file $ metrics_file)
+      const run $ path $ terminals $ queries_file $ timeout_ms $ fuel
+      $ no_degrade $ trace_file $ metrics_file)
 
 (* -------------------------------------------------------------- evolve *)
 
@@ -460,55 +372,37 @@ let load_deltas nb path =
    stdout stays clean (the evolve-smoke rule diffs it against solve
    on the pre-evolved file). *)
 let evolve_cmd =
-  let run path dfile emit queries_file cache_dir trace_file =
+  let run path dfile emit queries_file trace_file =
     let trace, _, write_trace = observability trace_file in
     let nb = or_die (load_bigraph ~trace path) in
     let ops, evolved = load_deltas nb dfile in
-    let cache = open_plan_cache_opt cache_dir in
-    let compiled, status =
-      match cache with
-      | Some _ ->
-        (* The cache ladder: exact evolved entry, else patch the
-           cached base plan, else cold compile — all stored for the
-           next run. *)
-        let compiled, outcome =
-          Minconn.Plan_cache.find_or_compile ~trace ?cache ~deltas:ops
-            nb.Mc_io.Parse.graph
-        in
-        ( compiled,
-          match outcome with
-          | `Hit -> "hit"
-          | `Patched -> "patched"
-          | `Miss -> "miss" )
-      | None -> (
-        let base = Minconn.Compiled.compile ~trace nb.Mc_io.Parse.graph in
-        match Minconn.Compiled.apply_deltas ~trace base ops with
-        | Error msg ->
-          (* Unreachable: the parser already applied every op. *)
-          Printf.eprintf "minconn: error=bad-delta msg=%s\n" msg;
-          exit exit_input_error
-        | Ok (compiled, stats) ->
-          List.iter
-            (fun (s : Minconn.Compiled.delta_stats) ->
-              Printf.eprintf
-                "minconn: delta='%s' noop=%b fallback=%b recompiled=%d \
-                 reused=%d\n"
-                (Minconn.Delta.to_string s.Minconn.Compiled.op)
-                s.Minconn.Compiled.noop s.Minconn.Compiled.fallback
-                (List.length s.Minconn.Compiled.recompiled)
-                s.Minconn.Compiled.reused)
-            stats;
-          (compiled, "applied"))
+    let base = Minconn.Compiled.compile ~trace nb.Mc_io.Parse.graph in
+    let compiled =
+      match Minconn.Compiled.apply_deltas ~trace base ops with
+      | Error msg ->
+        (* Unreachable: the parser already applied every op. *)
+        Printf.eprintf "minconn: error=bad-delta msg=%s\n" msg;
+        exit exit_input_error
+      | Ok (compiled, stats) ->
+        List.iter
+          (fun (s : Minconn.Compiled.delta_stats) ->
+            Printf.eprintf
+              "minconn: delta='%s' noop=%b fallback=%b recompiled=%d \
+               reused=%d\n"
+              (Minconn.Delta.to_string s.Minconn.Compiled.op)
+              s.Minconn.Compiled.noop s.Minconn.Compiled.fallback
+              (List.length s.Minconn.Compiled.recompiled)
+              s.Minconn.Compiled.reused)
+          stats;
+        compiled
     in
-    Printf.eprintf "minconn: deltas=%d components=%d cache=%s\n%!"
-      (List.length ops)
-      (Minconn.Compiled.n_components compiled)
-      status;
+    Printf.eprintf "minconn: deltas=%d components=%d\n%!" (List.length ops)
+      (Minconn.Compiled.n_components compiled);
     match queries_file with
     | Some qpath ->
       run_batch ~compiled evolved
         ~queries:(parse_queries_file qpath)
-        ~cache:None ~timeout_ms:None ~fuel:None ~no_degrade:false ~trace
+        ~timeout_ms:None ~fuel:None ~no_degrade:false ~trace
         ~metrics:Observe.Metrics.disabled ~flush_observability:write_trace
     | None ->
       write_trace ();
@@ -541,18 +435,6 @@ let evolve_cmd =
                 evolved schema (same format and output as solve \
                 --queries), from the incrementally patched plan.")
   in
-  let cache_dir =
-    Arg.(
-      value & opt (some string) None
-      & info [ "plan-cache" ] ~docv:"DIR"
-          ~doc:"Plan cache to consult and update: the evolved \
-                schema's own entry is loaded outright; else a cached \
-                plan of the base schema is patched \
-                component-by-component; else a cold run compiles. \
-                The evolved plan is stored keyed by its own schema \
-                hash, so compile or solve on the evolved schema's file \
-                hits it.")
-  in
   Cmd.v
     (Cmd.info "evolve"
        ~doc:
@@ -563,11 +445,10 @@ let evolve_cmd =
           or delta), and with --queries the most severe per-query \
           code.")
     Term.(
-      const run $ path $ dfile $ emit $ queries_file $ cache_dir
+      const run $ path $ dfile $ emit $ queries_file
       $ trace_file_arg
-          "Write an NDJSON span stream (parse, compile or the plan \
-           cache's spans, the deltas' spans, and with --queries the \
-           queries and render) to $(docv)")
+          "Write an NDJSON span stream (parse, compile, the deltas' \
+           spans, and with --queries the queries and render) to $(docv)")
 
 let relations_cmd =
   let run path terminals =
@@ -957,8 +838,7 @@ let query_cmd =
 
 let serve_cmd =
   let run path deltas_file host port max_inflight watermark pressure_fuel
-      timeout_ms io_timeout_ms max_body no_degrade cache_dir metrics_file
-      trace_file =
+      timeout_ms io_timeout_ms max_body no_degrade metrics_file trace_file =
     if max_inflight < 1 then begin
       prerr_endline "minconn: error=invalid-max-inflight (need >= 1)";
       exit exit_input_error
@@ -967,20 +847,13 @@ let serve_cmd =
       observability ~live_metrics:true ?metrics_file trace_file
     in
     let base = or_die (load_bigraph ~trace path) in
-    (* --deltas: serve the evolved schema from the start; with a plan
-       cache, a cached plan of the base is patched instead of
-       recompiled. *)
-    let nb, deltas =
+    (* --deltas: serve the evolved schema from the start. The parser
+       already applied every op, so the server compiles the evolved
+       graph once. *)
+    let nb =
       match deltas_file with
-      | None -> (base, [])
-      | Some dfile ->
-        let ops, evolved = load_deltas base dfile in
-        (evolved, ops)
-    in
-    let compiled, _ =
-      Minconn.Plan_cache.find_or_compile ~trace ~metrics
-        ?cache:(open_plan_cache_opt cache_dir)
-        ~deltas base.Mc_io.Parse.graph
+      | None -> base
+      | Some dfile -> snd (load_deltas base dfile)
     in
     let config =
       {
@@ -999,7 +872,7 @@ let serve_cmd =
         degrade = not no_degrade;
       }
     in
-    match Serve.Server.create ~config ~compiled ~metrics ~trace nb with
+    match Serve.Server.create ~config ~metrics ~trace nb with
     | Error msg ->
       Printf.eprintf "minconn: error=serve-bind msg=%s\n" msg;
       exit exit_input_error
@@ -1027,9 +900,8 @@ let serve_cmd =
       value & opt (some file) None
       & info [ "deltas" ] ~docv:"DFILE"
           ~doc:"Apply this delta file to the schema before serving (see \
-                the evolve subcommand); with --plan-cache, a cached \
-                base plan is patched instead of recompiled. Further \
-                deltas can be applied live via POST /schema/delta.")
+                the evolve subcommand). Further deltas can be applied \
+                live via POST /schema/delta.")
   in
   let host =
     Arg.(
@@ -1089,12 +961,6 @@ let serve_cmd =
           ~doc:"Answer 504 on budget exhaustion instead of degrading \
                 down the ladder")
   in
-  let cache_dir =
-    Arg.(
-      value & opt (some string) None
-      & info [ "plan-cache" ] ~docv:"DIR"
-          ~doc:"Reuse compiled plans from $(docv), exactly like solve")
-  in
   let metrics_file =
     Arg.(
       value & opt (some string) None
@@ -1123,7 +989,7 @@ let serve_cmd =
     Term.(
       const run $ path $ deltas_file $ host $ port $ max_inflight $ watermark
       $ pressure_fuel $ timeout_ms $ io_timeout_ms $ max_body $ no_degrade
-      $ cache_dir $ metrics_file $ trace_file)
+      $ metrics_file $ trace_file)
 
 (* ------------------------------------------------------------ generate *)
 

@@ -35,7 +35,6 @@ module Degrade = Runtime.Degrade
 module Errors = Runtime.Errors
 module Compiled = Engine.Compiled
 module Session = Engine.Session
-module Plan_cache = Cache.Plan_cache
 
 type method_used = Engine.Session.method_used =
   | Used_forest

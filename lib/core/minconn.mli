@@ -56,12 +56,6 @@ module Session = Engine.Session
     {!Compiled.t}, each on the terminals' component alone. {!solve}
     below is the one-shot compile-then-query wrapper. *)
 
-module Plan_cache = Cache.Plan_cache
-(** Persistent on-disk store for compiled plans: integrity-enveloped
-    [Marshal] entries keyed by schema hash, atomic write-then-rename,
-    LRU eviction. [Plan_cache.find_or_compile] is the warm-start entry
-    point (CLI: [minconn compile], [solve --plan-cache DIR]). *)
-
 (** {1 One-call solving} *)
 
 (** Which solver produced a result and with what guarantee. *)

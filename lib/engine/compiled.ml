@@ -26,55 +26,15 @@ let ugraph t = Bigraph.ugraph t.graph
 let profile t = t.profile
 let n_components t = Array.length t.components
 
-(* ------------------------------------------------- serialization *)
-
 (* The CSR's arrays are canonical for the graph, so hashing them with
    [nl] (which, with n, fixes the sides) keys a schema whatever
    insertion order built it. *)
 let schema_hash g =
   Digest.to_hex (Csr.digest ~tag:(Bigraph.nl g) (Bigraph.csr g))
 
-(* Marshal-safety audit (pinned by test/test_cache.ml): every field of
-   [t] is first-order data — Bigraph is a record of two ints and a Csr
-   (int arrays), Classify.profile is bools plus Acyclicity.degree
-   variants, and each component holds an Iset (Set.Make(Int): plain AVL
-   blocks) and a profile — no closures, lazies or custom blocks
-   anywhere, and nothing derived from a component that a query can
-   derive itself (marshaled [No_sharing], every such copy would be
-   written out in full). The lazy compiled handles live in
-   Datamodel.Schema/Layered (outside [t]) and are never marshaled; a
-   Session holds nothing but the plan, its trace and its metrics.
-
-   The plan is marshaled as is: a Bigraph holds no cache, only its
-   CSR, whose arrays are canonical for the graph, so a loaded plan
-   re-marshals to the bytes it was read from (pinned by test_cache's
-   save/load round-trip). *)
-let to_bytes t = Marshal.to_string t [ Marshal.No_sharing ]
-
-(* Structural sanity net under the payload checksum: catches an
-   envelope that validated but framed bytes marshaled by an
-   incompatible build into a plausible-looking block. *)
-let coherent t =
-  let n = Bigraph.n t.graph in
-  Csr.n (Bigraph.csr t.graph) = n
-  && Array.length t.comp_id = n
-  && (let k = Array.length t.components in
-      Array.for_all (fun c -> c >= 0 && c < k) t.comp_id)
-  && Array.for_all
-       (fun comp -> Iset.for_all (fun v -> v >= 0 && v < n) comp.nodes)
-       t.components
-
-let of_bytes s =
-  match (Marshal.from_string s 0 : t) with
-  | exception _ -> None
-  | t -> if coherent t then Some t else None
-
 (* --------------------------------------------------- compilation *)
 
-(* Component [c]'s node set, each node mapped through [id]. The
-   segment is ascending and [id] monotone, so the list is sorted and
-   [Iset.of_list] builds one tree shape per set, whether [compile] or
-   [split] asks: plan bytes depend on that shape. *)
+(* Component [c]'s node set, each node mapped through [id]. *)
 let node_set ?(id = Fun.id) cs c =
   let acc = ref [] in
   for i = cs.Csr.start.(c + 1) - 1 downto cs.Csr.start.(c) do

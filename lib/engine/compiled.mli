@@ -82,9 +82,7 @@ val n_components : t -> int
     and profiles, same component numbering (ascending minimum element,
     matching [Traverse.component_ids]), and therefore the same answer
     to every query. test/test_evolve.ml pins this differentially over
-    random delta sequences. (Marshal bytes may differ: equal [Iset]s
-    built by different operation orders need not
-    share AVL shape.) *)
+    random delta sequences. *)
 
 type delta_stats = {
   op : Delta.op;
@@ -118,30 +116,7 @@ val apply_deltas :
 (** Left fold of {!apply_delta}; the error names the 1-based position
     of the failing delta. *)
 
-(** {2 Serialization}
-
-    The compiled plan is deliberately first-order data — no closures,
-    lazies or custom blocks (the lazy compiled handles of
-    [Datamodel.Schema]/[Layered] wrap a plan, they are not inside it)
-    — so [Marshal] round-trips it
-    exactly. {!Cache.Plan_cache} wraps these bytes in an integrity
-    envelope (format version, library commit, schema hash, payload
-    checksum) for the on-disk store; raw bytes carry no such
-    protection and must never be trusted across builds. *)
-
 val schema_hash : Bigraph.t -> string
 (** Hex digest of the schema's left count and canonical CSR arrays
     ({!Graphs.Csr.digest}): equal graphs hash equally regardless of
-    construction order. The plan cache keys entries by this hash. *)
-
-val to_bytes : t -> string
-(** Marshal the plan. Total on any plan [compile] can produce. *)
-
-val of_bytes : string -> t option
-(** Unmarshal and structurally sanity-check a {!to_bytes} payload
-    produced by the {e same} library build. [None] when unmarshaling
-    fails or the plan is incoherent (mismatched sizes, out-of-range
-    component ids); never raises on such inputs. Feeding it bytes that
-    did not come from {!to_bytes} of this build is undefined behaviour
-    — the plan cache's checksummed envelope exists to rule that out
-    before this function runs. *)
+    construction order. [minconn compile] prints it as [schema=]. *)

@@ -31,7 +31,7 @@ val find_counter : t -> string -> int option
     layer's canonical counter names are [serve.accepted], [serve.shed],
     [serve.reaped], [serve.requests], [serve.degraded], [serve.errors],
     [serve.epipe] and [serve.drain_forced], alongside the solver's
-    [engine.*], [budget.*], [rung.*] and [cache.*] families. *)
+    [engine.*], [budget.*] and [rung.*] families. *)
 
 val default_bounds : float array
 (** Powers-of-four upper bounds: 1, 4, 16, ... 16384. *)

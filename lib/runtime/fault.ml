@@ -138,32 +138,3 @@ let check_op op =
 let with_op ~op ?after ?times f =
   arm_op ~op ?after ?times ();
   Fun.protect ~finally:(fun () -> disarm_op ~op) f
-
-(* --------------------------------------------------- write crashes *)
-
-(* Mid-write crash injection for writers that promise atomicity via
-   write-then-rename: the writer calls [check_write ~written] between
-   chunks, and an armed plan kills it (by exception, standing in for a
-   process crash) once the byte threshold is crossed — before the
-   rename, so the visible entry must be untouched. Domain-local for
-   the same reason as the budget plans. *)
-
-exception Injected_crash
-
-let write_crash_key : int option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let arm_write_crash ~after_bytes =
-  if after_bytes < 0 then invalid_arg "Fault.arm_write_crash: negative bytes";
-  Domain.DLS.set write_crash_key (Some after_bytes)
-
-let disarm_write_crash () = Domain.DLS.set write_crash_key None
-
-let check_write ~written =
-  match Domain.DLS.get write_crash_key with
-  | Some threshold when written >= threshold -> raise Injected_crash
-  | Some _ | None -> ()
-
-let with_write_crash ~after_bytes f =
-  arm_write_crash ~after_bytes;
-  Fun.protect ~finally:disarm_write_crash f

@@ -58,11 +58,9 @@ val with_derived : captured -> index:int -> (unit -> 'a) -> 'a
     Deterministic fault injection for lifecycle boundaries that are not
     budget checkpoints: the serving layer consults
     [check_op "serve.accept" / "serve.read" / "serve.write" /
-    "serve.handler"] around each connection operation, and the plan
-    cache consults [check_op "cache.rename"] before its atomic rename —
-    so tests can poison exactly one boundary (a torn read, a crashing
-    handler, a transient rename failure) and assert the survival
-    invariant of everything around it. Plans live in the arming
+    "serve.handler"] around each connection operation, so tests can
+    poison exactly one boundary (a torn read, a crashing handler) and
+    assert the survival invariant of everything around it. Plans live in the arming
     domain's table, which that domain's threads share: a server running
     handler threads sees the plan the test armed. *)
 
@@ -84,33 +82,3 @@ val check_op : string -> unit
 
 val with_op : op:string -> ?after:int -> ?times:int -> (unit -> 'a) -> 'a
 (** Arm [op], run, always disarm (even on exceptions). *)
-
-(** {2 Mid-write crash injection}
-
-    For writers that claim crash atomicity by writing a temp file and
-    renaming it into place (the plan cache): the writer calls
-    {!check_write} between chunks, and an armed plan raises
-    {!Injected_crash} once the cumulative byte count crosses the
-    threshold — standing in for a process crash in the middle of the
-    write, strictly before the rename. Tests then assert that the
-    visible entry is absent or intact, never torn. Domain-local, like
-    the budget plans. *)
-
-exception Injected_crash
-(** The simulated crash. Writers must NOT clean up their temp file on
-    this exception — a real crash would not — so tests observe exactly
-    the on-disk state a kill at that byte offset would leave. *)
-
-val arm_write_crash : after_bytes:int -> unit
-(** Crash the next write that reaches [after_bytes] cumulative bytes
-    (0 crashes before the first chunk). Stays armed until
-    {!disarm_write_crash}. *)
-
-val disarm_write_crash : unit -> unit
-
-val check_write : written:int -> unit
-(** Consulted by chunked writers with the running byte count; raises
-    {!Injected_crash} when an armed threshold is crossed. *)
-
-val with_write_crash : after_bytes:int -> (unit -> 'a) -> 'a
-(** Arm, run, always disarm (even on {!Injected_crash}). *)

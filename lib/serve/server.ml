@@ -86,17 +86,13 @@ let latency_bounds_us =
    [max_inflight]. *)
 let backlog = 64
 
-let create ?(config = default_config) ?compiled
-    ?(metrics = Metrics.disabled) ?(trace = Trace.disabled) nb =
+let create ?(config = default_config) ?(metrics = Metrics.disabled)
+    ?(trace = Trace.disabled) nb =
   (* A peer that hangs up mid-response must surface as EPIPE on the
      write, not as a fatal signal. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  let compiled =
-    match compiled with
-    | Some c -> c
-    | None -> Compiled.compile ~trace ~metrics nb.Parse.graph
-  in
+  let compiled = Compiled.compile ~trace ~metrics nb.Parse.graph in
   match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | lfd -> (

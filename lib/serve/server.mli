@@ -68,20 +68,17 @@ type t
 
 val create :
   ?config:config ->
-  ?compiled:Engine.Compiled.t ->
   ?metrics:Observe.Metrics.t ->
   ?trace:Observe.Trace.t ->
   Mc_io.Parse.named_bigraph ->
   (t, string) result
-(** Compile the schema once (or take [compiled]), index its names
+(** Compile the schema once, index its names
     ({!Mc_io.Parse.index}, O(|names|)), bind and listen. Each accepted
     delta publishes a new state whose index is
     {!Mc_io.Parse.reindex} of the old one — only a side whose name
     array changed is rebuilt, and no published index is mutated, so
     an inflight request keeps resolving against the state it started
     with.
-    [compiled] supplies a pre-built plan for [nb] instead — the CLI
-    hands over the plan it found in (or stored into) its plan cache.
     [Error msg] on bind/listen failure. Also
     ignores SIGPIPE process-wide: a dead peer must surface as a typed
     write error, never a fatal signal. *)

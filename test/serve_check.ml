@@ -3,9 +3,10 @@
    port, drives every fixture query through a socket, diffs each
    response body against the corresponding `solve --queries` block,
    validates GET /metrics, then SIGTERMs the server and requires a
-   clean drain (exit 0).
+   clean drain (exit 0). Then does the same for `serve --deltas`,
+   against `evolve --deltas --queries` on the same fixture.
 
-   Usage: serve_check CLI FIXTURE QUERIES OUT METRICS_JSON *)
+   Usage: serve_check CLI FIXTURE DELTAS QUERIES OUT METRICS_JSON *)
 
 let die fmt =
   Printf.ksprintf
@@ -35,13 +36,12 @@ let starts_with prefix s =
 
 (* ------------------------------------------- the batch reference run *)
 
-let solve_blocks cli fixture queries =
-  let cmd = Printf.sprintf "%s solve %s --queries %s" cli fixture queries in
+let reference_blocks cmd =
   let ic = Unix.open_process_in cmd in
   let out = read_all ic in
   (match Unix.close_process_in ic with
   | Unix.WEXITED 0 -> ()
-  | _ -> die "reference `solve --queries` run failed");
+  | _ -> die "reference run failed: %s" cmd);
   (* Per-query blocks sit between "-- query N: ... --" and the
      "minconn: query=N code=C" status line. *)
   let rec go acc cur = function
@@ -68,11 +68,13 @@ let query_lines queries =
 
 (* --------------------------------------------------------- the server *)
 
-let spawn_server cli fixture metrics_json =
+let spawn_server cli serve_args metrics_json =
   let out_r, out_w = Unix.pipe () in
   let pid =
     Unix.create_process cli
-      [| cli; "serve"; fixture; "--port"; "0"; "--metrics"; metrics_json |]
+      (Array.of_list
+         ((cli :: "serve" :: serve_args)
+         @ [ "--port"; "0"; "--metrics"; metrics_json ]))
       Unix.stdin out_w Unix.stderr
   in
   Unix.close out_w;
@@ -126,20 +128,15 @@ let get fd conn path =
 
 (* -------------------------------------------------------------- main *)
 
-let () =
-  if Array.length Sys.argv < 6 then
-    die "usage: serve_check CLI FIXTURE QUERIES OUT METRICS_JSON";
-  let cli = Sys.argv.(1)
-  and fixture = Sys.argv.(2)
-  and queries = Sys.argv.(3)
-  and out_path = Sys.argv.(4)
-  and metrics_json = Sys.argv.(5) in
-  let blocks = solve_blocks cli fixture queries in
-  let lines = query_lines queries in
+(* Serve with [serve_args], answer every query over one connection,
+   require each body to equal the [reference] batch run's block, check
+   the live and drained metrics, and return the transcript. *)
+let check_served cli ~reference ~serve_args lines metrics_json =
+  let blocks = reference_blocks reference in
   if List.length blocks <> List.length lines then
-    die "parsed %d reference blocks for %d queries" (List.length blocks)
-      (List.length lines);
-  let pid, _banner_ic, port = spawn_server cli fixture metrics_json in
+    die "%s: parsed %d reference blocks for %d queries" reference
+      (List.length blocks) (List.length lines);
+  let pid, _banner_ic, port = spawn_server cli serve_args metrics_json in
   let fd = connect port in
   let conn = Serve.Http.conn fd in
   let transcript = Buffer.create 1024 in
@@ -150,9 +147,9 @@ let () =
         die "query %d (%s): status %d" (i + 1) line r.Serve.Http.code;
       if r.Serve.Http.resp_body <> expected then
         die
-          "query %d (%s): socket answer differs from solve --queries\n\
+          "query %d (%s): socket answer differs from %s\n\
            --- socket ---\n%s--- batch ---\n%s"
-          (i + 1) line r.Serve.Http.resp_body expected;
+          (i + 1) line reference r.Serve.Http.resp_body expected;
       Printf.bprintf transcript "-- query %d: %s --\n%s" (i + 1) line
         r.Serve.Http.resp_body)
     (List.combine lines blocks);
@@ -171,8 +168,37 @@ let () =
   (match Observe.Export.validate_metrics_string (read_file metrics_json) with
   | Ok _ -> ()
   | Error msg -> die "drained metrics artifact invalid: %s" msg);
+  Buffer.contents transcript
+
+let () =
+  if Array.length Sys.argv < 7 then
+    die "usage: serve_check CLI FIXTURE DELTAS QUERIES OUT METRICS_JSON";
+  let cli = Sys.argv.(1)
+  and fixture = Sys.argv.(2)
+  and deltas = Sys.argv.(3)
+  and queries = Sys.argv.(4)
+  and out_path = Sys.argv.(5)
+  and metrics_json = Sys.argv.(6) in
+  let lines = query_lines queries in
+  let plain =
+    check_served cli
+      ~reference:(Printf.sprintf "%s solve %s --queries %s" cli fixture queries)
+      ~serve_args:[ fixture ] lines metrics_json
+  in
+  let evolved =
+    check_served cli
+      ~reference:
+        (Printf.sprintf "%s evolve %s --deltas %s --queries %s 2> /dev/null"
+           cli fixture deltas queries)
+      ~serve_args:[ fixture; "--deltas"; deltas ]
+      lines metrics_json
+  in
   let oc = open_out out_path in
-  output_string oc (Buffer.contents transcript);
+  output_string oc plain;
+  output_string oc "-- served with --deltas --\n";
+  output_string oc evolved;
   close_out oc;
-  Printf.printf "serve_check: %d queries byte-identical over the socket\n"
+  Printf.printf
+    "serve_check: %d queries byte-identical over the socket, with and \
+     without --deltas\n"
     (List.length lines)

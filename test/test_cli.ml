@@ -278,84 +278,17 @@ let test_crlf_fixtures () =
       (fun g d q -> "evolve " ^ g ^ " --deltas " ^ d ^ " --queries " ^ q);
     ]
 
-(* ---------------------------------------------------- plan cache *)
+(* ------------------------------------------------------- compile *)
 
-(* The compile subcommand owns the cache, so an unusable directory is
-   its input error (4); solve --plan-cache merely accelerates, so the
-   same directory degrades to an uncached compile with a structured
-   warning and the exit code of the answers. Unusable-dir probing uses
-   a path under a regular file (ENOTDIR) because permission bits do
-   not stop root. *)
-
+(* compile parses and compiles, printing the schema hash: 0 on a good
+   file, 4 on a malformed one, and cmdliner's own 124 on a missing
+   FILE, exactly as for solve. *)
 let test_compile_exit_codes () =
-  let f = fixture "pc_ok" Datamodel.Figures.fig3b in
-  let dir = "cli_pc_cache" in
-  check_int "cold compile stores, exit 0" 0
-    (run ("compile " ^ f ^ " --plan-cache " ^ dir));
-  check_int "warm compile hits, exit 0" 0
-    (run ("compile " ^ f ^ " --plan-cache " ^ dir));
-  check_int "--force recompiles, exit 0" 0
-    (run ("compile " ^ f ^ " --plan-cache " ^ dir ^ " --force"));
-  check_int "compile without a cache dir" 0 (run ("compile " ^ f));
-  write_file "cli_pc_garbage.bigraph" "bipartite\nleft A\nedge A mystery\n";
-  check_int "malformed instance" 4
-    (run ("compile cli_pc_garbage.bigraph --plan-cache " ^ dir));
-  (* A missing FILE is rejected by cmdliner's own argument check
-     (124), exactly as it is for solve. *)
-  check_int "nonexistent file" 124 (run "compile cli_pc_missing.bigraph");
-  write_file "cli_pc_blocker" "";
-  check_int "unusable cache dir is compile's input error" 4
-    (run ("compile " ^ f ^ " --plan-cache cli_pc_blocker/sub"))
-
-let test_solve_plan_cache_degrades () =
-  let f = fixture "pc_deg" Datamodel.Figures.fig3b in
-  write_file "cli_pc_deg.queries" "A,B\nA C\n";
-  write_file "cli_pc_blocker2" "";
-  let code =
-    Sys.command
-      (cli ^ " solve " ^ f
-     ^ " --queries cli_pc_deg.queries --plan-cache cli_pc_blocker2/sub \
-        > cli_pc_deg.out 2> cli_pc_deg.stderr")
-  in
-  check_int "unusable cache degrades to uncached, exit 0" 0 code;
-  check "structured warning on stderr" true
-    (contains (read_file "cli_pc_deg.stderr") "warn=plan-cache-unusable");
-  let code2 =
-    Sys.command
-      (cli ^ " solve " ^ f
-     ^ " --queries cli_pc_deg.queries > cli_pc_plain.out 2> /dev/null")
-  in
-  check_int "uncached baseline" 0 code2;
-  check "answers identical to the uncached run" true
-    (read_file "cli_pc_deg.out" = read_file "cli_pc_plain.out");
-  (* Same degradation on the single-terminal path. *)
-  check_int "-t path degrades too" 0
-    (run ("solve " ^ f ^ " -t A,B --plan-cache cli_pc_blocker2/sub"))
-
-let test_solve_plan_cache_warm () =
-  let f = fixture "pc_warm" Datamodel.Figures.fig3b in
-  write_file "cli_pc_warm.queries" "A,B\nA B C\n";
-  let dir = "cli_pc_warm_cache" in
-  let solve_to out =
-    Sys.command
-      (Printf.sprintf
-         "%s solve %s --queries cli_pc_warm.queries --plan-cache %s > %s 2> /dev/null"
-         cli f dir out)
-  in
-  check_int "cold run" 0 (solve_to "cli_pc_cold.out");
-  check_int "warm run" 0 (solve_to "cli_pc_warm.out");
-  check "warm answers byte-identical to cold" true
-    (read_file "cli_pc_cold.out" = read_file "cli_pc_warm.out");
-  check_int "-t path served from the same cache" 0
-    (run ("solve " ^ f ^ " -t A,B --plan-cache " ^ dir));
-  (* The exit-code contract is unchanged by a cache: degraded answers
-     still exit 2 whether the plan was loaded or compiled. *)
-  let f2 = fixture "pc_warm_deg" Datamodel.Figures.fig2 in
-  let dir2 = "cli_pc_warm_cache2" in
-  check_int "cold degraded run exits 2" 2
-    (run ("solve " ^ f2 ^ " -t A,C --fuel 2 --plan-cache " ^ dir2));
-  check_int "warm degraded run exits 2" 2
-    (run ("solve " ^ f2 ^ " -t A,C --fuel 2 --plan-cache " ^ dir2))
+  let f = fixture "compile_ok" Datamodel.Figures.fig3b in
+  check_int "compile" 0 (run ("compile " ^ f));
+  write_file "cli_compile_garbage.bigraph" "bipartite\nleft A\nedge A mystery\n";
+  check_int "malformed instance" 4 (run "compile cli_compile_garbage.bigraph");
+  check_int "nonexistent file" 124 (run "compile cli_compile_missing.bigraph")
 
 (* ---------------------------------------------------------- query *)
 
@@ -596,13 +529,6 @@ let () =
           Alcotest.test_case "10^5 scale-chordal62 output solves" `Quick
             test_solve_scale_output;
         ] );
-      ( "plan-cache",
-        [
-          Alcotest.test_case "compile exit codes" `Quick
-            test_compile_exit_codes;
-          Alcotest.test_case "unusable dir degrades" `Quick
-            test_solve_plan_cache_degrades;
-          Alcotest.test_case "warm solve identical" `Quick
-            test_solve_plan_cache_warm;
-        ] );
+      ( "compile",
+        [ Alcotest.test_case "exit codes" `Quick test_compile_exit_codes ] );
     ]

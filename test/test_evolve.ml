@@ -2,9 +2,9 @@
    indistinguishable — profile, component structure, component
    profiles, and query answers — from throwing the plan away
    and recompiling the mutated schema from scratch. Comparisons are
-   canonical (Iset.equal, order lists, rendered values), never Marshal
-   bytes: equal sets built by different operation orders need not
-   share AVL shape. *)
+   canonical (Iset.equal, order lists, rendered values), never
+   polymorphic [=] on sets: equal sets built by different operation
+   orders need not share AVL shape. *)
 
 open Graphs
 open Bipartite
