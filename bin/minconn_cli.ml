@@ -276,7 +276,9 @@ let solve_cmd =
             ]
         @@ fun () ->
         let compiled = Minconn.Compiled.compile ~trace ~metrics g in
-        Minconn.Session.query ~budget ~degrade:(not no_degrade)
+        Minconn.Session.query
+          ~make_budget:(fun () -> budget)
+          ~degrade:(not no_degrade)
           (Minconn.Session.create ~trace ~metrics compiled)
           ~p
       in

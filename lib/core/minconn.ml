@@ -65,7 +65,11 @@ let solve ?(budget = Budget.unlimited) ?(degrade = true)
       ]
   @@ fun () ->
   let compiled = Compiled.compile ~trace ~metrics g in
-  Session.query ~budget ~degrade (Session.create ~trace ~metrics compiled) ~p
+  Session.query
+    ~make_budget:(fun () -> budget)
+    ~degrade
+    (Session.create ~trace ~metrics compiled)
+    ~p
 
 (* Same typed front door as [solve]: reject empty and out-of-range
    terminal sets in O(|p|) before Algorithm 1 runs, and surface its

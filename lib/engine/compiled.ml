@@ -3,12 +3,11 @@ open Bipartite
 
 type component = {
   nodes : Iset.t;
-  cprofile : Classify.profile;
+  cprofile : Classify.profile option Atomic.t;
 }
 
 type t = {
   graph : Bigraph.t;
-  profile : Classify.profile;
   comp_id : int array;
   components : component array;
 }
@@ -23,8 +22,29 @@ type delta_stats = {
 
 let graph t = t.graph
 let ugraph t = Bigraph.ugraph t.graph
-let profile t = t.profile
 let n_components t = Array.length t.components
+
+(* A component's profile is classified once, on its slice, by whichever
+   caller first needs it. Two threads that race here both classify the
+   same slice and store equal immutable profiles, so the write is
+   idempotent; a [Lazy.t] would instead raise [Undefined] in the thread
+   that forces it second. *)
+let classify ?(trace = Observe.Trace.disabled) c slice =
+  match Atomic.get c.cprofile with
+  | Some p -> p
+  | None ->
+    let p = Classify.profile_connected ~trace slice in
+    Atomic.set c.cprofile (Some p);
+    p
+
+let profile t =
+  Classify.combine
+    (Array.map
+       (fun c ->
+         match Atomic.get c.cprofile with
+         | Some p -> p
+         | None -> classify c (fst (Bigraph.induced t.graph c.nodes)))
+       t.components)
 
 (* The CSR's arrays are canonical for the graph, so hashing them with
    [nl] (which, with n, fixes the sides) keys a schema whatever
@@ -42,15 +62,10 @@ let node_set ?(id = Fun.id) cs c =
   done;
   Iset.of_list !acc
 
-(* Everything a single connected component contributes to the plan:
-   its node set and its own classification profile, so a schema edit
-   can replace one component and re-derive the global profile by
-   [Classify.combine] instead of reclassifying the whole graph. The
-   profile is computed on the component's slice, cut as a graph of its
-   own (the graph itself when it is connected, so the single-component
-   fast path pays no copy). *)
-let component tr nodes slice =
-  { nodes; cprofile = Classify.profile_connected ~trace:tr slice }
+(* A component enters a plan as its node set, unclassified: a query
+   pays for the components it lands in, and a schema edit replaces
+   the components it touches without classifying anything. *)
+let component nodes = { nodes; cprofile = Atomic.make None }
 
 let compile ?(trace = Observe.Trace.disabled)
     ?(metrics = Observe.Metrics.disabled) graph =
@@ -67,32 +82,24 @@ let compile ?(trace = Observe.Trace.disabled)
     Observe.Trace.span trace "compile.components" (fun () -> Csr.components c)
   in
   let components =
-    Observe.Trace.span trace "compile.orderings" @@ fun () ->
-    let local = Array.make (Csr.n c) 0 in
-    Array.init (Csr.n_components cs) (fun k ->
-        component trace (node_set cs k) (Bigraph.slice graph cs ~local k))
-  in
-  let profile =
-    Classify.combine (Array.map (fun c -> c.cprofile) components)
+    Array.init (Csr.n_components cs) (fun k -> component (node_set cs k))
   in
   Observe.Trace.add_attr trace "components"
     (Observe.Trace.Int (Array.length components));
   Observe.Metrics.incr (Observe.Metrics.counter metrics "engine.compiles");
-  { graph; profile; comp_id = cs.Csr.label; components }
+  { graph; comp_id = cs.Csr.label; components }
 
 (* ------------------------------------------------ delta application *)
 
-(* Rebuild the plan around a mix of reused and freshly prepped
-   components. The array is renormalised to the order a fresh compile
-   would produce — [Traverse.component_ids] lists components by
-   ascending minimum element — so a patched plan and a from-scratch
-   plan agree component index for component index. *)
-let replan ~trace ~metrics graph ~kept ~rebuilt_sets =
-  let rebuilt =
-    Array.map
-      (fun nodes -> component trace nodes (fst (Bigraph.induced graph nodes)))
-      rebuilt_sets
-  in
+(* Rebuild the plan around a mix of reused and fresh, unclassified
+   components. A reused component keeps its memo cell, shared with the
+   old plan: its slice is the same in both graphs. The array is
+   renormalised to the order a fresh compile would produce —
+   [Traverse.component_ids] lists components by ascending minimum
+   element — so a patched plan and a from-scratch plan agree component
+   index for component index. *)
+let replan ~metrics graph ~kept ~rebuilt_sets =
+  let rebuilt = Array.map component rebuilt_sets in
   let components =
     Array.append (Array.of_list kept) rebuilt
   in
@@ -104,9 +111,6 @@ let replan ~trace ~metrics graph ~kept ~rebuilt_sets =
   Array.iteri
     (fun k c -> Iset.iter (fun v -> comp_id.(v) <- k) c.nodes)
     components;
-  let profile =
-    Classify.combine (Array.map (fun c -> c.cprofile) components)
-  in
   let recompiled = ref [] in
   Array.iteri
     (fun k c ->
@@ -116,7 +120,7 @@ let replan ~trace ~metrics graph ~kept ~rebuilt_sets =
   Observe.Metrics.incr
     ~by:(Array.length rebuilt)
     (Observe.Metrics.counter metrics "engine.delta.recompiled_components");
-  ({ graph; profile; comp_id; components }, List.rev !recompiled)
+  ({ graph; comp_id; components }, List.rev !recompiled)
 
 (* The connected components of [g]'s subgraph induced by [nodes], in
    [g]'s indices: one layout of the slice, so a deletion costs the
@@ -217,7 +221,7 @@ let apply_delta ?(trace = Observe.Trace.disabled)
         (fun k c -> if not (List.mem k dirty) then kept := c :: !kept)
         t.components;
       let t', recompiled =
-        replan ~trace ~metrics g' ~kept:!kept
+        replan ~metrics g' ~kept:!kept
           ~rebuilt_sets:(Array.of_list rebuilt_sets)
       in
       Observe.Trace.add_attr trace "recompiled"

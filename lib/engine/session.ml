@@ -68,10 +68,14 @@ let locate t ~p =
    a monotone relabeling — so a solver takes on the slice the
    decisions it takes on the whole graph, and the answer mapped back
    through [ids] by [relabel] is the one a whole-graph run returns. A
-   connected schema is its own slice. *)
+   plan of one component answers on the graph itself: no node-set
+   walk, no id array, no relabel. *)
 let on_slice t comp ~p ~relabel solve =
-  let g, ids = Bigraph.induced t.compiled.Compiled.graph comp.Compiled.nodes in
-  Result.map (relabel ids) (solve g ids (Iset.map (Csr.local_index ids) p))
+  let c = t.compiled in
+  if Array.length c.Compiled.components = 1 then solve c.Compiled.graph p
+  else
+    let g, ids = Bigraph.induced c.Compiled.graph comp.Compiled.nodes in
+    Result.map (relabel ids) (solve g (Iset.map (Csr.local_index ids) p))
 
 (* One rung of the degradation ladder: identity for provenance, the
    method tag and guarantee reported on success, and the solver thunk
@@ -85,22 +89,29 @@ type rung_spec = {
 
 let relabel_solution ids s = { s with tree = Tree.relabel ids s.tree }
 
-let query ?(budget = Budget.unlimited) ?(degrade = true) t ~p =
+let query ?(make_budget = fun () -> Budget.unlimited) ?(degrade = true) t ~p
+    =
   let trace = t.trace in
   let metrics = t.metrics in
   match locate t ~p with
   | Error e -> Error e
   | Ok comp ->
-    on_slice t comp ~p ~relabel:relabel_solution @@ fun g ids p ->
+    on_slice t comp ~p ~relabel:relabel_solution @@ fun g p ->
     Observe.Trace.span trace "query"
       ~attrs:
         [
           ("terminals", Observe.Trace.Int (Iset.cardinal p));
-          ("component", Observe.Trace.Int (Array.length ids));
+          ("component", Observe.Trace.Int (Bigraph.n g));
         ]
     @@ fun () ->
     Observe.Metrics.incr (Observe.Metrics.counter metrics "engine.queries");
-    let profile = t.compiled.Compiled.profile in
+    (* The rung is licensed by the terminals' component alone: the
+       whole-schema profile is the conjunction of the components', so
+       this guarantee is never weaker than the whole schema's. The
+       budget starts after the (first query's) classification, so it
+       meters solving alone. *)
+    let profile = Compiled.classify ~trace comp g in
+    let budget = make_budget () in
     (* Every rung, and the traced [verify], runs on the slice's CSR;
        none builds the set view. *)
     let csr = Bigraph.csr g in
@@ -266,17 +277,21 @@ let solve_many ?make_budget ?degrade t ps =
   List.mapi
     (fun i p ->
       Fault.with_derived fault ~index:i (fun () ->
-          query ?budget:(Option.map (fun f -> f i) make_budget) ?degrade t ~p))
+          query
+            ?make_budget:(Option.map (fun f () -> f i) make_budget)
+            ?degrade t ~p))
     ps
 
 (* Algorithm 1 on the terminals' slice. Step 1 (the α kernel and W)
    depends only on the component, but no caller asks more than one
    terminal set per plan, so it runs here rather than at compile time;
-   it is linear in the component, less than the elimination after it. *)
+   it is linear in the component, less than the elimination after it.
+   It decides α-acyclicity itself, so the component's profile memo is
+   neither read nor filled. *)
 let query_relations t ~p =
   match locate t ~p with
   | Error e -> Error e
   | Ok comp ->
-    on_slice t comp ~p ~relabel:Algorithm1.relabel @@ fun g _ p ->
+    on_slice t comp ~p ~relabel:Algorithm1.relabel @@ fun g p ->
     Result.map_error Algorithm1.to_error
       (Algorithm1.solve_slice ~trace:t.trace g ~p)

@@ -3,13 +3,16 @@
     A session is a compiled plan plus its observability sinks, and
     answers any number of terminal-set queries against one
     {!Compiled.t}. Budgets and the degradation policy are per call:
-    each {!query} takes its own. Classification and component
-    decomposition are read from the compiled plan; a query performs
-    only terminal location, the degradation ladder, and the chosen
-    solver, all on the terminals' component: both {!query} and {!query_relations} cut its induced
-    slice out once, through one helper, so a query costs the
-    component, not the schema. Sessions are not safe for concurrent
-    use: the trace they share across queries is mutable. *)
+    each {!query} takes its own. The component decomposition is read
+    from the compiled plan; a query performs terminal location, the
+    classification of its component if no earlier query classified it
+    ({!Compiled.classify}), the degradation ladder, and the chosen
+    solver, all on the terminals' component: both {!query} and
+    {!query_relations} cut its induced slice out once, through one
+    helper, so a query costs the component, not the schema. Sessions
+    are not safe for concurrent use: the trace they share across
+    queries is mutable. Several sessions may share one plan across
+    threads: its profile memos tolerate racing writers. *)
 
 open Graphs
 open Bipartite
@@ -32,6 +35,7 @@ type solution = {
   method_used : method_used;
   optimal : bool;  (** [provenance.guarantee = Exact] *)
   profile : Classify.profile;
+      (** the terminals' component's profile, which licensed the rung *)
   provenance : Degrade.provenance;
       (** which ladder rung ran, why earlier rungs were abandoned, and
           the resulting guarantee *)
@@ -55,7 +59,7 @@ val with_plan : t -> Compiled.t -> t
     requests (a request keeps the immutable plan it started with). *)
 
 val query :
-  ?budget:Budget.t ->
+  ?make_budget:(unit -> Budget.t) ->
   ?degrade:bool ->
   t ->
   p:Iset.t ->
@@ -63,19 +67,28 @@ val query :
 (** One minimal-connection query. Validation (empty, out-of-range,
     disconnected terminals) is O(|p|) against the cached component ids.
     Every rung runs on the induced slice of the terminals' component
-    ({!Bipartite.Bigraph.induced}, which renumbers ascending) and its
-    tree is mapped back, so the answer is the one the rung returns on
-    the whole graph. No rung builds a set view. The (4,1) rung answers
-    the seed cover {!Steiner.Cover.seed} itself — un-budgeted and total
-    on connected terminals, so it is the whole (4,1) ladder; the (6,2)
-    and fixpoint rungs eliminate inside it
-    ({!Steiner.Algorithm2.solve_csr}). The degradation ladder, rung
+    ({!Bipartite.Bigraph.induced}, which renumbers ascending; the graph
+    itself, with no renumbering, when the plan has one component) and
+    its tree is mapped back, so the answer is the one the rung returns
+    on the whole graph. The rung is picked from that component's
+    profile ({!Compiled.classify}, filled from the same slice by the
+    first query that lands in the component and recorded as its one
+    ["classify"] span under the ["query"] span; later queries there
+    record none). The whole-schema profile is the conjunction of the
+    components', so the two pick the same rung on a single-class schema
+    and the component's is never the weaker guarantee. No rung builds a
+    set view. The (4,1) rung answers the seed cover {!Steiner.Cover.seed}
+    itself — un-budgeted and total on connected terminals, so it is the
+    whole (4,1) ladder; the (6,2) and fixpoint rungs eliminate inside
+    it ({!Steiner.Algorithm2.solve_csr}). The degradation ladder, rung
     spans, [ladder.*] events and [budget.checks]/[rung.abandonments]
     counters are exactly those of the one-shot solver, recorded under a
     ["query"] span whose [component] attribute is the slice's size.
-    [budget] (default unlimited) meters this query alone — never
-    compilation — and [degrade] (default [true]) selects ladder
-    fall-through vs fail-fast. *)
+    [make_budget] (default: unlimited) is called once, after the
+    classification, so the budget it returns meters this query's
+    solving alone — never compilation or classification — and
+    [degrade] (default [true]) selects ladder fall-through vs
+    fail-fast. *)
 
 val solve_many :
   ?make_budget:(int -> Budget.t) ->
@@ -88,7 +101,8 @@ val solve_many :
     from the caller's by index ({!Runtime.Fault.with_derived}), so its
     injected faults do not depend on the rest of the batch.
 
-    [make_budget] builds the budget for query [i] —
+    [make_budget] builds the budget for query [i], as {!query}'s
+    [make_budget] does (after the component is classified) —
     [fun _ -> Budget.make ~fuel:f ()] for a fresh deterministic
     allowance per query; without it every query is unlimited. *)
 
@@ -100,4 +114,5 @@ val query_relations :
     ordering on the slice, under one ["algorithm1.join_tree"] span,
     then Steps 2–3 run), mapped back to the schema's ids.
     [Invalid_instance] when the terminal component is not
-    α-acyclic. *)
+    α-acyclic. Algorithm 1 decides that itself, so the component's
+    profile memo is neither read nor filled. *)

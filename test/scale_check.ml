@@ -142,12 +142,16 @@ let parse_words_per_byte inst =
    the whole-graph set view allocates about 40. *)
 let max_delta_words_per_size = 8.0
 
-(* Measured at 30 words per (n + m) on the chordal62 instance, where
-   γ-elimination on each block's CSR decides the class and each block
-   is cut from the flat component layout (37 when blocks were cut
-   through Iset lists, 49 while compile also ran the α kernel);
-   building each block's hypergraph and scanning it for β and γ
-   allocated 591, and building it for GYO's join tree 75. *)
+(* Compile measures 12 words per (n + m) on the chordal62 instance: it
+   labels the components and builds their node sets, and classifies
+   none. Classifying every block afterwards ([Compiled.profile], each
+   block cut by [Bigraph.induced] and decided by γ-elimination on its
+   CSR) is held to the same bound. While compile classified each block
+   on its cut from the flat component layout the two together measured
+   30 (37 when blocks were cut through Iset lists, 49 while compile
+   also ran the α kernel); building each block's hypergraph and
+   scanning it for β and γ allocated 591, and building it for GYO's
+   join tree 75. *)
 let max_compile_words_per_size = 150.0
 
 let max_connected_classify_s = 1.0
@@ -223,9 +227,11 @@ let grid_classify_s ~k =
   end;
   (Minconn.Bigraph.n g, dt)
 
-(* Measured at about 10 ms for the chordal62 schema and 15 ms for the
-   alpha one at n_right = 3,000; the alpha compile took about 75 ms
-   while H²'s 2-section was a [Ugraph] decided by LexBFS. *)
+(* Compile and classification together, as compile did them while it
+   classified every component: measured at about 5 ms for the chordal62
+   schema and 15 ms for the alpha one at n_right = 3,000; the alpha
+   compile took about 75 ms while H²'s 2-section was a [Ugraph] decided
+   by LexBFS. *)
 let max_connected_compile_s = 1.0
 
 (* Whether every component's H¹ is α-acyclic, asked of the maximum
@@ -242,9 +248,10 @@ let components_alpha plan =
            ~boundary:(Minconn.Bigraph.nl slice)))
     plan.Minconn.Compiled.components
 
-(* Seconds to compile the connected [family] schema of [n_right]
-   relations and ask α of every component, failing unless the schema is
-   connected and every component is α-acyclic. *)
+(* Seconds to compile and classify ([Compiled.profile]) the connected
+   [family] schema of [n_right] relations and ask α of every component,
+   failing unless the schema is connected and every component is
+   α-acyclic. *)
 let connected_compile_s family ~n_right =
   let g =
     match family with
@@ -260,7 +267,9 @@ let connected_compile_s family ~n_right =
     exit 1
   end;
   let t0 = Unix.gettimeofday () in
-  let alpha = components_alpha (Minconn.Compiled.compile g) in
+  let plan = Minconn.Compiled.compile g in
+  ignore (Minconn.Compiled.profile plan : Minconn.Classify.profile);
+  let alpha = components_alpha plan in
   let dt = Unix.gettimeofday () -. t0 in
   if not alpha then begin
     prerr_endline "scale_check: a compiled schema is not alpha-acyclic";
@@ -270,11 +279,13 @@ let connected_compile_s family ~n_right =
 
 (* A warm 4-terminal query on the connected schema that `minconn
    generate --class 62 --size 3400 --seed 1` writes (n = 10,249)
-   measures about 2 ms and 55,000 words: Algorithm 2 eliminates inside
+   measures about 1 ms and 45,000 words: Algorithm 2 eliminates inside
    the seed cover, the BFS parent paths between the terminals (135
-   nodes), and the seed's parent and queue arrays and the slice's id
-   array (3n words) are the only allocations sized to the schema.
-   Eliminating over the whole component took about 8 s there. *)
+   nodes), and the seed's parent and queue arrays (2n words) are the
+   only allocations sized to the schema; the plan has one component,
+   so the query runs on the graph itself, with no id array (55,000
+   words while it cut the schema as a slice of itself). Eliminating
+   over the whole component took about 8 s there. *)
 let max_connected_query_s = 0.005
 
 let max_connected_query_words = 80_000
@@ -330,14 +341,17 @@ let max_alpha_query_s = 1.0
 let max_alpha_query_words_per_cell = 16.0
 
 (* Seconds and words per (2^t)·(n + m) for one 3-terminal session query
-   on the connected alpha schema of [n_right] relations (compile not
-   timed), failing unless the exact DP answered it. *)
+   on the connected alpha schema of [n_right] relations (compile and
+   the schema's classification, which a first query would otherwise
+   run, not timed), failing unless the exact DP answered it. *)
 let connected_alpha_query ~n_right =
   let g =
     Workloads.Gen_bipartite.alpha_bipartite (Workloads.Rng.make ~seed:0)
       ~n_right ~max_size:4
   in
-  let session = Minconn.Session.create (Minconn.Compiled.compile g) in
+  let plan = Minconn.Compiled.compile g in
+  ignore (Minconn.Compiled.profile plan : Minconn.Classify.profile);
+  let session = Minconn.Session.create plan in
   let p =
     Workloads.Gen_bipartite.random_terminals (Workloads.Rng.make ~seed:1) g ~k:3
   in
@@ -470,6 +484,14 @@ let () =
     /. float_of_int (Minconn.Bigraph.n g + Minconn.Bigraph.m g)
   in
   let t_compile = Unix.gettimeofday () -. t0 -. t_construct in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Minconn.Compiled.profile plan : Minconn.Classify.profile);
+  let classify_words =
+    (Gc.allocated_bytes () -. before)
+    /. float_of_int (Sys.word_size / 8)
+    /. float_of_int (Minconn.Bigraph.n g + Minconn.Bigraph.m g)
+  in
   let session = Minconn.Session.create plan in
   let ps = queries inst in
   List.iteri (answer session) ps;
@@ -484,6 +506,12 @@ let () =
       "scale_check: chordal62 compile allocated %.0f words per (n + m) \
        (bound %.0f)\n"
       compile_words max_compile_words_per_size;
+    exit 1
+  end;
+  if classify_words > max_compile_words_per_size then begin
+    Printf.eprintf
+      "scale_check: classifying the chordal62 plan allocated %.0f words per        (n + m) (bound %.0f)\n"
+      classify_words max_compile_words_per_size;
     exit 1
   end;
   let chordal62_words = worst_warm_words session ps in
@@ -613,6 +641,9 @@ let () =
   Printf.fprintf oc
     "chordal62 compile allocation: %.0f words per (n + m) (bound %.0f)\n"
     compile_words max_compile_words_per_size;
+  Printf.fprintf oc
+    "chordal62 classify allocation: %.0f words per (n + m) (bound %.0f)\n"
+    classify_words max_compile_words_per_size;
   Printf.fprintf oc
     "connected chordal62 classify: n=%d in %.3fs (bound %.0fs)\n" connected_n
     connected_s max_connected_classify_s;

@@ -237,9 +237,10 @@ let expected_checks g =
     @ side "h1" ~alpha:p.Classify.alpha_h1 ~chordal:p.Classify.v2_chordal
     @ side "h2" ~alpha:p.Classify.alpha_h2 ~chordal:p.Classify.v1_chordal
 
-(* One ["classify"] span per call on the whole-graph path and one per
-   component under compile, none of the four checks the degree
-   derivation replaced, and per component only the checks the cascade
+(* One ["classify"] span per call on the whole-graph path, none under
+   compile, one per component under the first queries that land in
+   the components and none under a repeat; none of the four checks the
+   degree derivation replaced, and per component only the checks the cascade
    leaves open: none on a forest, [chordal_62] alone on a (6,2)-chordal
    component, [chordal_62] and [chordal_61] on a (6,1)-chordal one,
    else those two plus, per side, a prefix of α, 2-section chordality
@@ -277,13 +278,31 @@ let test_classify_spans () =
            (fun nodes -> expected_checks (fst (Bigraph.induced g nodes)))
            (Traverse.components (Bigraph.ugraph g))));
   let compiled = Observe.Trace.make () in
-  ignore (Minconn.Compiled.compile ~trace:compiled g : Minconn.Compiled.t);
-  let spans = Observe.Trace.spans compiled in
+  let plan = Minconn.Compiled.compile ~trace:compiled g in
+  check_int "compile: no classify span" 0
+    (count "classify" (names (Observe.Trace.spans compiled)));
+  (* One single-terminal query per component, twice over. *)
+  let query_all () =
+    let tr = Observe.Trace.make () in
+    let session = Minconn.Session.create ~trace:tr plan in
+    List.iter
+      (fun nodes ->
+        match
+          Minconn.Session.query session ~p:(Iset.singleton (Iset.min_elt nodes))
+        with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail (Minconn.Errors.to_string e))
+      (Traverse.components (Bigraph.ugraph g));
+    Observe.Trace.spans tr
+  in
+  let spans = query_all () in
   let l = names spans in
-  check_int "compile: one classify span per component" comps
+  check_int "first queries: one classify span per component" comps
     (count "classify" l);
-  check "compile: no redundant checks" false (removed l);
-  check_int "compile and whole graph run the same checks"
+  check_int "repeat queries: no classify span" 0
+    (count "classify" (names (query_all ())));
+  check "queries: no redundant checks" false (removed l);
+  check_int "queries and whole graph run the same checks"
     (List.length (checks (names (Observe.Trace.spans whole))))
     (List.length (checks l));
   let verdict s attr =

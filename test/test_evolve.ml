@@ -19,13 +19,17 @@ module Session = Minconn.Session
 
 (* ------------------------------------------------ canonical equality *)
 
+(* Memos are compared once [Compiled.profile] has filled them on both
+   sides: a patched plan may carry memos over from its parent while a
+   fresh compile starts with none. *)
 let component_equal (a : Compiled.component) (b : Compiled.component) =
   Iset.equal a.Compiled.nodes b.Compiled.nodes
-  && a.Compiled.cprofile = b.Compiled.cprofile
+  && Atomic.get a.Compiled.cprofile = Atomic.get b.Compiled.cprofile
 
 let plan_equal (a : Compiled.t) (b : Compiled.t) =
   Bigraph.equal (Compiled.graph a) (Compiled.graph b)
   && Compiled.profile a = Compiled.profile b
+  && Compiled.profile a = Classify.profile (Compiled.graph a)
   && a.Compiled.comp_id = b.Compiled.comp_id
   && Array.length a.Compiled.components = Array.length b.Compiled.components
   && Array.for_all2 component_equal a.Compiled.components
@@ -138,6 +142,9 @@ let differential seed =
   let g0 = Workloads.Gen_bipartite.gnp rng ~nl ~nr ~p:0.25 in
   let ops = random_ops rng g0 (1 + Workloads.Rng.int rng 6) in
   let base = Compiled.compile g0 in
+  (* Half the time the base plan is fully classified first, so the
+     patched plan carries memos over from it. *)
+  if Workloads.Rng.bool rng 0.5 then ignore (Compiled.profile base);
   match Compiled.apply_deltas base ops with
   | Error msg -> QCheck2.Test.fail_reportf "apply_deltas failed: %s" msg
   | Ok (patched, stats) -> (
@@ -216,20 +223,28 @@ let test_cut_edge_split () =
     check "patched = fresh compile" true (plan_equal patched fresh)
 
 (* Merge in the presence of a bystander component: the bystander's
-   slice must be reused, the merged component rebuilt, and the global
-   profile re-derived — all identical to a fresh compile. *)
+   node set and profile memo must be reused, the merged component
+   rebuilt unclassified, and the global profile re-derived — all
+   identical to a fresh compile. *)
 let test_merge_reuses_bystander () =
   (* components: {A,r0}, {B,r1}, {C,r2}; merge the first two *)
   let g = Bigraph.of_edges ~nl:3 ~nr:3 [ (0, 0); (1, 1); (2, 2) ] in
   let base = Compiled.compile g in
   check_int "three components" 3 (Compiled.n_components base);
+  ignore (Compiled.profile base : Classify.profile);
   match Compiled.apply_delta base (Minconn.Delta.Add_edge (0, 1)) with
   | Error msg -> Alcotest.fail msg
   | Ok (patched, stats) ->
     check_int "merge leaves two components" 2 (Compiled.n_components patched);
     check "exactly one component rebuilt" true
-      (List.length stats.Compiled.recompiled = 1);
+      (stats.Compiled.recompiled = [ 0 ]);
     check_int "bystander reused" 1 stats.Compiled.reused;
+    let memo k = Atomic.get patched.Compiled.components.(k).Compiled.cprofile in
+    check "rebuilt component starts unclassified" true (memo 0 = None);
+    check "bystander keeps its memo" true
+      (patched.Compiled.components.(1).Compiled.cprofile
+      == base.Compiled.components.(2).Compiled.cprofile
+      && memo 1 <> None);
     let fresh =
       Compiled.compile
         (Bigraph.of_edges ~nl:3 ~nr:3 [ (0, 0); (0, 1); (1, 1); (2, 2) ])
@@ -253,9 +268,13 @@ let test_acyclic_merge_goes_cyclic () =
   let base = Compiled.compile g in
   check_int "two components before the merge" 2 (Compiled.n_components base);
   check "both components are (6,2)-chordal" true
-    (Array.for_all
-       (fun c -> c.Compiled.cprofile.Classify.chordal_62)
-       base.Compiled.components);
+    ((Compiled.profile base).Classify.chordal_62
+    && Array.for_all
+         (fun c ->
+           match Atomic.get c.Compiled.cprofile with
+           | Some p -> p.Classify.chordal_62
+           | None -> false)
+         base.Compiled.components);
   match Compiled.apply_delta base (Minconn.Delta.Add_edge (2, 2)) with
   | Error msg -> Alcotest.fail msg
   | Ok (merged, s1) ->
