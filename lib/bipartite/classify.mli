@@ -88,9 +88,10 @@ val combine : profile array -> profile
     degrees by worst level. Because every recognizer the profile runs
     is component-local, [combine] over the profiles of the induced
     connected components equals the whole-graph profile — the
-    decomposition {!profile} is built on, and that
-    {!Engine.Compiled.apply_delta} exploits to re-profile only the
-    components a schema delta touches. *)
+    decomposition {!profile} is built on, and that lets
+    {!Engine.Compiled} classify a component only when a query first
+    lands in it, and {!Engine.Compiled.apply_delta} keep the profiles
+    of the components a schema delta leaves untouched. *)
 
 val recommend : profile -> recommendation
 

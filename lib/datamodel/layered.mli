@@ -38,7 +38,7 @@ val to_bigraph : t -> Bigraph.t
 
 val compiled : t -> Engine.Compiled.t
 (** The hierarchy compiled for serving (bigraph, CSR arena,
-    classification profile, components), built on first use
+    components with their profile memos), built on first use
     and cached in the record. *)
 
 val object_index : t -> string -> int option
@@ -47,8 +47,9 @@ val object_index : t -> string -> int option
 val object_name : t -> int -> string
 
 val profile : t -> Classify.profile
-(** Memoized via {!compiled}: classification runs at most once per
-    hierarchy value. *)
+(** {!Engine.Compiled.profile} of {!compiled}: each component is
+    classified at most once per hierarchy value, by this call or by the
+    first query that lands in it. *)
 
 val minimal_connection :
   t ->

@@ -29,8 +29,8 @@ val to_bigraph : t -> Bigraph.t
     re-materialising it. *)
 
 val compiled : t -> Engine.Compiled.t
-(** The schema compiled for serving (bigraph, CSR arena, classification
-    profile, components), built on first use and cached in the
+(** The schema compiled for serving (bigraph, CSR arena, components
+    with their profile memos), built on first use and cached in the
     schema record; feed it to [Engine.Session.create] to answer query
     batches. *)
 
@@ -46,8 +46,9 @@ val object_name : t -> int -> string
 val is_attribute : t -> string -> bool
 
 val profile : t -> Classify.profile
-(** Memoized via {!compiled}: classification runs at most once per
-    schema value. *)
+(** {!Engine.Compiled.profile} of {!compiled}: each component is
+    classified at most once per schema value, by this call or by the
+    first query that lands in it. *)
 
 val acyclicity : t -> Acyclicity.degree
 (** Degree of the scheme hypergraph. *)

@@ -6,7 +6,7 @@ open Bipartite
    class is known (and pinned by test/test_scale.ml); the union keeps
    the class, since every chordality/acyclicity property in the
    taxonomy is decided component by component. Bounded blocks also keep
-   compilation linear: the classifier runs per component, so any
+   classification linear: the classifier runs per component, so any
    superlinear factor applies to a constant, not to n.
 
    Nothing here holds an edge list. An instance is its family, seed and
