@@ -19,18 +19,45 @@ let read_file path =
   s
 
 (* Every command reads its schema here, inside one [parse] span, so a
-   traced run accounts for the file front end as well as the engine. *)
+   traced run accounts for the file front end as well as the engine.
+   The schema comes with the name index the parser built for it, so a
+   command resolves names without indexing them again. *)
 let load_bigraph ?(trace = Observe.Trace.disabled) path =
   let module T = Observe.Trace in
   T.span trace "parse" (fun () ->
       let text = read_file path in
       T.add_attr trace "bytes" (T.Int (String.length text));
-      match Mc_io.Parse.bigraph_of_string text with
-      | Ok nb ->
+      match Mc_io.Parse.indexed_bigraph_of_string text with
+      | Ok ((nb, _) as loaded) ->
         T.add_attr trace "nodes" (T.Int (Bigraph.n nb.Mc_io.Parse.graph));
         T.add_attr trace "edges" (T.Int (Bigraph.m nb.Mc_io.Parse.graph));
-        Ok nb
+        Ok loaded
       | Error e -> Error (Format.asprintf "%s: %a" path Mc_io.Parse.pp_error e))
+
+(* Every subcommand but [serve] runs once and exits within
+   milliseconds. A cold [solve --queries] on a 10^4-node schema
+   allocates more than the runtime's default nursery (256k words,
+   2 MB) through it, so every page of that nursery is a fresh page
+   fault; one of [one_shot_minor_words] is faulted in once and reused,
+   which saves more than its extra minor collections cost (16k and 64k
+   words measure the same). [serve] is long-lived and keeps the
+   runtime's default. An [s=] in OCAMLRUNPARAM (or CAMLRUNPARAM, which
+   the runtime reads when OCAMLRUNPARAM is unset) still sets the
+   nursery. *)
+let one_shot_minor_words = 32 * 1024
+
+let one_shot () =
+  let runparam =
+    match Sys.getenv_opt "OCAMLRUNPARAM" with
+    | Some p -> p
+    | None -> Option.value ~default:"" (Sys.getenv_opt "CAMLRUNPARAM")
+  in
+  if
+    not
+      (List.exists
+         (String.starts_with ~prefix:"s=")
+         (String.split_on_char ',' runparam))
+  then Gc.set { (Gc.get ()) with minor_heap_size = one_shot_minor_words }
 
 (* Exit-code contract (documented in README "Budgets and graceful
    degradation"): 0 solved-exact, 2 solved-degraded, 3 no cover,
@@ -71,10 +98,11 @@ let trace_file_arg doc =
 
 let compile_cmd =
   let run path trace_file =
+    one_shot ();
     let trace, _, write_trace = observability trace_file in
     let nb =
       match load_bigraph ~trace path with
-      | Ok nb -> nb
+      | Ok (nb, _) -> nb
       | Error msg ->
         prerr_endline msg;
         write_trace ();
@@ -106,10 +134,11 @@ let compile_cmd =
 
 let classify_cmd =
   let run path trace_file =
+    one_shot ();
     let trace, _, write_trace = observability trace_file in
     let report =
       Result.map
-        (fun nb -> Minconn.report ~trace nb.Mc_io.Parse.graph)
+        (fun (nb, _) -> Minconn.report ~trace nb.Mc_io.Parse.graph)
         (load_bigraph ~trace path)
     in
     write_trace ();
@@ -164,17 +193,16 @@ let parse_queries_file path =
    the session, report one status line per query, and exit with the
    most severe per-query code (the codes are ordered 0 < 2 < 3 < 4 < 5
    by severity, so a numeric max is the contract). *)
-let run_batch ?compiled nb ~queries ~timeout_ms ~fuel ~no_degrade ~trace
-    ~metrics ~flush_observability =
+let run_batch ?compiled nb ~names ~queries ~timeout_ms ~fuel ~no_degrade
+    ~trace ~metrics ~flush_observability =
   let compiled =
     match compiled with
     | Some c -> c
     | None -> Minconn.Compiled.compile ~trace ~metrics nb.Mc_io.Parse.graph
   in
   let session = Minconn.Session.create ~trace ~metrics compiled in
-  let index = Mc_io.Parse.index nb in
   let resolved =
-    List.map (fun names -> (names, Mc_io.Parse.resolve index names)) queries
+    List.map (fun query -> (query, Mc_io.Parse.resolve names query)) queries
   in
   let ps = List.filter_map (fun (_, r) -> Result.to_option r) resolved in
   (* A fresh budget per query: one slow query degrades itself, not
@@ -234,6 +262,7 @@ let run_batch ?compiled nb ~queries ~timeout_ms ~fuel ~no_degrade ~trace
 let solve_cmd =
   let run path terminals queries_file timeout_ms fuel no_degrade trace_file
       metrics_file =
+    one_shot ();
     let trace, metrics, flush_observability =
       observability ?metrics_file trace_file
     in
@@ -241,7 +270,7 @@ let solve_cmd =
       flush_observability ();
       exit code
     in
-    let nb = or_die (load_bigraph ~trace path) in
+    let nb, names = or_die (load_bigraph ~trace path) in
     match (terminals, queries_file) with
     | [], None ->
       prerr_endline "minconn: error=missing-terminals (use -t or --queries)";
@@ -250,12 +279,12 @@ let solve_cmd =
       prerr_endline "minconn: error=conflicting-options (-t and --queries)";
       die exit_input_error
     | [], Some qpath ->
-      run_batch nb
+      run_batch nb ~names
         ~queries:(parse_queries_file qpath)
         ~timeout_ms ~fuel ~no_degrade ~trace ~metrics ~flush_observability
     | _ :: _, None -> (
       let p =
-        match Mc_io.Parse.name_set nb terminals with
+        match Mc_io.Parse.resolve names terminals with
         | Ok p -> p
         | Error n ->
           Printf.eprintf "minconn: error=unknown-terminal name=%s\n" n;
@@ -361,8 +390,8 @@ let solve_cmd =
 
 (* -------------------------------------------------------------- evolve *)
 
-let load_deltas nb path =
-  match Mc_io.Parse.deltas_of_string nb (read_file path) with
+let load_deltas ~names nb path =
+  match Mc_io.Parse.deltas_of_string ~names nb (read_file path) with
   | Ok v -> v
   | Error e ->
     prerr_endline (Format.asprintf "%s: %a" path Mc_io.Parse.pp_error e);
@@ -375,9 +404,10 @@ let load_deltas nb path =
    on the pre-evolved file). *)
 let evolve_cmd =
   let run path dfile emit queries_file trace_file =
+    one_shot ();
     let trace, _, write_trace = observability trace_file in
-    let nb = or_die (load_bigraph ~trace path) in
-    let ops, evolved = load_deltas nb dfile in
+    let nb, names = or_die (load_bigraph ~trace path) in
+    let ops, evolved = load_deltas ~names nb dfile in
     let base = Minconn.Compiled.compile ~trace nb.Mc_io.Parse.graph in
     let compiled =
       match Minconn.Compiled.apply_deltas ~trace base ops with
@@ -403,6 +433,7 @@ let evolve_cmd =
     match queries_file with
     | Some qpath ->
       run_batch ~compiled evolved
+        ~names:(Mc_io.Parse.reindex names evolved)
         ~queries:(parse_queries_file qpath)
         ~timeout_ms:None ~fuel:None ~no_degrade:false ~trace
         ~metrics:Observe.Metrics.disabled ~flush_observability:write_trace
@@ -454,9 +485,10 @@ let evolve_cmd =
 
 let relations_cmd =
   let run path terminals =
-    let nb = or_die (load_bigraph path) in
+    one_shot ();
+    let nb, names = or_die (load_bigraph path) in
     let p =
-      match Mc_io.Parse.name_set nb terminals with
+      match Mc_io.Parse.resolve names terminals with
       | Ok p -> p
       | Error n ->
         prerr_endline ("unknown terminal: " ^ n);
@@ -486,9 +518,10 @@ let relations_cmd =
 
 let interpretations_cmd =
   let run path terminals k =
-    let nb = or_die (load_bigraph path) in
+    one_shot ();
+    let nb, names = or_die (load_bigraph path) in
     let p =
-      match Mc_io.Parse.name_set nb terminals with
+      match Mc_io.Parse.resolve names terminals with
       | Ok p -> p
       | Error n ->
         prerr_endline ("unknown terminal: " ^ n);
@@ -526,6 +559,7 @@ let interpretations_cmd =
 
 let repair_cmd =
   let run path =
+    one_shot ();
     let text = read_file path in
     match Mc_io.Parse.schema_of_string text with
     | Error e ->
@@ -543,6 +577,7 @@ let repair_cmd =
 
 let ask_cmd =
   let run path query_text =
+    one_shot ();
     let text = read_file path in
     match Mc_io.Parse.database_of_string text with
     | Error e ->
@@ -592,6 +627,7 @@ let ask_cmd =
 let query_cmd =
   let run db_file gen size rows domain dangling seed bag terminals naive
       limit timeout_ms fuel trace_file metrics_file =
+    one_shot ();
     let trace, metrics, flush_observability =
       observability ?metrics_file trace_file
     in
@@ -848,14 +884,16 @@ let serve_cmd =
     let trace, metrics, flush_observability =
       observability ~live_metrics:true ?metrics_file trace_file
     in
-    let base = or_die (load_bigraph ~trace path) in
+    let base, base_names = or_die (load_bigraph ~trace path) in
     (* --deltas: serve the evolved schema from the start. The parser
        already applied every op, so the server compiles the evolved
        graph once. *)
-    let nb =
+    let nb, names =
       match deltas_file with
-      | None -> base
-      | Some dfile -> snd (load_deltas base dfile)
+      | None -> (base, base_names)
+      | Some dfile ->
+        let _, evolved = load_deltas ~names:base_names base dfile in
+        (evolved, Mc_io.Parse.reindex base_names evolved)
     in
     let config =
       {
@@ -874,7 +912,7 @@ let serve_cmd =
         degrade = not no_degrade;
       }
     in
-    match Serve.Server.create ~config ~metrics ~trace nb with
+    match Serve.Server.create ~config ~metrics ~trace ~names nb with
     | Error msg ->
       Printf.eprintf "minconn: error=serve-bind msg=%s\n" msg;
       exit exit_input_error
@@ -997,6 +1035,7 @@ let serve_cmd =
 
 let generate_cmd =
   let run cls seed size =
+    one_shot ();
     let rng = Workloads.Rng.make ~seed in
     let graph =
       match cls with
@@ -1058,6 +1097,7 @@ let generate_cmd =
 
 let hypergraph_cmd =
   let run path =
+    one_shot ();
     let text = read_file path in
     match Mc_io.Parse.hypergraph_of_string text with
     | Error e ->
@@ -1087,7 +1127,8 @@ let hypergraph_cmd =
 
 let dot_cmd =
   let run path =
-    let nb = or_die (load_bigraph path) in
+    one_shot ();
+    let nb, _ = or_die (load_bigraph path) in
     print_string
       (Graphs.Dot.of_bipartite_like
          ~name:(Filename.basename path)
@@ -1106,6 +1147,7 @@ let dot_cmd =
 
 let figures_cmd =
   let run () =
+    one_shot ();
     List.iter
       (fun (id, l) ->
         let g = l.Datamodel.Figures.graph in
@@ -1124,6 +1166,7 @@ let figures_cmd =
 
 let demo_cmd =
   let run () =
+    one_shot ();
     print_endline "Fig. 1 walk-through: query {EMPLOYEE, DATE}";
     let er = Datamodel.Figures.fig1_er in
     Datamodel.Er.interpretations ~k:3 er ~objects:Datamodel.Figures.fig1_query

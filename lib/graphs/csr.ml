@@ -39,8 +39,9 @@ let check_edge n u v =
 (* Direct two-pass construction over a replayable edge stream: pass 1
    counts degrees, pass 2 fills the rows, then each row is sorted and
    deduplicated in place. No per-node set is ever materialised — the
-   working state is three int arrays — which is what makes million-node
-   construction cheap. The stream must replay identically (the builder
+   working state is three int arrays, two of which ([row] and [col])
+   are the result — which is what makes million-node construction
+   cheap. The stream must replay identically (the builder
    below and the workload generators both guarantee this). *)
 let of_edge_iter ~n iter =
   if n < 0 then invalid_arg "Csr.of_edge_iter: negative size";
@@ -117,23 +118,27 @@ let of_edge_iter ~n iter =
         end
       end
   done;
-  let out_row = Array.make (n + 1) 0 in
-  let w = ref 0 in
+  (* Compact the rows in place, [row] included: row [u]'s old start is
+     read before its new one is written, and neither write cursor ever
+     overtakes the position it reads. *)
+  let w = ref 0 and s = ref 0 in
   for u = 0 to n - 1 do
-    out_row.(u) <- !w;
+    let e = row.(u + 1) in
+    row.(u) <- !w;
     let prev = ref min_int in
-    for k = row.(u) to row.(u + 1) - 1 do
+    for k = !s to e - 1 do
       let v = col.(k) in
       if v <> !prev then begin
         col.(!w) <- v;
         incr w;
         prev := v
       end
-    done
+    done;
+    s := e
   done;
-  out_row.(n) <- !w;
+  row.(n) <- !w;
   let col = if !w = total then col else Array.sub col 0 !w in
-  { n; m = !w / 2; row = out_row; col }
+  { n; m = !w / 2; row; col }
 
 let of_edges ~n edges =
   of_edge_iter ~n (fun f -> List.iter (fun (u, v) -> f u v) edges)

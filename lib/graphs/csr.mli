@@ -15,9 +15,13 @@ val of_edge_iter : n:int -> ((int -> int -> unit) -> unit) -> t
 (** [of_edge_iter ~n iter] builds the adjacency directly from an edge
     stream in two passes (degree count, then fill) followed by an
     in-place sort-unique per row — no intermediate sets, no edge list.
+    It allocates the row-offset and neighbour arrays it returns and
+    one n-word fill cursor; the deduplicated rows are compacted in
+    place over both returned arrays.
     [iter f] must call [f u v] once per undirected edge occurrence and
-    must replay the {e same} stream on both invocations (checked:
-    a stream that changes length between passes raises). Duplicate and
+    must replay the {e same} stream on both invocations (checked: a
+    second pass that gives any node another number of edge endpoints
+    than the first raises [Invalid_argument]). Duplicate and
     out-of-order edges are fine (collapsed by the per-row dedup);
     self-loops and out-of-range endpoints raise [Invalid_argument]. *)
 

@@ -445,7 +445,8 @@ let names_at text v =
    a line keeps only token offsets, each name is copied once out of
    the text into its side's array, each side is indexed in its table,
    every endpoint is resolved by hashing its bytes in place, and the
-   graph is built in one direct-to-CSR pass. *)
+   graph is built in one direct-to-CSR pass. The side tables are
+   returned with the graph: they are [index] of it. *)
 let bigraph_of_cursor c =
   if not (next_line c) then
     fail 0 0 "empty input (expected 'bipartite' header)";
@@ -475,20 +476,23 @@ let bigraph_of_cursor c =
           f (pair lsr pair_bits) (pair land pair_mask)
         done)
   in
-  { graph; left_names; right_names }
+  ( { graph; left_names; right_names },
+    { left = lidx; right = ridx; nl = left.used } )
 
-let bigraph_of_string text =
+let indexed_bigraph_of_string text =
   match too_large text with
   | Some e -> Error e
   | None -> (
     let c = cursor text in
     match bigraph_of_cursor c with
-    | nb -> Ok nb
+    | loaded -> Ok loaded
     | exception Oversized e -> Error e
     | exception Fail e -> (
       match check_rest c with
       | () -> Error e
       | exception Oversized e -> Error e))
+
+let bigraph_of_string text = Result.map fst (indexed_bigraph_of_string text)
 
 let schema_of_lines lines =
   match expect_header "schema" lines with

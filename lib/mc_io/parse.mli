@@ -77,7 +77,8 @@ val bigraph_of_string : string -> (named_bigraph, error) result
     edges collapse. An unknown name reports the position of its first
     use in file order; an [edge] line without exactly two names reports
     ['edge' line needs two names, found k] at its first extra name, or
-    at the keyword when names are missing. *)
+    at the keyword when names are missing. It is
+    [Result.map fst (indexed_bigraph_of_string text)]. *)
 
 val schema_of_string : string -> (Datamodel.Schema.t, error) result
 
@@ -107,10 +108,12 @@ val query_of_string :
 
 val name_set : named_bigraph -> string list -> (Iset.t, string) result
 (** Resolve a list of names to underlying indices; [Error name] on the
-    first unknown one. The one-shot path: a linear scan of both name
-    arrays per name, with nothing built — right for a command that
-    resolves one terminal set. A caller resolving many sets against
-    one schema builds a {!name_index} once and calls {!resolve}. *)
+    first unknown one. A linear scan of both name arrays per name, with
+    nothing built — for a caller that holds no index and resolves one
+    terminal set. A caller resolving many sets against one schema
+    builds a {!name_index} once and calls {!resolve}; a caller that
+    loaded the schema from text already has one
+    ({!indexed_bigraph_of_string}). *)
 
 type name_index
 (** An immutable name table per side of a {!named_bigraph}: open
@@ -136,6 +139,14 @@ val resolve : name_index -> string list -> (Iset.t, string) result
 (** {!name_set} against the index: the same result and the same
     first-unknown [Error], in O(|names|) expected time. A name present
     on both sides resolves to the left one. *)
+
+val indexed_bigraph_of_string :
+  string -> (named_bigraph * name_index, error) result
+(** {!bigraph_of_string}, returning with the graph the name tables it
+    built to check for duplicates and resolve edges: the index is
+    [index] of the graph, without a second pass over the names. The
+    one loader behind both entry points, so errors and their positions
+    are the same. *)
 
 val deltas_of_string :
   ?names:name_index ->

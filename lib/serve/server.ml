@@ -87,7 +87,7 @@ let latency_bounds_us =
 let backlog = 64
 
 let create ?(config = default_config) ?(metrics = Metrics.disabled)
-    ?(trace = Trace.disabled) nb =
+    ?(trace = Trace.disabled) ?names nb =
   (* A peer that hangs up mid-response must surface as EPIPE on the
      write, not as a fatal signal. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -116,7 +116,14 @@ let create ?(config = default_config) ?(metrics = Metrics.disabled)
       Ok
         {
           cfg = config;
-          state = Atomic.make { nb; names = Parse.index nb; compiled };
+          state =
+            Atomic.make
+              {
+                nb;
+                names =
+                  (match names with Some ix -> ix | None -> Parse.index nb);
+                compiled;
+              };
           delta_lock = Mutex.create ();
           metrics;
           trace;

@@ -70,10 +70,13 @@ val create :
   ?config:config ->
   ?metrics:Observe.Metrics.t ->
   ?trace:Observe.Trace.t ->
+  ?names:Mc_io.Parse.name_index ->
   Mc_io.Parse.named_bigraph ->
   (t, string) result
 (** Compile the schema once, index its names
-    ({!Mc_io.Parse.index}, O(|names|)), bind and listen. Each accepted
+    ({!Mc_io.Parse.index}, O(|names|); [names], an index of the given
+    schema such as {!Mc_io.Parse.indexed_bigraph_of_string} returns,
+    saves building it), bind and listen. Each accepted
     delta publishes a new state whose index is
     {!Mc_io.Parse.reindex} of the old one — only a side whose name
     array changed is rebuilt, and no published index is mutated, so

@@ -79,6 +79,12 @@
    ([Mc_io.Parse.name_set]) costs about half a millisecond per set
    there, about 5 s in all.
 
+   It bounds what [Csr.of_edge_iter] allocates building the chordal62
+   instance's adjacency from its edge stream, buffered first so the
+   window holds the build alone: the [row] and [col] it returns and
+   one n-word cursor. Compacting the deduplicated rows into a second
+   row array costs n words more, and fails the bound.
+
    It bounds what the file front end allocates per input byte: the
    chordal62 instance written as [minconn generate] writes it, then
    read back by [Mc_io.Parse.bigraph_of_string]. A token is an offset
@@ -107,8 +113,9 @@ let max_chordal62_query_words = 600
 
 let max_resolve_s = 0.05
 
-(* Measured at 0.55 words per input byte: the names, one int per edge
-   and the CSR arrays. The list tokenizer it replaced allocated 5.20
+(* Measured at 0.51 words per input byte: the names, one int per edge
+   and the CSR arrays (0.55 while the CSR build compacted its rows into
+   a second row array). The list tokenizer it replaced allocated 5.20
    on the same text. *)
 let max_parse_words_per_byte = 2.0
 
@@ -136,6 +143,32 @@ let parse_words_per_byte inst =
   | _ ->
     prerr_endline "scale_check: the chordal62 text does not read back";
     exit 1
+
+(* [Csr.of_edge_iter] allocates its [row] and [col] results and one
+   [cursor] array of n words, and compacts the deduplicated rows in
+   place over [row]: measured at 2.00 words per (n + m) on the
+   chordal62 stream (n = 100,000, m = 114,376), where a separate
+   [out_row] of n + 1 words for the compacted rows made it 2.47. *)
+let max_csr_build_words_per_size = 2.25
+
+(* Words per (n + m) that [Csr.of_edge_iter] allocates building the
+   instance's adjacency from its edge stream. The stream is buffered in
+   a [Csr.Builder] first, so the window holds the build alone: its
+   replay of the buffer allocates nothing per edge. *)
+let csr_build_words_per_size inst =
+  let nl = Workloads.Gen_scale.nl inst in
+  let b =
+    Graphs.Csr.Builder.create ~hint:(Workloads.Gen_scale.m inst)
+      (Workloads.Gen_scale.n inst)
+  in
+  Workloads.Gen_scale.iter_edges inst (fun i j ->
+      Graphs.Csr.Builder.add_edge b i (nl + j));
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let csr = Graphs.Csr.Builder.build b in
+  (Gc.allocated_bytes () -. before)
+  /. float_of_int (Sys.word_size / 8)
+  /. float_of_int (Graphs.Csr.n csr + Graphs.Csr.m csr)
 
 (* Measured at 3.8 words per (n + m) for each delta of the pair (one
    CSR rebuild plus the plan's per-node arrays); a round trip through
@@ -622,6 +655,14 @@ let () =
       parse_words max_parse_words_per_byte;
     exit 1
   end;
+  let build_words = csr_build_words_per_size inst in
+  if build_words > max_csr_build_words_per_size then begin
+    Printf.eprintf
+      "scale_check: building the chordal62 CSR from its edge stream \
+       allocated %.2f words per (n + m) (bound %.2f)\n"
+      build_words max_csr_build_words_per_size;
+    exit 1
+  end;
   let resolve_s = resolve_s inst in
   if resolve_s > max_resolve_s then begin
     Printf.eprintf
@@ -673,6 +714,9 @@ let () =
   Printf.fprintf oc
     "chordal62 parse allocation: %.2f words per byte (bound %.0f)\n"
     parse_words max_parse_words_per_byte;
+  Printf.fprintf oc
+    "chordal62 CSR build allocation: %.2f words per (n + m) (bound %.2f)\n"
+    build_words max_csr_build_words_per_size;
   Printf.fprintf oc
     "name resolution: 10^4 sets against %d names in %.4fs (bound %.2fs)\n"
     (Workloads.Gen_scale.n inst) resolve_s max_resolve_s;

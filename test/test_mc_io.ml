@@ -490,6 +490,44 @@ let prop_resolve_equals_name_set =
           | Ok _, Error _ | Error _, Ok _ -> false)
         (List.init 8 Fun.id))
 
+(* The index the loader returns with the graph against [index] of the
+   graph it returns. The text repeats [left]/[right] lines at random
+   points and lists some edges twice; queries mix both sides' names
+   with unknown ones, repeats and []. Both must agree on the set and
+   on the first unknown name. *)
+let prop_loader_index_equals_index =
+  QCheck2.Test.make ~count:300
+    ~name:"indexed_bigraph_of_string's index = index of its graph" family_gen
+    (fun (nb, seed) ->
+      let rng = Workloads.Rng.make ~seed in
+      match
+        Mc_io.Parse.indexed_bigraph_of_string (scrambled_text rng nb)
+      with
+      | Error _ -> false
+      | Ok (loaded, ix) ->
+        let fresh = Mc_io.Parse.index loaded in
+        let pool =
+          Array.concat
+            [
+              loaded.left_names;
+              loaded.right_names;
+              [| "zz"; "a999"; "r-1"; ""; "left"; "edge" |];
+            ]
+        in
+        List.for_all
+          (fun _ ->
+            let query =
+              List.init (Workloads.Rng.int rng 6) (fun _ ->
+                  Workloads.Rng.pick_array rng pool)
+            in
+            match
+              (Mc_io.Parse.resolve ix query, Mc_io.Parse.resolve fresh query)
+            with
+            | Ok a, Ok b -> Iset.equal a b
+            | Error a, Error b -> a = b
+            | Ok _, Error _ | Error _, Ok _ -> false)
+          (List.init 8 Fun.id))
+
 let qcheck_cases =
   [
     prop_resolve_equals_name_set;
@@ -500,6 +538,7 @@ let qcheck_cases =
       ~name:"repeated name lines, duplicate and shuffled edges" family_gen
       (fun (nb, seed) ->
         reads_back_as nb (scrambled_text (Workloads.Rng.make ~seed) nb));
+    prop_loader_index_equals_index;
   ]
 
 let () =

@@ -99,6 +99,29 @@ let test_long_row () =
   check "hub multiset matches set-based build" true (csr_matches_sets n edges);
   check_int "hub degree" (n - 1) (Csr.degree (Csr.of_edges ~n edges) 0)
 
+(* [of_edge_iter] replays its stream; a stream whose second pass yields
+   other edges than its first must raise, whether the change moves one
+   edge's endpoint (two rows' counts change), drops edges (several rows
+   fall short) or adds one (the last row overflows [col]). *)
+let test_stream_change () =
+  let n = 6 in
+  let first = [ (0, 1); (0, 2); (1, 3); (3, 4); (4, 5) ] in
+  let raises second =
+    let pass = ref 0 in
+    match
+      Csr.of_edge_iter ~n (fun f ->
+          incr pass;
+          List.iter (fun (u, v) -> f u v) (if !pass = 1 then first else second))
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "one endpoint moved" true
+    (raises [ (0, 1); (0, 3); (1, 3); (3, 4); (4, 5) ]);
+  check "edges dropped" true (raises [ (0, 1); (0, 2) ]);
+  check "edge added" true (raises (first @ [ (4, 5) ]));
+  check "an identical replay builds" false (raises first)
+
 (* Bigraph construction paths agree all the way to the schema hash:
    the same edges in any insertion order hash alike, and one more left
    node or one edge fewer hashes differently. *)
@@ -278,7 +301,11 @@ let () =
   Alcotest.run "scale"
     [
       ( "csr",
-        [ Alcotest.test_case "long-row sort fallback" `Quick test_long_row ] );
+        [
+          Alcotest.test_case "long-row sort fallback" `Quick test_long_row;
+          Alcotest.test_case "stream change between passes raises" `Quick
+            test_stream_change;
+        ] );
       ( "gen-scale",
         [
           Alcotest.test_case "family classes" `Quick test_family_classes;
