@@ -823,7 +823,7 @@ let time_mean ~trials f =
 
 (* Shared bench envelope (schema minconn-bench/2): every BENCH_*.json
    written by this harness is
-     {schema, section, commit, trials, max_n,
+     {schema, section, commit, trials, max_n, probe_s,
       entries: [{name, ns_per_op, ...extras}]}
    so one validator covers all trajectory files and downstream tooling
    parses them uniformly.  The commit id is the actual checkout at
@@ -833,6 +833,29 @@ let time_mean ~trials f =
    runs on one domain. *)
 
 let bench_schema = "minconn-bench/2"
+
+(* The reference probe: a fixed computation on the OCaml standard
+   library alone (name formatting, string hashing, table lookups and a
+   sort over a few MB, the mix of the program's front end and engine),
+   timed once as a file is written and stored beside its rows as
+   [probe_s]. It calls nothing in lib/, so no change to the program
+   moves it: two files' times compare across hosts and host phases in
+   units of their probes. *)
+let reference_probe_s () =
+  let n = 1 lsl 15 in
+  let t0 = Unix.gettimeofday () in
+  let names = Hashtbl.create 1024 in
+  for i = 0 to n - 1 do
+    Hashtbl.replace names (Printf.sprintf "a%d" (i * 7919 land (n - 1))) i
+  done;
+  let keys = Array.init (4 * n) (fun i -> Hashtbl.hash (i * 2654435761)) in
+  Array.sort compare keys;
+  let sum = ref keys.(0) in
+  for i = 0 to n - 1 do
+    sum := !sum + Hashtbl.find names (Printf.sprintf "a%d" i)
+  done;
+  ignore (Sys.opaque_identity !sum);
+  Unix.gettimeofday () -. t0
 
 let git_commit () =
   match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
@@ -866,6 +889,7 @@ let bench_json ~section ~trials ~max_n entries =
   Printf.bprintf b "  \"commit\": \"%s\",\n"
     (Observe.Json.escape (commit_id ()));
   Printf.bprintf b "  \"domains\": 1,\n";
+  Printf.bprintf b "  \"probe_s\": %.6f,\n" (reference_probe_s ());
   Printf.bprintf b "  \"trials\": %d,\n  \"max_n\": %d,\n  \"entries\": [\n"
     trials max_n;
   let last = List.length entries - 1 in
@@ -895,6 +919,12 @@ let validate_bench_json path =
     match (str "schema", str "section", str "commit", J.member "entries" j) with
     | Some s, _, _, _ when s <> bench_schema -> Error ("unexpected schema: " ^ s)
     | _, _, Some "", _ -> Error "empty commit id"
+    | _ when
+        not
+          (match J.member "probe_s" j with
+          | Some (J.Jnum p) -> p > 0.0
+          | _ -> false) ->
+      Error "missing or invalid probe_s field"
     | Some _, Some sec, Some _, Some (J.Jarr entries) when entries <> [] -> (
       match J.member "domains" j with
       | Some (J.Jnum d) when d >= 1.0 && Float.is_integer d ->
@@ -1728,8 +1758,11 @@ let serve_section ~trials ~max_n ~json_path () =
    at most 0.2x the full recompile once the schema is big enough
    (n >= 100). The batch axis then sweeps k up to B to locate the
    crossover where patching stops paying and recompiling from scratch
-   wins; each row records its batch size and measured recompiled
-   count so the trajectory file carries the whole curve. *)
+   wins. Both sides of each batch time the k graph edits: the patch row
+   inside [apply_deltas], the recompile row as [Delta.apply_all]
+   before [compile]. Each row records its batch size and the
+   components it rebuilt (for a recompile, all of them), so the
+   trajectory file carries the whole curve. *)
 
 let evolve_union gen ~blocks =
   let edges = ref [] and picks = ref [] in
@@ -1749,7 +1782,7 @@ let evolve_union gen ~blocks =
 
 let evolve_section ~trials ~max_n ~json_path () =
   header "evolve: delta patch vs recompile-from-scratch (ms)";
-  Printf.printf "%-12s %-10s %6s %8s %6s %12s\n" "section" "impl" "|V|" "|E|"
+  Printf.printf "%-12s %-13s %6s %8s %6s %12s\n" "section" "impl" "|V|" "|E|"
     "batch" "mean ms";
   let rows = ref [] in
   let singles = ref [] in
@@ -1763,7 +1796,7 @@ let evolve_section ~trials ~max_n ~json_path () =
     let n = Bigraph.n g and m = Bigraph.m g in
     let compiled = Minconn.Compiled.compile g in
     let row ~impl ~batch ~recompiled ms =
-      Printf.printf "%-12s %-10s %6d %8d %6d %12.4f\n%!" section impl n m
+      Printf.printf "%-12s %-13s %6d %8d %6d %12.4f\n%!" section impl n m
         batch ms;
       let name, ns, extras = timed_entry ~section ~impl ~n ~m ~ms in
       rows :=
@@ -1779,21 +1812,6 @@ let evolve_section ~trials ~max_n ~json_path () =
                 ] );
           ]
     in
-    (* Recompile baseline: the evolved schema built from scratch, the
-       cost every delta batch is competing against. *)
-    let target =
-      match
-        Minconn.Delta.apply_all g
-          (List.map (fun (i, j) -> Minconn.Delta.Remove_edge (i, j)) picks)
-      with
-      | Ok g' -> g'
-      | Error msg -> failwith ("evolve apply_all: " ^ msg)
-    in
-    let t_full =
-      time_mean ~trials (fun () ->
-          ignore (Sys.opaque_identity (Minconn.Compiled.compile target)))
-    in
-    row ~impl:"recompile" ~batch:blocks ~recompiled:blocks t_full;
     let crossover = ref None in
     let rec batches k = if k >= blocks then [ blocks ] else k :: batches (2 * k) in
     List.iter
@@ -1802,6 +1820,22 @@ let evolve_section ~trials ~max_n ~json_path () =
           List.filteri (fun i _ -> i < k) picks
           |> List.map (fun (i, j) -> Minconn.Delta.Remove_edge (i, j))
         in
+        (* The recompile baseline for the same batch: the k edits applied
+           to the graph, then the evolved schema compiled from scratch.
+           The patch row pays the same edits inside [apply_deltas], so
+           the two rows time like with like. *)
+        let recompile () =
+          match Minconn.Delta.apply_all g ops with
+          | Ok g' -> Minconn.Compiled.compile g'
+          | Error msg -> failwith ("evolve apply_all: " ^ msg)
+        in
+        let t_full =
+          time_mean ~trials (fun () ->
+              ignore (Sys.opaque_identity (recompile ())))
+        in
+        row ~impl:(Printf.sprintf "recompile-k%d" k) ~batch:k
+          ~recompiled:(Minconn.Compiled.n_components (recompile ()))
+          t_full;
         let _, stats = ok_apply compiled ops in
         let recompiled =
           List.length

@@ -391,7 +391,7 @@ let solve_cmd =
 (* -------------------------------------------------------------- evolve *)
 
 let load_deltas ~names nb path =
-  match Mc_io.Parse.deltas_of_string ~names nb (read_file path) with
+  match Mc_io.Parse.delta_steps_of_string ~names nb (read_file path) with
   | Ok v -> v
   | Error e ->
     prerr_endline (Format.asprintf "%s: %a" path Mc_io.Parse.pp_error e);
@@ -407,33 +407,26 @@ let evolve_cmd =
     one_shot ();
     let trace, _, write_trace = observability trace_file in
     let nb, names = or_die (load_bigraph ~trace path) in
-    let ops, evolved = load_deltas ~names nb dfile in
+    let steps, evolved, evolved_names = load_deltas ~names nb dfile in
     let base = Minconn.Compiled.compile ~trace nb.Mc_io.Parse.graph in
-    let compiled =
-      match Minconn.Compiled.apply_deltas ~trace base ops with
-      | Error msg ->
-        (* Unreachable: the parser already applied every op. *)
-        Printf.eprintf "minconn: error=bad-delta msg=%s\n" msg;
-        exit exit_input_error
-      | Ok (compiled, stats) ->
-        List.iter
-          (fun (s : Minconn.Compiled.delta_stats) ->
-            Printf.eprintf
-              "minconn: delta='%s' noop=%b fallback=%b recompiled=%d \
-               reused=%d\n"
-              (Minconn.Delta.to_string s.Minconn.Compiled.op)
-              s.Minconn.Compiled.noop s.Minconn.Compiled.fallback
-              (List.length s.Minconn.Compiled.recompiled)
-              s.Minconn.Compiled.reused)
-          stats;
-        compiled
-    in
-    Printf.eprintf "minconn: deltas=%d components=%d\n%!" (List.length ops)
+    (* The parser applied each op once, to validate it: the plan is
+       patched around the graphs it produced, with no op applied again
+       and no error left to report. *)
+    let compiled, stats = Minconn.Compiled.patch_all ~trace base steps in
+    List.iter
+      (fun (s : Minconn.Compiled.delta_stats) ->
+        Printf.eprintf
+          "minconn: delta='%s' noop=%b fallback=%b recompiled=%d reused=%d\n"
+          (Minconn.Delta.to_string s.Minconn.Compiled.op)
+          s.Minconn.Compiled.noop s.Minconn.Compiled.fallback
+          (List.length s.Minconn.Compiled.recompiled)
+          s.Minconn.Compiled.reused)
+      stats;
+    Printf.eprintf "minconn: deltas=%d components=%d\n%!" (List.length steps)
       (Minconn.Compiled.n_components compiled);
     match queries_file with
     | Some qpath ->
-      run_batch ~compiled evolved
-        ~names:(Mc_io.Parse.reindex names evolved)
+      run_batch ~compiled evolved ~names:evolved_names
         ~queries:(parse_queries_file qpath)
         ~timeout_ms:None ~fuel:None ~no_degrade:false ~trace
         ~metrics:Observe.Metrics.disabled ~flush_observability:write_trace
@@ -892,8 +885,8 @@ let serve_cmd =
       match deltas_file with
       | None -> (base, base_names)
       | Some dfile ->
-        let _, evolved = load_deltas ~names:base_names base dfile in
-        (evolved, Mc_io.Parse.reindex base_names evolved)
+        let _, evolved, names = load_deltas ~names:base_names base dfile in
+        (evolved, names)
     in
     let config =
       {

@@ -60,8 +60,8 @@ let n g = g.nl + g.nr
 let m g = Csr.m g.csr
 
 (* One visitor closure for the whole sweep rather than one per row:
-   the edits below stream every edge through here twice, and a
-   per-row closure would allocate in proportion to [nl] each time. *)
+   [edges] and [flip] stream every edge through here, and a per-row
+   closure would allocate in proportion to [nl] each time. *)
 let iter_edges g f =
   let i = ref 0 in
   let visit v = f !i (v - g.nl) in
@@ -70,48 +70,36 @@ let iter_edges g f =
     Csr.iter_neighbors g.csr r visit
   done
 
-(* The four edits share this O(n + m) rebuild straight into a fresh
-   CSR: each edge (i, j) of [g] streams through [right], which returns
-   its right index in the result or -1 to drop it, followed by the
-   [extra] (left, right) pairs. *)
-let rebuild g ~nr ~right ~extra =
-  let nl = g.nl in
-  let csr =
-    Csr.of_edge_iter ~n:(nl + nr) (fun f ->
-        iter_edges g (fun i j ->
-            let j' = right i j in
-            if j' >= 0 then f i (nl + j'));
-        List.iter (fun (i, j) -> f i (nl + j)) extra)
-  in
-  { nl; nr; csr }
+(* The four edits share one CSR splice: the rows they touch are merged
+   and the rest of the schema is copied as it stands, never re-sorted.
+   Pairs are (left, underlying right). *)
+let splice ?drop g ~nr ~add ~remove =
+  { g with nr; csr = Csr.splice ?drop g.csr ~n:(g.nl + nr) ~add ~remove }
 
 let add_edge g i j =
   check_left g i;
   check_right g j;
-  rebuild g ~nr:g.nr ~right:(fun _ j' -> j') ~extra:[ (i, j) ]
+  splice g ~nr:g.nr ~add:[ (i, g.nl + j) ] ~remove:[]
 
 let remove_edge g i j =
   check_left g i;
   check_right g j;
-  rebuild g ~nr:g.nr
-    ~right:(fun i' j' -> if i' = i && j' = j then -1 else j')
-    ~extra:[]
+  splice g ~nr:g.nr ~add:[] ~remove:[ (i, g.nl + j) ]
 
 let add_relation g attrs =
   Iset.iter (fun i -> check_left g i) attrs;
   (* Rights live at the top of the index space, so a fresh relation
      appends at underlying index [nl + nr]: no existing index moves. *)
-  rebuild g ~nr:(g.nr + 1)
-    ~right:(fun _ j' -> j')
-    ~extra:(List.map (fun i -> (i, g.nr)) (Iset.elements attrs))
+  let v = n g in
+  splice g ~nr:(g.nr + 1)
+    ~add:(Iset.fold (fun i acc -> (i, v) :: acc) attrs [])
+    ~remove:[]
 
 let remove_relation g j =
   check_right g j;
   (* Right indices above [j] shift down by one; for the last relation
-     ([j = nr - 1]) the remap is the identity. *)
-  rebuild g ~nr:(g.nr - 1)
-    ~right:(fun _ j' -> if j' = j then -1 else if j' > j then j' - 1 else j')
-    ~extra:[]
+     ([j = nr - 1]) nothing shifts. *)
+  splice ~drop:(g.nl + j) g ~nr:(g.nr - 1) ~add:[] ~remove:[]
 
 let index g = function
   | L i ->

@@ -46,7 +46,8 @@ val of_bipartite_ugraph : nl:int -> Ugraph.t -> t
 
 val add_edge : t -> int -> int -> t
 (** [add_edge g i j] connects left [i] and right [j]. Like every edit
-    below, it rebuilds the CSR in O(n + m). *)
+    below, it is one {!Graphs.Csr.splice} of the CSR: the touched rows
+    are merged, the others copied by runs and never re-sorted. *)
 
 val remove_edge : t -> int -> int -> t
 (** [remove_edge g i j] disconnects left [i] and right [j]; the result
@@ -55,13 +56,13 @@ val remove_edge : t -> int -> int -> t
 val add_relation : t -> Iset.t -> t
 (** [add_relation g attrs] appends a fresh right node connected to the
     given left indices. The new relation gets right index [nr g]
-    (underlying index [n g]); no existing index moves. O(n + m). *)
+    (underlying index [n g]); no existing index moves. *)
 
 val remove_relation : t -> int -> t
 (** [remove_relation g j] deletes right node [j] and its incident
     edges. Right indices above [j] (and their underlying indices)
     shift down by one; removing the last relation ([j = nr - 1])
-    leaves every surviving index unchanged. O(n + m). *)
+    leaves every surviving index unchanged. *)
 
 val induced : t -> Iset.t -> t * int array
 (** [induced g w] materialises the sub-bigraph induced by a set of

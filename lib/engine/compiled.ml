@@ -91,36 +91,73 @@ let compile ?(trace = Observe.Trace.disabled)
 
 (* ------------------------------------------------ delta application *)
 
-(* Rebuild the plan around a mix of reused and fresh, unclassified
-   components. A reused component keeps its memo cell, shared with the
-   old plan: its slice is the same in both graphs. The array is
-   renormalised to the order a fresh compile would produce —
-   [Traverse.component_ids] lists components by ascending minimum
-   element — so a patched plan and a from-scratch plan agree component
-   index for component index. *)
-let replan ~metrics graph ~kept ~rebuilt_sets =
+(* Rebuild the plan around the kept components of [t] (all but the
+   ascending old indices [dirty]) and fresh, unclassified ones. A kept
+   component keeps its memo cell, shared with the old plan: its slice
+   is the same in both graphs. The array comes out in the order a fresh
+   compile produces — ascending minimum element, as
+   [Traverse.component_ids] numbers components — so a patched plan and
+   a from-scratch plan agree component index for component index. The
+   kept components are in that order already and keep their minima, so
+   the few rebuilt ones are sorted and merged in at positions found by
+   binary search; [comp_id] is then one flat relabel of the old array,
+   with the rebuilt components' nodes written over it. *)
+let replan ~metrics t graph ~dirty ~rebuilt_sets =
+  let old = t.components in
   let rebuilt = Array.map component rebuilt_sets in
-  let components =
-    Array.append (Array.of_list kept) rebuilt
+  let min_of c = Iset.min_elt c.nodes in
+  Array.sort (fun a b -> compare (min_of a) (min_of b)) rebuilt;
+  (* Old components before a rebuilt one: those with a smaller
+     minimum, a prefix of [old]. *)
+  let before c =
+    let x = min_of c in
+    let lo = ref 0 and hi = ref (Array.length old) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if min_of old.(mid) < x then lo := mid + 1 else hi := mid
+    done;
+    !lo
   in
-  Array.sort
-    (fun a b -> compare (Iset.min_elt a.nodes) (Iset.min_elt b.nodes))
-    components;
-  let n = Bigraph.n graph in
-  let comp_id = Array.make n (-1) in
-  Array.iteri
-    (fun k c -> Iset.iter (fun v -> comp_id.(v) <- k) c.nodes)
-    components;
-  let recompiled = ref [] in
-  Array.iteri
-    (fun k c ->
-      if Array.exists (fun r -> r == c) rebuilt then
-        recompiled := k :: !recompiled)
-    components;
+  let total = Array.length old - Array.length dirty + Array.length rebuilt in
+  let components =
+    if total = 0 then [||]
+    else Array.make total (if rebuilt = [||] then old.(0) else rebuilt.(0))
+  in
+  let remap = Array.make (Array.length old) (-1) in
+  let w = ref 0 and k = ref 0 and di = ref 0 in
+  let keep_until p =
+    while !k < p do
+      if !di < Array.length dirty && dirty.(!di) = !k then incr di
+      else begin
+        components.(!w) <- old.(!k);
+        remap.(!k) <- !w;
+        incr w
+      end;
+      incr k
+    done
+  in
+  let recompiled =
+    Array.map
+      (fun c ->
+        keep_until (before c);
+        components.(!w) <- c;
+        incr w;
+        !w - 1)
+      rebuilt
+  in
+  keep_until (Array.length old);
+  let n_old = Array.length t.comp_id in
+  let comp_id =
+    Array.init (Bigraph.n graph) (fun v ->
+        if v < n_old then remap.(t.comp_id.(v)) else -1)
+  in
+  Array.iter
+    (fun k -> Iset.iter (fun v -> comp_id.(v) <- k) components.(k).nodes)
+    recompiled;
   Observe.Metrics.incr
     ~by:(Array.length rebuilt)
     (Observe.Metrics.counter metrics "engine.delta.recompiled_components");
-  ({ graph; comp_id; components }, List.rev !recompiled)
+  ({ graph; comp_id; components }, Array.to_list recompiled)
 
 (* The connected components of [g]'s subgraph induced by [nodes], in
    [g]'s indices: one layout of the slice, so a deletion costs the
@@ -130,25 +167,26 @@ let split g nodes =
   let cs = Csr.components (Bigraph.csr sub) in
   List.init (Csr.n_components cs) (node_set ~id:(fun v -> ids.(v)) cs)
 
-let apply_delta ?(trace = Observe.Trace.disabled)
-    ?(metrics = Observe.Metrics.disabled) t op =
-  match Delta.apply t.graph op with
-  | Error msg -> Error msg
-  | Ok g' when g' == t.graph ->
+(* The plan half of a delta: [g'] is [Delta.apply t.graph op]'s
+   result, already computed by the caller, and becomes the new plan's
+   graph as it is. *)
+let patch ?(trace = Observe.Trace.disabled)
+    ?(metrics = Observe.Metrics.disabled) t op g' =
+  if g' == t.graph then begin
     (* Physically unchanged graph: the delta was a no-op (re-adding a
        present edge, removing an absent one) and must not dirty any
        component — the plan itself is returned untouched. *)
     Observe.Metrics.incr (Observe.Metrics.counter metrics "engine.delta.noops");
-    Ok
-      ( t,
-        {
-          op;
-          noop = true;
-          fallback = false;
-          recompiled = [];
-          reused = Array.length t.components;
-        } )
-  | Ok g' ->
+    ( t,
+      {
+        op;
+        noop = true;
+        fallback = false;
+        recompiled = [];
+        reused = Array.length t.components;
+      } )
+  end
+  else
     Observe.Trace.span trace "apply_delta"
       ~attrs:[ ("op", Observe.Trace.Str (Delta.to_string op)) ]
     @@ fun () ->
@@ -170,15 +208,14 @@ let apply_delta ?(trace = Observe.Trace.disabled)
         (Observe.Metrics.counter metrics "engine.delta.fallbacks");
       Observe.Trace.add_attr trace "fallback" (Observe.Trace.Bool true);
       let c = compile ~trace ~metrics g' in
-      Ok
-        ( c,
-          {
-            op;
-            noop = false;
-            fallback = true;
-            recompiled = List.init (Array.length c.components) Fun.id;
-            reused = 0;
-          } )
+      ( c,
+        {
+          op;
+          noop = false;
+          fallback = true;
+          recompiled = List.init (Array.length c.components) Fun.id;
+          reused = 0;
+        } )
     end
     else begin
       (* Which old components does the edit touch, and what node sets
@@ -216,28 +253,38 @@ let apply_delta ?(trace = Observe.Trace.disabled)
           let rest = Iset.remove v t.components.(a).nodes in
           ([ a ], split g' rest)
       in
-      let kept = ref [] in
-      Array.iteri
-        (fun k c -> if not (List.mem k dirty) then kept := c :: !kept)
-        t.components;
       let t', recompiled =
-        replan ~metrics g' ~kept:!kept
+        replan ~metrics t g'
+          ~dirty:(Array.of_list (List.sort_uniq compare dirty))
           ~rebuilt_sets:(Array.of_list rebuilt_sets)
       in
       Observe.Trace.add_attr trace "recompiled"
         (Observe.Trace.Int (List.length recompiled));
       Observe.Trace.add_attr trace "reused"
         (Observe.Trace.Int (total - List.length dirty));
-      Ok
-        ( t',
-          {
-            op;
-            noop = false;
-            fallback = false;
-            recompiled;
-            reused = total - List.length dirty;
-          } )
+      ( t',
+        {
+          op;
+          noop = false;
+          fallback = false;
+          recompiled;
+          reused = total - List.length dirty;
+        } )
     end
+
+let patch_all ?trace ?metrics t steps =
+  let t, stats =
+    List.fold_left
+      (fun (t, acc) (op, g') ->
+        let t', s = patch ?trace ?metrics t op g' in
+        (t', s :: acc))
+      (t, []) steps
+  in
+  (t, List.rev stats)
+
+let apply_delta ?trace ?metrics t op =
+  Result.map (patch ?trace ?metrics t op) (Delta.apply t.graph op)
+
 
 let apply_deltas ?trace ?metrics t ops =
   let rec go t acc k = function

@@ -116,17 +116,44 @@ type delta_stats = {
   reused : int;  (** components of the old plan reused verbatim *)
 }
 
+val patch :
+  ?trace:Observe.Trace.t ->
+  ?metrics:Observe.Metrics.t ->
+  t ->
+  Delta.op ->
+  Bigraph.t ->
+  t * delta_stats
+(** [patch t op g'] is the plan half of a delta: [g'] must be
+    [Delta.apply (graph t) op]'s result, which a caller that already
+    applied the op (the delta-file parser does, to validate each line)
+    passes on instead of applying it again. [g'] becomes the new
+    plan's {!graph} as it is; [g' == graph t] is the no-op and returns
+    [t]. The kept components are merged with the rebuilt ones in
+    component order and [comp_id] is relabelled in one flat pass; an
+    interior relation removal compiles [g'] afresh. Records an
+    ["apply_delta"] span (op, recompiled, reused, fallback attrs) and
+    bumps [engine.delta.applied] / [engine.delta.noops] /
+    [engine.delta.fallbacks] / [engine.delta.recompiled_components]. *)
+
+val patch_all :
+  ?trace:Observe.Trace.t ->
+  ?metrics:Observe.Metrics.t ->
+  t ->
+  (Delta.op * Bigraph.t) list ->
+  t * delta_stats list
+(** Left fold of {!patch} over each op paired with the graph it
+    produced, as [Mc_io.Parse.delta_steps_of_string] returns them:
+    the resulting plan's graph is the last step's, physically. *)
+
 val apply_delta :
   ?trace:Observe.Trace.t ->
   ?metrics:Observe.Metrics.t ->
   t ->
   Delta.op ->
   (t * delta_stats, string) result
-(** Apply one schema delta to the plan. [Error] only on index
-    validation failure (the plan is unchanged). Records an
-    ["apply_delta"] span (op, recompiled, reused, fallback attrs) and
-    bumps [engine.delta.applied] / [engine.delta.noops] /
-    [engine.delta.fallbacks] / [engine.delta.recompiled_components]. *)
+(** Apply one schema delta to the plan: [Delta.apply] on its graph,
+    then {!patch}. [Error] only on index validation failure (the plan
+    is unchanged). *)
 
 val apply_deltas :
   ?trace:Observe.Trace.t ->

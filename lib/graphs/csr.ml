@@ -143,6 +143,132 @@ let of_edge_iter ~n iter =
 let of_edges ~n edges =
   of_edge_iter ~n (fun f -> List.iter (fun (u, v) -> f u v) edges)
 
+(* The edit kernel: the result is spliced from [t]'s arrays, never
+   rebuilt. Only the rows an edit touches — the endpoints of the added
+   and removed pairs and the neighbours of the dropped node — are
+   merged afresh. Every other row keeps its sorted contents, so each
+   run of untouched rows is copied with one [Array.blit] (entries above
+   an interior [drop] are then shifted down by one), and its offsets
+   are the old ones plus a constant. Nothing is sorted but the edit
+   pairs. *)
+let splice ?drop t ~n ~add ~remove =
+  let d =
+    match drop with
+    | None -> t.n
+    | Some d ->
+      if d < 0 || d >= t.n then invalid_arg "Csr.splice: drop out of range";
+      d
+  in
+  let kept = if d < t.n then t.n - 1 else t.n in
+  if n < kept then invalid_arg "Csr.splice: fewer nodes than survive";
+  (* Result row [u < kept] is old row [src u]; an old entry [v <> d]
+     becomes [map v]. *)
+  let src u = if u < d then u else u + 1 in
+  let map v = if v > d then v - 1 else v in
+  (* Directed edits (row, column, added) in the result's indices,
+     sorted by row, then column. *)
+  let edits = ref [] in
+  let push added (u, v) =
+    check_edge n u v;
+    edits := (u, v, added) :: (v, u, added) :: !edits
+  in
+  List.iter (push false) remove;
+  List.iter (push true) add;
+  let edits = Array.of_list !edits in
+  Array.sort compare edits;
+  let touched = ref [] in
+  Array.iter (fun (u, _, _) -> touched := u :: !touched) edits;
+  if d < t.n then
+    for x = t.row.(d) to t.row.(d + 1) - 1 do
+      touched := map t.col.(x) :: !touched
+    done;
+  let touched = Array.of_list (List.sort_uniq compare !touched) in
+  (* Touched row [u]: its surviving old entries, renumbered, less the
+     removed columns, merged with the added ones (an add wins over a
+     remove of the same pair). [next] walks [edits] row by row. *)
+  let next = ref 0 in
+  let merged u =
+    let adds = ref [] and removes = ref [] in
+    while
+      !next < Array.length edits && (let r, _, _ = edits.(!next) in r = u)
+    do
+      (let _, c, added = edits.(!next) in
+       if added then adds := c :: !adds else removes := c :: !removes);
+      incr next
+    done;
+    let adds = Array.of_list (List.rev !adds)
+    and removes = Array.of_list (List.rev !removes) in
+    let s, e = if u < kept then (t.row.(src u), t.row.(src u + 1)) else (0, 0) in
+    let out = Array.make (e - s + Array.length adds) 0 and w = ref 0 in
+    let emit v =
+      if !w = 0 || out.(!w - 1) <> v then begin
+        out.(!w) <- v;
+        incr w
+      end
+    in
+    let i = ref s and j = ref 0 and k = ref 0 in
+    while !i < e || !j < Array.length adds do
+      if !i < e && t.col.(!i) = d then incr i
+      else if !j < Array.length adds && (!i >= e || adds.(!j) <= map t.col.(!i))
+      then begin
+        emit adds.(!j);
+        incr j
+      end
+      else begin
+        let v = map t.col.(!i) in
+        incr i;
+        while !k < Array.length removes && removes.(!k) < v do
+          incr k
+        done;
+        if not (!k < Array.length removes && removes.(!k) = v) then emit v
+      end
+    done;
+    if !w = Array.length out then out else Array.sub out 0 !w
+  in
+  let rows = Array.map merged touched in
+  (* Offsets first, recording the copy of each run as it is laid out;
+     then the columns. *)
+  let row = Array.make (n + 1) 0 in
+  let runs = ref [] in
+  let k = ref 0 and u = ref 0 in
+  while !u < n do
+    if !k < Array.length touched && touched.(!k) = !u then begin
+      row.(!u + 1) <- row.(!u) + Array.length rows.(!k);
+      runs := `Row (!k, row.(!u)) :: !runs;
+      incr k;
+      incr u
+    end
+    else if !u >= kept then begin
+      row.(!u + 1) <- row.(!u);
+      incr u
+    end
+    else begin
+      (* The untouched rows [u, stop) have consecutive old rows. *)
+      let stop = if !k < Array.length touched then touched.(!k) else n in
+      let stop = min stop kept in
+      let stop = if !u < d then min stop d else stop in
+      let c = src !u - !u in
+      let shift = row.(!u) - t.row.(!u + c) in
+      for x = !u + 1 to stop do
+        row.(x) <- t.row.(x + c) + shift
+      done;
+      runs := `Run (t.row.(src !u), row.(!u), row.(stop) - row.(!u)) :: !runs;
+      u := stop
+    end
+  done;
+  let col = Array.make row.(n) 0 in
+  List.iter
+    (function
+      | `Row (k, at) -> Array.blit rows.(k) 0 col at (Array.length rows.(k))
+      | `Run (from, at, len) ->
+        Array.blit t.col from col at len;
+        if d < t.n - 1 then
+          for x = at to at + len - 1 do
+            if col.(x) > d then col.(x) <- col.(x) - 1
+          done)
+    !runs;
+  { n; m = row.(n) / 2; row; col }
+
 let local_index ids v =
   let rec search lo hi =
     if lo >= hi then raise Not_found

@@ -29,6 +29,22 @@ val of_edges : n:int -> (int * int) list -> t
 (** [of_edge_iter] over a concrete list. Same tolerance for duplicates
     and ordering as {!of_edge_iter}. *)
 
+val splice :
+  ?drop:int -> t -> n:int -> add:(int * int) list -> remove:(int * int) list -> t
+(** [splice ?drop t ~n ~add ~remove] edits [t] into a graph on [n]
+    nodes: node [drop], when given, goes with its edges and every index
+    above it shifts down by one; nodes past the survivors start
+    isolated; then the pairs of [remove] are deleted and those of [add]
+    inserted, both in the result's indices. Removing an absent edge or
+    adding a present one changes nothing, and a pair in both lists ends
+    present. The result is canonical (it {!equal}s {!of_edges} of the
+    same edge set), but it is spliced, not rebuilt: the rows the edit
+    touches are merged, every other run of rows is copied with one
+    [Array.blit] and never re-sorted. It allocates the returned arrays
+    and the touched rows. Raises [Invalid_argument] on an out-of-range
+    [drop], [n] below the surviving node count, or a pair that is a
+    self-loop or out of range. *)
+
 val induced : t -> int array -> t
 (** [induced t ids] is the subgraph induced by the nodes of the
     ascending array [ids], with node [ids.(i)] renumbered [i]. One pass

@@ -133,7 +133,10 @@ val reindex : name_index -> named_bigraph -> name_index
     name array is physically [nb]'s. A schema evolved by
     {!deltas_of_string} shares its left array with its parent (and
     both arrays after edge-only deltas), so a delta rebuilds at most
-    the right side's table. *)
+    the right side's table. A side whose array is the indexed one with
+    one name appended (a [+relation]) copies the table and inserts
+    that name, hashing nothing else; it is rehashed whole only when a
+    name was removed or the load would pass 1/2. *)
 
 val resolve : name_index -> string list -> (Iset.t, string) result
 (** {!name_set} against the index: the same result and the same
@@ -166,6 +169,21 @@ val deltas_of_string :
     duplicate names are rejected). Typed [Parse_error] with line/col
     on unknown directives, unknown names, or an op the engine would
     reject (out-of-range index). *)
+
+val delta_steps_of_string :
+  ?names:name_index ->
+  named_bigraph ->
+  string ->
+  ((Bipartite.Delta.op * Bipartite.Bigraph.t) list * named_bigraph * name_index,
+   error)
+  result
+(** {!deltas_of_string}, keeping with each op the graph that applying
+    it produced (the parser applies every op once, to validate it), and
+    returning the evolved schema's {!name_index} ({!reindex}ed op by
+    op, each [+relation] inserting its one name). The last step's graph
+    is physically the evolved schema's, so
+    [Engine.Compiled.patch_all] over the steps yields a plan whose
+    graph is that schema's, with no op applied twice. *)
 
 val bigraph_to_string : named_bigraph -> string
 (** The inverse of {!bigraph_of_string}. A side's names go on as few

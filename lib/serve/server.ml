@@ -229,8 +229,10 @@ let solve_response t st session body =
           (Render.solution_block st.nb s)))
 
 (* POST /schema/delta: parse the delta file against the current
-   schema of record, patch the compiled plan component-by-component,
-   and publish the evolved state. Writers serialize on [delta_lock];
+   schema of record, patch the compiled plan component-by-component
+   around the graphs the parser's ops produced, and publish the
+   evolved state: each op is applied once, and the new state's schema
+   and plan hold the same graph. Writers serialize on [delta_lock];
    readers are lock-free — an inflight request finishes on the plan
    it started with, the next request on its connection picks up the
    swap. *)
@@ -238,7 +240,7 @@ let delta_response t body =
   Mutex.lock t.delta_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.delta_lock) @@ fun () ->
   let st = Atomic.get t.state in
-  match Parse.deltas_of_string ~names:st.names st.nb body with
+  match Parse.delta_steps_of_string ~names:st.names st.nb body with
   | Error e ->
     text 400
       ~headers:
@@ -247,47 +249,44 @@ let delta_response t body =
           ("X-Minconn-Code", string_of_int (Errors.exit_code e));
         ]
       (Render.error_line e)
-  | Ok (ops, nb) -> (
-    match Compiled.apply_deltas ~metrics:t.metrics st.compiled ops with
-    | Error msg ->
-      text 400
-        ~headers:[ ("X-Minconn-Error", "bad-delta"); ("X-Minconn-Code", "4") ]
-        ("error: " ^ msg ^ "\n")
-    | Ok (compiled, stats) ->
-      Atomic.set t.state { nb; names = Parse.reindex st.names nb; compiled };
-      Metrics.incr t.c_deltas;
-      let fallback = List.exists (fun s -> s.Compiled.fallback) stats in
-      let recompiled =
-        List.concat_map (fun s -> s.Compiled.recompiled) stats
-        |> List.sort_uniq compare
-      in
-      let buf = Buffer.create 256 in
-      List.iter
-        (fun (s : Compiled.delta_stats) ->
-          Buffer.add_string buf
-            (Printf.sprintf "delta %s: %s\n"
-               (Bipartite.Delta.to_string s.Compiled.op)
-               (if s.Compiled.noop then "noop"
-                else if s.Compiled.fallback then "recompiled all components"
-                else
-                  Printf.sprintf "recompiled %d component%s, reused %d"
-                    (List.length s.Compiled.recompiled)
-                    (if List.length s.Compiled.recompiled = 1 then "" else "s")
-                    s.Compiled.reused)))
-        stats;
-      Buffer.add_string buf
-        (Printf.sprintf "schema evolved: %d deltas, %d components\n"
-           (List.length ops)
-           (Compiled.n_components compiled));
-      text 200
-        ~headers:
-          [
-            ( "X-Minconn-Recompiled-Components",
-              if fallback then "all"
-              else String.concat "," (List.map string_of_int recompiled) );
-            ("X-Minconn-Deltas", string_of_int (List.length ops));
-          ]
-        (Buffer.contents buf))
+  | Ok (steps, nb, names) ->
+    let compiled, stats =
+      Compiled.patch_all ~metrics:t.metrics st.compiled steps
+    in
+    Atomic.set t.state { nb; names; compiled };
+    Metrics.incr t.c_deltas;
+    let fallback = List.exists (fun s -> s.Compiled.fallback) stats in
+    let recompiled =
+      List.concat_map (fun s -> s.Compiled.recompiled) stats
+      |> List.sort_uniq compare
+    in
+    let buf = Buffer.create 256 in
+    List.iter
+      (fun (s : Compiled.delta_stats) ->
+        Buffer.add_string buf
+          (Printf.sprintf "delta %s: %s\n"
+             (Bipartite.Delta.to_string s.Compiled.op)
+             (if s.Compiled.noop then "noop"
+              else if s.Compiled.fallback then "recompiled all components"
+              else
+                Printf.sprintf "recompiled %d component%s, reused %d"
+                  (List.length s.Compiled.recompiled)
+                  (if List.length s.Compiled.recompiled = 1 then "" else "s")
+                  s.Compiled.reused)))
+      stats;
+    Buffer.add_string buf
+      (Printf.sprintf "schema evolved: %d deltas, %d components\n"
+         (List.length steps)
+         (Compiled.n_components compiled));
+    text 200
+      ~headers:
+        [
+          ( "X-Minconn-Recompiled-Components",
+            if fallback then "all"
+            else String.concat "," (List.map string_of_int recompiled) );
+          ("X-Minconn-Deltas", string_of_int (List.length steps));
+        ]
+      (Buffer.contents buf)
 
 let dispatch t st session (req : Http.request) =
   match (req.Http.meth, req.Http.path) with

@@ -77,11 +77,13 @@ val create :
     ({!Mc_io.Parse.index}, O(|names|); [names], an index of the given
     schema such as {!Mc_io.Parse.indexed_bigraph_of_string} returns,
     saves building it), bind and listen. Each accepted
-    delta publishes a new state whose index is
-    {!Mc_io.Parse.reindex} of the old one — only a side whose name
-    array changed is rebuilt, and no published index is mutated, so
-    an inflight request keeps resolving against the state it started
-    with.
+    delta publishes a new state whose index the delta parser derived
+    from the old one by {!Mc_io.Parse.reindex} — only a side whose
+    name array changed is touched, and no published index is mutated,
+    so an inflight request keeps resolving against the state it
+    started with — and whose plan is patched around the graphs the
+    parser's ops produced ({!Engine.Compiled.patch_all}): each op is
+    applied once, and the state's schema and plan share one graph.
     [Error msg] on bind/listen failure. Also
     ignores SIGPIPE process-wide: a dead peer must surface as a typed
     write error, never a fatal signal. *)

@@ -93,11 +93,13 @@
    every token into per-line lists allocates several times more.
 
    Last, it bounds what a schema delta allocates: a pendant relation
-   added to the alpha plan and removed again. Each delta rebuilds the
-   schema's CSR once and re-prepares the one small component it
-   touches, so its allocation is linear in n + m with a small constant;
-   a round trip through the whole-graph set view costs several times
-   more. *)
+   added to the alpha plan and removed again. Each delta splices the
+   schema's CSR once and relabels the plan's components, so its
+   allocation is linear in n + m with a small constant; a round trip
+   through the whole-graph set view costs several times more. The
+   same pair is then served whole, as [POST /schema/delta] runs it
+   (parsed against the named schema, the plan patched around the
+   parser's graph), where applying each op twice fails the bound. *)
 
 let budget_s = 60.0
 
@@ -170,10 +172,19 @@ let csr_build_words_per_size inst =
   /. float_of_int (Sys.word_size / 8)
   /. float_of_int (Graphs.Csr.n csr + Graphs.Csr.m csr)
 
-(* Measured at 3.8 words per (n + m) for each delta of the pair (one
-   CSR rebuild plus the plan's per-node arrays); a round trip through
+(* Measured at 2.1 words per (n + m) for each delta of the pair (one
+   CSR splice plus the plan's per-node [comp_id]); 3.8 when each edit
+   rebuilt the CSR through [Csr.of_edge_iter]; a round trip through
    the whole-graph set view allocates about 40. *)
 let max_delta_words_per_size = 8.0
+
+(* One whole served delta ([served_delta_words_per_size]) measured at
+   2.6 words per (n + m) for each half of the pair: one CSR splice by
+   the parser, the plan's [comp_id], the evolved right-name array and
+   its table. It measured 5.2 when the parser and the engine each
+   applied the op with a full CSR rebuild and the right-name table was
+   rehashed after a [+relation]; two rebuilds fail this bound. *)
+let max_served_delta_words_per_size = 4.0
 
 (* Compile measures 12 words per (n + m) on the chordal62 instance: it
    labels the components and builds their node sets, and classifies
@@ -499,6 +510,41 @@ let delta_words_per_size plan =
   in
   [ ("+relation", added); ("-relation", removed) ]
 
+(* Words allocated per (n + m) by each half of a pendant
+   [+relation] / [-relation] pair on [plan], served as
+   [POST /schema/delta] serves it: the delta text parsed against the
+   named schema and its name index (which applies the op once and
+   reindexes the names), then the plan patched around the parser's
+   graph. *)
+let served_delta_words_per_size plan =
+  let g = Minconn.Compiled.graph plan in
+  let nb =
+    {
+      Mc_io.Parse.graph = g;
+      left_names = Array.init (Minconn.Bigraph.nl g) (Printf.sprintf "a%d");
+      right_names = Array.init (Minconn.Bigraph.nr g) (Printf.sprintf "r%d");
+    }
+  in
+  let size = float_of_int (Minconn.Bigraph.n g + Minconn.Bigraph.m g) in
+  let word = float_of_int (Sys.word_size / 8) in
+  let serve (nb, names, plan) body =
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    match Mc_io.Parse.delta_steps_of_string ~names nb body with
+    | Ok (steps, nb', names') ->
+      let plan', _ = Minconn.Compiled.patch_all plan steps in
+      ((nb', names', plan'), (Gc.allocated_bytes () -. before) /. word /. size)
+    | Error e ->
+      Format.eprintf "scale_check: served delta failed: %a\n"
+        Mc_io.Parse.pp_error e;
+      exit 1
+  in
+  let state, added =
+    serve (nb, Mc_io.Parse.index nb, plan) "deltas\n+relation pendant a0\n"
+  in
+  let _, removed = serve state "deltas\n-relation pendant\n" in
+  [ ("+relation", added); ("-relation", removed) ]
+
 let () =
   let out = Sys.argv.(1) in
   let t0 = Unix.gettimeofday () in
@@ -647,6 +693,17 @@ let () =
         exit 1
       end)
     deltas;
+  let served = served_delta_words_per_size (fst (List.assoc "alpha" plans)) in
+  List.iter
+    (fun (op, w) ->
+      if w > max_served_delta_words_per_size then begin
+        Printf.eprintf
+          "scale_check: a served alpha %s allocated %.1f words per (n + m) \
+           (bound %.0f)\n"
+          op w max_served_delta_words_per_size;
+        exit 1
+      end)
+    served;
   let parse_words = parse_words_per_byte inst in
   if parse_words > max_parse_words_per_byte then begin
     Printf.eprintf
@@ -726,4 +783,11 @@ let () =
         "alpha %s delta allocation: %.1f words per (n + m) (bound %.0f)\n" op
         w max_delta_words_per_size)
     deltas;
+  List.iter
+    (fun (op, w) ->
+      Printf.fprintf oc
+        "alpha %s served delta allocation: %.1f words per (n + m) (bound \
+         %.0f)\n"
+        op w max_served_delta_words_per_size)
+    served;
   close_out oc

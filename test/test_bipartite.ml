@@ -447,6 +447,103 @@ let edits_match_rebuild g =
   && same_graph (Bigraph.flip g)
        (Bigraph.of_edges ~nl:nr ~nr:nl (List.map (fun (i, j) -> (j, i)) es))
 
+(* The CSR invariants an edit must keep, read through the public
+   accessors: every row strictly ascending (sorted, no duplicate), every
+   degree non-negative (the row offsets monotone), the entries summing
+   to 2m, and every edge crossing the bipartition. *)
+let csr_invariants g =
+  let c = Bigraph.csr g and nl = Bigraph.nl g in
+  let entries = ref 0 and ok = ref (Csr.n c = Bigraph.n g) in
+  for u = 0 to Csr.n c - 1 do
+    let row = Csr.sorted_neighbors c u in
+    let d = Array.length row in
+    entries := !entries + d;
+    if Csr.degree c u <> d then ok := false;
+    Array.iteri
+      (fun k v ->
+        if (k > 0 && row.(k - 1) >= v) || (u < nl) = (v < nl) then ok := false)
+      row
+  done;
+  !ok && 2 * Csr.m c = !entries
+
+(* A random chain of edits, each checked against a model edge list
+   rebuilt by [Bigraph.of_edges], with the CSR invariants after every
+   step. An op is drawn as (kind, x, y, mask) and read against the
+   current sizes: kind 4 re-adds a present edge, which must return the
+   graph itself; [-relation] picks any relation, interior ones
+   included; a [+relation] mask of 0 appends a relation over no
+   attribute. *)
+let edit_chain_gen =
+  QCheck2.Gen.(
+    pair edit_gen
+      (list_size (int_range 1 12)
+         (quad (int_range 0 4) nat nat (int_range 0 15))))
+
+let edit_chain_matches_model (g, steps) =
+  let nl = Bigraph.nl g in
+  let step (g, nr, es) (kind, x, y, mask) =
+    let edge () = if nl = 0 || nr = 0 then None else Some (x mod nl, y mod nr) in
+    let same_as g' nr' es' =
+      let es' = List.sort_uniq compare es' in
+      if
+        csr_invariants g'
+        && same_graph g' (Bigraph.of_edges ~nl ~nr:nr' es')
+      then (g', nr', es')
+      else QCheck2.Test.fail_reportf "edit %d diverged from the model" kind
+    in
+    let apply op =
+      match Delta.apply g op with
+      | Ok g' -> g'
+      | Error msg -> QCheck2.Test.fail_reportf "%s" msg
+    in
+    match kind with
+    | 0 -> (
+      match edge () with
+      | None -> (g, nr, es)
+      | Some (i, j) ->
+        let g' = apply (Delta.Add_edge (i, j)) in
+        if List.mem (i, j) es && g' != g then
+          QCheck2.Test.fail_report "a present +edge built a new graph"
+        else same_as g' nr ((i, j) :: es))
+    | 1 -> (
+      match edge () with
+      | None -> (g, nr, es)
+      | Some (i, j) ->
+        let g' = apply (Delta.Remove_edge (i, j)) in
+        if (not (List.mem (i, j) es)) && g' != g then
+          QCheck2.Test.fail_report "an absent -edge built a new graph"
+        else same_as g' nr (List.filter (( <> ) (i, j)) es))
+    | 2 ->
+      let attrs =
+        Iset.of_list (List.filter (fun i -> mask land (1 lsl (i mod 4)) <> 0)
+                        (List.init nl Fun.id))
+      in
+      same_as
+        (apply (Delta.Add_relation attrs))
+        (nr + 1)
+        (es @ List.map (fun i -> (i, nr)) (Iset.elements attrs))
+    | 3 ->
+      if nr = 0 then (g, nr, es)
+      else
+        let j = x mod nr in
+        same_as
+          (apply (Delta.Remove_relation j))
+          (nr - 1)
+          (List.filter_map
+             (fun (i, j') ->
+               if j' = j then None else Some (i, if j' > j then j' - 1 else j'))
+             es)
+    | _ -> (
+      match es with
+      | [] -> (g, nr, es)
+      | _ ->
+        let i, j = List.nth es (x mod List.length es) in
+        if apply (Delta.Add_edge (i, j)) == g then (g, nr, es)
+        else QCheck2.Test.fail_report "re-adding a present edge built a new graph")
+  in
+  ignore (List.fold_left step (g, Bigraph.nr g, Bigraph.edges g) steps);
+  true
+
 let qcheck_cases =
   [
     QCheck2.Test.make ~count:250
@@ -567,6 +664,22 @@ let qcheck_cases =
     QCheck2.Test.make ~count:300
       ~name:"edits and flip equal a rebuild from the edited edge list"
       edit_gen edits_match_rebuild;
+    QCheck2.Test.make ~count:300
+      ~name:"every single edit keeps the CSR invariants" edit_gen (fun g ->
+        let nl = Bigraph.nl g and nr = Bigraph.nr g in
+        List.for_all csr_invariants
+          (List.concat_map
+             (fun i ->
+               List.concat_map
+                 (fun j -> [ Bigraph.add_edge g i j; Bigraph.remove_edge g i j ])
+                 (List.init nr Fun.id))
+             (List.init nl Fun.id)
+          @ [ Bigraph.add_relation g Iset.empty;
+              Bigraph.add_relation g (Bigraph.left_nodes g) ]
+          @ List.init nr (Bigraph.remove_relation g)));
+    QCheck2.Test.make ~count:300
+      ~name:"random edit chains equal a rebuild from the model edge list"
+      edit_chain_gen edit_chain_matches_model;
   ]
 
 (* Every branch of the cascade, reached by one small graph each: the

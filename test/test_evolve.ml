@@ -401,11 +401,100 @@ let test_session_with_plan () =
     check "swapped session answers like a fresh one" true
       (result_equal (Session.query s' ~p) (Session.query fresh_sess ~p))
 
+(* The served and [evolve] path applies each op once, in the delta
+   parser, and patches the plan around the graphs it produced
+   ([Compiled.patch_all]). The evolved schema's graph must then be the
+   patched plan's graph physically (one graph per served state), the
+   plan must equal a fresh compile, the per-delta stats must match the
+   engine's own [apply_deltas], and the parser's evolved name index
+   must resolve every name as a fresh index does. The random ops are
+   written out as a delta file, relations added as [x0], [x1], .... *)
+let prop_apply_once =
+  QCheck2.Test.make ~count:200
+    ~name:"parser steps + patch_all: one graph, = fresh compile" seed_gen
+    (fun seed ->
+      let rng = Workloads.Rng.make ~seed in
+      let nl = 2 + Workloads.Rng.int rng 7
+      and nr = 2 + Workloads.Rng.int rng 7 in
+      let g0 = Workloads.Gen_bipartite.gnp rng ~nl ~nr ~p:0.25 in
+      let ops = random_ops rng g0 (1 + Workloads.Rng.int rng 6) in
+      let nb =
+        {
+          Mc_io.Parse.graph = g0;
+          left_names = Array.init nl (Printf.sprintf "a%d");
+          right_names = Array.init nr (Printf.sprintf "r%d");
+        }
+      in
+      let rights = ref (Array.to_list nb.Mc_io.Parse.right_names) in
+      let fresh_names = ref 0 in
+      let line op =
+        let a i = Printf.sprintf "a%d" i and r j = List.nth !rights j in
+        match op with
+        | Minconn.Delta.Add_edge (i, j) -> Printf.sprintf "+edge %s %s" (a i) (r j)
+        | Minconn.Delta.Remove_edge (i, j) ->
+          Printf.sprintf "-edge %s %s" (a i) (r j)
+        | Minconn.Delta.Add_relation attrs ->
+          let x = Printf.sprintf "x%d" !fresh_names in
+          incr fresh_names;
+          rights := !rights @ [ x ];
+          String.concat " "
+            ("+relation" :: x :: List.map a (Iset.elements attrs))
+        | Minconn.Delta.Remove_relation j ->
+          let name = r j in
+          rights := List.filteri (fun k _ -> k <> j) !rights;
+          "-relation " ^ name
+      in
+      let text = String.concat "\n" ("deltas" :: List.map line ops) ^ "\n" in
+      let base = Compiled.compile g0 in
+      if Workloads.Rng.bool rng 0.5 then ignore (Compiled.profile base);
+      match
+        ( Mc_io.Parse.delta_steps_of_string ~names:(Mc_io.Parse.index nb) nb text,
+          Compiled.apply_deltas base ops )
+      with
+      | Error e, _ ->
+        QCheck2.Test.fail_reportf "%s: %a" text Mc_io.Parse.pp_error e
+      | _, Error msg -> QCheck2.Test.fail_reportf "apply_deltas: %s" msg
+      | Ok (steps, evolved, names), Ok (_, engine_stats) ->
+        let patched, stats = Compiled.patch_all base steps in
+        let all_names =
+          Array.to_list evolved.Mc_io.Parse.left_names
+          @ Array.to_list evolved.Mc_io.Parse.right_names
+        in
+        let resolves_as_fresh =
+          List.for_all
+            (fun name ->
+              Result.equal ~ok:Iset.equal ~error:String.equal
+                (Mc_io.Parse.resolve names [ name ])
+                (Mc_io.Parse.resolve (Mc_io.Parse.index evolved) [ name ]))
+            ("nowhere" :: all_names)
+        in
+        (* Ops hold sets, so they compare by their rendering. *)
+        let canonical (s : Compiled.delta_stats) =
+          ( Minconn.Delta.to_string s.Compiled.op,
+            s.Compiled.noop,
+            s.Compiled.fallback,
+            s.Compiled.recompiled,
+            s.Compiled.reused )
+        in
+        if
+          List.map (fun (op, _) -> Minconn.Delta.to_string op) steps
+          <> List.map Minconn.Delta.to_string ops
+        then QCheck2.Test.fail_report "the parser read other ops"
+        else if Compiled.graph patched != evolved.Mc_io.Parse.graph then
+          QCheck2.Test.fail_report "schema and plan hold different graphs"
+        else if List.map canonical stats <> List.map canonical engine_stats
+        then
+          QCheck2.Test.fail_report "patch_all stats differ from apply_deltas"
+        else if not resolves_as_fresh then
+          QCheck2.Test.fail_report "the evolved index resolves a name wrong"
+        else plan_equal patched (Compiled.compile evolved.Mc_io.Parse.graph))
+
 let qcheck_cases =
   [
     prop_combine_is_whole;
     prop_differential_gnp;
     prop_differential_structured;
+    prop_apply_once;
   ]
 
 let () =

@@ -166,6 +166,62 @@ let test_name_index_large () =
       (Mc_io.Parse.resolve ix query = Mc_io.Parse.name_set nb query)
   done
 
+(* [reindex] after one appended right name (a [+relation]) inserts it
+   into a copy of the side's table, and rehashes when the load would
+   pass 1/2 or a name was removed: at every side size from 0 to 40,
+   across each doubling of the table, the evolved index resolves every
+   name, a repeat of an earlier name, and a missing one as a fresh
+   [index] does, and leaves the old index as it was. *)
+let test_reindex_append () =
+  let same ix ix' names =
+    List.for_all
+      (fun name ->
+        Mc_io.Parse.resolve ix [ name ] = Mc_io.Parse.resolve ix' [ name ])
+      ("missing" :: names)
+  in
+  for k = 0 to 40 do
+    let nb =
+      {
+        Mc_io.Parse.graph = Bipartite.Bigraph.create ~nl:2 ~nr:k;
+        left_names = [| "a0"; "a1" |];
+        right_names = Array.init k (Printf.sprintf "r%d");
+      }
+    in
+    let ix = Mc_io.Parse.index nb in
+    let grow name =
+      {
+        nb with
+        graph = Bipartite.Bigraph.create ~nl:2 ~nr:(k + 1);
+        right_names = Array.append nb.right_names [| name |];
+      }
+    in
+    let names nb =
+      Array.to_list nb.Mc_io.Parse.left_names
+      @ Array.to_list nb.Mc_io.Parse.right_names
+    in
+    List.iter
+      (fun nb' ->
+        check
+          (Printf.sprintf "append to %d names" k)
+          true
+          (same (Mc_io.Parse.reindex ix nb') (Mc_io.Parse.index nb') (names nb'));
+        check "parent index unchanged" true (same ix (Mc_io.Parse.index nb) (names nb')))
+      (grow "fresh" :: (if k > 0 then [ grow "r0" ] else []));
+    if k > 0 then begin
+      let nb' =
+        {
+          nb with
+          graph = Bipartite.Bigraph.create ~nl:2 ~nr:(k - 1);
+          right_names = Array.sub nb.right_names 1 (k - 1);
+        }
+      in
+      check
+        (Printf.sprintf "removal from %d names" k)
+        true
+        (same (Mc_io.Parse.reindex ix nb') (Mc_io.Parse.index nb') (names nb))
+    end
+  done
+
 let test_parse_schema () =
   let text = {|
 schema
@@ -551,6 +607,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "name set" `Quick test_name_set;
           Alcotest.test_case "delta file names" `Quick test_delta_names;
+          Alcotest.test_case "reindex after an append" `Quick
+            test_reindex_append;
           Alcotest.test_case "name index at 10^4 names" `Quick
             test_name_index_large;
           Alcotest.test_case "schema" `Quick test_parse_schema;
